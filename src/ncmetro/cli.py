@@ -10,6 +10,14 @@ a range ``1..12``, or a comma list ``8,16,32``.
 A ``--config FILE`` may hold ``key = value`` lines mirroring the long flags;
 explicit command-line flags win.  Exit codes: 0 success, 2 validation
 error, 3 numerical-trust failure.
+
+Each command is one entry of ``_COMMANDS`` (help text, flags, runner); the
+parser is built once from that table.  Parsing rejects unknown flags and
+malformed single values: N lists (N >= 1; one N for ``generator``/``qfi``),
+``--dim`` >= 8, ``--step`` > 0, angles and complex numbers.  When the
+command runs, ``_pair`` checks the preset-or-expressions rule and the library
+checks the rest (``--cap``, ``--xi``, ``--nu``, ``--K``, ``--kmax``, expression
+syntax).  ``--engine both`` prints every engine that applies.
 """
 
 from __future__ import annotations
@@ -19,20 +27,16 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
 from . import experiments, io
-from .errors import NcmetroError, NumericalTrustError, ValidationError
+from .errors import NcmetroError, NotGaussianError, NumericalTrustError, ValidationError
 from .expressions import format_polynomial, parse_operator
 from .fock import (
-    DEFAULT_DIM,
-    DEFAULT_STEP,
-    dv_bound_check,
-    dv_saturating_probe,
-    qfi_numeric,
+    DEFAULT_DIM, DEFAULT_STEP, dv_bound_check, dv_saturating_probe, qfi_numeric,
 )
 from .gaussian import gaussian_probe, qfi_linear_generator
 from .generators import local_generator, qcrb_rmse
@@ -81,33 +85,232 @@ def parse_complex(text: str) -> complex:
         raise ValidationError(f"cannot parse complex number {text!r}") from None
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: the command plus every parameter it needs."""
+def _flag_type(name: str, parse, check=None, constraint: str = ""):
+    """argparse ``type=``: a ValueError from ``parse`` reads "invalid <name>
+    value", a value failing ``check`` reads ``constraint``; both name the flag."""
 
-    command: str
-    preset: str | None = None
-    g_expr: str | None = None
-    h_expr: str | None = None
-    n_list: list[int] = field(default_factory=list)
-    lambda_bar: float = 0.1
-    aux: float = 0.1
-    theta: float = math.pi / 4.0
-    alpha: complex = 0j
-    xi_bar: float = 0.1
-    dim: int = DEFAULT_DIM
-    step: float = DEFAULT_STEP
-    nu: int = 1
-    cap: int = DEFAULT_ADJOINT_CAP
-    x: float = 0.1
-    p: float = 0.2
-    k_list: list[int] = field(default_factory=list)
-    k_max: int = 0
-    mode: str = "control"
-    engine: str = "gaussian"
-    pair: str = "qubit"
-    out: str | None = None
-    format: str = "csv"
+    def convert(text: str):
+        value = parse(text)
+        if check is not None and not check(value):
+            raise argparse.ArgumentTypeError(f"{constraint}, got {text!r}")
+        return value
+
+    convert.__name__ = name
+    return convert
+
+
+_N_LIST = _flag_type("N list", parse_int_list, lambda v: min(v) >= 1,
+                     "N values must be at least 1")
+_ONE_N = _flag_type("N list", parse_int_list, lambda v: len(v) == 1 and v[0] >= 1,
+                    "takes a single N value of at least 1")
+_K_LIST = _flag_type("K list", parse_int_list)
+_DIM = _flag_type("int", int, lambda d: d >= 8, "must be at least 8")
+_STEP = _flag_type("float", float, lambda s: s > 0, "must be positive")
+_ANGLE = _flag_type("angle", parse_angle)
+_COMPLEX = _flag_type("complex", parse_complex)
+
+
+# -- the command table: name -> (help text, flag specs, runner) -------------
+
+#: Runners return (columns, rows, value, trust) or (scan, value, trust), any
+#: tail omitted; :func:`run_config` wraps that in the envelope.
+_COMMANDS: dict = {}
+
+
+def _command(name: str, help_text: str, *flags):
+    def register(run):
+        _COMMANDS[name] = (help_text, flags, run)
+        return run
+
+    return register
+
+
+def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return names, kwargs
+
+
+def _n_flag(default: str):
+    return _flag("--N", dest="n_list", type=_N_LIST, default=default,
+                 help="N value/range/list")
+
+
+_PAIR = (
+    _flag("--preset", choices=sorted(PRESETS)),
+    _flag("--g", dest="g_expr", help="inline H_g expression"),
+    _flag("--h", dest="h_expr", help="inline H_lambda expression"),
+)
+_PROTOCOL = _PAIR + (
+    _flag("--N", dest="n_list", type=_ONE_N, default="1", help="N value"),
+    _flag("--lam", dest="lambda_bar", type=float, default=0.1, help="target parameter"),
+    _flag("--aux", "--s", "--xi", "--gbar", dest="aux", type=float, default=0.1,
+          help="auxiliary strength (s_bar / xi_bar / g_bar per preset)"),
+    _flag("--alpha", type=_COMPLEX, default="0", help="coherent probe amplitude"),
+)
+_DIM_STEP = (
+    _flag("--dim", type=_DIM, default=DEFAULT_DIM),
+    _flag("--step", type=_STEP, default=DEFAULT_STEP),
+)
+_COMMON = (
+    # consumed by parse_config before parsing; listed here for --help
+    _flag("--config", default=argparse.SUPPRESS,
+          help="key = value file mirroring the flags"),
+    _flag("--out", help="output file path"),
+    _flag("--format", choices=io.FORMATS, default="csv"),
+)
+
+
+def _pair(ns: argparse.Namespace):
+    """Require exactly one of --preset and the --g/--h pair; return the parsed
+    inline pair (H_g, H_lambda), or None for a preset."""
+    if ns.preset is not None and (ns.g_expr or ns.h_expr):
+        raise ValidationError("give either --preset or inline expressions, not both")
+    if ns.preset is not None:
+        return None
+    if not (ns.g_expr and ns.h_expr):
+        raise ValidationError(
+            f"{ns.command} needs --preset or both --g and --h expressions")
+    return parse_operator(ns.g_expr), parse_operator(ns.h_expr)
+
+
+def _protocol(ns: argparse.Namespace) -> EncodingProtocol:
+    pair = _pair(ns)
+    n = ns.n_list[0]
+    probe = ProbeDescriptor.coherent(ns.alpha) if ns.alpha else ProbeDescriptor.vacuum()
+    if pair is None:
+        return build_preset(ns.preset, n, ns.lambda_bar, ns.aux, probe)
+    h_g, h_lambda = pair
+    return EncodingProtocol(h_lambda=h_lambda, h_g=h_g, n_applications=n,
+                            lambda_bar=ns.lambda_bar, g_bar=ns.aux, probe=probe)
+
+
+@_command("classify", "classify an operator pair", *_PAIR,
+          _flag("--cap", type=int, default=DEFAULT_ADJOINT_CAP))
+def _run_classify(ns):
+    pair = _pair(ns)
+    if pair is None:
+        preset = build_preset(ns.preset, 1, 0.0, 0.0)
+        pair = preset.h_g, preset.h_lambda
+    report = classify_pair(*pair, cap=ns.cap)
+    constant = report.constant_value
+    parts = None if constant is None else [constant.real, constant.imag]
+    value = {
+        "kind": report.kind,
+        "nilpotency_index": report.nilpotency_index,
+        "constant_value": parts,
+        "closure_p": report.closure_p,
+        "cap": report.cap,
+        "tower": [format_polynomial(entry) for entry in report.tower],
+    }
+    columns = ["kind", "nilpotency_index", "constant_re", "constant_im", "closure_p"]
+    rows = [[report.kind, report.nilpotency_index, *(parts or [None, None]),
+             report.closure_p]]
+    return columns, rows, value
+
+
+@_command("generator", "local generator of a protocol", *_PROTOCOL)
+def _run_generator(ns):
+    result = local_generator(_protocol(ns))
+    terms = sorted(result.generator.terms.items())
+    columns = ["m", "n", "coeff_re", "coeff_im"]
+    rows = [[m, n, c.real, c.imag] for (m, n), c in terms]
+    value = {"generator": format_polynomial(result.generator),
+             "truncation_used": result.truncation_used, "closed_form": result.closed_form}
+    return columns, rows, value
+
+
+@_command("qfi", "QFI of a protocol", *_PROTOCOL, *_DIM_STEP,
+          _flag("--engine", choices=("gaussian", "fock", "both"), default="gaussian"),
+          _flag("--nu", type=int, default=1, help="QCRB repetition count"))
+def _run_qfi(ns):
+    protocol = _protocol(ns)
+    rows, trust = [], {}
+    if ns.engine in ("gaussian", "both"):
+        gen = local_generator(protocol).generator
+        try:
+            qfi = qfi_linear_generator(gaussian_probe(protocol.probe), gen)
+        except NotGaussianError:
+            if ns.engine == "gaussian":
+                raise
+        else:
+            rows.append(["gaussian", qfi, qcrb_rmse(qfi, ns.nu), 1])
+    if ns.engine in ("fock", "both"):
+        estimate = qfi_numeric(protocol, dim=ns.dim, step=ns.step)
+        rows.append(["fock", estimate.value, qcrb_rmse(estimate.value, ns.nu),
+                     1 if estimate.trusted else 0])
+        trust = {"rel_disagreement": estimate.rel_disagreement, "dim_used": estimate.dim}
+    columns = ["engine", "qfi", "rmse_qcrb", "trusted"]
+    return columns, rows, {row[0]: row[1] for row in rows}, trust
+
+
+@_command("fig2a", "leading-coefficient scan over N",
+          _flag("--K", dest="k_list", type=_K_LIST, default="1,4,6"), _n_flag("1..20"))
+def _run_fig2a(ns):
+    return (experiments.fig2a_scan(ns.k_list, ns.n_list),)
+
+
+@_command("fig2b", "leading-coefficient scan over K", _n_flag("6,10,16,20"),
+          _flag("--kmax", dest="k_max", type=int, default=0, help="default: max(N) + 4"))
+def _run_fig2b(ns):
+    ns.k_max = ns.k_max or max(ns.n_list) + 4
+    scan = experiments.fig2b_scan(ns.n_list, ns.k_max)
+    return scan, {"k_peak": scan.metadata["k_peak"]}
+
+
+@_command("fig3", "squeeze-protocol QFI/CFI scan", _n_flag("1..12"),
+          _flag("--xi", dest="xi_bar", type=float, default=0.1),
+          _flag("--alpha", type=_COMPLEX, default="0.3"),
+          _flag("--theta", type=_ANGLE, default="pi/4"),
+          _flag("--lam", dest="lambda_bar", type=float, default=0.1), *_DIM_STEP)
+def _run_fig3(ns):
+    scan = experiments.fig3_scan(
+        ns.n_list, xi_bar=ns.xi_bar, alpha=ns.alpha, theta=ns.theta, x_bar=ns.lambda_bar,
+        dim=ns.dim, step=ns.step)
+    return scan, None, {str(row["N"]): row["fock_trusted"] for row in scan.rows}
+
+
+def _with_fit(scan: experiments.ScanResult):
+    fit = experiments.fit_loglog_slope([(r["N"], r["qfi"]) for r in scan.rows])
+    return scan, {"fit": {"slope": fit.slope, "intercept": fit.intercept,
+                          "r_squared": fit.r_squared, "window": list(fit.window)}}
+
+
+@_command("example1", "finite-index scaling fit", _n_flag("8..64"),
+          _flag("--s", dest="aux", type=float, default=0.2),
+          _flag("--preset", choices=sorted(PRESETS), default="shear-k1"),
+          _flag("--lam", dest="lambda_bar", type=float, default=0.1))
+def _run_example1(ns):
+    return _with_fit(experiments.example1_scan(
+        ns.n_list, ns.aux, preset=ns.preset, x_bar=ns.lambda_bar))
+
+
+@_command("switch", "two-order superposition scaling fit", _n_flag("1..6"),
+          _flag("--x", type=float, default=0.1), _flag("--p", type=float, default=0.2),
+          *_DIM_STEP,
+          _flag("--mode", choices=("control", "joint", "definite"), default="control"))
+def _run_switch(ns):
+    # the control qubit carries the phase N^2 x p: with p = 0 its QFI is 0
+    if ns.mode == "control" and ns.p == 0:
+        raise ValidationError("control-mode switch scan needs --p nonzero")
+    return _with_fit(experiments.switch_scan(ns.n_list, ns.x, ns.p, dim=ns.dim,
+                                             step=ns.step, mode=ns.mode))
+
+
+@_command("dvbound", "finite-dimension QFI bound scan", _n_flag("1..50"),
+          _flag("--gbar", dest="aux", type=float, default=0.1),
+          _flag("--pair", choices=("qubit", "qutrit"), default="qubit"))
+def _run_dvbound(ns):
+    if ns.pair == "qubit":
+        h_g = np.array([[0, 1], [1, 0]], dtype=complex) / 2.0
+        h_l = np.array([[1, 0], [0, -1]], dtype=complex) / 2.0
+    else:
+        h_g = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2.0)
+        h_l = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    probe = dv_saturating_probe(h_l)
+    report = dv_bound_check(h_g, h_l, ns.n_list, ns.aux, probe)
+    columns = ["N", "qfi", "bound", "ratio"]
+    rows = [[row.n, row.qfi, row.bound, row.ratio] for row in report.rows]
+    value = {"spectral_spread": report.spectral_spread, "max_ratio": report.max_ratio}
+    return columns, rows, value
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -118,100 +321,21 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="ncmetro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="key = value file mirroring the flags")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=io.FORMATS, default="csv")
-
-    def add_pair(p):
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--g", dest="g_expr", help="inline H_g expression")
-        p.add_argument("--h", dest="h_expr", help="inline H_lambda expression")
-
-    def add_protocol(p):
-        add_pair(p)
-        p.add_argument("--N", dest="n_spec", default="1", help="N value/range/list")
-        p.add_argument("--lam", type=float, default=0.1, help="target parameter")
-        p.add_argument(
-            "--aux",
-            "--s",
-            "--xi",
-            "--gbar",
-            dest="aux",
-            type=float,
-            default=0.1,
-            help="auxiliary strength (s_bar / xi_bar / g_bar per preset)",
-        )
-        p.add_argument("--alpha", default="0", help="coherent probe amplitude")
-
-    p = sub.add_parser("classify", help="classify an operator pair")
-    add_pair(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_ADJOINT_CAP)
-    add_common(p)
-
-    p = sub.add_parser("generator", help="local generator of a protocol")
-    add_protocol(p)
-    add_common(p)
-
-    p = sub.add_parser("qfi", help="QFI of a protocol")
-    add_protocol(p)
-    p.add_argument("--engine", choices=("gaussian", "fock", "both"), default="gaussian")
-    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--nu", type=int, default=1, help="QCRB repetition count")
-    add_common(p)
-
-    p = sub.add_parser("fig2a", help="leading-coefficient scan over N")
-    p.add_argument("--K", dest="k_spec", default="1,4,6")
-    p.add_argument("--N", dest="n_spec", default="1..20")
-    add_common(p)
-
-    p = sub.add_parser("fig2b", help="leading-coefficient scan over K")
-    p.add_argument("--N", dest="n_spec", default="6,10,16,20")
-    p.add_argument("--kmax", type=int, default=0, help="default: max(N) + 4")
-    add_common(p)
-
-    p = sub.add_parser("fig3", help="squeeze-protocol QFI/CFI scan")
-    p.add_argument("--N", dest="n_spec", default="1..12")
-    p.add_argument("--xi", type=float, default=0.1)
-    p.add_argument("--alpha", default="0.3")
-    p.add_argument("--theta", default="pi/4")
-    p.add_argument("--lam", type=float, default=0.1)
-    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    add_common(p)
-
-    p = sub.add_parser("example1", help="finite-index scaling fit")
-    p.add_argument("--N", dest="n_spec", default="8..64")
-    p.add_argument("--s", dest="aux", type=float, default=0.2)
-    p.add_argument("--preset", choices=sorted(PRESETS), default="shear-k1")
-    p.add_argument("--lam", type=float, default=0.1)
-    add_common(p)
-
-    p = sub.add_parser("switch", help="two-order superposition scaling fit")
-    p.add_argument("--N", dest="n_spec", default="1..6")
-    p.add_argument("--x", type=float, default=0.1)
-    p.add_argument("--p", type=float, default=0.2)
-    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--mode", choices=("control", "joint", "definite"), default="control")
-    add_common(p)
-
-    p = sub.add_parser("dvbound", help="finite-dimension QFI bound scan")
-    p.add_argument("--N", dest="n_spec", default="1..50")
-    p.add_argument("--gbar", dest="aux", type=float, default=0.1)
-    p.add_argument("--pair", choices=("qubit", "qutrit"), default="qubit")
-    add_common(p)
-
+    for command, (help_text, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for names, kwargs in flags + _COMMON:
+            p.add_argument(*names, **kwargs)
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _load_config_file(path: str) -> list[str]:
     """Turn 'key = value' lines into flag tokens inserted before user flags."""
     tokens: list[str] = []
     try:
-        text = open(path).read()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -227,287 +351,28 @@ def _load_config_file(path: str) -> list[str]:
     return tokens
 
 
-def parse_config(argv: list[str]) -> RunConfig:
-    """Parse and validate an argv vector into a RunConfig.
-
-    Unknown flags or config keys are rejected; every numeric parameter is
-    checked against the preconditions of the targeted operation before any
-    computation starts.
-    """
-    if not argv:
-        raise ValidationError("missing command")
+def parse_config(argv: list[str]) -> argparse.Namespace:
+    """Parse an argv vector into the command's namespace; the checks that
+    need the library run in :func:`run_config`."""
     if "--config" in argv:
         idx = argv.index("--config")
         if idx + 1 >= len(argv):
             raise ValidationError("--config requires a file path")
         file_tokens = _load_config_file(argv[idx + 1])
-        rest = argv[1 : idx] + argv[idx + 2 :]
-        argv = [argv[0]] + file_tokens + rest
-    namespace = _build_parser().parse_args(argv)
-    return _namespace_to_config(namespace)
+        argv = [argv[0], *file_tokens, *argv[1:idx], *argv[idx + 2 :]]
+    return _PARSER.parse_args(argv)
 
 
-def _namespace_to_config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    cfg.out = getattr(ns, "out", None)
-    cfg.format = getattr(ns, "format", "csv")
-    cfg.preset = getattr(ns, "preset", None)
-    cfg.g_expr = getattr(ns, "g_expr", None)
-    cfg.h_expr = getattr(ns, "h_expr", None)
-    if hasattr(ns, "n_spec"):
-        cfg.n_list = parse_int_list(ns.n_spec)
-    if hasattr(ns, "k_spec"):
-        cfg.k_list = parse_int_list(ns.k_spec)
-    for attr, target in (
-        ("lam", "lambda_bar"),
-        ("aux", "aux"),
-        ("xi", "xi_bar"),
-        ("dim", "dim"),
-        ("step", "step"),
-        ("nu", "nu"),
-        ("cap", "cap"),
-        ("x", "x"),
-        ("p", "p"),
-        ("kmax", "k_max"),
-        ("mode", "mode"),
-        ("engine", "engine"),
-        ("pair", "pair"),
-    ):
-        if hasattr(ns, attr):
-            setattr(cfg, target, getattr(ns, attr))
-    if hasattr(ns, "theta"):
-        cfg.theta = parse_angle(ns.theta)
-    if hasattr(ns, "alpha"):
-        cfg.alpha = parse_complex(ns.alpha)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    needs_pair = cfg.command in ("classify", "generator", "qfi")
-    if needs_pair:
-        if cfg.preset is None and not (cfg.g_expr and cfg.h_expr):
-            raise ValidationError(
-                f"{cfg.command} needs --preset or both --g and --h expressions"
-            )
-        if cfg.preset is not None and (cfg.g_expr or cfg.h_expr):
-            raise ValidationError("give either --preset or inline expressions, not both")
-        for expr in (cfg.g_expr, cfg.h_expr):
-            if expr is not None:
-                parse_operator(expr)  # malformed expressions fail at parse time
-    if cfg.command == "classify" and cfg.cap < 2:
-        raise ValidationError("--cap must be at least 2")
-    if cfg.command in ("generator", "qfi") and len(cfg.n_list) != 1:
-        raise ValidationError(f"{cfg.command} takes a single --N value")
-    if cfg.command in ("generator", "qfi", "fig3", "example1", "switch", "dvbound"):
-        if cfg.n_list and min(cfg.n_list) < 1:
-            raise ValidationError("--N values must be at least 1")
-    if cfg.command in ("qfi", "fig3", "switch"):
-        if cfg.dim < 8:
-            raise ValidationError("--dim must be at least 8")
-        if cfg.step <= 0:
-            raise ValidationError("--step must be positive")
-    if cfg.command == "qfi" and cfg.nu < 1:
-        raise ValidationError("--nu must be at least 1")
-    if cfg.command == "fig3" and cfg.xi_bar <= 0:
-        raise ValidationError("--xi must be positive")
-    if cfg.command == "fig2a":
-        if any(k < 0 for k in cfg.k_list):
-            raise ValidationError("--K values must be non-negative")
-        if any(n < 1 for n in cfg.n_list):
-            raise ValidationError("--N values must be at least 1")
-    if cfg.command == "fig2b":
-        if any(n < 1 for n in cfg.n_list):
-            raise ValidationError("--N values must be at least 1")
-        if cfg.k_max == 0:
-            cfg.k_max = max(cfg.n_list) + 4
-        if cfg.k_max < max(cfg.n_list) + 1:
-            raise ValidationError("--kmax must be at least max(N) + 1")
-    if cfg.command == "switch" and cfg.x * cfg.p == 0 and cfg.mode == "control":
-        raise ValidationError("control-mode switch scan needs x and p nonzero")
-
-
-def _protocol_from_config(cfg: RunConfig, n: int) -> EncodingProtocol:
-    probe = (
-        ProbeDescriptor.coherent(cfg.alpha)
-        if cfg.alpha != 0
-        else ProbeDescriptor.vacuum()
-    )
-    if cfg.preset:
-        return build_preset(cfg.preset, n, cfg.lambda_bar, cfg.aux, probe)
-    return EncodingProtocol(
-        h_lambda=parse_operator(cfg.h_expr),
-        h_g=parse_operator(cfg.g_expr),
-        n_applications=n,
-        lambda_bar=cfg.lambda_bar,
-        g_bar=cfg.aux,
-        probe=probe,
-    )
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = {}
-    for key, value in vars(cfg).items():
-        if isinstance(value, complex):
-            echo[key] = [value.real, value.imag]
-        else:
-            echo[key] = value
-    return echo
-
-
-def _fit_dict(fit: experiments.FitResult) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "window": list(fit.window),
-    }
-
-
-def _run_classify(cfg: RunConfig) -> io.ResultEnvelope:
-    if cfg.preset:
-        protocol = build_preset(cfg.preset, 1, 0.0, 0.0)
-        g, h = protocol.h_g, protocol.h_lambda
-    else:
-        g = parse_operator(cfg.g_expr)
-        h = parse_operator(cfg.h_expr)
-    report = classify_pair(g, h, cap=cfg.cap)
-    constant = report.constant_value
-    value = {
-        "kind": report.kind,
-        "nilpotency_index": report.nilpotency_index,
-        "constant_value": None if constant is None else [constant.real, constant.imag],
-        "closure_p": report.closure_p,
-        "cap": report.cap,
-        "tower": [format_polynomial(entry) for entry in report.tower],
-    }
-    columns = ["kind", "nilpotency_index", "constant_re", "constant_im", "closure_p"]
-    rows = [[
-        report.kind,
-        report.nilpotency_index,
-        None if constant is None else constant.real,
-        None if constant is None else constant.imag,
-        report.closure_p,
-    ]]
-    return io.ResultEnvelope(
-        command="classify", config=_config_echo(cfg), columns=columns, rows=rows,
-        value=value,
-    )
-
-
-def _run_generator(cfg: RunConfig) -> io.ResultEnvelope:
-    protocol = _protocol_from_config(cfg, cfg.n_list[0])
-    result = local_generator(protocol)
-    columns = ["m", "n", "coeff_re", "coeff_im"]
-    rows = [
-        [m, n, c.real, c.imag]
-        for (m, n), c in sorted(result.generator.terms.items())
-    ]
-    value = {
-        "generator": format_polynomial(result.generator),
-        "truncation_used": result.truncation_used,
-        "closed_form": result.closed_form,
-    }
-    return io.ResultEnvelope(
-        command="generator", config=_config_echo(cfg), columns=columns, rows=rows,
-        value=value,
-    )
-
-
-def _run_qfi(cfg: RunConfig) -> io.ResultEnvelope:
-    protocol = _protocol_from_config(cfg, cfg.n_list[0])
-    columns = ["engine", "qfi", "rmse_qcrb", "trusted"]
-    rows = []
-    trust = {}
-    if cfg.engine in ("gaussian", "both"):
-        gen = local_generator(protocol).generator
-        qfi = qfi_linear_generator(gaussian_probe(protocol.probe), gen)
-        rows.append(["gaussian", qfi, qcrb_rmse(qfi, cfg.nu), 1])
-    if cfg.engine in ("fock", "both"):
-        estimate = qfi_numeric(protocol, dim=cfg.dim, step=cfg.step)
-        rows.append([
-            "fock", estimate.value, qcrb_rmse(estimate.value, cfg.nu),
-            1 if estimate.trusted else 0,
-        ])
-        trust = {
-            "rel_disagreement": estimate.rel_disagreement,
-            "dim_used": estimate.dim,
-        }
-    value = {row[0]: row[1] for row in rows}
-    return io.ResultEnvelope(
-        command="qfi", config=_config_echo(cfg), columns=columns, rows=rows,
-        value=value, trust=trust,
-    )
-
-
-def _run_dvbound(cfg: RunConfig) -> io.ResultEnvelope:
-    if cfg.pair == "qubit":
-        h_g = np.array([[0, 1], [1, 0]], dtype=complex) / 2.0
-        h_l = np.array([[1, 0], [0, -1]], dtype=complex) / 2.0
-    else:
-        sq2 = math.sqrt(2.0)
-        h_g = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / sq2
-        h_l = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    probe = dv_saturating_probe(h_l)
-    report = dv_bound_check(h_g, h_l, cfg.n_list, cfg.aux, probe)
-    columns = ["N", "qfi", "bound", "ratio"]
-    rows = [[row.n, row.qfi, row.bound, row.ratio] for row in report.rows]
-    value = {
-        "spectral_spread": report.spectral_spread,
-        "max_ratio": report.max_ratio,
-    }
-    return io.ResultEnvelope(
-        command="dvbound", config=_config_echo(cfg), columns=columns, rows=rows,
-        value=value,
-    )
-
-
-def run_config(cfg: RunConfig) -> io.ResultEnvelope:
-    """Execute a validated RunConfig and assemble the result envelope."""
+def run_config(ns: argparse.Namespace) -> io.ResultEnvelope:
+    """Run the parsed command and assemble the result envelope."""
     start = time.perf_counter()
-    if cfg.command == "classify":
-        envelope = _run_classify(cfg)
-    elif cfg.command == "generator":
-        envelope = _run_generator(cfg)
-    elif cfg.command == "qfi":
-        envelope = _run_qfi(cfg)
-    elif cfg.command == "fig2a":
-        scan = experiments.fig2a_scan(cfg.k_list, cfg.n_list)
-        envelope = io.envelope_from_scan("fig2a", _config_echo(cfg), scan)
-    elif cfg.command == "fig2b":
-        scan = experiments.fig2b_scan(cfg.n_list, cfg.k_max)
-        envelope = io.envelope_from_scan(
-            "fig2b", _config_echo(cfg), scan, value={"k_peak": scan.metadata["k_peak"]}
-        )
-    elif cfg.command == "fig3":
-        scan = experiments.fig3_scan(
-            cfg.n_list, xi_bar=cfg.xi_bar, alpha=cfg.alpha, theta=cfg.theta,
-            x_bar=cfg.lambda_bar, dim=cfg.dim, step=cfg.step,
-        )
-        trust = {
-            str(row["N"]): row["fock_trusted"] for row in scan.rows
-        }
-        envelope = io.envelope_from_scan("fig3", _config_echo(cfg), scan, trust=trust)
-    elif cfg.command == "example1":
-        scan = experiments.example1_scan(
-            cfg.n_list, cfg.aux, preset=cfg.preset or "shear-k1", x_bar=cfg.lambda_bar
-        )
-        fit = experiments.fit_loglog_slope([(r["N"], r["qfi"]) for r in scan.rows])
-        envelope = io.envelope_from_scan(
-            "example1", _config_echo(cfg), scan, value={"fit": _fit_dict(fit)}
-        )
-    elif cfg.command == "switch":
-        scan = experiments.switch_scan(
-            cfg.n_list, cfg.x, cfg.p, dim=cfg.dim, step=cfg.step, mode=cfg.mode
-        )
-        fit = experiments.fit_loglog_slope([(r["N"], r["qfi"]) for r in scan.rows])
-        envelope = io.envelope_from_scan(
-            "switch", _config_echo(cfg), scan, value={"fit": _fit_dict(fit)}
-        )
-    elif cfg.command == "dvbound":
-        envelope = _run_dvbound(cfg)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown command {cfg.command!r}")
+    result = _COMMANDS[ns.command][2](ns)
+    config = {key: [value.real, value.imag] if isinstance(value, complex) else value
+              for key, value in vars(ns).items()}
+    if isinstance(result[0], experiments.ScanResult):
+        envelope = io.envelope_from_scan(ns.command, config, *result)
+    else:
+        envelope = io.ResultEnvelope(ns.command, config, *result)
     envelope.duration_s = time.perf_counter() - start
     envelope.timestamp = datetime.now(timezone.utc).isoformat()
     return envelope
@@ -516,16 +381,15 @@ def run_config(cfg: RunConfig) -> io.ResultEnvelope:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = parse_config(argv)
-        envelope = run_config(cfg)
-        text = io.emit(envelope, cfg.format, cfg.out)
+        ns = parse_config(argv)
+        text = io.emit(run_config(ns), ns.format, ns.out)
     except NumericalTrustError as exc:
         print(f"numerical-trust failure: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, NcmetroError) as exc:
+    except NcmetroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.out is None:
+    if ns.out is None:
         sys.stdout.write(text)
     return 0
 

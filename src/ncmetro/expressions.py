@@ -37,13 +37,24 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*^()]))"
 )
 
-_ATOMS = {
+_OPERATORS = {
     "a": annihilation_op,
     "ad": creation_op,
     "X": position_op,
     "P": momentum_op,
-    "i": lambda: identity_op(1j),
 }
+
+# Numeric sub-expressions stay plain ``complex`` scalars until they meet an
+# operator, so the chop applies once, to the final coefficient
+# (``1e-12 + 1e-12*i`` survives although each part alone is below the chop).
+def _operator(value: complex | LadderPolynomial) -> LadderPolynomial:
+    return identity_op(value) if isinstance(value, complex) else value
+
+
+def _product(a, b, max_degree: int) -> complex | LadderPolynomial:
+    if isinstance(a, complex) and isinstance(b, complex):
+        return 0j + a * b  # no negative zeros, as in normal_order_product
+    return normal_order_product(_operator(a), _operator(b), max_degree)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -90,34 +101,36 @@ class _Parser:
         self.advance()
 
     def parse(self) -> LadderPolynomial:
-        result = self.expr()
+        result = _operator(self.expr())
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected token {value!r}", pos)
         return result
 
-    def expr(self) -> LadderPolynomial:
+    def expr(self) -> complex | LadderPolynomial:
         result = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
+                if not (isinstance(result, complex) and isinstance(rhs, complex)):
+                    result, rhs = _operator(result), _operator(rhs)
                 result = result + rhs if value == "+" else result - rhs
             else:
                 return result
 
-    def term(self) -> LadderPolynomial:
+    def term(self) -> complex | LadderPolynomial:
         result = self.unary()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = normal_order_product(result, self.unary(), self.max_degree)
+                result = _product(result, self.unary(), self.max_degree)
             else:
                 return result
 
-    def unary(self) -> LadderPolynomial:
+    def unary(self) -> complex | LadderPolynomial:
         sign = 1.0
         while True:
             kind, value, _ = self.peek()
@@ -130,7 +143,7 @@ class _Parser:
         result = self.power()
         return result if sign > 0 else -result
 
-    def power(self) -> LadderPolynomial:
+    def power(self) -> complex | LadderPolynomial:
         base = self.atom()
         while True:
             kind, value, pos = self.peek()
@@ -141,19 +154,19 @@ class _Parser:
                     raise ExpressionError("exponent must be a non-negative integer", epos)
                 self.advance()
                 exponent = int(evalue)
-                out = identity_op()
+                out = 1 + 0j
                 for _ in range(exponent):
-                    out = normal_order_product(out, base, self.max_degree)
+                    out = _product(out, base, self.max_degree)
                 base = out
             else:
                 return base
 
-    def atom(self) -> LadderPolynomial:
+    def atom(self) -> complex | LadderPolynomial:
         kind, value, pos = self.advance()
         if kind == "number":
-            return identity_op(float(value))
+            return complex(float(value))
         if kind == "name":
-            return _ATOMS[value]()
+            return 1j if value == "i" else _OPERATORS[value]()
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")

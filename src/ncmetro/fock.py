@@ -10,13 +10,15 @@ can certify the closed-form results computed elsewhere.
 Trust model: prepared and evolved vectors must keep the population of the
 top Fock level below ``LEAKAGE_THRESHOLD``; finite-difference QFI runs a
 second pass at half step and Richardson-extrapolates, flagging the result
-untrusted above 0.5% pass disagreement and erroring above 5%.
+untrusted above 0.5% pass disagreement and erroring above 5%.  A QFI is
+also flagged untrusted when parity keeps the top level empty, since the
+leakage check then sees nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,15 +93,11 @@ class SwitchState:
     """Joint control+mode state of the two-order superposition protocol.
 
     ``joint`` is the 2*dim vector in control-major ordering (control 0 block
-    first).  ``control`` is the two-component control state conditioned on
-    the common mode state; it equals the reduced control state whenever the
-    two branches differ only by a phase, which is exact for displacement
-    generators.
+    first).
     """
 
     dim: int
     joint: np.ndarray
-    control: np.ndarray
 
     def branch(self, c: int) -> np.ndarray:
         """Mode vector attached to control basis state c, weight included."""
@@ -303,6 +301,16 @@ def qfi_numeric(
     raise last_error
 
 
+def _leakage_check_blind(protocol: EncodingProtocol, dim: int) -> bool:
+    """True when the top level, the only one ``_check_leakage`` reads, stays
+    empty: the probe is even (vacuum or squeezed vacuum), both generators
+    keep photon-number parity (every term ad^m a^n has m - n even) and the
+    top level dim - 1 is odd."""
+    return (dim % 2 == 0 and protocol.probe.kind in ("vacuum", "squeezed_vacuum")
+            and all((m - n) % 2 == 0
+                    for poly in (protocol.h_g, protocol.h_lambda) for m, n in poly.terms))
+
+
 def _qfi_numeric_once(
     protocol: EncodingProtocol, dim: int, step: float
 ) -> QfiEstimate:
@@ -324,18 +332,9 @@ def _qfi_numeric_once(
             f"finite-difference passes disagree by "
             f"{estimate.rel_disagreement:.2%} at dim {dim}"
         )
+    if _leakage_check_blind(protocol, dim):
+        estimate = replace(estimate, trusted=False)
     return estimate
-
-
-def expectation(op: MatrixOperator, state: FockVector) -> complex:
-    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-
-
-def variance(op: MatrixOperator, state: FockVector) -> float:
-    vec = op.matrix @ state.amplitudes
-    mean = complex(np.vdot(state.amplitudes, vec))
-    second = float(np.vdot(vec, vec).real)
-    return second - abs(mean) ** 2
 
 
 # -- quantum SWITCH (indefinite order of the two displacement blocks) ---------
@@ -363,10 +362,7 @@ def switch_protocol(
     _check_leakage(branch_ab, "switch_protocol")
     _check_leakage(branch_ba, "switch_protocol")
     joint = np.concatenate([branch_ab, branch_ba]) / math.sqrt(2.0)
-    gamma = complex(np.vdot(branch_ba, branch_ab))
-    control = np.array([gamma, 1.0], dtype=complex)
-    control = control / np.linalg.norm(control)
-    return SwitchState(dim=dim, joint=joint, control=control)
+    return SwitchState(dim=dim, joint=joint)
 
 
 def branch_phase_overlap(n: int, x: float, p: float, probe: FockVector) -> complex:

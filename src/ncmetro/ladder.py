@@ -287,14 +287,6 @@ class NilpotencyReport:
     closure_p: float | None = None
     cap: int | None = None
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind in (KIND_FINITE, KIND_FINITE_CONSTANT)
-
-    @property
-    def is_closed(self) -> bool:
-        return self.kind == KIND_CLOSED_INFINITE
-
     def summary(self) -> str:
         if self.kind == KIND_FINITE:
             return f"finite nilpotency index {self.nilpotency_index}"

@@ -81,6 +81,13 @@ def test_format_spec_operators():
     assert format_polynomial(LadderPolynomial()) == "0"
 
 
+def test_chop_applies_to_the_final_coefficient():
+    # each part is at the chop tolerance, the modulus is above it
+    assert parse_operator("(1e-12 + 1e-12*i)*ad") == LadderPolynomial(
+        {(1, 0): 1e-12 + 1e-12j}
+    )
+
+
 @st.composite
 def random_polynomials(draw):
     n_terms = draw(st.integers(1, 5))

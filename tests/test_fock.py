@@ -7,6 +7,7 @@ import pytest
 
 from ncmetro import (
     ConvergenceError,
+    EncodingProtocol,
     LeakageError,
     MatrixOperator,
     ProbeDescriptor,
@@ -153,6 +154,17 @@ class TestQfiNumeric:
         large = qfi_numeric(protocol, dim=160)
         assert abs(large.value - small.value) / large.value < 0.005
 
+    def test_untrusted_where_parity_blinds_leakage_check(self):
+        # X^2 and P^2 keep the vacuum's even parity, so at even dim the top
+        # level stays empty and the leakage check sees nothing
+        x, p = position_op(), momentum_op()
+        protocol = EncodingProtocol(h_lambda=p * p, h_g=x * x, n_applications=2,
+                                    lambda_bar=0.0, g_bar=0.1)
+        for dim, trusted in ((80, False), (81, True)):
+            estimate = qfi_numeric(protocol, dim=dim)
+            assert estimate.value == pytest.approx(2 * 4 * (1 + 4 * 0.2**2) ** 2, rel=1e-6)
+            assert estimate.trusted == trusted
+
     def test_untrusted_flag_at_coarse_step(self):
         protocol = squeeze_protocol(3, 0.1, 0.1, ProbeDescriptor.coherent(0.3))
         estimate = qfi_numeric(protocol, dim=80, step=0.05)
@@ -177,10 +189,9 @@ class TestQfiNumeric:
 class TestSwitch:
     def test_commuting_case_control_untouched(self):
         probe = prepare_probe(ProbeDescriptor.vacuum(), 40)
-        state = switch_protocol(3, 0.0, 0.2, probe)
-        assert np.allclose(state.control, np.array([1.0, 1.0]) / math.sqrt(2.0))
-        state = switch_protocol(3, 0.2, 0.0, probe)
-        assert np.allclose(state.control, np.array([1.0, 1.0]) / math.sqrt(2.0))
+        plus = np.full((2, 2), 0.5)
+        assert np.allclose(switch_protocol(3, 0.0, 0.2, probe).reduced_control(), plus)
+        assert np.allclose(switch_protocol(3, 0.2, 0.0, probe).reduced_control(), plus)
 
     def test_branch_phase_weyl_relation(self):
         probe = prepare_probe(ProbeDescriptor.vacuum(), 80)
