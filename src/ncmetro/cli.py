@@ -7,9 +7,9 @@ switch, dvbound.  Operator pairs come either from a named preset
 (``pi/4``, ``-3*pi/2``) as well as plain floats; N accepts a single value,
 a range ``1..12``, or a comma list ``8,16,32``.
 
-A ``--config FILE`` may hold ``key = value`` lines mirroring the long flags;
-explicit command-line flags win.  Exit codes: 0 success, 2 validation
-error, 3 numerical-trust failure.
+A ``--config FILE``, given at most once, may hold ``key = value`` lines
+mirroring the long flags; explicit command-line flags win.  Exit codes:
+0 success, 2 validation error, 3 numerical-trust failure.
 
 Each command is one entry of ``_COMMANDS`` (help text, flags, runner); the
 parser is built once from that table.  Parsing rejects unknown flags and
@@ -356,8 +356,8 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
     need the library run in :func:`run_config`."""
     if "--config" in argv:
         idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            raise ValidationError("--config requires a file path")
+        if idx + 1 >= len(argv) or "--config" in argv[idx + 2 :]:
+            raise ValidationError("--config takes one file path and may be given once")
         file_tokens = _load_config_file(argv[idx + 1])
         argv = [argv[0], *file_tokens, *argv[1:idx], *argv[idx + 2 :]]
     return _PARSER.parse_args(argv)

@@ -3,9 +3,11 @@ finite-difference quantum Fisher information, and the coherently controlled
 two-order (quantum SWITCH) construction.
 
 Everything here is deliberately independent of the symbolic generator route:
-states are evolved with matrix exponentials (via eigendecomposition of the
-Hermitian generators) and the QFI comes from state overlaps, so this module
-can certify the closed-form results computed elsewhere.
+matrix elements come from the Fock basis in closed form, states are evolved
+through eigendecompositions of the Hermitian generators (made once per
+generator and dimension, and shared by a scan's points), and the QFI comes
+from state overlaps, so this module can certify the closed-form results
+computed elsewhere.
 
 Trust model: prepared and evolved vectors must keep the population of the
 top Fock level below ``LEAKAGE_THRESHOLD``; finite-difference QFI runs a
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +33,7 @@ from .errors import (
     LeakageError,
     ValidationError,
 )
-from .ladder import LadderPolynomial
+from .ladder import LadderPolynomial, momentum_op, position_op
 from .protocols import EncodingProtocol, ProbeDescriptor
 
 #: Population allowed at the top Fock level before a result is rejected.
@@ -60,13 +63,6 @@ class MatrixOperator:
             raise ValidationError("matrix shape does not match dim")
         if not np.isfinite(self.matrix).all():
             raise ValidationError("matrix entries must be finite")
-
-    def is_hermitian(self, tol: float = _HERMITIAN_TOL) -> bool:
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() < tol)
-
-    def require_hermitian(self, tol: float = _HERMITIAN_TOL) -> None:
-        if not self.is_hermitian(tol):
-            raise ValidationError("operator is not Hermitian within tolerance")
 
 
 @dataclass(frozen=True)
@@ -112,28 +108,22 @@ class SwitchState:
         return rho
 
 
-def ladder_matrix(dim: int) -> np.ndarray:
-    """Annihilation operator: <n-1| a |n> = sqrt(n)."""
+def matrix_of(poly: LadderPolynomial, dim: int) -> MatrixOperator:
+    """Embed a normal-ordered polynomial as a dense matrix: each term fills
+    <k+m| ad^m a^n |k+n> = sqrt((k+n)!/k!) sqrt((k+m)!/k!), k < dim - max(m, n),
+    multiplying square roots in the order of the chain of truncated ladder
+    matrices ad^m a^n, so that every element equals that chain's."""
     if dim < 2:
         raise ValidationError("truncation dimension must be at least 2")
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def matrix_of(poly: LadderPolynomial, dim: int) -> MatrixOperator:
-    """Embed a normal-ordered polynomial as a dense matrix."""
-    a = ladder_matrix(dim)
-    ad = a.conj().T
-    max_m = max((m for m, _ in poly.terms), default=0)
-    max_n = max((n for _, n in poly.terms), default=0)
-    pow_ad = [np.eye(dim, dtype=complex)]
-    for _ in range(max_m):
-        pow_ad.append(pow_ad[-1] @ ad)
-    pow_a = [np.eye(dim, dtype=complex)]
-    for _ in range(max_n):
-        pow_a.append(pow_a[-1] @ a)
     out = np.zeros((dim, dim), dtype=complex)
     for (m, n), c in poly.terms.items():
-        out += c * (pow_ad[m] @ pow_a[n])
+        k = np.arange(dim - max(m, n))
+        ad_part, a_part = np.ones(k.size), np.ones(k.size)
+        for j in range(m, 0, -1):
+            ad_part *= np.sqrt(k + j)
+        for j in range(1, n + 1):
+            a_part *= np.sqrt(k + j)
+        out[k + m, k + n] += c * (ad_part * a_part)
     return MatrixOperator(dim=dim, matrix=out)
 
 
@@ -151,6 +141,7 @@ class HermitianEvolver:
                 f"evolution generator not Hermitian (max deviation {drift:.3e})"
             )
         self._eigvals, self._eigvecs = np.linalg.eigh(matrix)
+        self._eigvals.flags.writeable = self._eigvecs.flags.writeable = False  # _evolver shares instances
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         phases = np.exp(-1j * t * self._eigvals)
@@ -159,6 +150,17 @@ class HermitianEvolver:
     def unitary(self, t: float) -> np.ndarray:
         phases = np.exp(-1j * t * self._eigvals)
         return (self._eigvecs * phases) @ self._eigvecs.conj().T
+
+
+def _evolver(poly: LadderPolynomial, dim: int) -> HermitianEvolver:
+    """Evolver of the embedded polynomial, decomposed once per (terms, dim)."""
+    return _cached_evolver(tuple(sorted(poly.terms.items())), dim)
+
+
+@lru_cache(maxsize=4)
+def _cached_evolver(terms: tuple, dim: int) -> HermitianEvolver:
+    # four slots: a scan's two generators at its dimension and at the retry one
+    return HermitianEvolver(matrix_of(LadderPolynomial(dict(terms)), dim).matrix)
 
 
 def _check_leakage(vec: np.ndarray, context: str) -> None:
@@ -178,7 +180,6 @@ def evolve_unitary(state: FockVector, ham: MatrixOperator, t: float) -> FockVect
     """
     if ham.dim != state.dim:
         raise ValidationError("state and operator dimensions differ")
-    ham.require_hermitian()
     evolver = HermitianEvolver(ham.matrix)
     out = evolver.apply(t, state.amplitudes)
     norm = float(np.linalg.norm(out))
@@ -316,8 +317,8 @@ def _qfi_numeric_once(
 ) -> QfiEstimate:
     probe = prepare_probe(protocol.probe, dim)
     n = protocol.n_applications
-    evolver_g = HermitianEvolver(matrix_of(protocol.h_g, dim).matrix)
-    evolver_l = HermitianEvolver(matrix_of(protocol.h_lambda, dim).matrix)
+    evolver_g = _evolver(protocol.h_g, dim)
+    evolver_l = _evolver(protocol.h_lambda, dim)
     after_aux = evolver_g.apply(n * protocol.g_bar, probe.amplitudes)
     _check_leakage(after_aux, "qfi_numeric (auxiliary block)")
 
@@ -352,11 +353,8 @@ def switch_protocol(
     if n < 1:
         raise ValidationError("switch protocol requires n >= 1")
     dim = probe.dim
-    a = ladder_matrix(dim)
-    x_mat = (a.conj().T + a) / math.sqrt(2.0)
-    p_mat = 1j * (a.conj().T - a) / math.sqrt(2.0)
-    u_a = HermitianEvolver(p_mat)  # exp(-i t P), t = N x
-    u_b = HermitianEvolver(x_mat)  # exp(-i t X), t = N p
+    u_a = _evolver(momentum_op(), dim)  # exp(-i t P), t = N x
+    u_b = _evolver(position_op(), dim)  # exp(-i t X), t = N p
     branch_ab = u_a.apply(n * x, u_b.apply(n * p, probe.amplitudes))
     branch_ba = u_b.apply(n * p, u_a.apply(n * x, probe.amplitudes))
     _check_leakage(branch_ab, "switch_protocol")

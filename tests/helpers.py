@@ -1,12 +1,16 @@
-"""Shared test helpers: a naive reordering oracle and random polynomials.
+"""Shared test helpers: naive reference implementations and random polynomials.
 
-The oracle knows nothing about the package's product formula: it represents
-operator words as symbol strings and rewrites ``a ad -> ad a + 1`` until
-every word is normal-ordered.  Exponential, but plenty for the small degrees
-used in tests.
+The reordering oracle knows nothing about the package's product formula: it
+represents operator words as symbol strings and rewrites ``a ad -> ad a + 1``
+until every word is normal-ordered.  Exponential, but plenty for the small
+degrees used in tests.  The power-chain embedding knows nothing about the
+package's closed-form matrix elements: it multiplies truncated ladder
+matrices.
 """
 
 from functools import lru_cache
+
+import numpy as np
 
 from ncmetro import LadderPolynomial
 
@@ -35,6 +39,16 @@ def naive_product(a: LadderPolynomial, b: LadderPolynomial) -> LadderPolynomial:
             for key, factor in _normal_order_word(word):
                 out[key] = out.get(key, 0j) + c1 * c2 * factor
     return LadderPolynomial(out)
+
+
+def power_chain_matrix(poly: LadderPolynomial, dim: int) -> np.ndarray:
+    """Truncated matrix of a polynomial from dense powers of the ladder matrix."""
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    ad = a.conj().T
+    out = np.zeros((dim, dim), dtype=complex)
+    for (m, n), c in poly.terms.items():
+        out += c * (np.linalg.matrix_power(ad, m) @ np.linalg.matrix_power(a, n))
+    return out
 
 
 def naive_commutator(a: LadderPolynomial, b: LadderPolynomial) -> LadderPolynomial:

@@ -29,7 +29,11 @@ from ncmetro import (
     switch_protocol,
     switch_qfi,
 )
-from ncmetro.fock import HermitianEvolver
+from ncmetro import fock
+from ncmetro.experiments import fig3_scan, switch_scan
+from ncmetro.fock import SWITCH_MODES, HermitianEvolver
+
+from helpers import power_chain_matrix, random_hermitian_polynomial
 
 X = position_op()
 P = momentum_op()
@@ -58,6 +62,19 @@ class TestMatrixOf:
         assert np.abs(comm[:sub, :sub] - 1j * np.eye(sub)).max() < 1e-12
         # the corner carries the -i(dim-1) truncation artifact
         assert comm[dim - 1, dim - 1] == pytest.approx(-1j * (dim - 1), rel=1e-12)
+
+    def test_matches_power_chain_reference(self):
+        rng = np.random.default_rng(20261018)
+        for dim in (*range(2, 9), 17, 64, 200):
+            # a term with max(m, n) >= dim has an empty diagonal
+            beyond = ladder_term(dim, 1) + ladder_term(1, dim)
+            for _ in range(4):
+                poly = random_hermitian_polynomial(rng, max_degree=6)
+                got = matrix_of(poly, dim).matrix
+                ref = power_chain_matrix(poly, dim)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+                assert np.array_equal(matrix_of(poly + beyond, dim).matrix, got)
+            assert not matrix_of(beyond, dim).matrix.any()
 
     def test_unitarity_of_evolutions(self):
         for poly in (X, P):
@@ -228,6 +245,32 @@ class TestSwitch:
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
             switch_qfi(2, 0.1, 0.2, mode="sideways")
+
+
+class TestEvolverReuse:
+    def test_one_eigh_per_generator_and_dim(self, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[0])
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for mode in SWITCH_MODES:
+            fock._cached_evolver.cache_clear()
+            sizes.clear()
+            switch_scan(range(1, 7), 0.1, 0.2, dim=110, mode=mode)
+            assert sizes == [110, 110], mode
+        fock._cached_evolver.cache_clear()
+        sizes.clear()
+        scan = fig3_scan(range(1, 13), dim=110)
+        assert all(row["qfi_fock"] is not None for row in scan.rows)
+        assert sizes == [110, 110]  # a retried row would add two at 220
+        shared = fock._evolver(momentum_op(), 110)
+        assert fock._evolver(momentum_op(), 110) is shared and len(sizes) == 2
+        for array in (shared._eigvals, shared._eigvecs):
+            assert not array.flags.writeable
 
 
 class TestDvBound:

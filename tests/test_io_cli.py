@@ -99,6 +99,16 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(["fig3", "--config", str(config)])
 
+    def test_repeated_config_file_rejected(self, tmp_path, capsys):
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("xi = 0.25\n")
+        second.write_text("xi = 0.5\n")
+        argv = ["fig3", "--N", "1", "--config", str(first), "--config", str(second)]
+        with pytest.raises(ValidationError, match="--config"):
+            parse_config(argv)
+        assert main(argv) == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_expression_error_carries_position(self):
         from ncmetro import ExpressionError
 
