@@ -7,8 +7,9 @@ switch, dvbound.  Operator pairs come either from a named preset
 (``pi/4``, ``-3*pi/2``) as well as plain floats; N accepts a single value,
 a range ``1..12``, or a comma list ``8,16,32``.
 
-A ``--config FILE``, given at most once, may hold ``key = value`` lines
-mirroring the long flags; explicit command-line flags win.  Exit codes:
+A ``--config FILE`` (or ``--config=FILE``), given at most once, may hold
+``key = value`` lines mirroring the long flags; explicit command-line flags
+win.  Flags are never abbreviated.  Exit codes:
 0 success, 2 validation error, 3 numerical-trust failure.
 
 Each command is one entry of ``_COMMANDS`` (help text, flags, runner); the
@@ -319,10 +320,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="ncmetro", description=__doc__)
+    # no abbreviated flags: a prefix of --config would otherwise be stored
+    # and its file never read
+    parser = _ArgumentParser(prog="ncmetro", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, flags, _) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for names, kwargs in flags + _COMMON:
             p.add_argument(*names, **kwargs)
     return parser
@@ -347,6 +350,8 @@ def _load_config_file(path: str) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ValidationError(f"{path}:{lineno}: empty key")
+        if key == "config":
+            raise ValidationError(f"{path}:{lineno}: a config file cannot name another")
         tokens.extend([f"--{key}", value])
     return tokens
 
@@ -354,12 +359,18 @@ def _load_config_file(path: str) -> list[str]:
 def parse_config(argv: list[str]) -> argparse.Namespace:
     """Parse an argv vector into the command's namespace; the checks that
     need the library run in :func:`run_config`."""
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv) or "--config" in argv[idx + 2 :]:
+    spots = [i for i, token in enumerate(argv)
+             if token == "--config" or token.startswith("--config=")]
+    if spots:
+        idx = spots[0]
+        if argv[idx] == "--config":
+            path = argv[idx + 1] if idx + 1 < len(argv) else None
+            rest = argv[idx + 2 :]
+        else:
+            path, rest = argv[idx].partition("=")[2], argv[idx + 1 :]
+        if path is None or len(spots) > 1:
             raise ValidationError("--config takes one file path and may be given once")
-        file_tokens = _load_config_file(argv[idx + 1])
-        argv = [argv[0], *file_tokens, *argv[1:idx], *argv[idx + 2 :]]
+        argv = [argv[0], *_load_config_file(path), *argv[1:idx], *rest]
     return _PARSER.parse_args(argv)
 
 

@@ -109,6 +109,25 @@ class TestParseConfig:
         assert main(argv) == 2
         assert "--config" in capsys.readouterr().err
 
+    def test_config_spellings(self, tmp_path, capsys):
+        config = tmp_path / "scan.cfg"
+        config.write_text("xi = 0.25\n")
+        cfg = parse_config(["fig3", "--N", "1", f"--config={config}"])
+        assert cfg.xi_bar == 0.25 and not hasattr(cfg, "config")
+        for argv in (
+            ["fig3", "--N", "1", "--conf", str(config)],
+            ["fig3", "--N", "1", f"--conf={config}"],
+            ["fig3", "--N", "1", f"--config={config}", "--config", str(config)],
+            ["fig3", "--N", "1", "--config=/nonexistent/scan.cfg"],
+        ):
+            with pytest.raises(ValidationError):
+                parse_config(argv)
+            assert main(argv) == 2
+        nested = tmp_path / "nested.cfg"
+        nested.write_text(f"config = {config}\n")
+        assert main(["fig3", "--N", "1", "--config", str(nested)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_expression_error_carries_position(self):
         from ncmetro import ExpressionError
 

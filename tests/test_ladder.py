@@ -1,5 +1,8 @@
 """Ladder-polynomial algebra: products, commutators, towers, classification."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +32,14 @@ from ncmetro.ladder import (
     KIND_FINITE_CONSTANT,
 )
 
-from helpers import naive_commutator, naive_product, random_hermitian_polynomial
+from ncmetro import ladder
+from helpers import (
+    exact_tower,
+    naive_commutator,
+    naive_product,
+    random_hermitian_polynomial,
+    random_polynomial,
+)
 
 X = position_op()
 P = momentum_op()
@@ -41,6 +51,12 @@ SQUEEZE = normal_order_product(creation_op(), creation_op()) + normal_order_prod
 
 def assert_canonical_zero(poly, tol=1e-12):
     assert poly.max_abs_coefficient() <= tol, dict(poly.terms)
+
+
+def max_abs_difference(p, q):
+    """Largest coefficient difference, without the chop a subtraction applies."""
+    keys = set(p.terms) | set(q.terms)
+    return max((abs(p.coefficient(*k) - q.coefficient(*k)) for k in keys), default=0.0)
 
 
 class TestNormalOrderProduct:
@@ -111,6 +127,92 @@ class TestCommutator:
                 + commutator(c, commutator(a, b))
             )
             assert_canonical_zero(jacobi, 1e-12)
+
+
+class TestOnePassCommutator:
+    def test_matches_product_paths_on_generic_coefficients(self):
+        rng = np.random.default_rng(8128)
+        for _ in range(12):
+            a = random_polynomial(rng, int(rng.integers(1, 9)), density=0.3)
+            b = random_polynomial(rng, int(rng.integers(1, 9)), density=0.3)
+            result = commutator(a, b)
+            for reference in (
+                naive_commutator(a, b),
+                normal_order_product(a, b) - normal_order_product(b, a),
+            ):
+                scale = max(1.0, reference.max_abs_coefficient())
+                assert max_abs_difference(result, reference) <= 1e-12 * scale
+
+    def test_exact_antisymmetry_without_negative_zeros(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            a, b = random_polynomial(rng, 5), random_polynomial(rng, 5)
+            assert commutator(a, b) == -commutator(b, a)
+            for poly in (commutator(a, b), commutator(b, a)):
+                parts = [x for c in poly.terms.values() for x in (c.real, c.imag)]
+                assert all(math.copysign(1.0, x) > 0 for x in parts if x == 0.0)
+        assert commutator(X2, X2).is_zero()
+        assert commutator(X, position_op()).is_zero()
+
+    def test_capped_tower_tracks_exact_tower(self):
+        # rational analogue of X^3 + P^2 | P: g = (ad + a)^3 / 3 - (ad - a)^2 / 2,
+        # h = ad - a; 32 levels, every coefficient within 1e-11 of the exact
+        # one relative to the level's largest coefficient
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        g = {(3, 0): third, (2, 1): 3 * third, (1, 2): 3 * third, (0, 3): third,
+             (1, 0): 3 * third, (0, 1): 3 * third,
+             (2, 0): -half, (1, 1): 2 * half, (0, 2): -half, (0, 0): half}
+        h = {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
+        report = classify_pair(
+            LadderPolynomial({k: float(c) for k, c in g.items()}),
+            LadderPolynomial({k: float(c) for k, c in h.items()}),
+            cap=32,
+        )
+        assert report.kind == KIND_CAP_REACHED and len(report.tower) == 33
+        for level, (entry, exact) in enumerate(zip(report.tower, exact_tower(g, h, 32))):
+            reference = LadderPolynomial({k: float(c) for k, c in exact.items()})
+            scale = reference.max_abs_coefficient()
+            assert max_abs_difference(entry, reference) <= 1e-11 * scale, level
+
+
+class TestCommutatorFastPath:
+    def test_tower_forms_no_products(self, monkeypatch):
+        g = normal_order_product(X2, X) + normal_order_product(P, P)
+        calls = []
+        original = ladder.normal_order_product
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ladder, "normal_order_product", counting)
+        report = classify_pair(g, P)
+        assert report.kind == KIND_CAP_REACHED
+        assert calls == []
+
+    def test_degree_overflow_where_products_overflowed(self):
+        def raises(fn, a, b, max_degree):
+            try:
+                fn(a, b, max_degree)
+            except DegreeOverflowError:
+                return True
+            return False
+
+        pairs = [
+            (ladder_term(40, 0), ladder_term(0, 30)),
+            (ladder_term(40, 0), ladder_term(30, 0)),
+            (X, ladder_term(0, 63)),
+            (zero_op(), ladder_term(70, 0)),
+            (ladder_term(33, 0), ladder_term(33, 0)),
+        ]
+        for a, b in pairs:
+            for max_degree in (8, 63, 64, 70, 100):
+                expected = raises(normal_order_product, a, b, max_degree) or raises(
+                    normal_order_product, b, a, max_degree
+                )
+                assert raises(commutator, a, b, max_degree) == expected
+        with pytest.raises(DegreeOverflowError, match="product degree 70 exceeds limit 64"):
+            commutator(ladder_term(40, 0), ladder_term(0, 30))
 
 
 class TestAdjointPower:
