@@ -4,10 +4,16 @@ two-order (quantum SWITCH) construction.
 
 Everything here is deliberately independent of the symbolic generator route:
 matrix elements come from the Fock basis in closed form, states are evolved
-through eigendecompositions of the Hermitian generators (made once per
-generator and dimension, and shared by a scan's points), and the QFI comes
+through eigendecompositions of the Hermitian generators, and the QFI comes
 from state overlaps, so this module can certify the closed-form results
 computed elsewhere.
+
+A generator is decomposed once per dimension and shared by a scan's points.
+A real generator, or one that the diagonal gauge G = diag(i^k) makes real,
+gets a real symmetric decomposition and real mat-vecs; X and P = G X G^dag
+share one.  Finite differences run in the eigen-coordinates of H_lambda,
+where each point is a phase per coefficient, so no point re-evolves the
+Fock vector; the switch projects its x-independent vectors once.
 
 Trust model: prepared and evolved vectors must keep the population of the
 top Fock level below ``LEAKAGE_THRESHOLD``; finite-difference QFI runs a
@@ -19,6 +25,7 @@ leakage check then sees nothing.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -128,10 +135,16 @@ def matrix_of(poly: LadderPolynomial, dim: int) -> MatrixOperator:
 
 
 class HermitianEvolver:
-    """Cached eigendecomposition of a Hermitian matrix.
+    """Cached eigendecomposition of a Hermitian matrix H.
 
     ``apply(t, vec)`` returns exp(-i t H) vec; reusing the decomposition makes
-    parameter scans cheap.
+    parameter scans cheap.  A real H, or one that the diagonal gauge
+    G = diag(i^k) makes real (G^dag H G has an exactly zero imaginary part,
+    as for P = G X G^dag), is decomposed as that real symmetric matrix
+    V w V^T, so H = (G V) w (G V)^dag with V real and every mat-vec a real
+    product on the complex vector viewed as float pairs; any other H keeps a
+    complex decomposition.  ``project``, ``phases`` and ``lift`` expose the
+    eigen-coordinates, in which evolution is a diagonal phase.
     """
 
     def __init__(self, matrix: np.ndarray, tol: float = _HERMITIAN_TOL):
@@ -140,31 +153,90 @@ class HermitianEvolver:
             raise ValidationError(
                 f"evolution generator not Hermitian (max deviation {drift:.3e})"
             )
-        self._eigvals, self._eigvecs = np.linalg.eigh(matrix)
+        self._gauge = None
+        if matrix.imag.any():
+            gauge = _gauge(matrix.shape[0])
+            rotated = gauge.conj()[:, None] * matrix * gauge
+            if not rotated.imag.any():
+                matrix, self._gauge = rotated, gauge
+        self._real = not matrix.imag.any()
+        self._eigvals, self._eigvecs = np.linalg.eigh(matrix.real if self._real else matrix)
         self._eigvals.flags.writeable = self._eigvecs.flags.writeable = False  # _evolver shares instances
 
+    def in_gauge(self) -> "HermitianEvolver":
+        """Evolver of G H G^dag that shares this real decomposition of H."""
+        twin = copy.copy(self)
+        twin._gauge = _gauge(self._eigvals.size)
+        return twin
+
+    def phases(self, t: float) -> np.ndarray:
+        return np.exp(-1j * t * self._eigvals)
+
+    def project(self, vec: np.ndarray) -> np.ndarray:
+        """Eigen-coordinates (G V)^dag vec of a Fock-basis vector."""
+        if self._gauge is not None:
+            vec = self._gauge.conj() * vec
+        if self._real:
+            return _real_times(self._eigvecs.T, vec)
+        return (vec.conj() @ self._eigvecs).conj()
+
+    def lift(self, coeffs: np.ndarray) -> np.ndarray:
+        """Fock-basis vector G V coeffs of eigen-coordinates."""
+        out = _real_times(self._eigvecs, coeffs) if self._real else self._eigvecs @ coeffs
+        return out if self._gauge is None else self._gauge * out
+
+    def top_amplitude(self, coeffs: np.ndarray) -> complex:
+        """Last Fock amplitude of ``lift(coeffs)``, in O(dim)."""
+        top = self._eigvecs[-1] @ coeffs
+        return top if self._gauge is None else top * self._gauge[-1]
+
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * t * self._eigvals)
-        return self._eigvecs @ (phases * (self._eigvecs.conj().T @ vec))
+        return self.lift(self.phases(t) * self.project(vec))
 
     def unitary(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * t * self._eigvals)
-        return (self._eigvecs * phases) @ self._eigvecs.conj().T
+        u = (self._eigvecs * self.phases(t)) @ self._eigvecs.conj().T
+        return u if self._gauge is None else self._gauge[:, None] * u * self._gauge.conj()
+
+
+def _real_times(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Real matrix times complex vector as one real product on float pairs."""
+    pairs = np.ascontiguousarray(vec, dtype=complex).view(np.float64).reshape(-1, 2)
+    return (matrix @ pairs).view(np.complex128).ravel()
+
+
+#: i^k for k = 0..3, exact.
+_I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+
+
+def _gauge(dim: int) -> np.ndarray:
+    """Diagonal of G = diag(i^k); G^dag (ad^m a^n) G = i^(n-m) ad^m a^n."""
+    return np.resize(np.array(_I_POWERS), dim)
 
 
 def _evolver(poly: LadderPolynomial, dim: int) -> HermitianEvolver:
-    """Evolver of the embedded polynomial, decomposed once per (terms, dim)."""
-    return _cached_evolver(tuple(sorted(poly.terms.items())), dim)
+    """Evolver of the embedded polynomial, decomposed once per (terms, dim).
+
+    A polynomial whose gauge-rotated terms c i^(n-m) are real is evolved
+    through the decomposition of that real polynomial, so P reuses X's.
+    """
+    terms = poly.terms
+    if any(c.imag for c in terms.values()):
+        rotated = {(m, n): c * _I_POWERS[(n - m) % 4] for (m, n), c in terms.items()}
+        if not any(c.imag for c in rotated.values()):
+            return _cached_evolver(tuple(sorted(rotated.items())), dim).in_gauge()
+    return _cached_evolver(tuple(sorted(terms.items())), dim)
 
 
 @lru_cache(maxsize=4)
 def _cached_evolver(terms: tuple, dim: int) -> HermitianEvolver:
-    # four slots: a scan's two generators at its dimension and at the retry one
+    # four slots: a scan's two decompositions (X and P share one) at its
+    # dimension and at the retry one
     return HermitianEvolver(matrix_of(LadderPolynomial(dict(terms)), dim).matrix)
 
 
-def _check_leakage(vec: np.ndarray, context: str) -> None:
-    pop = float(abs(vec[-1]) ** 2)
+def _check_leakage(top: complex, context: str) -> None:
+    """Reject a state whose top Fock amplitude ``top`` is too populated."""
+    pop = float(abs(top) ** 2)
     if pop > LEAKAGE_THRESHOLD:
         raise LeakageError(
             f"{context}: top-level population {pop:.3e} exceeds "
@@ -186,7 +258,7 @@ def evolve_unitary(state: FockVector, ham: MatrixOperator, t: float) -> FockVect
     if abs(norm - 1.0) > _NORM_TOL:
         raise InternalConsistencyError(f"evolution norm drift {abs(norm - 1.0):.3e}")
     out = out / norm
-    _check_leakage(out, "evolve_unitary")
+    _check_leakage(out[-1], "evolve_unitary")
     return FockVector(dim=state.dim, amplitudes=out)
 
 
@@ -201,15 +273,18 @@ def prepare_probe(probe: ProbeDescriptor, dim: int) -> FockVector:
     if probe.kind == "vacuum":
         amps[0] = 1.0
     elif probe.kind == "coherent":
-        alpha = probe.alpha
-        amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-        for n in range(1, dim):
-            amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+        # <n|alpha> = e^{-|alpha|^2/2} prod_{j<=n} alpha / sqrt(j)
+        ratios = np.empty(dim, dtype=complex)
+        ratios[0] = math.exp(-abs(probe.alpha) ** 2 / 2.0)
+        ratios[1:] = probe.alpha / np.sqrt(np.arange(1, dim))
+        amps[:] = np.cumprod(ratios)
     elif probe.kind == "squeezed_vacuum":
-        factor = -np.exp(2j * probe.phi) * math.tanh(probe.r)
-        amps[0] = 1.0 / math.sqrt(math.cosh(probe.r))
-        for k in range(1, (dim - 1) // 2 + 1):
-            amps[2 * k] = amps[2 * k - 2] * factor * math.sqrt((2 * k - 1) / (2 * k))
+        # <2k|r,phi> / <2k-2|r,phi> = -e^{2i phi} tanh(r) sqrt((2k-1)/(2k))
+        k = np.arange(1, (dim + 1) // 2)
+        ratios = np.empty(k.size + 1, dtype=complex)
+        ratios[0] = 1.0 / math.sqrt(math.cosh(probe.r))
+        ratios[1:] = -np.exp(2j * probe.phi) * math.tanh(probe.r) * np.sqrt((2 * k - 1) / (2 * k))
+        amps[::2] = np.cumprod(ratios)
     elif probe.kind == "fock_vector":
         given = np.asarray(probe.amplitudes, dtype=complex)
         if given.size > dim:
@@ -228,7 +303,7 @@ def prepare_probe(probe: ProbeDescriptor, dim: int) -> FockVector:
             f"probe lost {1 - norm**2:.3e} of its weight to truncation"
         )
     amps = amps / norm
-    _check_leakage(amps, "prepare_probe")
+    _check_leakage(amps[-1], "prepare_probe")
     return FockVector(dim=dim, amplitudes=amps)
 
 
@@ -249,24 +324,33 @@ class QfiEstimate:
 
 
 def _overlap_qfi(
-    state_at: Callable[[float], np.ndarray], x0: float, step: float
+    center: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float
 ) -> float:
-    plus = state_at(x0 + step)
-    minus = state_at(x0 - step)
-    center = state_at(x0)
     dpsi = (plus - minus) / (2.0 * step)
     return 4.0 * (
         float(np.vdot(dpsi, dpsi).real) - abs(np.vdot(center, dpsi)) ** 2
     )
 
 
+def _overlap_passes(
+    state_at: Callable[[float], np.ndarray], x0: float
+) -> Callable[[float], float]:
+    """Central-difference overlap QFI at x0 as a function of the step."""
+    center = state_at(x0)
+    return lambda h: _overlap_qfi(center, state_at(x0 + h), state_at(x0 - h), h)
+
+
 def _richardson_qfi(
-    state_at: Callable[[float], np.ndarray], x0: float, step: float, dim: int
+    pass_qfi: Callable[[float], float], step: float, dim: int, what: str
 ) -> QfiEstimate:
-    coarse = _overlap_qfi(state_at, x0, step)
-    fine = _overlap_qfi(state_at, x0, step / 2.0)
+    """Passes at ``step`` and ``step / 2``, Richardson extrapolated; raises
+    ConvergenceError when they disagree by more than 5%."""
+    coarse = pass_qfi(step)
+    fine = pass_qfi(step / 2.0)
     value = (4.0 * fine - coarse) / 3.0
     rel = abs(fine - coarse) / max(abs(value), 1e-300)
+    if rel > _ERROR_REL:
+        raise ConvergenceError(f"{what} passes disagree by {rel:.2%} at dim {dim}")
     return QfiEstimate(
         value=value,
         coarse=coarse,
@@ -317,28 +401,51 @@ def _qfi_numeric_once(
 ) -> QfiEstimate:
     probe = prepare_probe(protocol.probe, dim)
     n = protocol.n_applications
-    evolver_g = _evolver(protocol.h_g, dim)
+    after_aux = _evolver(protocol.h_g, dim).apply(n * protocol.g_bar, probe.amplitudes)
+    _check_leakage(after_aux[-1], "qfi_numeric (auxiliary block)")
+    # Eigen-coordinates of h_lambda: evolution is a phase per coefficient,
+    # and overlaps, hence the QFI, do not depend on the basis.
     evolver_l = _evolver(protocol.h_lambda, dim)
-    after_aux = evolver_g.apply(n * protocol.g_bar, probe.amplitudes)
-    _check_leakage(after_aux, "qfi_numeric (auxiliary block)")
+    coeffs = evolver_l.project(after_aux)
 
     def state_at(lam: float) -> np.ndarray:
-        return evolver_l.apply(n * lam, after_aux)
+        return evolver_l.phases(n * lam) * coeffs
 
-    _check_leakage(state_at(protocol.lambda_bar + step), "qfi_numeric (scan edge)")
-    _check_leakage(state_at(protocol.lambda_bar - step), "qfi_numeric (scan edge)")
-    estimate = _richardson_qfi(state_at, protocol.lambda_bar, step, dim)
-    if estimate.rel_disagreement > _ERROR_REL:
-        raise ConvergenceError(
-            f"finite-difference passes disagree by "
-            f"{estimate.rel_disagreement:.2%} at dim {dim}"
-        )
+    for edge in (protocol.lambda_bar + step, protocol.lambda_bar - step):
+        _check_leakage(evolver_l.top_amplitude(state_at(edge)), "qfi_numeric (scan edge)")
+    estimate = _richardson_qfi(_overlap_passes(state_at, protocol.lambda_bar),
+                               step, dim, "finite-difference")
     if _leakage_check_blind(protocol, dim):
         estimate = replace(estimate, trusted=False)
     return estimate
 
 
 # -- quantum SWITCH (indefinite order of the two displacement blocks) ---------
+
+
+def _switch_states(n: int, p: float, probe: FockVector) -> Callable[[float], SwitchState]:
+    """The switch state as a function of x.  The x-independent work is done
+    once: exp(-iNpX)|psi> and |psi> are projected onto P's eigenbasis, so
+    each x costs two lifts and one X evolution, and both branches are still
+    checked for leakage in the Fock basis."""
+    if n < 1:
+        raise ValidationError("switch protocol requires n >= 1")
+    dim = probe.dim
+    u_p = _evolver(momentum_op(), dim)  # exp(-i t P), t = N x
+    u_x = _evolver(position_op(), dim)  # exp(-i t X), t = N p
+    after_x = u_p.project(u_x.apply(n * p, probe.amplitudes))
+    before_x = u_p.project(probe.amplitudes)
+
+    def state_at(x: float) -> SwitchState:
+        phases = u_p.phases(n * x)
+        branch_ab = u_p.lift(phases * after_x)
+        branch_ba = u_x.apply(n * p, u_p.lift(phases * before_x))
+        _check_leakage(branch_ab[-1], "switch_protocol")
+        _check_leakage(branch_ba[-1], "switch_protocol")
+        joint = np.concatenate([branch_ab, branch_ba]) / math.sqrt(2.0)
+        return SwitchState(dim=dim, joint=joint)
+
+    return state_at
 
 
 def switch_protocol(
@@ -350,17 +457,7 @@ def switch_protocol(
     order; by the Weyl relation the branches differ by the phase N^2 x p, so
     the control qubit picks up the product parameter.
     """
-    if n < 1:
-        raise ValidationError("switch protocol requires n >= 1")
-    dim = probe.dim
-    u_a = _evolver(momentum_op(), dim)  # exp(-i t P), t = N x
-    u_b = _evolver(position_op(), dim)  # exp(-i t X), t = N p
-    branch_ab = u_a.apply(n * x, u_b.apply(n * p, probe.amplitudes))
-    branch_ba = u_b.apply(n * p, u_a.apply(n * x, probe.amplitudes))
-    _check_leakage(branch_ab, "switch_protocol")
-    _check_leakage(branch_ba, "switch_protocol")
-    joint = np.concatenate([branch_ab, branch_ba]) / math.sqrt(2.0)
-    return SwitchState(dim=dim, joint=joint)
+    return _switch_states(n, p, probe)(x)
 
 
 def branch_phase_overlap(n: int, x: float, p: float, probe: FockVector) -> complex:
@@ -376,11 +473,9 @@ def _bloch_vector(rho: np.ndarray) -> np.ndarray:
     )
 
 
-def _qubit_qfi(rho_at: Callable[[float], np.ndarray], x0: float, step: float) -> float:
-    r0 = _bloch_vector(rho_at(x0))
-    dr = (_bloch_vector(rho_at(x0 + step)) - _bloch_vector(rho_at(x0 - step))) / (
-        2.0 * step
-    )
+def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> float:
+    """QFI of a qubit from its Bloch vectors at x0 and x0 +- step."""
+    dr = (plus - minus) / (2.0 * step)
     qfi = float(dr @ dr)
     denom = 1.0 - float(r0 @ r0)
     if denom > 1e-9:
@@ -415,43 +510,25 @@ def switch_qfi(
         raise ValidationError(f"mode must be one of {SWITCH_MODES}")
     if step <= 0:
         raise ValidationError("finite-difference step must be positive")
-    probe_vec = prepare_probe(probe or ProbeDescriptor.vacuum(), dim)
+    switch_at = _switch_states(n, p, prepare_probe(probe or ProbeDescriptor.vacuum(), dim))
 
     if mode == "control":
-        def rho_at(xv: float) -> np.ndarray:
-            return switch_protocol(n, xv, p, probe_vec).reduced_control()
+        def bloch_at(xv: float) -> np.ndarray:
+            return _bloch_vector(switch_at(xv).reduced_control())
 
-        coarse = _qubit_qfi(rho_at, x, step)
-        fine = _qubit_qfi(rho_at, x, step / 2.0)
-        value = (4.0 * fine - coarse) / 3.0
-        rel = abs(fine - coarse) / max(abs(value), 1e-300)
-        if rel > _ERROR_REL:
-            raise ConvergenceError(
-                f"control-QFI passes disagree by {rel:.2%} at dim {dim}"
-            )
-        return QfiEstimate(
-            value=value,
-            coarse=coarse,
-            fine=fine,
-            rel_disagreement=rel,
-            trusted=rel <= _UNTRUSTED_REL,
-            dim=dim,
-            step=step,
-        )
+        r0 = bloch_at(x)
+        return _richardson_qfi(
+            lambda h: _qubit_qfi(r0, bloch_at(x + h), bloch_at(x - h), h),
+            step, dim, "control-QFI")
 
     if mode == "joint":
         def state_at(xv: float) -> np.ndarray:
-            return switch_protocol(n, xv, p, probe_vec).joint
+            return switch_at(xv).joint
     else:
         def state_at(xv: float) -> np.ndarray:
-            return switch_protocol(n, xv, p, probe_vec).branch(0) * math.sqrt(2.0)
+            return switch_at(xv).branch(0) * math.sqrt(2.0)
 
-    estimate = _richardson_qfi(state_at, x, step, dim)
-    if estimate.rel_disagreement > _ERROR_REL:
-        raise ConvergenceError(
-            f"switch QFI passes disagree by {estimate.rel_disagreement:.2%}"
-        )
-    return estimate
+    return _richardson_qfi(_overlap_passes(state_at, x), step, dim, "switch QFI")
 
 
 # -- discrete-variable bound demonstration ------------------------------------

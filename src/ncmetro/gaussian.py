@@ -52,9 +52,11 @@ class GaussianState:
         object.__setattr__(self, "cov", _frozen_array(self.cov, (2, 2)))
         if abs(self.cov[0, 1] - self.cov[1, 0]) > 1e-12:
             raise ValidationError("covariance matrix must be symmetric")
-        # Uncertainty relation: cov + (i/2) Omega >= 0.
-        eigvals = np.linalg.eigvalsh(self.cov.astype(complex) + 0.5j * OMEGA)
-        if eigvals.min() < -1e-9:
+        # Uncertainty relation: cov + (i/2) Omega = [[a, b + i/2], [b - i/2, c]]
+        # is positive semidefinite; its smallest eigenvalue in closed form, with
+        # hypot for sqrt(((a - c) / 2)^2 + b^2 + 1/4) so that no square overflows.
+        (a, b), (_, c) = self.cov.tolist()
+        if (a + c) / 2.0 - math.hypot((a - c) / 2.0, b, 0.5) < -1e-9:
             raise ValidationError("covariance violates the uncertainty relation")
 
     @staticmethod

@@ -8,6 +8,7 @@ import pytest
 from ncmetro import (
     ConvergenceError,
     EncodingProtocol,
+    LadderPolynomial,
     LeakageError,
     MatrixOperator,
     ProbeDescriptor,
@@ -21,6 +22,7 @@ from ncmetro import (
     ladder_term,
     matrix_of,
     momentum_op,
+    normal_order_product,
     position_op,
     prepare_probe,
     qfi_numeric,
@@ -30,10 +32,19 @@ from ncmetro import (
     switch_qfi,
 )
 from ncmetro import fock
+from ncmetro.errors import NumericalTrustError
 from ncmetro.experiments import fig3_scan, switch_scan
 from ncmetro.fock import SWITCH_MODES, HermitianEvolver
+from ncmetro.protocols import build_preset
 
-from helpers import power_chain_matrix, random_hermitian_polynomial
+from helpers import (
+    eigh_evolution,
+    full_vector_qfi,
+    full_vector_switch_qfi,
+    power_chain_matrix,
+    random_hermitian_polynomial,
+    recurrence_probe,
+)
 
 X = position_op()
 P = momentum_op()
@@ -146,6 +157,22 @@ class TestPrepareProbe:
         with pytest.raises(LeakageError):
             prepare_probe(ProbeDescriptor.coherent(6.0), 16)
 
+    def test_matches_level_by_level_recurrence(self):
+        probes = (ProbeDescriptor.coherent(0.3), ProbeDescriptor.coherent(-0.7 + 1.1j),
+                  ProbeDescriptor.coherent(3j), ProbeDescriptor.squeezed_vacuum(0.3, 0.0),
+                  ProbeDescriptor.squeezed_vacuum(0.5, -1.1),
+                  ProbeDescriptor.squeezed_vacuum(1.2, 0.7))
+        for probe in probes:
+            for dim in range(2, 201):
+                ref = recurrence_probe(probe, dim)
+                norm = np.linalg.norm(ref)
+                if abs(norm - 1.0) > 1e-6 or abs(ref[-1] / norm) ** 2 > 1e-8:
+                    with pytest.raises(LeakageError):
+                        prepare_probe(probe, dim)
+                else:
+                    got = prepare_probe(probe, dim).amplitudes
+                    np.testing.assert_allclose(got, ref / norm, rtol=1e-13, atol=1e-300)
+
 
 class TestQfiNumeric:
     def test_single_displacement_on_vacuum(self):
@@ -247,6 +274,112 @@ class TestSwitch:
             switch_qfi(2, 0.1, 0.2, mode="sideways")
 
 
+def _gauge_rotated(poly: LadderPolynomial) -> LadderPolynomial:
+    """G H G^dag for G = diag(i^k): term ad^m a^n picks up i^(m-n)."""
+    return LadderPolynomial({(m, n): c * 1j ** ((m - n) % 4) for (m, n), c in poly.terms.items()})
+
+
+def _real_part(poly: LadderPolynomial) -> LadderPolynomial:
+    return LadderPolynomial({key: c.real for key, c in poly.terms.items() if c.real})
+
+
+def _outcome(compute):
+    """The computed value, or the type of the trust error raised."""
+    try:
+        return compute()
+    except NumericalTrustError as exc:
+        return type(exc)
+
+
+class TestEigenCoordinatePaths:
+    def test_evolution_matches_complex_eigh(self):
+        rng = np.random.default_rng(20261018)
+        xp = normal_order_product(X, P) + normal_order_product(P, X)
+        for dim in (2, 3, 8, 17, 40):
+            # expected path: real (or gauge-real) decomposition, complex, or
+            # None where truncation or chance may make the matrix real
+            families = [(X * X, True), (P, True), (P * P * P, True),
+                        (xp, False if dim > 2 else None),
+                        (xp + X * X, False if dim > 2 else None)]
+            for _ in range(3):
+                poly = random_hermitian_polynomial(rng, max_degree=3)
+                real = _real_part(poly) if _real_part(poly).terms else X
+                families += [(real, True), (_gauge_rotated(real), True), (poly, None)]
+            for poly, real_path in families:
+                matrix = matrix_of(poly, dim).matrix
+                reference = eigh_evolution(matrix)
+                scale = max(float(np.abs(np.linalg.eigvalsh(matrix)).max()), 1.0)
+                for evolver in (HermitianEvolver(matrix), fock._evolver(poly, dim)):
+                    if real_path is not None:
+                        assert evolver._real is real_path, (poly, dim)
+                    for tau in (0.7, -3.1):
+                        t = tau / scale
+                        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                        vec /= np.linalg.norm(vec)
+                        assert np.abs(evolver.apply(t, vec) - reference(t) @ vec).max() <= 1e-12
+                        assert np.abs(evolver.unitary(t) - reference(t)).max() <= 1e-12
+
+    def test_qfi_numeric_matches_full_vector_reference(self):
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for _ in range(48):
+            n = int(rng.integers(1, 13))
+            lam = float(rng.choice([0.0, 0.1]))
+            aux = float(rng.uniform(0.0, 0.3))
+            probe = (ProbeDescriptor.vacuum(), ProbeDescriptor.coherent(complex(rng.uniform(-0.5, 0.5), 0.3)),
+                     ProbeDescriptor.squeezed_vacuum(float(rng.uniform(0.0, 0.5)), 0.4))[rng.integers(3)]
+            name = rng.choice(["squeeze-inf", "shear-k1", "xp-constant", "x2p2"])
+            if name == "x2p2":
+                protocol = EncodingProtocol(h_lambda=P * P, h_g=X * X, n_applications=n,
+                                            lambda_bar=lam, g_bar=aux, probe=probe)
+            else:
+                protocol = build_preset(str(name), n, lam, aux, probe)
+            dim = int(rng.choice([16, 24, 40, 60, 81]))
+            step = float(rng.choice([1e-4, 1e-5, 0.05, 0.5]))
+            retries = int(rng.integers(2))
+
+            def package():
+                est = qfi_numeric(protocol, dim=dim, step=step, retries=retries)
+                return est.value, est.trusted, est.dim
+
+            got = _outcome(package)
+            want = _outcome(lambda: full_vector_qfi(protocol, dim, step, retries))
+            if isinstance(want, type):
+                assert got is want, (name, n, dim, step)
+                outcomes.add(want.__name__)
+            else:
+                assert got[1:] == want[1:], (name, n, dim, step)
+                assert got[0] == pytest.approx(want[0], rel=1e-10, abs=1e-12)
+                outcomes.add("trusted" if want[1] else "untrusted")
+        assert outcomes == {"LeakageError", "ConvergenceError", "trusted", "untrusted"}
+
+    def test_switch_qfi_matches_full_vector_reference(self):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(36):
+            n = int(rng.integers(1, 9))
+            x, p = float(rng.uniform(-0.2, 0.2)), float(rng.uniform(0.0, 0.3))
+            probe = (ProbeDescriptor.vacuum(), ProbeDescriptor.coherent(0.4 - 0.2j))[rng.integers(2)]
+            dim = int(rng.choice([12, 20, 40, 80]))
+            step = float(rng.choice([1e-4, 0.05, 0.3]))
+            mode = str(rng.choice(SWITCH_MODES))
+
+            def package():
+                est = switch_qfi(n, x, p, probe=probe, dim=dim, step=step, mode=mode)
+                return est.value, est.trusted
+
+            got = _outcome(package)
+            want = _outcome(lambda: full_vector_switch_qfi(n, x, p, probe, dim, step, mode))
+            if isinstance(want, type):
+                assert got is want, (n, dim, step, mode)
+                outcomes.add(want.__name__)
+            else:
+                assert got[1] == want[1], (n, dim, step, mode)
+                assert got[0] == pytest.approx(want[0], rel=1e-10, abs=1e-12)
+                outcomes.add("trusted" if want[1] else "untrusted")
+        assert {"LeakageError", "trusted", "untrusted"} <= outcomes
+
+
 class TestEvolverReuse:
     def test_one_eigh_per_generator_and_dim(self, monkeypatch):
         sizes = []
@@ -261,14 +394,16 @@ class TestEvolverReuse:
             fock._cached_evolver.cache_clear()
             sizes.clear()
             switch_scan(range(1, 7), 0.1, 0.2, dim=110, mode=mode)
-            assert sizes == [110, 110], mode
+            assert sizes == [110], mode  # P = G X G^dag shares X's decomposition
         fock._cached_evolver.cache_clear()
         sizes.clear()
         scan = fig3_scan(range(1, 13), dim=110)
         assert all(row["qfi_fock"] is not None for row in scan.rows)
         assert sizes == [110, 110]  # a retried row would add two at 220
-        shared = fock._evolver(momentum_op(), 110)
-        assert fock._evolver(momentum_op(), 110) is shared and len(sizes) == 2
+        shared = fock._evolver(position_op(), 110)
+        assert fock._evolver(position_op(), 110) is shared
+        assert fock._evolver(momentum_op(), 110)._eigvecs is shared._eigvecs
+        assert len(sizes) == 2
         for array in (shared._eigvals, shared._eigvecs):
             assert not array.flags.writeable
 

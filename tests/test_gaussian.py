@@ -120,6 +120,17 @@ class TestStateValidation:
     def test_uncertainty_violation_rejected(self):
         with pytest.raises(ValidationError):
             GaussianState(mean=np.zeros(2), cov=np.diag([0.1, 0.1]))
+        with pytest.raises(ValidationError):
+            GaussianState(mean=np.zeros(2), cov=0.49 * np.eye(2))
+
+    def test_pure_states_accepted_up_to_strong_squeezing(self):
+        # pure states sit exactly on the uncertainty boundary
+        GaussianState.vacuum()
+        GaussianState.coherent(0.3 - 1.2j)
+        for r in np.linspace(0.0, 5.0, 11):
+            for phi in (0.0, 0.4, math.pi / 4, 2.0):
+                state = GaussianState.squeezed_vacuum(float(r), phi)
+                assert np.linalg.det(state.cov) == pytest.approx(0.25, rel=1e-6)
 
     def test_asymmetric_cov_rejected(self):
         with pytest.raises(ValidationError):
