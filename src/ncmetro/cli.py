@@ -15,15 +15,17 @@ win.  Flags are never abbreviated.  Exit codes:
 Each command is one entry of ``_COMMANDS`` (help text, flags, runner); the
 parser is built once from that table.  Parsing rejects unknown flags and
 malformed single values: N lists (N >= 1; one N for ``generator``/``qfi``),
-``--dim`` >= 8, ``--step`` > 0, angles and complex numbers.  When the
-command runs, ``_pair`` checks the preset-or-expressions rule and the library
-checks the rest (``--cap``, ``--xi``, ``--nu``, ``--K``, ``--kmax``, expression
-syntax).  ``--engine both`` prints every engine that applies.
+``--dim`` >= 8, ``--step`` > 0, angles and complex numbers, and every float,
+complex or angle that is not finite.  When the command runs, ``_pair``
+checks the preset-or-expressions rule and the library checks the rest
+(``--cap``, ``--xi``, ``--nu``, ``--K``, ``--kmax``, expression syntax).
+``--engine both`` prints every engine that applies.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import re
 import sys
@@ -88,10 +90,13 @@ def parse_complex(text: str) -> complex:
 
 def _flag_type(name: str, parse, check=None, constraint: str = ""):
     """argparse ``type=``: a ValueError from ``parse`` reads "invalid <name>
-    value", a value failing ``check`` reads ``constraint``; both name the flag."""
+    value", a float or complex value that is not finite reads "must be
+    finite", a value failing ``check`` reads ``constraint``; all name the flag."""
 
     def convert(text: str):
         value = parse(text)
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         if check is not None and not check(value):
             raise argparse.ArgumentTypeError(f"{constraint}, got {text!r}")
         return value
@@ -106,6 +111,7 @@ _ONE_N = _flag_type("N list", parse_int_list, lambda v: len(v) == 1 and v[0] >= 
                     "takes a single N value of at least 1")
 _K_LIST = _flag_type("K list", parse_int_list)
 _DIM = _flag_type("int", int, lambda d: d >= 8, "must be at least 8")
+_FLOAT = _flag_type("float", float)
 _STEP = _flag_type("float", float, lambda s: s > 0, "must be positive")
 _ANGLE = _flag_type("angle", parse_angle)
 _COMPLEX = _flag_type("complex", parse_complex)
@@ -142,8 +148,8 @@ _PAIR = (
 )
 _PROTOCOL = _PAIR + (
     _flag("--N", dest="n_list", type=_ONE_N, default="1", help="N value"),
-    _flag("--lam", dest="lambda_bar", type=float, default=0.1, help="target parameter"),
-    _flag("--aux", "--s", "--xi", "--gbar", dest="aux", type=float, default=0.1,
+    _flag("--lam", dest="lambda_bar", type=_FLOAT, default=0.1, help="target parameter"),
+    _flag("--aux", "--s", "--xi", "--gbar", dest="aux", type=_FLOAT, default=0.1,
           help="auxiliary strength (s_bar / xi_bar / g_bar per preset)"),
     _flag("--alpha", type=_COMPLEX, default="0", help="coherent probe amplitude"),
 )
@@ -258,10 +264,10 @@ def _run_fig2b(ns):
 
 
 @_command("fig3", "squeeze-protocol QFI/CFI scan", _n_flag("1..12"),
-          _flag("--xi", dest="xi_bar", type=float, default=0.1),
+          _flag("--xi", dest="xi_bar", type=_FLOAT, default=0.1),
           _flag("--alpha", type=_COMPLEX, default="0.3"),
           _flag("--theta", type=_ANGLE, default="pi/4"),
-          _flag("--lam", dest="lambda_bar", type=float, default=0.1), *_DIM_STEP)
+          _flag("--lam", dest="lambda_bar", type=_FLOAT, default=0.1), *_DIM_STEP)
 def _run_fig3(ns):
     scan = experiments.fig3_scan(
         ns.n_list, xi_bar=ns.xi_bar, alpha=ns.alpha, theta=ns.theta, x_bar=ns.lambda_bar,
@@ -276,16 +282,16 @@ def _with_fit(scan: experiments.ScanResult):
 
 
 @_command("example1", "finite-index scaling fit", _n_flag("8..64"),
-          _flag("--s", dest="aux", type=float, default=0.2),
+          _flag("--s", dest="aux", type=_FLOAT, default=0.2),
           _flag("--preset", choices=sorted(PRESETS), default="shear-k1"),
-          _flag("--lam", dest="lambda_bar", type=float, default=0.1))
+          _flag("--lam", dest="lambda_bar", type=_FLOAT, default=0.1))
 def _run_example1(ns):
     return _with_fit(experiments.example1_scan(
         ns.n_list, ns.aux, preset=ns.preset, x_bar=ns.lambda_bar))
 
 
 @_command("switch", "two-order superposition scaling fit", _n_flag("1..6"),
-          _flag("--x", type=float, default=0.1), _flag("--p", type=float, default=0.2),
+          _flag("--x", type=_FLOAT, default=0.1), _flag("--p", type=_FLOAT, default=0.2),
           *_DIM_STEP,
           _flag("--mode", choices=("control", "joint", "definite"), default="control"))
 def _run_switch(ns):
@@ -297,7 +303,7 @@ def _run_switch(ns):
 
 
 @_command("dvbound", "finite-dimension QFI bound scan", _n_flag("1..50"),
-          _flag("--gbar", dest="aux", type=float, default=0.1),
+          _flag("--gbar", dest="aux", type=_FLOAT, default=0.1),
           _flag("--pair", choices=("qubit", "qutrit"), default="qubit"))
 def _run_dvbound(ns):
     if ns.pair == "qubit":

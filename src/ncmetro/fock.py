@@ -8,7 +8,9 @@ through eigendecompositions of the Hermitian generators, and the QFI comes
 from state overlaps, so this module can certify the closed-form results
 computed elsewhere.
 
-A generator is decomposed once per dimension and shared by a scan's points.
+A generator is decomposed once per dimension and process: a cache bounded
+by the eigenvector bytes it holds shares each decomposition between a scan's
+points and between calls.
 A real generator, or one that the diagonal gauge G = diag(i^k) makes real,
 gets a real symmetric decomposition and real mat-vecs; X and P = G X G^dag
 share one.  Finite differences run in the eigen-coordinates of H_lambda,
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 import copy
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -209,8 +212,11 @@ _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 def _gauge(dim: int) -> np.ndarray:
-    """Diagonal of G = diag(i^k); G^dag (ad^m a^n) G = i^(n-m) ad^m a^n."""
-    return np.resize(np.array(_I_POWERS), dim)
+    """Diagonal of G = diag(i^k); G^dag (ad^m a^n) G = i^(n-m) ad^m a^n.
+    Read-only: evolvers share it."""
+    gauge = np.resize(np.array(_I_POWERS), dim)
+    gauge.flags.writeable = False
+    return gauge
 
 
 def _evolver(poly: LadderPolynomial, dim: int) -> HermitianEvolver:
@@ -223,15 +229,63 @@ def _evolver(poly: LadderPolynomial, dim: int) -> HermitianEvolver:
     if any(c.imag for c in terms.values()):
         rotated = {(m, n): c * _I_POWERS[(n - m) % 4] for (m, n), c in terms.items()}
         if not any(c.imag for c in rotated.values()):
-            return _cached_evolver(tuple(sorted(rotated.items())), dim).in_gauge()
+            return _cached_evolver(tuple(sorted(rotated.items())), dim, gauge=True)
     return _cached_evolver(tuple(sorted(terms.items())), dim)
 
 
-@lru_cache(maxsize=4)
-def _cached_evolver(terms: tuple, dim: int) -> HermitianEvolver:
-    # four slots: a scan's two decompositions (X and P share one) at its
-    # dimension and at the retry one
-    return HermitianEvolver(matrix_of(LadderPolynomial(dict(terms)), dim).matrix)
+#: Eigenvector bytes the decomposition cache may hold.  A real generator's
+#: take 8 dim^2 (1.3 MB at dim 400), so the few generators and dimensions a
+#: session mixes stay decomposed, while large complex ones (16 dim^2, 64 MB
+#: at dim 2000) do not pile up.
+_CACHE_BYTES = 64 * 2**20
+
+#: Most recent entries kept whatever their size: a scan's two decompositions
+#: (X and P share one) at its dimension and at the retry one.
+_CACHE_FLOOR = 4
+
+
+class _DecompositionCache:
+    """Process-wide evolvers keyed on (sorted terms, dim), least recently
+    used evicted first while the eigenvector bytes held exceed
+    ``_CACHE_BYTES``.  Each entry also holds its gauge twin once asked for,
+    so a hit costs one lookup.  ``cache_clear()`` empties it."""
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()  # key -> [evolver, twin]
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def __call__(self, terms: tuple, dim: int, gauge: bool = False) -> HermitianEvolver:
+        key = (terms, dim)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+        if entry is None:
+            evolver = HermitianEvolver(matrix_of(LadderPolynomial(dict(terms)), dim).matrix)
+            with self._lock:  # a racing thread's entry wins, so a key has one decomposition
+                entry = self._entries.setdefault(key, [evolver, None])
+                if entry[0] is evolver:
+                    self.nbytes += evolver._eigvecs.nbytes
+                    self._evict()
+        if not gauge:
+            return entry[0]
+        if entry[1] is None:
+            entry[1] = entry[0].in_gauge()
+        return entry[1]
+
+    def _evict(self) -> None:
+        while len(self._entries) > _CACHE_FLOOR and self.nbytes > _CACHE_BYTES:
+            evolver, _ = self._entries.popitem(last=False)[1]
+            self.nbytes -= evolver._eigvecs.nbytes
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_cached_evolver = _DecompositionCache()
 
 
 def _check_leakage(top: complex, context: str) -> None:

@@ -6,9 +6,10 @@ exponent pairs ``(m, n)`` to a complex coefficient, representing the sum of
 representation canonical makes the zero test and the constant test exact
 structural checks, which is what the nilpotency classification relies on.
 
-Coefficients are complex floats; after every canonicalization, terms with
-magnitude at or below ``CHOP_TOLERANCE`` are dropped so that cancellations
-cannot leave ghost terms behind.
+Coefficients are finite complex floats (a NaN or infinite one raises
+``ValidationError``); after every canonicalization, terms with magnitude at
+or below ``CHOP_TOLERANCE`` are dropped so that cancellations cannot leave
+ghost terms behind.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ class LadderPolynomial:
                 if m < 0 or n < 0 or m != int(m) or n != int(n):
                     raise ValidationError(f"invalid exponent pair {key!r}")
                 c = complex(coeff)
-                if abs(c) > CHOP_TOLERANCE:
+                size = abs(c)
+                if not size < math.inf:
+                    raise ValidationError(f"coefficient of {key!r} is not finite: {coeff!r}")
+                if size > CHOP_TOLERANCE:
                     canonical[(int(m), int(n))] = c
         self._terms = canonical
 

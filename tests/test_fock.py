@@ -1,6 +1,8 @@
 """Truncated-Fock oracle: matrices, evolution, QFI, switch, DV bound."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -380,16 +382,23 @@ class TestEigenCoordinatePaths:
         assert {"LeakageError", "trusted", "untrusted"} <= outcomes
 
 
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Dimension of every ``np.linalg.eigh`` call made during the test."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return sizes
+
+
 class TestEvolverReuse:
-    def test_one_eigh_per_generator_and_dim(self, monkeypatch):
-        sizes = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(matrix, *args, **kwargs):
-            sizes.append(matrix.shape[0])
-            return eigh(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def test_one_eigh_per_generator_and_dim(self, eigh_sizes):
+        sizes = eigh_sizes
         for mode in SWITCH_MODES:
             fock._cached_evolver.cache_clear()
             sizes.clear()
@@ -402,10 +411,130 @@ class TestEvolverReuse:
         assert sizes == [110, 110]  # a retried row would add two at 220
         shared = fock._evolver(position_op(), 110)
         assert fock._evolver(position_op(), 110) is shared
-        assert fock._evolver(momentum_op(), 110)._eigvecs is shared._eigvecs
+        twin = fock._evolver(momentum_op(), 110)
+        assert fock._evolver(momentum_op(), 110) is twin  # stored with its entry
+        assert twin._eigvecs is shared._eigvecs
         assert len(sizes) == 2
-        for array in (shared._eigvals, shared._eigvecs):
+        for array in (shared._eigvals, shared._eigvecs, twin._gauge):
             assert not array.flags.writeable
+
+
+def _warm_cache_cases():
+    """qfi_numeric over the presets and X^2 | P^2 at dims 80 and 110, and
+    switch_qfi in every mode: trusted, retried, untrusted and leaking."""
+    probe = ProbeDescriptor.coherent(0.3 + 0.1j)
+    cases = []
+    for dim in (80, 110):
+        for n, aux in ((3, 0.1), (6, 0.2), (10, 0.25)):
+            for name in ("squeeze-inf", "shear-k1", "xp-constant"):
+                cases.append((qfi_numeric, build_preset(name, n, 0.1, aux, probe), dim))
+            cases.append((qfi_numeric, EncodingProtocol(
+                h_lambda=P * P, h_g=X * X, n_applications=n, lambda_bar=0.1, g_bar=aux), dim))
+        for mode in SWITCH_MODES:
+            cases.append((switch_qfi, mode, dim))
+    return cases
+
+
+def _run_case(case):
+    fn, arg, dim = case
+    if fn is switch_qfi:
+        return _outcome(lambda: switch_qfi(5, 0.1, 0.2, probe=ProbeDescriptor.coherent(0.2),
+                                           dim=dim, mode=arg))
+    return _outcome(lambda: qfi_numeric(arg, dim=dim))
+
+
+def _held(cache):
+    return [(key[1], entry[0]._eigvecs.nbytes) for key, entry in cache._entries.items()]
+
+
+class TestDecompositionCache:
+    def test_warm_cache_never_changes_a_number(self):
+        cases = _warm_cache_cases()
+        cold = []
+        for case in cases:
+            fock._cached_evolver.cache_clear()
+            cold.append(_run_case(case))
+        assert {out.dim for out in cold if isinstance(out, fock.QfiEstimate)} >= {160, 220}
+        assert {False, True} <= {out.trusted for out in cold if isinstance(out, fock.QfiEstimate)}
+        assert LeakageError in cold
+        fock._cached_evolver.cache_clear()
+        for poly, dim in ((X * X * X, 95), (X * X + P * P, 80), (X * X, 160), (X, 110)):
+            fock._evolver(poly, dim)
+        order = np.random.default_rng(20261018).permutation(2 * len(cases)) % len(cases)
+        for i in order:
+            assert _run_case(cases[i]) == cold[i], cases[i]
+
+    def test_budget_bounds_held_bytes(self, monkeypatch):
+        budget = 200_000
+        monkeypatch.setattr(fock, "_CACHE_BYTES", budget)
+        cache = fock._cached_evolver
+        cache.cache_clear()
+        dims = [40, 50, 60, 70, 80, 40, 90]  # 8 dim^2 bytes each: 12800 ... 64800
+        for i, dim in enumerate(dims):
+            fock._evolver(X * X, dim)
+            held = _held(cache)
+            assert cache.nbytes == sum(size for _, size in held)
+            assert cache.nbytes <= budget or len(held) == fock._CACHE_FLOOR
+            recent = list(dict.fromkeys(reversed(dims[: i + 1])))[: fock._CACHE_FLOOR]
+            assert set(recent) <= {dim for dim, _ in held}
+        # the hit on 40 made 50 the least recently used
+        assert [dim for dim, _ in held] == [60, 70, 80, 40, 90]
+        fock._evolver(X * X, 110)
+        assert [dim for dim, _ in _held(cache)] == [80, 40, 90, 110]
+        assert cache.nbytes > budget  # the floor outranks the budget
+        cache.cache_clear()
+        assert cache.nbytes == 0 and not cache._entries
+
+    def test_threads_share_one_decomposition_per_key(self, monkeypatch):
+        # a lost update would hand two threads different decompositions of
+        # one key, or leave nbytes off the held total
+        cache = fock._cached_evolver
+        keys = [(poly, dim) for poly in (X, P, X * X) for dim in (20, 24, 30)]
+
+        def hammer():
+            cache.cache_clear()
+            calls = []  # (key index, eigenvectors); holding them keeps ids unique
+
+            def worker(seed):
+                rng = np.random.default_rng(seed)
+                for i in rng.integers(len(keys), size=200):
+                    calls.append((i, fock._evolver(*keys[i])._eigvecs))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(calls) == 6 * 200
+            return calls
+
+        decompositions = {}
+        for i, vecs in hammer():
+            decompositions.setdefault(i, set()).add(id(vecs))
+        assert all(len(ids) == 1 for ids in decompositions.values())
+        monkeypatch.setattr(fock, "_CACHE_BYTES", 8 * 30**2 * 6)  # evicts under contention
+        hammer()
+        assert cache.nbytes == sum(size for _, size in _held(cache))
+        assert cache.nbytes <= fock._CACHE_BYTES or len(cache._entries) == fock._CACHE_FLOOR
+
+    def test_scans_keep_their_reuse_under_a_tiny_budget(self, monkeypatch, eigh_sizes):
+        sizes = eigh_sizes
+        monkeypatch.setattr(fock, "_CACHE_BYTES", 1)
+        for dim in (120, 80):
+            fock._evolver(X * X * X, dim)  # unrelated entries fill the floor
+        sizes.clear()
+        assert all(row["qfi_fock"] is not None for row in fig3_scan(range(1, 13), dim=110).rows)
+        assert sizes == [110, 110]
+        sizes.clear()
+        switch_scan(range(1, 7), 0.1, 0.2, dim=100, mode="joint")
+        assert sizes == [100]
+        assert len(fock._cached_evolver._entries) == fock._CACHE_FLOOR
 
 
 class TestDvBound:

@@ -83,6 +83,34 @@ class TestParseConfig:
         assert main(["fig2b", "--N", "6,10", "--kmax", "7"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("qfi --preset shear-k1 --N 3 --engine both", "--aux", "nan"),
+        ("qfi --preset shear-k1 --N 3", "--aux", "1e400"),
+        ("qfi --preset shear-k1", "--lam", "inf"),
+        ("qfi --preset shear-k1", "--alpha", "nan+1j"),
+        ("qfi --preset shear-k1 --engine fock", "--step", "inf"),
+        ("generator --preset shear-k1", "--aux", "nan"),
+        ("example1", "--s", "nan"),
+        ("fig3", "--xi", "inf"),
+        ("fig3", "--alpha", "nan"),
+        ("fig3", "--theta", "inf"),
+        ("switch", "--x", "nan"),
+        ("switch", "--p", "inf"),
+        ("dvbound", "--gbar", "nan"),
+    ])
+    def test_non_finite_numbers_rejected(self, command, flag, value, capsys):
+        # these once printed rows missing a term or full of nan, or raised
+        # ZeroDivisionError / OverflowError
+        assert main(command.split() + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "must be finite" in err
+
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("xi = nan\n")
+        assert main(["fig3", "--config", str(cfg)]) == 2
+        assert "--xi" in capsys.readouterr().err
+
     def test_config_file_and_precedence(self, tmp_path):
         config = tmp_path / "scan.cfg"
         config.write_text("# fig3 parameters\nxi = 0.25\nN = 1..4\nalpha = 0.3\n")

@@ -59,6 +59,17 @@ def max_abs_difference(p, q):
     return max((abs(p.coefficient(*k) - q.coefficient(*k)) for k in keys), default=0.0)
 
 
+class TestConstruction:
+    def test_non_finite_coefficient_rejected(self):
+        # abs(nan) > CHOP_TOLERANCE is False, so a NaN must not pass as a zero
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)):
+            with pytest.raises(ValidationError, match="not finite"):
+                LadderPolynomial({(1, 0): bad, (0, 1): 1.0})
+        with pytest.raises(ValidationError):
+            X * math.nan
+        assert LadderPolynomial({(1, 0): 1e-13, (0, 1): 1.0}).terms == {(0, 1): 1.0}
+
+
 class TestNormalOrderProduct:
     def test_a_times_adag(self):
         # a * ad = ad a + 1
