@@ -5,7 +5,8 @@ switch, dvbound.  Operator pairs come either from a named preset
 (``--preset shear-k1|xp-constant|squeeze-inf``) or from inline expressions
 (``--g "X^2" --h "P"``).  Angles accept rational multiples of pi
 (``pi/4``, ``-3*pi/2``) as well as plain floats; N accepts a single value,
-a range ``1..12``, or a comma list ``8,16,32``.
+a range ``1..12``, or a comma list ``8,16,32``.  A value may start with
+``-`` (``--theta -pi/4``); only a token that is itself a flag reads as one.
 
 A ``--config FILE`` (or ``--config=FILE``), given at most once, may hold
 ``key = value`` lines mirroring the long flags; explicit command-line flags
@@ -206,7 +207,9 @@ def _run_classify(ns):
         "constant_value": parts,
         "closure_p": report.closure_p,
         "cap": report.cap,
-        "tower": [format_polynomial(entry) for entry in report.tower],
+        # only JSON prints the tower; CSV would format every level for nothing
+        "tower": ([format_polynomial(entry) for entry in report.tower]
+                  if ns.format == "json" else None),
     }
     columns = ["kind", "nilpotency_index", "constant_re", "constant_im", "closure_p"]
     rows = [[report.kind, report.nilpotency_index, *(parts or [None, None]),
@@ -339,6 +342,32 @@ def _build_parser() -> _ArgumentParser:
 
 _PARSER = _build_parser()
 
+#: Every flag of every command; each takes one value.
+_VALUE_FLAGS = frozenset(name for _, flags, _ in _COMMANDS.values()
+                         for names, _ in flags + _COMMON for name in names)
+_FLAGS = _VALUE_FLAGS | {"-h", "--help"}
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--theta -pi/4`` as ``--theta=-pi/4``.
+
+    argparse reads a token that starts with '-' as a flag unless it looks
+    like a plain negative number, so values such as -pi/4, -1e-3 or -0.3j
+    would leave their flag without a value.  A token that is itself a flag
+    is left alone.
+    """
+    joined, i = [], 0
+    while i < len(argv):
+        token, value = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
+        if (token in _VALUE_FLAGS and value.startswith("-")
+                and value.partition("=")[0] not in _FLAGS):
+            joined.append(f"{token}={value}")
+            i += 2
+        else:
+            joined.append(token)
+            i += 1
+    return joined
+
 
 def _load_config_file(path: str) -> list[str]:
     """Turn 'key = value' lines into flag tokens inserted before user flags."""
@@ -377,7 +406,7 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
         if path is None or len(spots) > 1:
             raise ValidationError("--config takes one file path and may be given once")
         argv = [argv[0], *_load_config_file(path), *argv[1:idx], *rest]
-    return _PARSER.parse_args(argv)
+    return _PARSER.parse_args(_join_negative_values(argv))
 
 
 def run_config(ns: argparse.Namespace) -> io.ResultEnvelope:

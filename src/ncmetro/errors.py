@@ -5,6 +5,8 @@ the requested truncation/step settings; the CLI maps them to exit code 3,
 while ``ValidationError`` (bad user input) maps to exit code 2.
 """
 
+import cmath
+
 
 class NcmetroError(Exception):
     """Base class for all package-specific errors."""
@@ -60,3 +62,11 @@ class TruncationInstabilityError(NumericalTrustError):
 
 class BoundViolationError(NumericalTrustError):
     """A certified inequality was violated numerically (implementation bug)."""
+
+
+def require_finite(**values) -> None:
+    """Raise ``ValidationError`` naming the first value that is not a finite
+    real or complex number."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")

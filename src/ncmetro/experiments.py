@@ -137,7 +137,7 @@ def fig3_scan(
     from the local generator, the Fock-oracle QFI where it converged (with a
     per-row trust marker), the CFI at theta, and the CFI/QFI ratio.
     """
-    if xi_bar <= 0:
+    if not xi_bar > 0:
         raise ValidationError("xi_bar must be positive")
     if any(n < 1 for n in n_range):
         raise ValidationError("N values must be positive")

@@ -42,6 +42,7 @@ from .errors import (
     InternalConsistencyError,
     LeakageError,
     ValidationError,
+    require_finite,
 )
 from .ladder import LadderPolynomial, momentum_op, position_op
 from .protocols import EncodingProtocol, ProbeDescriptor
@@ -428,6 +429,7 @@ def qfi_numeric(
     Richardson extrapolated.  On leakage or >5% pass disagreement the
     truncation dimension is doubled up to ``retries`` times before raising.
     """
+    require_finite(step=step)
     if step <= 0:
         raise ValidationError("finite-difference step must be positive")
     last_error: Exception | None = None
@@ -562,6 +564,7 @@ def switch_qfi(
     """
     if mode not in SWITCH_MODES:
         raise ValidationError(f"mode must be one of {SWITCH_MODES}")
+    require_finite(x=x, p=p, step=step)
     if step <= 0:
         raise ValidationError("finite-difference step must be positive")
     switch_at = _switch_states(n, p, prepare_probe(probe or ProbeDescriptor.vacuum(), dim))
@@ -636,6 +639,7 @@ def dv_bound_check(
     Raises BoundViolationError if the inequality fails beyond float slack,
     which would signal an implementation bug rather than physics.
     """
+    require_finite(g_bar=g_bar)
     h_g = np.asarray(h_g, dtype=complex)
     h_lambda = np.asarray(h_lambda, dtype=complex)
     d = h_g.shape[0]

@@ -23,6 +23,7 @@ from .errors import (
     InternalConsistencyError,
     NotGaussianError,
     ValidationError,
+    require_finite,
 )
 from .ladder import LadderPolynomial
 from .protocols import EncodingProtocol, ProbeDescriptor
@@ -117,6 +118,9 @@ class HomodyneSpec:
     """Measured quadrature Q = X cos(theta) + P sin(theta)."""
 
     theta: float
+
+    def __post_init__(self):
+        require_finite(theta=self.theta)
 
     def direction(self) -> np.ndarray:
         return np.array([math.cos(self.theta), math.sin(self.theta)])

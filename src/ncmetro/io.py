@@ -10,7 +10,7 @@ round-trips losslessly through :func:`from_json`.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ValidationError
@@ -75,8 +75,14 @@ def to_csv(envelope: ResultEnvelope) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ENVELOPE_FIELDS = tuple(f.name for f in fields(ResultEnvelope))
+
+
 def to_json(envelope: ResultEnvelope) -> str:
-    return json.dumps(asdict(envelope), indent=2, sort_keys=True) + "\n"
+    # the envelope's fields as they are: ``dataclasses.asdict`` would
+    # deep-copy every row and tower first, for the same text
+    data = {name: getattr(envelope, name) for name in _ENVELOPE_FIELDS}
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def from_json(text: str) -> ResultEnvelope:

@@ -10,15 +10,25 @@ Coefficients are finite complex floats (a NaN or infinite one raises
 ``ValidationError``); after every canonicalization, terms with magnitude at
 or below ``CHOP_TOLERANCE`` are dropped so that cancellations cannot leave
 ghost terms behind.
+
+Commutators, and with them the adjoint towers of :func:`classify_pair`, run
+on dense numpy grids indexed (m, n).  The contraction weights are the exact
+normal-ordering integers R(n, m, k) = C(n, k) C(m, k) k! (Blasiak et al.,
+Am. J. Phys. 75, 639, 2007); for one term and one k they are a row minus a
+column vector, so each (term, k) is one slice-add over the other operand's
+whole grid.  A tower keeps each level's grid for the next level and turns
+it into a polynomial once, for the report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Mapping
+
+import numpy as np
 
 from .errors import DegreeOverflowError, ValidationError
 
@@ -35,6 +45,9 @@ DEFAULT_ADJOINT_CAP = 32
 CLOSURE_TOLERANCE = 1e-10
 
 _SQRT2 = math.sqrt(2.0)
+
+#: Integers below this are exact floats, and so is the difference of two.
+_EXACT = 2.0**53
 
 
 class LadderPolynomial:
@@ -61,6 +74,14 @@ class LadderPolynomial:
                 if size > CHOP_TOLERANCE:
                     canonical[(int(m), int(n))] = c
         self._terms = canonical
+
+    @classmethod
+    def _canonical(cls, terms: dict[tuple[int, int], complex]) -> "LadderPolynomial":
+        """Wrap a mapping that is already canonical (int keys, finite complex
+        coefficients above the chop) without checking it again."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
 
     # -- inspection ---------------------------------------------------------
 
@@ -198,12 +219,6 @@ def _reorder_coefficient(n1: int, m2: int, k: int) -> int:
     return math.comb(n1, k) * math.comb(m2, k) * math.factorial(k)
 
 
-@lru_cache(maxsize=None)
-def _reorder_row(n: int, m: int, length: int) -> tuple[int, ...]:
-    """R(n, m, k) = C(n, k) C(m, k) k! for k = 1 .. length (zero past min(n, m))."""
-    return tuple(_reorder_coefficient(n, m, k) for k in range(1, length + 1))
-
-
 def _check_degree(a: LadderPolynomial, b: LadderPolynomial, max_degree: int) -> None:
     if a.degree + b.degree > max_degree:
         raise DegreeOverflowError(
@@ -243,7 +258,7 @@ def commutator(
     b: LadderPolynomial,
     max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> LadderPolynomial:
-    """Canonical form of [a, b] = a*b - b*a, in one pass over the term pairs.
+    """Canonical form of [a, b] = a*b - b*a, from the contracted terms alone.
 
     The two products share their k = 0 (uncontracted) terms, so the
     commutator keeps only the contractions k >= 1 (Blasiak et al., Am. J.
@@ -251,61 +266,196 @@ def commutator(
 
         [ad^m1 a^n1, ad^m2 a^n2]
             = sum_{k>=1} (R(n1, m2, k) - R(n2, m1, k)) ad^(m1+m2-k) a^(n1+n2-k),
-        R(n, m, k) = C(n, k) C(m, k) k!,
+        R(n, m, k) = C(n, k) C(m, k) k!.
 
-    with each weight difference taken exactly in integers (rows of R are
-    cached per exponent pair) and rounded once.  The k = 0 terms are never
-    formed, and nothing cancels between two large products, so deep adjoint
-    towers keep their digits.
+    For one term (m1, n1, c1) and one k the weight W_k[m2, n2] is a row
+    vector minus a column vector, so the dense kernel (:func:`_contract`)
+    adds ``(c1 * V) * W_k`` over the whole coefficient grid V of the other
+    operand in one numpy slice-add, shifted by (m1 - k, n1 - k).  Each
+    weight difference is exact (a float difference of rows below 2^53, a
+    Python-integer difference above) and rounded once, and each value is
+    (c1 * c2) * W, rounded as the term-by-term sum rounds it.  The k = 0
+    terms are never formed, and nothing cancels between two large products,
+    so deep adjoint towers keep their digits.
 
-    Antisymmetry is exact: the term pairs are always summed with the operand
-    that sorts first (by sorted terms) outside, and the other order returns
-    that sum negated as ``0j - c``, which never makes a negative zero.  ``[a, a]``
-    is zero.
+    Antisymmetry is exact: the kernel always runs over the terms of the
+    operand with fewer terms (:func:`_runs_outer`) against the other's grid,
+    and for the other argument order it runs with those coefficients
+    negated, which negates every product and every sum exactly.  The sums
+    start at +0, so no negative zero appears.  ``[a, a]`` is zero.
 
     Raises:
         DegreeOverflowError: under the same rule as :func:`normal_order_product`
             (the sum of the input degrees exceeds ``max_degree``).
+        ValidationError: if a coefficient of the result is not finite.
     """
     if a.is_zero() or b.is_zero():
         return zero_op()
     _check_degree(a, b, max_degree)
-    key_a, key_b = _order_key(a), _order_key(b)
-    if key_a == key_b:
+    a_outer = _runs_outer(a, b)
+    if a_outer is None:
         return zero_op()
-    first, second = (a, b) if key_a < key_b else (b, a)
-    # accumulate into a flat list indexed by m * stride + n: the result's
-    # exponents are below the sum of the input degrees; one more contraction
-    # (m - 1, n - 1) moves the index down by stride + 1
-    stride = a.degree + b.degree + 1
-    step = stride + 1
-    out = [0j] * (stride * stride)
-    second_terms = [(m2, n2, c2) for (m2, n2), c2 in second._terms.items()]
-    for (m1, n1), c1 in first._terms.items():
-        for m2, n2, c2 in second_terms:
-            # the contractions of a*b and of b*a; conditional expressions,
-            # as builtin min/max calls cost more in this loop
-            k_forward = n1 if n1 < m2 else m2
-            k_backward = n2 if n2 < m1 else m1
-            top = k_forward if k_forward > k_backward else k_backward
-            if top:
-                c = c1 * c2
-                index = (m1 + m2) * stride + n1 + n2
-                for r_forward, r_backward in zip(
-                    _reorder_row(n1, m2, top), _reorder_row(n2, m1, top)
-                ):
-                    index -= step
-                    if r_forward != r_backward:
-                        out[index] += c * (r_forward - r_backward)
-    terms = {divmod(i, stride): c for i, c in enumerate(out) if c}
-    if first is b:
-        terms = {key: 0j - c for key, c in terms.items()}
-    return LadderPolynomial(terms)
+    outer, inner = (a, b) if a_outer else (b, a)
+    grid = _grid(inner)
+    contractions = partial(_contractions, rows=grid.shape[0], cols=grid.shape[1],
+                           length=max_degree + 1)
+    plan = _plan([(m1, n1, contractions(m1, n1)) for m1, n1 in outer._terms],
+                 grid.shape, _extent(outer))
+    return _polynomial(_contract(_coefficients(outer, a_outer), plan, grid))[0]
+
+
+def _runs_outer(a: LadderPolynomial, b: LadderPolynomial) -> bool | None:
+    """Whether the kernel runs over a's terms for [a, b]; None when a == b.
+
+    It runs over the operand with fewer terms; on a tie, over the one that
+    sorts last by its sorted exponents and then by its sorted terms.  The
+    choice does not depend on the argument order.
+    """
+    if len(a._terms) != len(b._terms):
+        return len(a._terms) < len(b._terms)
+    key_a, key_b = sorted(a._terms), sorted(b._terms)
+    if key_a == key_b:
+        key_a, key_b = _order_key(a), _order_key(b)
+    return None if key_a == key_b else key_a > key_b
 
 
 def _order_key(p: LadderPolynomial) -> list[tuple[int, int, float, float]]:
     """A total order on polynomials; equal keys mean equal polynomials."""
-    return sorted((m, n, c.real, c.imag) for (m, n), c in p._terms.items())
+    return sorted([(m, n, c.real, c.imag) for (m, n), c in p._terms.items()])
+
+
+def _extent(p: LadderPolynomial) -> tuple[int, int]:
+    """Shape of the smallest grid that holds a nonzero polynomial."""
+    ms, ns = zip(*p._terms)
+    return max(ms) + 1, max(ns) + 1
+
+
+def _grid(p: LadderPolynomial) -> np.ndarray:
+    """Dense coefficient grid of a nonzero polynomial: grid[m, n] multiplies ad^m a^n."""
+    grid = np.zeros(_extent(p), dtype=complex)
+    for key, c in p._terms.items():
+        grid[key] = c
+    return grid
+
+
+@lru_cache(maxsize=None)
+def _weight_row(j: int, k: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """R(j, x, k) for x = 0 .. length - 1, each rounded to a float once, and
+    0 - R(j, x, k) (complex dtype, read-only)."""
+    scale = math.comb(j, k) * math.factorial(k)
+    row = np.array([float(scale * math.comb(x, k)) for x in range(length)], dtype=complex)
+    negated = np.subtract(0.0, row)
+    row.flags.writeable = negated.flags.writeable = False
+    return row, negated
+
+
+def _contractions(m1: int, n1: int, rows: int, cols: int, length: int) -> list:
+    """The contractions of term (m1, n1) with a rows x cols grid: (k, i, j, W_k)
+    for every k >= 1 that reaches the grid, where W_k[m2, n2] = R(n1, m2, k) -
+    R(n2, m1, k) and (i, j) are the first row and column of the grid that the
+    block shifted by (m1 - k, n1 - k) can reach.
+
+    Past min(m1, n1) one of the two rows vanishes, and W_k is the other row
+    alone, kept as a (1, cols) or (rows, 1) array that broadcasts.  Where
+    both rows are present and exact (below 2^53) their float difference is
+    exact; otherwise the difference is taken in Python integers.  Either way
+    each weight is rounded once.
+    """
+    out = []
+    for k in range(1, max(min(n1, rows - 1), min(m1, cols - 1)) + 1):
+        if k > n1:
+            weight = _weight_row(m1, k, length)[1][None, :cols]
+        elif k > m1:
+            weight = _weight_row(n1, k, length)[0][:rows, None]
+        else:
+            forward = _weight_row(n1, k, length)[0][:rows]
+            backward = _weight_row(m1, k, length)[0][:cols]
+            if forward[-1].real < _EXACT and backward[-1].real < _EXACT:
+                weight = np.subtract.outer(forward, backward)
+            else:
+                weight = np.array([
+                    [complex(_reorder_coefficient(n1, m2, k) - _reorder_coefficient(n2, m1, k))
+                     for n2 in range(cols)] for m2 in range(rows)])
+        out.append((k, k - m1 if k > m1 else 0, k - n1 if k > n1 else 0, weight))
+    return out
+
+
+def _coefficients(p: LadderPolynomial, positive: bool) -> np.ndarray:
+    """p's coefficients in term order (negated when not ``positive``), shaped
+    (terms, 1, 1) to scale a grid once per term."""
+    values = p._terms.values()
+    return np.array(list(values) if positive else [-c for c in values],
+                    dtype=complex)[:, None, None]
+
+
+def _plan(terms: list, shape: tuple[int, int], outer_shape: tuple[int, int]) -> tuple:
+    """The kernel's slice-adds for an inner grid of ``shape``, given the outer
+    operand's extent and its terms as (m1, n1, contractions) in term order.
+
+    Returns the inner shape, the result's shape, a buffer for the grid
+    scaled by each term's coefficient, and, in term order and then k order,
+    (target block, scaled block, weight block) for every contraction k of
+    term (m1, n1) that reaches the grid; the target block is the scaled
+    block shifted by (m1 - k, n1 - k).
+    """
+    rows, cols = shape
+    scaled = np.empty((len(terms), rows, cols), dtype=complex)
+    blocks = []
+    for t, (m1, n1, contractions) in enumerate(terms):
+        for k, i, j, weight in contractions:
+            if (k < rows and k <= n1) or (k < cols and k <= m1):
+                target = (slice(m1 - k + i, m1 - k + rows), slice(n1 - k + j, n1 - k + cols))
+                blocks.append((target, scaled[t, i:, j:], weight[i:rows, j:cols]))
+    return shape, (outer_shape[0] + rows - 2, outer_shape[1] + cols - 2), scaled, blocks
+
+
+def _contract(coefficients: np.ndarray, plan: tuple, grid: np.ndarray) -> np.ndarray:
+    """The kernel: the dense grid of [outer, inner] from the outer operand's
+    coefficients (:func:`_coefficients`), the slice-adds of :func:`_plan`
+    and the inner operand's grid.
+
+    Contraction k of term (m1, n1, c) moves grid entry (m2, n2, c2) to
+    (m1 + m2 - k, n1 + n2 - k) with the value (c * c2) * W_k[m2, n2]: one
+    product of the coefficients with the grid, then one slice-add per
+    (term, k).  The sums start at +0 and so never end at -0, and negated
+    coefficients negate every product and sum exactly.
+    """
+    _, shape, scaled, blocks = plan
+    if not blocks:
+        return np.zeros((0, 0), dtype=complex)
+    out = np.zeros(shape, dtype=complex)
+    np.multiply(coefficients, grid, out=scaled)
+    for target, source, weight in blocks:
+        block = out[target]
+        block += source * weight
+    return out
+
+
+def _polynomial(out: np.ndarray) -> tuple[LadderPolynomial, np.ndarray]:
+    """A result grid as a polynomial, and the grid trimmed to its terms.
+
+    The chop drops |c| <= ``CHOP_TOLERANCE`` and zeroes those entries in
+    place, so the grid holds exactly the polynomial's terms.
+    """
+    if not out.size:
+        return zero_op(), out
+    size = np.abs(out)
+    keep = size > CHOP_TOLERANCE
+    if not np.add.reduce(size, None) < math.inf:
+        bad = np.argwhere(~np.isfinite(out))
+        if len(bad):
+            m, n = bad[0].tolist()
+            raise ValidationError(
+                f"coefficient of {(m, n)!r} is not finite: {complex(out[m, n])!r}")
+    ms, ns = keep.nonzero()
+    rows = ms.tolist()
+    if not rows:
+        return zero_op(), out
+    if len(rows) != np.count_nonzero(out):
+        out *= keep
+    cols = ns.tolist()
+    terms = dict(zip(zip(rows, cols), out[keep].tolist()))
+    return LadderPolynomial._canonical(terms), out[: rows[-1] + 1, : max(cols) + 1]
 
 
 def adjoint_power(
@@ -420,9 +570,42 @@ def classify_pair(
     if cap < 2:
         raise ValidationError("adjoint cap must be at least 2")
 
+    # the tower runs on dense grids, each level's grid the next level's
+    # operand.  g's contractions are built once, over the largest grid an
+    # entry below the degree limit can have, and its slice-adds once per
+    # grid shape; the contractions of an entry's terms with g's grid are
+    # kept across levels
+    length = max_degree + 1
+    g_degree, g_count, g_grid = g.degree, len(g._terms), _grid(g)
+    g_terms, g_plan, on_g = None, None, {}
     tower: list[LadderPolynomial] = [h]
+    grid, degree = _grid(h), h.degree
     for n in range(1, cap + 1):
-        entry = commutator(g, tower[-1], max_degree)
+        if g_degree + degree > max_degree:
+            raise DegreeOverflowError(
+                f"product degree {g_degree + degree} exceeds limit {max_degree}"
+            )
+        t = tower[-1]
+        count = len(t._terms)
+        g_outer = g_count < count if g_count != count else _runs_outer(g, t)
+        if g_outer is None:
+            entry = zero_op()
+        elif g_outer:
+            if g_terms is None:
+                side = length - g_degree
+                g_terms = [(m1, n1, _contractions(m1, n1, side, side, length))
+                           for m1, n1 in g._terms]
+                g_coefficients = _coefficients(g, True)
+            if g_plan is None or g_plan[0] != grid.shape:
+                g_plan = None  # let its buffer go before the next is made
+                g_plan = _plan(g_terms, grid.shape, g_grid.shape)
+            entry, grid = _polynomial(_contract(g_coefficients, g_plan, grid))
+        else:
+            for key in t._terms:
+                if key not in on_g:
+                    on_g[key] = (*key, _contractions(*key, *g_grid.shape, length))
+            plan = _plan([on_g[key] for key in t._terms], g_grid.shape, grid.shape)
+            entry, grid = _polynomial(_contract(_coefficients(t, False), plan, g_grid))
         if entry.is_zero():
             k = n - 1
             top = tower[k]
@@ -437,6 +620,11 @@ def classify_pair(
                 kind=KIND_FINITE, tower=tuple(tower), nilpotency_index=k
             )
         tower.append(entry)
+        # the grid is trimmed, so its extents bound the degree; the exact
+        # degree is needed only near the limit
+        degree = grid.shape[0] + grid.shape[1] - 2
+        if g_degree + degree > max_degree:
+            degree = entry.degree
 
     if len(tower) >= 4:
         p = _extract_closure_rate(tower[1], tower[3])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .ladder import (
     LadderPolynomial,
     is_hermitian,
@@ -43,6 +43,7 @@ class ProbeDescriptor:
     def __post_init__(self):
         if self.kind not in ("vacuum", "coherent", "squeezed_vacuum", "fock_vector"):
             raise ValidationError(f"unknown probe kind {self.kind!r}")
+        require_finite(alpha=self.alpha, r=self.r, phi=self.phi)
         if self.kind == "fock_vector":
             if not self.amplitudes:
                 raise ValidationError("fock_vector probe requires amplitudes")
@@ -92,6 +93,7 @@ class EncodingProtocol:
     def __post_init__(self):
         if self.n_applications < 0 or self.n_applications != int(self.n_applications):
             raise ValidationError("n_applications must be a non-negative integer")
+        require_finite(lambda_bar=self.lambda_bar, g_bar=self.g_bar)
         if not is_hermitian(self.h_lambda):
             raise ValidationError("h_lambda must be Hermitian")
         if not is_hermitian(self.h_g):

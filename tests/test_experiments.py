@@ -191,6 +191,43 @@ class TestSqueezeRate:
         assert abs(fit.slope - 0.2) / 0.2 > 0.05
 
 
+NAN, INF = math.nan, math.inf
+
+
+class TestNonFiniteScalars:
+    # scans once returned rows of nan for these; the CLI rejected them at
+    # parse time, the library did not
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"x": NAN}, "x"),
+        ({"p_val": INF}, "p"),
+        ({"step": NAN}, "step"),
+    ])
+    def test_switch_scan(self, kwargs, name):
+        args = {"x": 0.1, "p_val": 0.2, "dim": 40, **kwargs}
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            switch_scan([1, 2], **args)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"xi_bar": NAN}, "xi_bar must be positive"),
+        ({"xi_bar": INF}, "g_bar must be finite"),
+        ({"alpha": complex(NAN, 0.0)}, "alpha must be finite"),
+        ({"theta": INF}, "theta must be finite"),
+        ({"x_bar": NAN}, "lambda_bar must be finite"),
+        ({"step": NAN, "dim": 40}, "step must be finite"),
+    ])
+    def test_fig3_scan(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            fig3_scan([1, 2], **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"s_bar": NAN}, "g_bar must be finite"),
+        ({"s_bar": 0.2, "x_bar": -INF}, "lambda_bar must be finite"),
+    ])
+    def test_example1_scan(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            example1_scan([1, 2, 3], **kwargs)
+
+
 class TestDeterminism:
     def test_scans_are_reproducible(self):
         a = fig3_scan(range(1, 6), xi_bar=0.1, dim=80)

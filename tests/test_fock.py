@@ -572,3 +572,10 @@ class TestDvBound:
             dv_bound_check(np.array([[0, 1], [0, 0]]), SIGMA_Z, [1], 0.1, probe)
         with pytest.raises(ValidationError):
             dv_bound_check(SIGMA_X, SIGMA_Z, [0], 0.1, probe)
+
+    @pytest.mark.parametrize("g_bar", [math.nan, math.inf])
+    def test_non_finite_auxiliary_rejected(self, g_bar):
+        # a nan g_bar once gave DvBoundRow(qfi=nan, bound=1.0)
+        probe = dv_saturating_probe(SIGMA_Z)
+        with pytest.raises(ValidationError, match="g_bar must be finite"):
+            dv_bound_check(SIGMA_X, SIGMA_Z, [1, 2], g_bar, probe)

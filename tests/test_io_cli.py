@@ -1,5 +1,6 @@
 """Envelope serialization, CLI parsing/validation, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 
@@ -111,6 +112,25 @@ class TestParseConfig:
         assert main(["fig3", "--config", str(cfg)]) == 2
         assert "--xi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, attr, expected", [
+        (["fig3", "--theta", "-pi/4"], "theta", -math.pi / 4),
+        (["fig3", "--lam", "-1e-3"], "lambda_bar", -1e-3),
+        (["fig3", "--alpha", "-0.3j"], "alpha", -0.3j),
+        (["classify", "--g", "X^2", "--h", "-P"], "h_expr", "-P"),
+    ])
+    def test_negative_values_are_not_flags(self, argv, attr, expected):
+        # argparse takes a '-'-prefixed token for a flag unless it looks like
+        # a plain negative number; these once exited 2 with "expected one
+        # argument"
+        assert getattr(parse_config(argv), attr) == expected
+
+    def test_flag_after_flag_is_still_missing_its_value(self, tmp_path):
+        with pytest.raises(ValidationError, match="--g: expected one argument"):
+            parse_config(["classify", "--g", "--h", "P"])
+        config = tmp_path / "angle.cfg"
+        config.write_text("theta = -3*pi/2\n")
+        assert parse_config(["fig3", "--config", str(config)]).theta == -1.5 * math.pi
+
     def test_config_file_and_precedence(self, tmp_path):
         config = tmp_path / "scan.cfg"
         config.write_text("# fig3 parameters\nxi = 0.25\nN = 1..4\nalpha = 0.3\n")
@@ -200,6 +220,21 @@ class TestEnvelopes:
         env = self.make_envelope()
         env.rows = [[1, None, 2.0, None, 3.0]]
         assert to_csv(env).splitlines()[1] == "1,,2,,3"
+
+    def test_json_matches_deep_copied_envelope(self):
+        # to_json serialises the fields as they are; asdict deep-copies them
+        envelope = ResultEnvelope(
+            command="classify",
+            config={"g_expr": "X^2", "alpha": [0.3, -0.0], "nested": {"b": [1, {"c": None}]}},
+            columns=["kind", "closure_p"],
+            rows=[["finite", None], ["closed_infinite", 4.000000000000001]],
+            value={"tower": ["P", "(1.4142135623730951*i)*ad"], "constant_value": [0.0, 1.0]},
+            trust={"3": 1, "rel_disagreement": 3.4457e-9},
+            duration_s=0.25,
+            timestamp="2026-01-01T00:00:00+00:00",
+        )
+        expected = json.dumps(dataclasses.asdict(envelope), indent=2, sort_keys=True) + "\n"
+        assert to_json(envelope) == expected
 
     def test_json_round_trip(self):
         env = self.make_envelope()

@@ -34,6 +34,7 @@ from ncmetro.ladder import (
 
 from ncmetro import ladder
 from helpers import (
+    exact_commutator,
     exact_tower,
     naive_commutator,
     naive_product,
@@ -224,6 +225,92 @@ class TestCommutatorFastPath:
                 assert raises(commutator, a, b, max_degree) == expected
         with pytest.raises(DegreeOverflowError, match="product degree 70 exceeds limit 64"):
             commutator(ladder_term(40, 0), ladder_term(0, 30))
+
+
+def _power(p, k):
+    out = p
+    for _ in range(k - 1):
+        out = normal_order_product(out, p)
+    return out
+
+
+def _exact(p, scale=Fraction(1)):
+    """Rational copy of a polynomial with integer coefficients, times scale."""
+    return {key: Fraction(int(c.real)) * scale for key, c in p.terms.items()}
+
+
+def _floats(exact):
+    return LadderPolynomial({key: float(c) for key, c in exact.items()})
+
+
+class TestDenseKernel:
+    AD, A = creation_op(), annihilation_op()
+
+    @pytest.mark.parametrize("pair", ["X^5 | P", "X^3+P^3 | X"])
+    def test_tower_matches_exact_tower(self, pair):
+        # rational analogues with non-dyadic coefficients, so that the float
+        # tower rounds: (ad + a)^5 / 3 | ad - a runs the kernel over the
+        # entry's terms (fewer than g's); ((ad + a)^3 + (ad - a)^3) / 3 |
+        # ad + a runs it over g's terms once the entry outgrows g
+        third = Fraction(1, 3)
+        if pair == "X^5 | P":
+            g = _exact(_power(self.AD + self.A, 5), third)
+            h = _exact(self.AD - self.A)
+        else:
+            g = _exact(_power(self.AD + self.A, 3) + _power(self.AD - self.A, 3), third)
+            h = _exact(self.AD + self.A)
+        report = classify_pair(_floats(g), _floats(h))
+        levels = len(report.tower) - (report.kind == KIND_CAP_REACHED)
+        exact = exact_tower(g, h, levels)
+        counts = [len(entry.terms) for entry in report.tower]
+        if pair == "X^5 | P":
+            assert report.kind == KIND_FINITE and not exact[-1]
+            assert max(counts) < len(g)
+        else:
+            assert report.kind == KIND_CAP_REACHED
+            assert min(counts) < len(g) < max(counts)
+        for level, (entry, reference) in enumerate(zip(report.tower, exact)):
+            reference = _floats(reference)
+            scale = reference.max_abs_coefficient()
+            assert max_abs_difference(entry, reference) <= 1e-12 * scale, level
+
+    @pytest.mark.parametrize("first, second, max_degree", [
+        # R(20, 20, 12) = C(20, 12)^2 12! ~ 7.6e18 passes 2^53
+        ((12, 20), (20, 12), 64),
+        # R(21, 27, 10) ~ 1.1e19 is not a float, and rounding it before
+        # subtracting R(10, 10, 10) = 10! would round twice
+        ((10, 21), (27, 10), 68),
+    ])
+    def test_weights_beyond_2_53_are_rounded_once(self, first, second, max_degree):
+        a, b = ladder_term(*first), ladder_term(*second)
+        result = commutator(a, b, max_degree)
+        exact = exact_commutator({first: Fraction(1)}, {second: Fraction(1)})
+        assert max(abs(value) for value in exact.values()) > 2**53
+        assert set(result.terms) == set(exact)
+        for key, value in exact.items():
+            assert result.coefficient(*key) == float(value), key
+        assert commutator(b, a, max_degree) == -result
+
+    def test_tower_is_the_commutator_chain(self):
+        # classify_pair and commutator share the kernel: every level is
+        # exactly [g, previous level], including levels whose chop dropped
+        # residues below CHOP_TOLERANCE
+        g = _power(X, 3) + normal_order_product(P, P)
+        report = classify_pair(g, P)
+        assert report.kind == KIND_CAP_REACHED
+        for previous, entry in zip(report.tower, report.tower[1:]):
+            assert entry == commutator(g, previous)
+
+    def test_weight_cache_holds_rows_not_levels(self):
+        # the cache keeps one row per (exponent, k), never a weight per tower
+        # level: after X^6 | P has grown to the degree limit it holds no more
+        # rows than g has (m1, n1, k) contractions
+        g = _power(X, 6)
+        ladder._weight_row.cache_clear()
+        with pytest.raises(DegreeOverflowError):
+            classify_pair(g, P)
+        contractions = sum(max(m, n) for m, n in g.terms)
+        assert 0 < ladder._weight_row.cache_info().currsize <= contractions
 
 
 class TestAdjointPower:
