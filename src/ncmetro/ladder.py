@@ -253,6 +253,9 @@ def normal_order_product(
     return LadderPolynomial(out)
 
 
+# an overflow in the kernel is reported as a ValidationError on the
+# coefficient it spoils, not as a numpy warning first
+@np.errstate(over="ignore", invalid="ignore")
 def commutator(
     a: LadderPolynomial,
     b: LadderPolynomial,
@@ -544,6 +547,7 @@ def _extract_closure_rate(
     return ratio.real
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def classify_pair(
     g: LadderPolynomial,
     h: LadderPolynomial,

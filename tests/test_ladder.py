@@ -1,6 +1,7 @@
 """Ladder-polynomial algebra: products, commutators, towers, classification."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -300,6 +301,15 @@ class TestDenseKernel:
         assert report.kind == KIND_CAP_REACHED
         for previous, entry in zip(report.tower, report.tower[1:]):
             assert entry == commutator(g, previous)
+
+    def test_overflow_is_a_validation_error_without_warnings(self):
+        a = LadderPolynomial({(2, 0): 1e300, (0, 2): 1e300})
+        b = LadderPolynomial({(1, 0): 1e300j, (0, 1): -1e300j})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: commutator(a, b), lambda: classify_pair(a, b)):
+                with pytest.raises(ValidationError, match="is not finite"):
+                    call()
 
     def test_weight_cache_holds_rows_not_levels(self):
         # the cache keeps one row per (exponent, k), never a weight per tower
