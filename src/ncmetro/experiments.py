@@ -16,7 +16,6 @@ from .errors import NumericalTrustError, ValidationError
 from .fock import DEFAULT_DIM, DEFAULT_STEP, qfi_numeric, switch_qfi
 from .gaussian import HomodyneSpec, cfi_quadrature, gaussian_probe, qfi_linear_generator
 from .generators import k_peak, local_generator
-from .ladder import classify_pair
 from .protocols import ProbeDescriptor, build_preset
 
 _LOG10 = math.log(10.0)
@@ -143,7 +142,6 @@ def fig3_scan(
         raise ValidationError("N values must be positive")
     probe = ProbeDescriptor.coherent(alpha)
     spec = HomodyneSpec(theta)
-    report = None
     columns = [
         "N",
         "qfi_closed_form",
@@ -156,9 +154,7 @@ def fig3_scan(
     rows = []
     for n in sorted(n_range):
         protocol = build_preset("squeeze-inf", n, x_bar, xi_bar, probe)
-        if report is None:
-            report = classify_pair(protocol.h_g, protocol.h_lambda)
-        gen = local_generator(protocol, report).generator
+        gen = local_generator(protocol).generator
         qfi_gauss = qfi_linear_generator(gaussian_probe(probe), gen)
         closed = 2.0 * n**2 * math.cosh(2.0 * n * xi_bar)
         cfi = cfi_quadrature(protocol, spec)
@@ -207,13 +203,10 @@ def example1_scan(
         raise ValidationError("N values must be positive")
     probe = probe or ProbeDescriptor.vacuum()
     probe_state = gaussian_probe(probe)
-    report = None
     rows = []
     for n in sorted(n_range):
         protocol = build_preset(preset, n, x_bar, s_bar, probe)
-        if report is None:
-            report = classify_pair(protocol.h_g, protocol.h_lambda)
-        gen = local_generator(protocol, report).generator
+        gen = local_generator(protocol).generator
         rows.append({"N": n, "qfi": qfi_linear_generator(probe_state, gen)})
     return ScanResult(
         label=f"{preset}-qfi",

@@ -30,7 +30,6 @@ from .ladder import (
     KIND_CAP_REACHED,
     KIND_CLOSED_INFINITE,
     LadderPolynomial,
-    NilpotencyReport,
     classify_pair,
     is_hermitian,
 )
@@ -48,22 +47,15 @@ class GeneratorResult:
     closed_form: bool
 
 
-def local_generator(
-    protocol: EncodingProtocol, report: NilpotencyReport | None = None
-) -> GeneratorResult:
+def local_generator(protocol: EncodingProtocol) -> GeneratorResult:
     """Local generator of the protocol with respect to lambda_bar.
 
-    ``report`` must come from ``classify_pair(protocol.h_g,
-    protocol.h_lambda)``; when omitted it is computed here.  Finite
-    classifications use the exact truncated series, closed towers the
+    The pair (h_g, h_lambda) is classified by :func:`classify_pair`, which
+    builds its tower once per process, so a scan over N classifies it once.
+    Finite classifications use the exact truncated series, closed towers the
     sinh/cosh closed form; an unclassified pair is an error.
     """
-    if report is None:
-        report = classify_pair(protocol.h_g, protocol.h_lambda)
-    if not report.tower or not report.tower[0].allclose(protocol.h_lambda, 1e-12):
-        raise ValidationError(
-            "report does not match the protocol pair (tower base differs from h_lambda)"
-        )
+    report = classify_pair(protocol.h_g, protocol.h_lambda)
     if report.kind == KIND_CAP_REACHED:
         raise UnclassifiedPairError(
             "unclassified pair: adjoint tower hit the cap without closure"

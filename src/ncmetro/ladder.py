@@ -17,12 +17,16 @@ normal-ordering integers R(n, m, k) = C(n, k) C(m, k) k! (Blasiak et al.,
 Am. J. Phys. 75, 639, 2007); for one term and one k they are a row minus a
 column vector, so each (term, k) is one slice-add over the other operand's
 whole grid.  A tower keeps each level's grid for the next level and turns
-it into a polynomial once, for the report.
+it into a polynomial once, for the report.  A pair is classified once per
+process: :func:`classify_pair` keeps its reports in a memo bounded by the
+tower terms they hold.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import MappingProxyType
@@ -547,7 +551,6 @@ def _extract_closure_rate(
     return ratio.real
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def classify_pair(
     g: LadderPolynomial,
     h: LadderPolynomial,
@@ -568,12 +571,25 @@ def classify_pair(
       the canonical forms (tolerance ``CLOSURE_TOLERANCE``);
     - cap_reached: none of the above within ``cap`` levels (a value, not
       an error).
+
+    A pair is classified once per process: the report is kept by
+    ``_reports`` (see :class:`_ReportMemo`, which keeps no oversized tower
+    and no error) and returned again for the same exact terms, ``cap`` and
+    ``max_degree``.  Reports are therefore shared between callers and must
+    not be mutated.
     """
     if g.is_zero() or h.is_zero():
         raise ValidationError("classification requires nonzero operators")
     if cap < 2:
         raise ValidationError("adjoint cap must be at least 2")
+    return _reports(g, h, cap, max_degree)
 
+
+@np.errstate(over="ignore", invalid="ignore")
+def _classify(
+    g: LadderPolynomial, h: LadderPolynomial, cap: int, max_degree: int
+) -> NilpotencyReport:
+    """The adjoint tower of :func:`classify_pair` and its classification."""
     # the tower runs on dense grids, each level's grid the next level's
     # operand.  g's contractions are built once, over the largest grid an
     # entry below the degree limit can have, and its slice-adds once per
@@ -637,3 +653,65 @@ def classify_pair(
                 kind=KIND_CLOSED_INFINITE, tower=tuple(tower), closure_p=p, cap=cap
             )
     return NilpotencyReport(kind=KIND_CAP_REACHED, tower=tuple(tower), cap=cap)
+
+
+#: Tower terms the memo of :func:`classify_pair` may hold, summed over the
+#: reports it keeps: a few hundred KB of coefficients and dict slots.  The
+#: presets' towers hold 3 to 66 terms; a capped tower of a cubic pair holds
+#: thousands and is not kept.
+_MEMO_TERMS = 2048
+
+
+def _exact_key(p: LadderPolynomial) -> tuple[tuple, bytes]:
+    """p's exponents in term order and its coefficients' bytes, so that
+    coefficients equal under ``==`` but for the sign of a zero part
+    (0.0 and -0.0) give different keys."""
+    terms = p._terms
+    return tuple(terms), np.fromiter(terms.values(), complex, len(terms)).tobytes()
+
+
+class _ReportMemo:
+    """Process-wide reports of :func:`classify_pair`, keyed on the exact
+    terms of g and h, ``cap`` and ``max_degree``.
+
+    A report is kept when its tower holds at most ``_MEMO_TERMS`` terms;
+    least recently used reports are evicted while the terms held exceed
+    that.  A larger report is returned but not kept, and an error (such as
+    ``DegreeOverflowError``) is never kept.  The lock guards the
+    bookkeeping, not the tower: two threads may build the same tower, and
+    the report stored first is the one both return.  ``cache_clear()``
+    empties it.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()  # key -> (report, terms)
+        self._lock = threading.Lock()
+        self.terms = 0
+
+    def __call__(self, g: LadderPolynomial, h: LadderPolynomial, cap: int,
+                 max_degree: int) -> NilpotencyReport:
+        key = (_exact_key(g), _exact_key(h), cap, max_degree)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+        report = _classify(g, h, cap, max_degree)
+        size = sum(len(level._terms) for level in report.tower)
+        if size > _MEMO_TERMS:
+            return report
+        with self._lock:
+            entry = self._entries.setdefault(key, (report, size))
+            if entry[0] is report:
+                self.terms += size
+                while self.terms > _MEMO_TERMS:
+                    self.terms -= self._entries.popitem(last=False)[1][1]
+        return entry[0]
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.terms = 0
+
+
+_reports = _ReportMemo()

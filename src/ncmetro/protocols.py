@@ -47,6 +47,8 @@ class ProbeDescriptor:
         if self.kind == "fock_vector":
             if not self.amplitudes:
                 raise ValidationError("fock_vector probe requires amplitudes")
+            # a nan norm would pass the normalisation check below
+            require_finite(**{f"amplitudes[{k}]": c for k, c in enumerate(self.amplitudes)})
             norm = math.sqrt(sum(abs(c) ** 2 for c in self.amplitudes))
             if abs(norm - 1.0) > _NORM_TOL:
                 raise ValidationError(

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncmetro import ValidationError
+from ncmetro import ValidationError, fock, ladder
 from ncmetro.cli import main, parse_angle, parse_config, parse_int_list, run_config
 from ncmetro.io import ResultEnvelope, emit, from_json, to_csv, to_json
 
@@ -390,3 +392,50 @@ class TestMain:
         assert qfi == pytest.approx([n**4 * 0.04 for n in range(1, 5)], rel=1e-6)
         # with p = 0 the control qubit carries no information
         assert main(["switch", "--x", "0.1", "--p", "0", "--N", "1..4"]) == 2
+
+
+def _cache_commands():
+    """Seeded classify, qfi, generator and example1 commands over the presets,
+    X^2 | P^2 and a signed-zero twin of X^2 | P, in CSV and JSON."""
+    rng = random.Random(23)
+    pairs = [["--preset", name] for name in ("squeeze-inf", "shear-k1", "xp-constant")]
+    pairs += [["--g", "X^2", "--h", "P^2"], ["--g", "X^2", "--h", "P"],
+              ["--g", "X^2", "--h", "-(-1*P)"]]
+    commands = []
+    for pair in pairs:
+        for fmt in ("csv", "json"):
+            commands.append(["classify", *pair, "--cap", str(rng.choice((8, 32))),
+                             "--format", fmt])
+            for command in ("generator", "qfi", "qfi"):
+                commands.append([command, *pair, "--N", str(rng.randint(1, 12)),
+                                 "--aux", str(round(rng.uniform(0.01, 0.3), 3)),
+                                 "--format", fmt])
+        commands.append(["qfi", *pair, "--N", str(rng.randint(1, 4)), "--aux", "0.05",
+                         "--alpha", "0.3", "--engine", "both", "--format", "json"])
+    for preset in ("shear-k1", "squeeze-inf", "xp-constant"):
+        commands.append(["example1", "--preset", preset, "--N", "2..6",
+                         "--s", str(round(rng.uniform(0.01, 0.2), 3))])
+    return commands
+
+
+class TestCacheIdentity:
+    def test_cold_and_warm_output_identical(self, capsys):
+        # every process-wide cache cleared before each command, then one warm
+        # process in shuffled order (twice): same exit codes, stderr and stdout
+        # but for the timing fields of the JSON envelope
+        def run(argv):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, re.sub(r'"(duration_s|timestamp)": .*', "", out), err
+
+        commands = _cache_commands()
+        cold = []
+        for argv in commands:
+            fock._cached_evolver.cache_clear()
+            ladder._reports.cache_clear()
+            cold.append(run(argv))
+        assert {code for code, _, _ in cold} == {0, 2}
+        order = list(range(len(commands))) * 2
+        random.Random(29).shuffle(order)
+        for i in order:
+            assert run(commands[i]) == cold[i], commands[i]

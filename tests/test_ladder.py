@@ -1,6 +1,10 @@
 """Ladder-polynomial algebra: products, commutators, towers, classification."""
 
 import math
+import random
+import struct
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -15,6 +19,7 @@ from ncmetro import (
     ValidationError,
     adjoint_power,
     annihilation_op,
+    build_preset,
     classify_pair,
     commutator,
     creation_op,
@@ -23,9 +28,11 @@ from ncmetro import (
     ladder_term,
     momentum_op,
     normal_order_product,
+    parse_operator,
     position_op,
     zero_op,
 )
+from ncmetro.cli import main
 from ncmetro.ladder import (
     KIND_CAP_REACHED,
     KIND_CLOSED_INFINITE,
@@ -374,10 +381,153 @@ class TestClassifyPair:
                 assert entry.allclose(adjoint_power(g, h, n), 1e-9)
 
     def test_preconditions(self):
+        # they run before the memo, so a warm one does not skip them
+        classify_pair(X, P)
+        classify_pair(X, P, cap=2)
         with pytest.raises(ValidationError):
             classify_pair(zero_op(), P)
         with pytest.raises(ValidationError):
+            classify_pair(X, zero_op())
+        with pytest.raises(ValidationError):
             classify_pair(X, P, cap=1)
+
+
+def _bits(report):
+    """Everything a report holds, each number as its bytes (so -0.0 != 0.0)."""
+    def raw(x):
+        return None if x is None else struct.pack("<2d", x.real, x.imag)
+
+    tower = [[(key, raw(c)) for key, c in entry.terms.items()] for entry in report.tower]
+    return (report.kind, report.nilpotency_index, raw(report.constant_value),
+            raw(report.closure_p), report.cap, tower)
+
+
+def _memo_pairs():
+    """The presets, X^k | P, P | X^k, ad*a | X and jittered c(ad^2 + a^2) | P."""
+    pairs = []
+    for name in ("squeeze-inf", "shear-k1", "xp-constant"):
+        preset = build_preset(name, 1, 0.0, 0.0)
+        pairs.append((preset.h_g, preset.h_lambda))
+    for k in range(1, 6):
+        pairs += [(parse_operator(f"X^{k}"), P), (P, parse_operator(f"X^{k}"))]
+    pairs.append((parse_operator("ad*a"), X))
+    rng = random.Random(3)
+    pairs += [((1.0 + rng.uniform(-1e-9, 1e-9)) * SQUEEZE, P) for _ in range(3)]
+    return pairs
+
+
+class TestClassifyMemo:
+    def test_warm_reports_are_bit_identical_to_uncached(self):
+        pairs = _memo_pairs()
+        expected = [_bits(ladder._classify(g, h, 32, 64)) for g, h in pairs]
+        order = list(range(len(pairs)))
+        random.Random(5).shuffle(order)
+        for i in order + order:  # fill in shuffled order, then read warm
+            assert _bits(classify_pair(*pairs[i])) == expected[i], i
+        # the presets recur as X | P and X^2 | P
+        distinct = {(ladder._exact_key(g), ladder._exact_key(h)) for g, h in pairs}
+        assert len(ladder._reports._entries) == len(distinct) == len(pairs) - 2
+
+    def test_signed_zero_twins_get_their_own_entries(self):
+        # equal under ==, but the twin's (1, 0) real part is -0.0
+        twin = LadderPolynomial({key: complex(-0.0, c.imag) for key, c in P.terms.items()})
+        assert twin == P and _bits(classify_pair(SQUEEZE, P)) != _bits(classify_pair(SQUEEZE, twin))
+        for h in (P, twin, P, twin):
+            report = classify_pair(SQUEEZE, h)
+            assert _bits(report) == _bits(ladder._classify(SQUEEZE, h, 32, 64))
+        assert len(ladder._reports._entries) == 2
+
+    def test_term_order_is_part_of_the_key(self):
+        # the kernel sums g's terms in order, so an equal g in another order
+        # can round its tower differently
+        g = parse_operator("X^3 + P^2")
+        reordered = LadderPolynomial(dict(reversed(list(g.terms.items()))))
+        assert reordered == g
+        for first, second in ((g, reordered), (reordered, g)):
+            ladder._reports.cache_clear()
+            classify_pair(first, P, cap=8)
+            assert _bits(classify_pair(second, P, cap=8)) == _bits(
+                ladder._classify(second, P, 8, 64))
+        assert _bits(ladder._classify(g, P, 8, 64)) != _bits(ladder._classify(reordered, P, 8, 64))
+
+    def test_oversized_report_returned_but_not_kept(self):
+        memo = ladder._reports
+        classify_pair(X2, P)
+        g = parse_operator("X^3 + P^3")
+        first = classify_pair(g, X)
+        assert sum(len(entry.terms) for entry in first.tower) > ladder._MEMO_TERMS
+        second = classify_pair(g, X)
+        assert second is not first and _bits(second) == _bits(first)
+        assert len(memo._entries) == 1 and memo.terms == 4
+
+    def test_least_recently_used_evicted_within_budget(self, monkeypatch):
+        monkeypatch.setattr(ladder, "_MEMO_TERMS", 70)
+        memo = ladder._reports
+        pairs = {"xp": (X, P), "shear": (X2, P), "p_x4": (P, parse_operator("X^4")),
+                 "p_x5": (P, parse_operator("X^5")),
+                 "x2_p2": (X2, normal_order_product(P, P))}
+        kept = {}
+        # 3 + 4 + 22 + 34 terms, xp touched, then 10 more
+        for name in ("xp", "shear", "p_x4", "p_x5", "xp", "x2_p2"):
+            kept[name] = classify_pair(*pairs[name])
+            assert memo.terms == sum(size for _, size in memo._entries.values()) <= 70
+            assert classify_pair(*pairs[name]) is kept[name]  # every report fits
+        # shear was the least recently used when x2_p2 came in
+        held = [id(report) for report, _ in memo._entries.values()]
+        assert held == [id(kept[name]) for name in ("p_x4", "p_x5", "xp", "x2_p2")]
+        assert memo.terms == 22 + 34 + 3 + 10
+
+    def test_threads_keep_the_bookkeeping(self, monkeypatch):
+        # more threads than cores, switching often, against a budget that
+        # forces evictions: every report is bit-identical to an uncached one
+        # and the terms held match the entries
+        monkeypatch.setattr(ladder, "_MEMO_TERMS", 100)
+        pairs = _memo_pairs()
+        expected = [_bits(ladder._classify(g, h, 32, 64)) for g, h in pairs]
+        failures = []
+
+        def work(seed):
+            order = list(range(len(pairs))) * 3
+            random.Random(seed).shuffle(order)
+            for i in order:
+                if _bits(classify_pair(*pairs[i])) != expected[i]:
+                    failures.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        memo = ladder._reports
+        assert memo.terms == sum(size for _, size in memo._entries.values()) <= 100
+
+    def test_overflow_raises_on_every_call(self):
+        g = parse_operator("X^6")
+        for _ in range(3):
+            with pytest.raises(DegreeOverflowError):
+                classify_pair(g, P)
+        assert not ladder._reports._entries
+
+    def test_cli_scan_builds_the_tower_once(self, monkeypatch, capsys):
+        calls = []
+        original = ladder._classify
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ladder, "_classify", counting)
+        for n in range(1, 13):
+            assert main(["qfi", "--preset", "squeeze-inf", "--N", str(n), "--aux", "0.1"]) == 0
+        assert len(calls) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 24
 
 
 class TestHermiticity:
