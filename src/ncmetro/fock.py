@@ -8,9 +8,9 @@ through eigendecompositions of the Hermitian generators, and the QFI comes
 from state overlaps, so this module can certify the closed-form results
 computed elsewhere.
 
-A generator is decomposed once per dimension and process: a cache bounded
-by the eigenvector bytes it holds shares each decomposition between a scan's
-points and between calls.
+A generator is decomposed once per dimension and process: the bounded
+least-recently-used cache of :mod:`ladder`, sized by eigenvector bytes,
+shares each decomposition between a scan's points and between calls.
 A real generator, or one that the diagonal gauge G = diag(i^k) makes real,
 gets a real symmetric decomposition and real mat-vecs; X and P = G X G^dag
 share one.  Finite differences run in the eigen-coordinates of H_lambda,
@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import copy
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -44,7 +42,7 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .ladder import LadderPolynomial, momentum_op, position_op
+from .ladder import LadderPolynomial, _BoundedLRU, momentum_op, position_op
 from .protocols import EncodingProtocol, ProbeDescriptor
 
 #: Population allowed at the top Fock level before a result is rejected.
@@ -224,69 +222,31 @@ def _evolver(poly: LadderPolynomial, dim: int) -> HermitianEvolver:
     """Evolver of the embedded polynomial, decomposed once per (terms, dim).
 
     A polynomial whose gauge-rotated terms c i^(n-m) are real is evolved
-    through the decomposition of that real polynomial, so P reuses X's.
+    through the decomposition of that real polynomial, so P reuses X's; the
+    gauge twin is kept with its entry, so a hit costs one lookup.
     """
-    terms = poly.terms
+    terms, gauge = poly.terms, False
     if any(c.imag for c in terms.values()):
         rotated = {(m, n): c * _I_POWERS[(n - m) % 4] for (m, n), c in terms.items()}
         if not any(c.imag for c in rotated.values()):
-            return _cached_evolver(tuple(sorted(rotated.items())), dim, gauge=True)
-    return _cached_evolver(tuple(sorted(terms.items())), dim)
+            terms, gauge = rotated, True
+    key = tuple(sorted(terms.items()))
+    entry = _cached_evolver((key, dim), lambda: [
+        HermitianEvolver(matrix_of(LadderPolynomial(dict(key)), dim).matrix), None])
+    if not gauge:
+        return entry[0]
+    if entry[1] is None:
+        entry[1] = entry[0].in_gauge()
+    return entry[1]
 
 
-#: Eigenvector bytes the decomposition cache may hold.  A real generator's
-#: take 8 dim^2 (1.3 MB at dim 400), so the few generators and dimensions a
-#: session mixes stay decomposed, while large complex ones (16 dim^2, 64 MB
-#: at dim 2000) do not pile up.
-_CACHE_BYTES = 64 * 2**20
-
-#: Most recent entries kept whatever their size: a scan's two decompositions
-#: (X and P share one) at its dimension and at the retry one.
-_CACHE_FLOOR = 4
-
-
-class _DecompositionCache:
-    """Process-wide evolvers keyed on (sorted terms, dim), least recently
-    used evicted first while the eigenvector bytes held exceed
-    ``_CACHE_BYTES``.  Each entry also holds its gauge twin once asked for,
-    so a hit costs one lookup.  ``cache_clear()`` empties it."""
-
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()  # key -> [evolver, twin]
-        self._lock = threading.Lock()
-        self.nbytes = 0
-
-    def __call__(self, terms: tuple, dim: int, gauge: bool = False) -> HermitianEvolver:
-        key = (terms, dim)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-        if entry is None:
-            evolver = HermitianEvolver(matrix_of(LadderPolynomial(dict(terms)), dim).matrix)
-            with self._lock:  # a racing thread's entry wins, so a key has one decomposition
-                entry = self._entries.setdefault(key, [evolver, None])
-                if entry[0] is evolver:
-                    self.nbytes += evolver._eigvecs.nbytes
-                    self._evict()
-        if not gauge:
-            return entry[0]
-        if entry[1] is None:
-            entry[1] = entry[0].in_gauge()
-        return entry[1]
-
-    def _evict(self) -> None:
-        while len(self._entries) > _CACHE_FLOOR and self.nbytes > _CACHE_BYTES:
-            evolver, _ = self._entries.popitem(last=False)[1]
-            self.nbytes -= evolver._eigvecs.nbytes
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-
-_cached_evolver = _DecompositionCache()
+#: Decompositions as [evolver, gauge twin], bounded by their eigenvector
+#: bytes.  A real generator's take 8 dim^2 (1.3 MB at dim 400), so the few
+#: generators and dimensions a session mixes stay decomposed within 64 MiB,
+#: while large complex ones (16 dim^2, 64 MB at dim 2000) do not pile up.
+#: The floor keeps a scan's two decompositions (X and P share one) at its
+#: dimension and at the retry one, whatever their size.
+_cached_evolver = _BoundedLRU(lambda entry: entry[0]._eigvecs.nbytes, 64 * 2**20, floor=4)
 
 
 def _check_leakage(top: complex, context: str) -> None:
@@ -432,6 +392,8 @@ def qfi_numeric(
     require_finite(step=step)
     if step <= 0:
         raise ValidationError("finite-difference step must be positive")
+    if retries < 0:
+        raise ValidationError("retries must be >= 0")
     last_error: Exception | None = None
     for attempt in range(retries + 1):
         d = dim * (2**attempt)
@@ -648,6 +610,9 @@ def dv_bound_check(
     for name, mat in (("h_g", h_g), ("h_lambda", h_lambda)):
         if np.abs(mat - mat.conj().T).max() > _HERMITIAN_TOL:
             raise ValidationError(f"{name} is not Hermitian")
+    n_list = list(n_list)
+    if not n_list:
+        raise ValidationError("n_list must not be empty")
     probe = np.asarray(probe, dtype=complex)
     probe = probe / np.linalg.norm(probe)
 

@@ -40,8 +40,6 @@ def envelope_from_scan(
     scan: ScanResult,
     value: dict | None = None,
     trust: dict | None = None,
-    duration_s: float = 0.0,
-    timestamp: str = "",
 ) -> ResultEnvelope:
     rows = [[row.get(col) for col in scan.columns] for row in scan.rows]
     return ResultEnvelope(
@@ -51,8 +49,6 @@ def envelope_from_scan(
         rows=rows,
         value=value,
         trust=dict(trust or {}),
-        duration_s=duration_s,
-        timestamp=timestamp,
     )
 
 
@@ -87,17 +83,7 @@ def to_json(envelope: ResultEnvelope) -> str:
 
 def from_json(text: str) -> ResultEnvelope:
     data = json.loads(text)
-    return ResultEnvelope(
-        command=data["command"],
-        config=data["config"],
-        columns=data["columns"],
-        rows=data["rows"],
-        value=data["value"],
-        trust=data["trust"],
-        duration_s=data["duration_s"],
-        timestamp=data["timestamp"],
-        schema_version=data["schema_version"],
-    )
+    return ResultEnvelope(**{name: data[name] for name in _ENVELOPE_FIELDS})
 
 
 def emit(envelope: ResultEnvelope, fmt: str, path: str | Path | None = None) -> str:

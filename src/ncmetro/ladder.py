@@ -11,15 +11,17 @@ Coefficients are finite complex floats (a NaN or infinite one raises
 or below ``CHOP_TOLERANCE`` are dropped so that cancellations cannot leave
 ghost terms behind.
 
-Commutators, and with them the adjoint towers of :func:`classify_pair`, run
-on dense numpy grids indexed (m, n).  The contraction weights are the exact
-normal-ordering integers R(n, m, k) = C(n, k) C(m, k) k! (Blasiak et al.,
-Am. J. Phys. 75, 639, 2007); for one term and one k they are a row minus a
-column vector, so each (term, k) is one slice-add over the other operand's
-whole grid.  A tower keeps each level's grid for the next level and turns
-it into a polynomial once, for the report.  A pair is classified once per
-process: :func:`classify_pair` keeps its reports in a memo bounded by the
-tower terms they hold.
+Commutators run on dense numpy grids indexed (m, n), through one adjoint
+stepper t -> [g, t] (:class:`_AdjointStep`): a single :func:`commutator`
+is one step, :func:`adjoint_power` and the towers of :func:`classify_pair`
+are many.  The contraction weights are the exact normal-ordering integers
+R(n, m, k) = C(n, k) C(m, k) k! (Blasiak et al., Am. J. Phys. 75, 639,
+2007); for one term and one k they are a row minus a column vector, so
+each (term, k) is one slice-add over the other operand's whole grid.  A
+tower keeps each level's grid for the next level.  A pair is classified
+once per process: :func:`classify_pair` keeps its reports in a bounded
+least-recently-used cache (:class:`_BoundedLRU`, which also holds the Fock
+oracle's decompositions), sized by the tower terms they hold.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -223,11 +225,9 @@ def _reorder_coefficient(n1: int, m2: int, k: int) -> int:
     return math.comb(n1, k) * math.comb(m2, k) * math.factorial(k)
 
 
-def _check_degree(a: LadderPolynomial, b: LadderPolynomial, max_degree: int) -> None:
-    if a.degree + b.degree > max_degree:
-        raise DegreeOverflowError(
-            f"product degree {a.degree + b.degree} exceeds limit {max_degree}"
-        )
+def _check_degree(degree: int, max_degree: int) -> None:
+    if degree > max_degree:
+        raise DegreeOverflowError(f"product degree {degree} exceeds limit {max_degree}")
 
 
 def normal_order_product(
@@ -246,7 +246,7 @@ def normal_order_product(
     """
     if a.is_zero() or b.is_zero():
         return zero_op()
-    _check_degree(a, b, max_degree)
+    _check_degree(a.degree + b.degree, max_degree)
     out: dict[tuple[int, int], complex] = {}
     for (m1, n1), c1 in a.terms.items():
         for (m2, n2), c2 in b.terms.items():
@@ -257,15 +257,19 @@ def normal_order_product(
     return LadderPolynomial(out)
 
 
-# an overflow in the kernel is reported as a ValidationError on the
-# coefficient it spoils, not as a numpy warning first
-@np.errstate(over="ignore", invalid="ignore")
+#: Every caller of the kernel runs under this: an overflow is reported as a
+#: ValidationError on the coefficient it spoils, not as a numpy warning first.
+_kernel_errors = np.errstate(over="ignore", invalid="ignore")
+
+
+@_kernel_errors
 def commutator(
     a: LadderPolynomial,
     b: LadderPolynomial,
     max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> LadderPolynomial:
-    """Canonical form of [a, b] = a*b - b*a, from the contracted terms alone.
+    """Canonical form of [a, b] = a*b - b*a, from the contracted terms alone:
+    one step of a's adjoint tower (:class:`_AdjointStep`).
 
     The two products share their k = 0 (uncontracted) terms, so the
     commutator keeps only the contractions k >= 1 (Blasiak et al., Am. J.
@@ -298,17 +302,66 @@ def commutator(
     """
     if a.is_zero() or b.is_zero():
         return zero_op()
-    _check_degree(a, b, max_degree)
-    a_outer = _runs_outer(a, b)
-    if a_outer is None:
-        return zero_op()
-    outer, inner = (a, b) if a_outer else (b, a)
-    grid = _grid(inner)
-    contractions = partial(_contractions, rows=grid.shape[0], cols=grid.shape[1],
-                           length=max_degree + 1)
-    plan = _plan([(m1, n1, contractions(m1, n1)) for m1, n1 in outer._terms],
-                 grid.shape, _extent(outer))
-    return _polynomial(_contract(_coefficients(outer, a_outer), plan, grid))[0]
+    return _AdjointStep(a, max_degree)(b, None)[0]
+
+
+class _AdjointStep:
+    """ad_g, one level t -> [g, t] of g's adjoint tower on dense grids.
+
+    Built once per g, it keeps what the levels share: g's grid, the
+    contractions of g's terms with a grid (sized to the grid of the first
+    step, and otherwise to the largest grid an entry below the degree limit
+    can have), their slice-adds for the current grid shape, and the
+    contractions of the entries' terms with g's grid.
+    Callers step under ``_kernel_errors``.
+    """
+
+    def __init__(self, g: LadderPolynomial, max_degree: int):
+        self.g, self.extent, self.max_degree = g, _extent(g), max_degree
+        self.degree = sum(self.extent) - 2  # bounds g's degree; exact once needed
+        self.g_grid = self.g_terms = self.g_coefficients = self.g_plan = None
+        self.g_shape, self.on_g = (0, 0), {}
+
+    def __call__(self, t: LadderPolynomial,
+                 grid: np.ndarray | None) -> tuple[LadderPolynomial, np.ndarray]:
+        """[g, t] and its grid trimmed to its terms, from a nonzero t and t's
+        trimmed grid (or None, to build it only if the step needs it)."""
+        g, length = self.g, self.max_degree + 1
+        shape = _extent(t) if grid is None else grid.shape
+        # extents bound degrees (m + n <= rows - 1 + cols - 1); the exact
+        # degrees are needed only near the limit
+        if self.degree + sum(shape) - 2 > self.max_degree:
+            self.degree = g.degree
+            _check_degree(self.degree + t.degree, self.max_degree)
+        g_outer = _runs_outer(g, t)
+        if g_outer is None:
+            return zero_op(), grid
+        if g_outer:
+            if grid is None:
+                grid = _grid(t, shape)
+            if shape[0] > self.g_shape[0] or shape[1] > self.g_shape[1]:
+                # a first step (a lone commutator) needs only this grid; the
+                # grids of a tower's later levels grow towards the limit
+                first = self.g_terms is None and self.g_grid is None
+                self.g_shape = shape if first else (length - g.degree,) * 2
+                self.g_terms = [(m1, n1, _contractions(m1, n1, *self.g_shape, length))
+                                for m1, n1 in g._terms]
+                self.g_coefficients = _coefficients(g, True)
+                self.g_plan = None
+            if self.g_plan is None or self.g_plan[0] != shape:
+                self.g_plan = None  # let its buffer go before the next is made
+                self.g_plan = _plan(self.g_terms, shape, self.extent)
+            entry, grid = _polynomial(_contract(self.g_coefficients, self.g_plan, grid))
+        else:
+            if self.g_grid is None:
+                self.g_grid = _grid(g, self.extent)
+            on_g = self.on_g
+            for key in t._terms:
+                if key not in on_g:
+                    on_g[key] = (*key, _contractions(*key, *self.extent, length))
+            plan = _plan([on_g[key] for key in t._terms], self.extent, shape)
+            entry, grid = _polynomial(_contract(_coefficients(t, False), plan, self.g_grid))
+        return entry, grid
 
 
 def _runs_outer(a: LadderPolynomial, b: LadderPolynomial) -> bool | None:
@@ -337,9 +390,10 @@ def _extent(p: LadderPolynomial) -> tuple[int, int]:
     return max(ms) + 1, max(ns) + 1
 
 
-def _grid(p: LadderPolynomial) -> np.ndarray:
-    """Dense coefficient grid of a nonzero polynomial: grid[m, n] multiplies ad^m a^n."""
-    grid = np.zeros(_extent(p), dtype=complex)
+def _grid(p: LadderPolynomial, extent: tuple[int, int]) -> np.ndarray:
+    """Dense coefficient grid of a nonzero polynomial, given its extent:
+    grid[m, n] multiplies ad^m a^n."""
+    grid = np.zeros(extent, dtype=complex)
     for key, c in p._terms.items():
         grid[key] = c
     return grid
@@ -465,6 +519,7 @@ def _polynomial(out: np.ndarray) -> tuple[LadderPolynomial, np.ndarray]:
     return LadderPolynomial._canonical(terms), out[: rows[-1] + 1, : max(cols) + 1]
 
 
+@_kernel_errors
 def adjoint_power(
     g: LadderPolynomial,
     h: LadderPolynomial,
@@ -474,9 +529,15 @@ def adjoint_power(
     """n-fold nested commutator [g, [g, ... [g, h] ...]]; n = 0 returns h."""
     if n < 0:
         raise ValidationError("adjoint power requires n >= 0")
-    out = h
+    if n == 0:
+        return h
+    if g.is_zero() or h.is_zero():
+        return zero_op()
+    step, out, grid = _AdjointStep(g, max_degree), h, None
     for _ in range(n):
-        out = commutator(g, out, max_degree)
+        out, grid = step(out, grid)
+        if out.is_zero():
+            break
     return out
 
 
@@ -573,59 +634,29 @@ def classify_pair(
       an error).
 
     A pair is classified once per process: the report is kept by
-    ``_reports`` (see :class:`_ReportMemo`, which keeps no oversized tower
-    and no error) and returned again for the same exact terms, ``cap`` and
-    ``max_degree``.  Reports are therefore shared between callers and must
-    not be mutated.
+    ``_reports`` (a :class:`_BoundedLRU` that keeps no oversized tower and
+    no error) and returned again for the same exact terms of g and h
+    (:func:`_exact_key`), ``cap`` and ``max_degree``.  Reports are
+    therefore shared between callers and must not be mutated.
     """
     if g.is_zero() or h.is_zero():
         raise ValidationError("classification requires nonzero operators")
     if cap < 2:
         raise ValidationError("adjoint cap must be at least 2")
-    return _reports(g, h, cap, max_degree)
+    return _reports((_exact_key(g), _exact_key(h), cap, max_degree),
+                    lambda: _classify(g, h, cap, max_degree))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_kernel_errors
 def _classify(
     g: LadderPolynomial, h: LadderPolynomial, cap: int, max_degree: int
 ) -> NilpotencyReport:
     """The adjoint tower of :func:`classify_pair` and its classification."""
-    # the tower runs on dense grids, each level's grid the next level's
-    # operand.  g's contractions are built once, over the largest grid an
-    # entry below the degree limit can have, and its slice-adds once per
-    # grid shape; the contractions of an entry's terms with g's grid are
-    # kept across levels
-    length = max_degree + 1
-    g_degree, g_count, g_grid = g.degree, len(g._terms), _grid(g)
-    g_terms, g_plan, on_g = None, None, {}
+    step = _AdjointStep(g, max_degree)
     tower: list[LadderPolynomial] = [h]
-    grid, degree = _grid(h), h.degree
+    grid = None
     for n in range(1, cap + 1):
-        if g_degree + degree > max_degree:
-            raise DegreeOverflowError(
-                f"product degree {g_degree + degree} exceeds limit {max_degree}"
-            )
-        t = tower[-1]
-        count = len(t._terms)
-        g_outer = g_count < count if g_count != count else _runs_outer(g, t)
-        if g_outer is None:
-            entry = zero_op()
-        elif g_outer:
-            if g_terms is None:
-                side = length - g_degree
-                g_terms = [(m1, n1, _contractions(m1, n1, side, side, length))
-                           for m1, n1 in g._terms]
-                g_coefficients = _coefficients(g, True)
-            if g_plan is None or g_plan[0] != grid.shape:
-                g_plan = None  # let its buffer go before the next is made
-                g_plan = _plan(g_terms, grid.shape, g_grid.shape)
-            entry, grid = _polynomial(_contract(g_coefficients, g_plan, grid))
-        else:
-            for key in t._terms:
-                if key not in on_g:
-                    on_g[key] = (*key, _contractions(*key, *g_grid.shape, length))
-            plan = _plan([on_g[key] for key in t._terms], g_grid.shape, grid.shape)
-            entry, grid = _polynomial(_contract(_coefficients(t, False), plan, g_grid))
+        entry, grid = step(tower[-1], grid)
         if entry.is_zero():
             k = n - 1
             top = tower[k]
@@ -640,11 +671,6 @@ def _classify(
                 kind=KIND_FINITE, tower=tuple(tower), nilpotency_index=k
             )
         tower.append(entry)
-        # the grid is trimmed, so its extents bound the degree; the exact
-        # degree is needed only near the limit
-        degree = grid.shape[0] + grid.shape[1] - 2
-        if g_degree + degree > max_degree:
-            degree = entry.degree
 
     if len(tower) >= 4:
         p = _extract_closure_rate(tower[1], tower[3])
@@ -655,13 +681,6 @@ def _classify(
     return NilpotencyReport(kind=KIND_CAP_REACHED, tower=tuple(tower), cap=cap)
 
 
-#: Tower terms the memo of :func:`classify_pair` may hold, summed over the
-#: reports it keeps: a few hundred KB of coefficients and dict slots.  The
-#: presets' towers hold 3 to 66 terms; a capped tower of a cubic pair holds
-#: thousands and is not kept.
-_MEMO_TERMS = 2048
-
-
 def _exact_key(p: LadderPolynomial) -> tuple[tuple, bytes]:
     """p's exponents in term order and its coefficients' bytes, so that
     coefficients equal under ``==`` but for the sign of a zero part
@@ -670,48 +689,51 @@ def _exact_key(p: LadderPolynomial) -> tuple[tuple, bytes]:
     return tuple(terms), np.fromiter(terms.values(), complex, len(terms)).tobytes()
 
 
-class _ReportMemo:
-    """Process-wide reports of :func:`classify_pair`, keyed on the exact
-    terms of g and h, ``cap`` and ``max_degree``.
+class _BoundedLRU:
+    """A process-wide cache, least recently used values evicted first while
+    the sizes they hold exceed ``budget``, except that the ``floor`` newest
+    are always kept.
 
-    A report is kept when its tower holds at most ``_MEMO_TERMS`` terms;
-    least recently used reports are evicted while the terms held exceed
-    that.  A larger report is returned but not kept, and an error (such as
-    ``DegreeOverflowError``) is never kept.  The lock guards the
-    bookkeeping, not the tower: two threads may build the same tower, and
-    the report stored first is the one both return.  ``cache_clear()``
-    empties it.
+    ``cache(key, build)`` returns the value kept under ``key``, or keeps and
+    returns ``build()``.  Without a floor, a value larger than the budget is
+    returned but not kept, so it does not flush the rest; an error from
+    ``build`` is never kept.  The lock guards the bookkeeping, not
+    ``build``: two threads may build one key, and the value stored first is
+    the one both return.  ``cache_clear()`` empties it.
     """
 
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()  # key -> (report, terms)
+    def __init__(self, size: Callable[[object], int], budget: int, floor: int = 0):
+        self._size, self.budget, self.floor = size, budget, floor
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, size)
         self._lock = threading.Lock()
-        self.terms = 0
+        self.held = 0
 
-    def __call__(self, g: LadderPolynomial, h: LadderPolynomial, cap: int,
-                 max_degree: int) -> NilpotencyReport:
-        key = (_exact_key(g), _exact_key(h), cap, max_degree)
+    def __call__(self, key, build: Callable[[], object]):
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 return entry[0]
-        report = _classify(g, h, cap, max_degree)
-        size = sum(len(level._terms) for level in report.tower)
-        if size > _MEMO_TERMS:
-            return report
+        value = build()
+        size = self._size(value)
+        if size > self.budget and not self.floor:
+            return value
         with self._lock:
-            entry = self._entries.setdefault(key, (report, size))
-            if entry[0] is report:
-                self.terms += size
-                while self.terms > _MEMO_TERMS:
-                    self.terms -= self._entries.popitem(last=False)[1][1]
+            entry = self._entries.setdefault(key, (value, size))
+            if entry[0] is value:
+                self.held += size
+                while len(self._entries) > self.floor and self.held > self.budget:
+                    self.held -= self._entries.popitem(last=False)[1][1]
         return entry[0]
 
     def cache_clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self.terms = 0
+            self.held = 0
 
 
-_reports = _ReportMemo()
+#: Reports of :func:`classify_pair`, bounded by the tower terms they hold: a
+#: few hundred KB of coefficients and dict slots.  The presets' towers hold
+#: 3 to 66 terms; a capped tower of a cubic pair holds thousands and is not
+#: kept.
+_reports = _BoundedLRU(lambda report: sum(len(level._terms) for level in report.tower), 2048)

@@ -231,6 +231,12 @@ class TestQfiNumeric:
         with pytest.raises(LeakageError):
             qfi_numeric(protocol, dim=80, retries=0)
 
+    def test_negative_retries_rejected(self):
+        # retries=-1 once ran no attempt and ended in ``raise None``
+        protocol = squeeze_protocol(3, 0.1, 0.1, ProbeDescriptor.coherent(0.3))
+        with pytest.raises(ValidationError, match="retries"):
+            qfi_numeric(protocol, dim=80, retries=-1)
+
 
 class TestSwitch:
     def test_commuting_case_control_untouched(self):
@@ -444,7 +450,7 @@ def _run_case(case):
 
 
 def _held(cache):
-    return [(key[1], entry[0]._eigvecs.nbytes) for key, entry in cache._entries.items()]
+    return [(key[1], value[0]._eigvecs.nbytes) for key, (value, _) in cache._entries.items()]
 
 
 class TestDecompositionCache:
@@ -466,28 +472,28 @@ class TestDecompositionCache:
 
     def test_budget_bounds_held_bytes(self, monkeypatch):
         budget = 200_000
-        monkeypatch.setattr(fock, "_CACHE_BYTES", budget)
         cache = fock._cached_evolver
+        monkeypatch.setattr(cache, "budget", budget)
         cache.cache_clear()
         dims = [40, 50, 60, 70, 80, 40, 90]  # 8 dim^2 bytes each: 12800 ... 64800
         for i, dim in enumerate(dims):
             fock._evolver(X * X, dim)
             held = _held(cache)
-            assert cache.nbytes == sum(size for _, size in held)
-            assert cache.nbytes <= budget or len(held) == fock._CACHE_FLOOR
-            recent = list(dict.fromkeys(reversed(dims[: i + 1])))[: fock._CACHE_FLOOR]
+            assert cache.held == sum(size for _, size in held)
+            assert cache.held <= budget or len(held) == cache.floor
+            recent = list(dict.fromkeys(reversed(dims[: i + 1])))[: cache.floor]
             assert set(recent) <= {dim for dim, _ in held}
         # the hit on 40 made 50 the least recently used
         assert [dim for dim, _ in held] == [60, 70, 80, 40, 90]
         fock._evolver(X * X, 110)
         assert [dim for dim, _ in _held(cache)] == [80, 40, 90, 110]
-        assert cache.nbytes > budget  # the floor outranks the budget
+        assert cache.held > budget  # the floor outranks the budget
         cache.cache_clear()
-        assert cache.nbytes == 0 and not cache._entries
+        assert cache.held == 0 and not cache._entries
 
     def test_threads_share_one_decomposition_per_key(self, monkeypatch):
         # a lost update would hand two threads different decompositions of
-        # one key, or leave nbytes off the held total
+        # one key, or leave the bytes held off the entries' total
         cache = fock._cached_evolver
         keys = [(poly, dim) for poly in (X, P, X * X) for dim in (20, 24, 30)]
 
@@ -518,14 +524,14 @@ class TestDecompositionCache:
         for i, vecs in hammer():
             decompositions.setdefault(i, set()).add(id(vecs))
         assert all(len(ids) == 1 for ids in decompositions.values())
-        monkeypatch.setattr(fock, "_CACHE_BYTES", 8 * 30**2 * 6)  # evicts under contention
+        monkeypatch.setattr(cache, "budget", 8 * 30**2 * 6)  # evicts under contention
         hammer()
-        assert cache.nbytes == sum(size for _, size in _held(cache))
-        assert cache.nbytes <= fock._CACHE_BYTES or len(cache._entries) == fock._CACHE_FLOOR
+        assert cache.held == sum(size for _, size in _held(cache))
+        assert cache.held <= cache.budget or len(cache._entries) == cache.floor
 
     def test_scans_keep_their_reuse_under_a_tiny_budget(self, monkeypatch, eigh_sizes):
         sizes = eigh_sizes
-        monkeypatch.setattr(fock, "_CACHE_BYTES", 1)
+        monkeypatch.setattr(fock._cached_evolver, "budget", 1)
         for dim in (120, 80):
             fock._evolver(X * X * X, dim)  # unrelated entries fill the floor
         sizes.clear()
@@ -534,7 +540,7 @@ class TestDecompositionCache:
         sizes.clear()
         switch_scan(range(1, 7), 0.1, 0.2, dim=100, mode="joint")
         assert sizes == [100]
-        assert len(fock._cached_evolver._entries) == fock._CACHE_FLOOR
+        assert len(fock._cached_evolver._entries) == fock._cached_evolver.floor
 
 
 class TestDvBound:
@@ -572,6 +578,12 @@ class TestDvBound:
             dv_bound_check(np.array([[0, 1], [0, 0]]), SIGMA_Z, [1], 0.1, probe)
         with pytest.raises(ValidationError):
             dv_bound_check(SIGMA_X, SIGMA_Z, [0], 0.1, probe)
+
+    def test_empty_n_list_rejected(self):
+        # an empty list once gave a report whose max_ratio raised ValueError
+        probe = dv_saturating_probe(SIGMA_Z)
+        with pytest.raises(ValidationError, match="n_list"):
+            dv_bound_check(SIGMA_X, SIGMA_Z, [], 0.1, probe)
 
     @pytest.mark.parametrize("g_bar", [math.nan, math.inf])
     def test_non_finite_auxiliary_rejected(self, g_bar):

@@ -242,6 +242,13 @@ class TestEnvelopes:
         env = self.make_envelope()
         assert from_json(to_json(env)) == env
 
+    def test_from_json_requires_every_field(self):
+        data = json.loads(to_json(self.make_envelope()))
+        for name in data:
+            partial = {key: value for key, value in data.items() if key != name}
+            with pytest.raises(KeyError, match=name):
+                from_json(json.dumps(partial))
+
     def test_emit_writes_file(self, tmp_path):
         env = self.make_envelope()
         out = tmp_path / "result.csv"

@@ -378,7 +378,7 @@ class TestClassifyPair:
         for g, h in ((X2, P), (SQUEEZE, P)):
             report = classify_pair(g, h, cap=6)
             for n, entry in enumerate(report.tower):
-                assert entry.allclose(adjoint_power(g, h, n), 1e-9)
+                assert entry == adjoint_power(g, h, n)
 
     def test_preconditions(self):
         # they run before the memo, so a warm one does not skip them
@@ -392,14 +392,19 @@ class TestClassifyPair:
             classify_pair(X, P, cap=1)
 
 
+def _raw(x):
+    return None if x is None else struct.pack("<2d", x.real, x.imag)
+
+
+def _raw_terms(poly):
+    """A polynomial's terms in order, each coefficient as its bytes."""
+    return [(key, _raw(c)) for key, c in poly.terms.items()]
+
+
 def _bits(report):
     """Everything a report holds, each number as its bytes (so -0.0 != 0.0)."""
-    def raw(x):
-        return None if x is None else struct.pack("<2d", x.real, x.imag)
-
-    tower = [[(key, raw(c)) for key, c in entry.terms.items()] for entry in report.tower]
-    return (report.kind, report.nilpotency_index, raw(report.constant_value),
-            raw(report.closure_p), report.cap, tower)
+    return (report.kind, report.nilpotency_index, _raw(report.constant_value),
+            _raw(report.closure_p), report.cap, [_raw_terms(entry) for entry in report.tower])
 
 
 def _memo_pairs():
@@ -455,14 +460,14 @@ class TestClassifyMemo:
         classify_pair(X2, P)
         g = parse_operator("X^3 + P^3")
         first = classify_pair(g, X)
-        assert sum(len(entry.terms) for entry in first.tower) > ladder._MEMO_TERMS
+        assert sum(len(entry.terms) for entry in first.tower) > memo.budget
         second = classify_pair(g, X)
         assert second is not first and _bits(second) == _bits(first)
-        assert len(memo._entries) == 1 and memo.terms == 4
+        assert len(memo._entries) == 1 and memo.held == 4
 
     def test_least_recently_used_evicted_within_budget(self, monkeypatch):
-        monkeypatch.setattr(ladder, "_MEMO_TERMS", 70)
         memo = ladder._reports
+        monkeypatch.setattr(memo, "budget", 70)
         pairs = {"xp": (X, P), "shear": (X2, P), "p_x4": (P, parse_operator("X^4")),
                  "p_x5": (P, parse_operator("X^5")),
                  "x2_p2": (X2, normal_order_product(P, P))}
@@ -470,18 +475,18 @@ class TestClassifyMemo:
         # 3 + 4 + 22 + 34 terms, xp touched, then 10 more
         for name in ("xp", "shear", "p_x4", "p_x5", "xp", "x2_p2"):
             kept[name] = classify_pair(*pairs[name])
-            assert memo.terms == sum(size for _, size in memo._entries.values()) <= 70
+            assert memo.held == sum(size for _, size in memo._entries.values()) <= 70
             assert classify_pair(*pairs[name]) is kept[name]  # every report fits
         # shear was the least recently used when x2_p2 came in
         held = [id(report) for report, _ in memo._entries.values()]
         assert held == [id(kept[name]) for name in ("p_x4", "p_x5", "xp", "x2_p2")]
-        assert memo.terms == 22 + 34 + 3 + 10
+        assert memo.held == 22 + 34 + 3 + 10
 
     def test_threads_keep_the_bookkeeping(self, monkeypatch):
         # more threads than cores, switching often, against a budget that
         # forces evictions: every report is bit-identical to an uncached one
         # and the terms held match the entries
-        monkeypatch.setattr(ladder, "_MEMO_TERMS", 100)
+        monkeypatch.setattr(ladder._reports, "budget", 100)
         pairs = _memo_pairs()
         expected = [_bits(ladder._classify(g, h, 32, 64)) for g, h in pairs]
         failures = []
@@ -506,7 +511,7 @@ class TestClassifyMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         memo = ladder._reports
-        assert memo.terms == sum(size for _, size in memo._entries.values()) <= 100
+        assert memo.held == sum(size for _, size in memo._entries.values()) <= 100
 
     def test_overflow_raises_on_every_call(self):
         g = parse_operator("X^6")
@@ -572,3 +577,24 @@ def test_dagger_reverses_products(a, b):
     rhs = normal_order_product(b.dagger(), a.dagger())
     scale = max(1.0, lhs.max_abs_coefficient(), rhs.max_abs_coefficient())
     assert (lhs - rhs).max_abs_coefficient() <= 1e-10 * scale
+
+
+@st.composite
+def hermitian_polynomials(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_hermitian_polynomial(rng, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_polynomials(), hermitian_polynomials(), st.integers(2, 12))
+def test_tower_levels_are_the_commutator_chain(g, h, cap):
+    # the tower and commutator step through one kernel path, so each level
+    # is the chain of commutators bit for bit (g has degree <= 4, so each
+    # level adds at most 2 and none nears the limit)
+    report = ladder._classify(g, h, cap, 64)
+    level = h
+    for entry in report.tower[1:]:
+        level = commutator(g, level)
+        assert _raw_terms(entry) == _raw_terms(level)
+    if report.kind in (KIND_FINITE, KIND_FINITE_CONSTANT):
+        assert commutator(g, level).is_zero()
