@@ -40,7 +40,8 @@ from . import experiments, io
 from .errors import NcmetroError, NotGaussianError, NumericalTrustError, ValidationError
 from .expressions import format_polynomial, parse_operator
 from .fock import (
-    DEFAULT_DIM, DEFAULT_STEP, dv_bound_check, dv_saturating_probe, qfi_numeric,
+    DEFAULT_DIM, DEFAULT_STEP, SWITCH_MODES, dv_bound_check, dv_saturating_probe,
+    qfi_numeric,
 )
 from .gaussian import gaussian_probe, qfi_linear_generator
 from .generators import local_generator, qcrb_rmse
@@ -296,7 +297,7 @@ def _run_example1(ns):
 @_command("switch", "two-order superposition scaling fit", _n_flag("1..6"),
           _flag("--x", type=_FLOAT, default=0.1), _flag("--p", type=_FLOAT, default=0.2),
           *_DIM_STEP,
-          _flag("--mode", choices=("control", "joint", "definite"), default="control"))
+          _flag("--mode", choices=SWITCH_MODES, default="control"))
 def _run_switch(ns):
     # the control qubit carries the phase N^2 x p: with p = 0 its QFI is 0
     if ns.mode == "control" and ns.p == 0:
@@ -416,9 +417,10 @@ def run_config(ns: argparse.Namespace) -> io.ResultEnvelope:
     config = {key: [value.real, value.imag] if isinstance(value, complex) else value
               for key, value in vars(ns).items()}
     if isinstance(result[0], experiments.ScanResult):
-        envelope = io.envelope_from_scan(ns.command, config, *result)
-    else:
-        envelope = io.ResultEnvelope(ns.command, config, *result)
+        scan, *rest = result
+        rows = [[row.get(col) for col in scan.columns] for row in scan.rows]
+        result = scan.columns, rows, *rest
+    envelope = io.ResultEnvelope(ns.command, config, *result)
     envelope.duration_s = time.perf_counter() - start
     envelope.timestamp = datetime.now(timezone.utc).isoformat()
     return envelope

@@ -25,7 +25,6 @@ _LOG10 = math.log(10.0)
 class ScanResult:
     """Tabular scan output: named columns, rows keyed by the scan variable."""
 
-    label: str
     columns: list[str]
     rows: list[dict]
     metadata: dict = field(default_factory=dict)
@@ -93,7 +92,6 @@ def fig2a_scan(k_list: Sequence[int], n_range: Sequence[int]) -> ScanResult:
         for n in sorted(n_range)
     ]
     return ScanResult(
-        label="coefficient-vs-N",
         columns=columns,
         rows=rows,
         metadata={"k_list": list(k_list), "n_range": sorted(n_range)},
@@ -113,7 +111,6 @@ def fig2b_scan(n_list: Sequence[int], k_max: int) -> ScanResult:
     ]
     peaks = {f"N{n}": list(k_peak(n, k_max)) for n in n_list}
     return ScanResult(
-        label="coefficient-vs-K",
         columns=columns,
         rows=rows,
         metadata={"n_list": list(n_list), "k_max": k_max, "k_peak": peaks},
@@ -176,7 +173,6 @@ def fig3_scan(
                 pass  # row keeps None markers: oracle did not converge
         rows.append(row)
     return ScanResult(
-        label="squeeze-qfi-cfi",
         columns=columns,
         rows=rows,
         metadata={
@@ -209,7 +205,6 @@ def example1_scan(
         gen = local_generator(protocol).generator
         rows.append({"N": n, "qfi": qfi_linear_generator(probe_state, gen)})
     return ScanResult(
-        label=f"{preset}-qfi",
         columns=["N", "qfi"],
         rows=rows,
         metadata={
@@ -252,7 +247,6 @@ def switch_scan(
             {"N": n, "qfi": estimate.value, "trusted": 1 if estimate.trusted else 0}
         )
     return ScanResult(
-        label=f"switch-{mode}-qfi",
         columns=["N", "qfi", "trusted"],
         rows=rows,
         metadata={

@@ -21,7 +21,6 @@ import re
 
 from .errors import ExpressionError
 from .ladder import (
-    DEFAULT_MAX_DEGREE,
     LadderPolynomial,
     annihilation_op,
     creation_op,
@@ -51,10 +50,10 @@ def _operator(value: complex | LadderPolynomial) -> LadderPolynomial:
     return identity_op(value) if isinstance(value, complex) else value
 
 
-def _product(a, b, max_degree: int) -> complex | LadderPolynomial:
+def _product(a, b) -> complex | LadderPolynomial:
     if isinstance(a, complex) and isinstance(b, complex):
         return 0j + a * b  # no negative zeros, as in normal_order_product
-    return normal_order_product(_operator(a), _operator(b), max_degree)
+    return normal_order_product(_operator(a), _operator(b))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -80,11 +79,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, max_degree: int):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-        self.max_degree = max_degree
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -126,7 +124,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = _product(result, self.unary(), self.max_degree)
+                result = _product(result, self.unary())
             else:
                 return result
 
@@ -156,7 +154,7 @@ class _Parser:
                 exponent = int(evalue)
                 out = 1 + 0j
                 for _ in range(exponent):
-                    out = _product(out, base, self.max_degree)
+                    out = _product(out, base)
                 base = out
             else:
                 return base
@@ -177,9 +175,9 @@ class _Parser:
         )
 
 
-def parse_operator(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> LadderPolynomial:
+def parse_operator(text: str) -> LadderPolynomial:
     """Parse an operator expression like ``"X^2 - P^2"`` or ``"ad^2 + a^2"``."""
-    return _Parser(text, max_degree).parse()
+    return _Parser(text).parse()
 
 
 def _format_coefficient(c: complex) -> str:

@@ -622,6 +622,8 @@ def dv_bound_check(
 
     rows = []
     for n in n_list:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"n_list entries must be integers, not {n!r}")
         if n < 1:
             raise ValidationError("n_list entries must be >= 1")
         u = (v_g * np.exp(1j * n * g_bar * w_g)) @ v_g.conj().T

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ValidationError
-from .experiments import ScanResult
 
 SCHEMA_VERSION = 1
 
@@ -32,24 +31,6 @@ class ResultEnvelope:
     duration_s: float = 0.0
     timestamp: str = ""
     schema_version: int = SCHEMA_VERSION
-
-
-def envelope_from_scan(
-    command: str,
-    config: dict,
-    scan: ScanResult,
-    value: dict | None = None,
-    trust: dict | None = None,
-) -> ResultEnvelope:
-    rows = [[row.get(col) for col in scan.columns] for row in scan.rows]
-    return ResultEnvelope(
-        command=command,
-        config=config,
-        columns=list(scan.columns),
-        rows=rows,
-        value=value,
-        trust=dict(trust or {}),
-    )
 
 
 def _format_cell(cell) -> str:

@@ -18,10 +18,12 @@ are many.  The contraction weights are the exact normal-ordering integers
 R(n, m, k) = C(n, k) C(m, k) k! (Blasiak et al., Am. J. Phys. 75, 639,
 2007); for one term and one k they are a row minus a column vector, so
 each (term, k) is one slice-add over the other operand's whole grid.  A
-tower keeps each level's grid for the next level.  A pair is classified
-once per process: :func:`classify_pair` keeps its reports in a bounded
-least-recently-used cache (:class:`_BoundedLRU`, which also holds the Fock
-oracle's decompositions), sized by the tower terms they hold.
+tower keeps each level's grid for the next level.  Every product stops at
+the fixed total degree ``MAX_DEGREE``; within it each weight difference
+is rounded once.  A pair is classified once per process:
+:func:`classify_pair` keeps its reports in a bounded least-recently-used
+cache (:class:`_BoundedLRU`, which also holds the Fock oracle's
+decompositions), sized by the tower terms they hold.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import DegreeOverflowError, ValidationError
 CHOP_TOLERANCE = 1e-12
 
 #: Largest total degree (m + n) a product may produce before erroring out.
-DEFAULT_MAX_DEGREE = 64
+MAX_DEGREE = 64
 
 #: Default number of adjoint-tower levels explored by :func:`classify_pair`.
 DEFAULT_ADJOINT_CAP = 32
@@ -51,9 +53,6 @@ DEFAULT_ADJOINT_CAP = 32
 CLOSURE_TOLERANCE = 1e-10
 
 _SQRT2 = math.sqrt(2.0)
-
-#: Integers below this are exact floats, and so is the difference of two.
-_EXACT = 2.0**53
 
 
 class LadderPolynomial:
@@ -225,16 +224,12 @@ def _reorder_coefficient(n1: int, m2: int, k: int) -> int:
     return math.comb(n1, k) * math.comb(m2, k) * math.factorial(k)
 
 
-def _check_degree(degree: int, max_degree: int) -> None:
-    if degree > max_degree:
-        raise DegreeOverflowError(f"product degree {degree} exceeds limit {max_degree}")
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise DegreeOverflowError(f"product degree {degree} exceeds limit {MAX_DEGREE}")
 
 
-def normal_order_product(
-    a: LadderPolynomial,
-    b: LadderPolynomial,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-) -> LadderPolynomial:
+def normal_order_product(a: LadderPolynomial, b: LadderPolynomial) -> LadderPolynomial:
     """Canonical form of the operator product a * b.
 
     Each term pair is recombined through the Wick-style reordering identity
@@ -242,11 +237,11 @@ def normal_order_product(
 
     Raises:
         DegreeOverflowError: if the worst-case product degree exceeds
-            ``max_degree`` (the sum of the input degrees is the bound).
+            ``MAX_DEGREE`` (the sum of the input degrees is the bound).
     """
     if a.is_zero() or b.is_zero():
         return zero_op()
-    _check_degree(a.degree + b.degree, max_degree)
+    _check_degree(a.degree + b.degree)
     out: dict[tuple[int, int], complex] = {}
     for (m1, n1), c1 in a.terms.items():
         for (m2, n2), c2 in b.terms.items():
@@ -263,11 +258,7 @@ _kernel_errors = np.errstate(over="ignore", invalid="ignore")
 
 
 @_kernel_errors
-def commutator(
-    a: LadderPolynomial,
-    b: LadderPolynomial,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-) -> LadderPolynomial:
+def commutator(a: LadderPolynomial, b: LadderPolynomial) -> LadderPolynomial:
     """Canonical form of [a, b] = a*b - b*a, from the contracted terms alone:
     one step of a's adjoint tower (:class:`_AdjointStep`).
 
@@ -283,11 +274,13 @@ def commutator(
     vector minus a column vector, so the dense kernel (:func:`_contract`)
     adds ``(c1 * V) * W_k`` over the whole coefficient grid V of the other
     operand in one numpy slice-add, shifted by (m1 - k, n1 - k).  Each
-    weight difference is exact (a float difference of rows below 2^53, a
-    Python-integer difference above) and rounded once, and each value is
-    (c1 * c2) * W, rounded as the term-by-term sum rounds it.  The k = 0
-    terms are never formed, and nothing cancels between two large products,
-    so deep adjoint towers keep their digits.
+    weight is the float difference of two rows, each rounded once.  That
+    is exact below 2^53, and above it, for every weight pair that a product
+    within ``MAX_DEGREE`` reaches, it is the exact difference rounded once:
+    the tests check all of them.  Each value is (c1 * c2) * W, rounded as
+    the term-by-term sum rounds it.  The k = 0 terms are never formed, and
+    nothing cancels between two large products, so deep adjoint towers keep
+    their digits.
 
     Antisymmetry is exact: the kernel always runs over the terms of the
     operand with fewer terms (:func:`_runs_outer`) against the other's grid,
@@ -297,12 +290,12 @@ def commutator(
 
     Raises:
         DegreeOverflowError: under the same rule as :func:`normal_order_product`
-            (the sum of the input degrees exceeds ``max_degree``).
+            (the sum of the input degrees exceeds ``MAX_DEGREE``).
         ValidationError: if a coefficient of the result is not finite.
     """
     if a.is_zero() or b.is_zero():
         return zero_op()
-    return _AdjointStep(a, max_degree)(b, None)[0]
+    return _AdjointStep(a)(b, None)[0]
 
 
 class _AdjointStep:
@@ -316,8 +309,8 @@ class _AdjointStep:
     Callers step under ``_kernel_errors``.
     """
 
-    def __init__(self, g: LadderPolynomial, max_degree: int):
-        self.g, self.extent, self.max_degree = g, _extent(g), max_degree
+    def __init__(self, g: LadderPolynomial):
+        self.g, self.extent = g, _extent(g)
         self.degree = sum(self.extent) - 2  # bounds g's degree; exact once needed
         self.g_grid = self.g_terms = self.g_coefficients = self.g_plan = None
         self.g_shape, self.on_g = (0, 0), {}
@@ -326,13 +319,13 @@ class _AdjointStep:
                  grid: np.ndarray | None) -> tuple[LadderPolynomial, np.ndarray]:
         """[g, t] and its grid trimmed to its terms, from a nonzero t and t's
         trimmed grid (or None, to build it only if the step needs it)."""
-        g, length = self.g, self.max_degree + 1
+        g = self.g
         shape = _extent(t) if grid is None else grid.shape
         # extents bound degrees (m + n <= rows - 1 + cols - 1); the exact
         # degrees are needed only near the limit
-        if self.degree + sum(shape) - 2 > self.max_degree:
+        if self.degree + sum(shape) - 2 > MAX_DEGREE:
             self.degree = g.degree
-            _check_degree(self.degree + t.degree, self.max_degree)
+            _check_degree(self.degree + t.degree)
         g_outer = _runs_outer(g, t)
         if g_outer is None:
             return zero_op(), grid
@@ -343,8 +336,8 @@ class _AdjointStep:
                 # a first step (a lone commutator) needs only this grid; the
                 # grids of a tower's later levels grow towards the limit
                 first = self.g_terms is None and self.g_grid is None
-                self.g_shape = shape if first else (length - g.degree,) * 2
-                self.g_terms = [(m1, n1, _contractions(m1, n1, *self.g_shape, length))
+                self.g_shape = shape if first else (MAX_DEGREE + 1 - g.degree,) * 2
+                self.g_terms = [(m1, n1, _contractions(m1, n1, *self.g_shape))
                                 for m1, n1 in g._terms]
                 self.g_coefficients = _coefficients(g, True)
                 self.g_plan = None
@@ -358,7 +351,7 @@ class _AdjointStep:
             on_g = self.on_g
             for key in t._terms:
                 if key not in on_g:
-                    on_g[key] = (*key, _contractions(*key, *self.extent, length))
+                    on_g[key] = (*key, _contractions(*key, *self.extent))
             plan = _plan([on_g[key] for key in t._terms], self.extent, shape)
             entry, grid = _polynomial(_contract(_coefficients(t, False), plan, self.g_grid))
         return entry, grid
@@ -400,17 +393,18 @@ def _grid(p: LadderPolynomial, extent: tuple[int, int]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _weight_row(j: int, k: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """R(j, x, k) for x = 0 .. length - 1, each rounded to a float once, and
+def _weight_row(j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """R(j, x, k) for x = 0 .. MAX_DEGREE, each rounded to a float once, and
     0 - R(j, x, k) (complex dtype, read-only)."""
     scale = math.comb(j, k) * math.factorial(k)
-    row = np.array([float(scale * math.comb(x, k)) for x in range(length)], dtype=complex)
+    row = np.array([float(scale * math.comb(x, k)) for x in range(MAX_DEGREE + 1)],
+                   dtype=complex)
     negated = np.subtract(0.0, row)
     row.flags.writeable = negated.flags.writeable = False
     return row, negated
 
 
-def _contractions(m1: int, n1: int, rows: int, cols: int, length: int) -> list:
+def _contractions(m1: int, n1: int, rows: int, cols: int) -> list:
     """The contractions of term (m1, n1) with a rows x cols grid: (k, i, j, W_k)
     for every k >= 1 that reaches the grid, where W_k[m2, n2] = R(n1, m2, k) -
     R(n2, m1, k) and (i, j) are the first row and column of the grid that the
@@ -418,25 +412,19 @@ def _contractions(m1: int, n1: int, rows: int, cols: int, length: int) -> list:
 
     Past min(m1, n1) one of the two rows vanishes, and W_k is the other row
     alone, kept as a (1, cols) or (rows, 1) array that broadcasts.  Where
-    both rows are present and exact (below 2^53) their float difference is
-    exact; otherwise the difference is taken in Python integers.  Either way
-    each weight is rounded once.
+    both rows are present, W_k is their float difference, which within
+    ``MAX_DEGREE`` is the exact difference rounded once (see
+    :func:`commutator`).
     """
     out = []
     for k in range(1, max(min(n1, rows - 1), min(m1, cols - 1)) + 1):
         if k > n1:
-            weight = _weight_row(m1, k, length)[1][None, :cols]
+            weight = _weight_row(m1, k)[1][None, :cols]
         elif k > m1:
-            weight = _weight_row(n1, k, length)[0][:rows, None]
+            weight = _weight_row(n1, k)[0][:rows, None]
         else:
-            forward = _weight_row(n1, k, length)[0][:rows]
-            backward = _weight_row(m1, k, length)[0][:cols]
-            if forward[-1].real < _EXACT and backward[-1].real < _EXACT:
-                weight = np.subtract.outer(forward, backward)
-            else:
-                weight = np.array([
-                    [complex(_reorder_coefficient(n1, m2, k) - _reorder_coefficient(n2, m1, k))
-                     for n2 in range(cols)] for m2 in range(rows)])
+            weight = np.subtract.outer(_weight_row(n1, k)[0][:rows],
+                                       _weight_row(m1, k)[0][:cols])
         out.append((k, k - m1 if k > m1 else 0, k - n1 if k > n1 else 0, weight))
     return out
 
@@ -520,12 +508,7 @@ def _polynomial(out: np.ndarray) -> tuple[LadderPolynomial, np.ndarray]:
 
 
 @_kernel_errors
-def adjoint_power(
-    g: LadderPolynomial,
-    h: LadderPolynomial,
-    n: int,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-) -> LadderPolynomial:
+def adjoint_power(g: LadderPolynomial, h: LadderPolynomial, n: int) -> LadderPolynomial:
     """n-fold nested commutator [g, [g, ... [g, h] ...]]; n = 0 returns h."""
     if n < 0:
         raise ValidationError("adjoint power requires n >= 0")
@@ -533,7 +516,7 @@ def adjoint_power(
         return h
     if g.is_zero() or h.is_zero():
         return zero_op()
-    step, out, grid = _AdjointStep(g, max_degree), h, None
+    step, out, grid = _AdjointStep(g), h, None
     for _ in range(n):
         out, grid = step(out, grid)
         if out.is_zero():
@@ -616,7 +599,6 @@ def classify_pair(
     g: LadderPolynomial,
     h: LadderPolynomial,
     cap: int = DEFAULT_ADJOINT_CAP,
-    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> NilpotencyReport:
     """Classify the noncommutative structure of the pair (g, h).
 
@@ -636,23 +618,20 @@ def classify_pair(
     A pair is classified once per process: the report is kept by
     ``_reports`` (a :class:`_BoundedLRU` that keeps no oversized tower and
     no error) and returned again for the same exact terms of g and h
-    (:func:`_exact_key`), ``cap`` and ``max_degree``.  Reports are
-    therefore shared between callers and must not be mutated.
+    (:func:`_exact_key`) and ``cap``.  Reports are therefore shared between
+    callers and must not be mutated.
     """
     if g.is_zero() or h.is_zero():
         raise ValidationError("classification requires nonzero operators")
     if cap < 2:
         raise ValidationError("adjoint cap must be at least 2")
-    return _reports((_exact_key(g), _exact_key(h), cap, max_degree),
-                    lambda: _classify(g, h, cap, max_degree))
+    return _reports((_exact_key(g), _exact_key(h), cap), lambda: _classify(g, h, cap))
 
 
 @_kernel_errors
-def _classify(
-    g: LadderPolynomial, h: LadderPolynomial, cap: int, max_degree: int
-) -> NilpotencyReport:
+def _classify(g: LadderPolynomial, h: LadderPolynomial, cap: int) -> NilpotencyReport:
     """The adjoint tower of :func:`classify_pair` and its classification."""
-    step = _AdjointStep(g, max_degree)
+    step = _AdjointStep(g)
     tower: list[LadderPolynomial] = [h]
     grid = None
     for n in range(1, cap + 1):

@@ -154,11 +154,11 @@ def squeeze_protocol(
     )
 
 
-#: Preset registry: name -> (builder, auxiliary-parameter name).
+#: Preset registry: name -> builder.
 PRESETS = {
-    "shear-k1": (shear_protocol, "s"),
-    "xp-constant": (constant_commutator_protocol, "g"),
-    "squeeze-inf": (squeeze_protocol, "xi"),
+    "shear-k1": shear_protocol,
+    "xp-constant": constant_commutator_protocol,
+    "squeeze-inf": squeeze_protocol,
 }
 
 
@@ -174,5 +174,4 @@ def build_preset(
         raise ValidationError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    builder, _ = PRESETS[name]
-    return builder(n, lambda_bar, aux, probe)
+    return PRESETS[name](n, lambda_bar, aux, probe)

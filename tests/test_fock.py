@@ -585,6 +585,20 @@ class TestDvBound:
         with pytest.raises(ValidationError, match="n_list"):
             dv_bound_check(SIGMA_X, SIGMA_Z, [], 0.1, probe)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, np.float64(3.0)])
+    def test_non_integer_n_rejected(self, n):
+        # [1.5, True] once gave two rows labelled N = 1, the first computed
+        # at N = 1.5
+        probe = dv_saturating_probe(SIGMA_Z)
+        with pytest.raises(ValidationError, match="must be integers"):
+            dv_bound_check(SIGMA_X, SIGMA_Z, [1, n], 0.3, probe)
+
+    def test_numpy_integer_n_accepted(self):
+        probe = dv_saturating_probe(SIGMA_Z)
+        report = dv_bound_check(SIGMA_X, SIGMA_Z, np.arange(1, 4), 0.3, probe)
+        assert report == dv_bound_check(SIGMA_X, SIGMA_Z, [1, 2, 3], 0.3, probe)
+        assert [type(row.n) for row in report.rows] == [int] * 3
+
     @pytest.mark.parametrize("g_bar", [math.nan, math.inf])
     def test_non_finite_auxiliary_rejected(self, g_bar):
         # a nan g_bar once gave DvBoundRow(qfi=nan, bound=1.0)

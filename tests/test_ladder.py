@@ -211,9 +211,9 @@ class TestCommutatorFastPath:
         assert calls == []
 
     def test_degree_overflow_where_products_overflowed(self):
-        def raises(fn, a, b, max_degree):
+        def raises(fn, a, b):
             try:
-                fn(a, b, max_degree)
+                fn(a, b)
             except DegreeOverflowError:
                 return True
             return False
@@ -225,12 +225,10 @@ class TestCommutatorFastPath:
             (zero_op(), ladder_term(70, 0)),
             (ladder_term(33, 0), ladder_term(33, 0)),
         ]
+        # degrees 70, 70, 64, 70 and 66 straddle the limit of 64
         for a, b in pairs:
-            for max_degree in (8, 63, 64, 70, 100):
-                expected = raises(normal_order_product, a, b, max_degree) or raises(
-                    normal_order_product, b, a, max_degree
-                )
-                assert raises(commutator, a, b, max_degree) == expected
+            expected = raises(normal_order_product, a, b) or raises(normal_order_product, b, a)
+            assert raises(commutator, a, b) == expected
         with pytest.raises(DegreeOverflowError, match="product degree 70 exceeds limit 64"):
             commutator(ladder_term(40, 0), ladder_term(0, 30))
 
@@ -282,22 +280,44 @@ class TestDenseKernel:
             scale = reference.max_abs_coefficient()
             assert max_abs_difference(entry, reference) <= 1e-12 * scale, level
 
-    @pytest.mark.parametrize("first, second, max_degree", [
+    @pytest.mark.parametrize("first, second", [
         # R(20, 20, 12) = C(20, 12)^2 12! ~ 7.6e18 passes 2^53
-        ((12, 20), (20, 12), 64),
-        # R(21, 27, 10) ~ 1.1e19 is not a float, and rounding it before
-        # subtracting R(10, 10, 10) = 10! would round twice
-        ((10, 21), (27, 10), 68),
+        ((12, 20), (20, 12)),
     ])
-    def test_weights_beyond_2_53_are_rounded_once(self, first, second, max_degree):
+    def test_weights_beyond_2_53_are_rounded_once(self, first, second):
         a, b = ladder_term(*first), ladder_term(*second)
-        result = commutator(a, b, max_degree)
+        result = commutator(a, b)
         exact = exact_commutator({first: Fraction(1)}, {second: Fraction(1)})
         assert max(abs(value) for value in exact.values()) > 2**53
         assert set(result.terms) == set(exact)
         for key, value in exact.items():
             assert result.coefficient(*key) == float(value), key
-        assert commutator(b, a, max_degree) == -result
+        assert commutator(b, a) == -result
+
+    def test_every_reachable_weight_difference_is_rounded_once(self):
+        # the kernel takes W_k = R(n1, m2, k) - R(n2, m1, k) as the float
+        # difference of two once-rounded rows.  Both are present when all four
+        # exponents are at least k, and a product within the limit has
+        # (n1 + m2) + (m1 + n2) <= MAX_DEGREE, so a pair of values is reachable
+        # when the least n + m that gives each sums to at most the limit.
+        # Every such pair above 2^53 must give the exact difference rounded
+        # once; at a limit of 68, 22 pairs would round twice.
+        limit, checked, twice = ladder.MAX_DEGREE, 0, []
+        for k in range(1, limit // 4 + 1):
+            least = {}  # R(n, m, k) -> (n + m, its float in the kernel's row)
+            for n in range(k, limit - 3 * k + 1):
+                for m in range(k, limit - 2 * k - n + 1):
+                    value = math.comb(n, k) * math.comb(m, k) * math.factorial(k)
+                    if n + m < least.get(value, (limit + 1,))[0]:
+                        least[value] = n + m, ladder._weight_row(n, k)[0][m].real
+            for a, (da, fa) in least.items():
+                for b, (db, fb) in least.items():
+                    if da + db <= limit and max(a, b) > 2**53:
+                        checked += 1
+                        if fa - fb != float(a - b):
+                            twice.append((k, a, b))
+        assert checked > 0
+        assert twice == []
 
     def test_tower_is_the_commutator_chain(self):
         # classify_pair and commutator share the kernel: every level is
@@ -424,7 +444,7 @@ def _memo_pairs():
 class TestClassifyMemo:
     def test_warm_reports_are_bit_identical_to_uncached(self):
         pairs = _memo_pairs()
-        expected = [_bits(ladder._classify(g, h, 32, 64)) for g, h in pairs]
+        expected = [_bits(ladder._classify(g, h, 32)) for g, h in pairs]
         order = list(range(len(pairs)))
         random.Random(5).shuffle(order)
         for i in order + order:  # fill in shuffled order, then read warm
@@ -439,7 +459,7 @@ class TestClassifyMemo:
         assert twin == P and _bits(classify_pair(SQUEEZE, P)) != _bits(classify_pair(SQUEEZE, twin))
         for h in (P, twin, P, twin):
             report = classify_pair(SQUEEZE, h)
-            assert _bits(report) == _bits(ladder._classify(SQUEEZE, h, 32, 64))
+            assert _bits(report) == _bits(ladder._classify(SQUEEZE, h, 32))
         assert len(ladder._reports._entries) == 2
 
     def test_term_order_is_part_of_the_key(self):
@@ -452,8 +472,8 @@ class TestClassifyMemo:
             ladder._reports.cache_clear()
             classify_pair(first, P, cap=8)
             assert _bits(classify_pair(second, P, cap=8)) == _bits(
-                ladder._classify(second, P, 8, 64))
-        assert _bits(ladder._classify(g, P, 8, 64)) != _bits(ladder._classify(reordered, P, 8, 64))
+                ladder._classify(second, P, 8))
+        assert _bits(ladder._classify(g, P, 8)) != _bits(ladder._classify(reordered, P, 8))
 
     def test_oversized_report_returned_but_not_kept(self):
         memo = ladder._reports
@@ -488,7 +508,7 @@ class TestClassifyMemo:
         # and the terms held match the entries
         monkeypatch.setattr(ladder._reports, "budget", 100)
         pairs = _memo_pairs()
-        expected = [_bits(ladder._classify(g, h, 32, 64)) for g, h in pairs]
+        expected = [_bits(ladder._classify(g, h, 32)) for g, h in pairs]
         failures = []
 
         def work(seed):
@@ -591,7 +611,7 @@ def test_tower_levels_are_the_commutator_chain(g, h, cap):
     # the tower and commutator step through one kernel path, so each level
     # is the chain of commutators bit for bit (g has degree <= 4, so each
     # level adds at most 2 and none nears the limit)
-    report = ladder._classify(g, h, cap, 64)
+    report = ladder._classify(g, h, cap)
     level = h
     for entry in report.tower[1:]:
         level = commutator(g, level)
