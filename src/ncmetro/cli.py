@@ -59,6 +59,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if match.group(1) else 1.0
         num = float(match.group(2)) if match.group(2) else 1.0
         den = float(match.group(3)) if match.group(3) else 1.0
+        if den == 0.0:
+            raise ValidationError(f"angle {text!r} divides by zero")
         return sign * num * math.pi / den
     try:
         return float(text)

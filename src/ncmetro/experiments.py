@@ -151,9 +151,15 @@ def fig3_scan(
     rows = []
     for n in sorted(n_range):
         protocol = build_preset("squeeze-inf", n, x_bar, xi_bar, probe)
+        try:
+            closed = 2.0 * n**2 * math.cosh(2.0 * n * xi_bar)
+        except OverflowError:
+            raise ValidationError(
+                f"closed-form QFI overflows: cosh(2*N*xi_bar) with N = {n}, "
+                f"xi_bar = {xi_bar!r}"
+            ) from None
         gen = local_generator(protocol).generator
         qfi_gauss = qfi_linear_generator(gaussian_probe(probe), gen)
-        closed = 2.0 * n**2 * math.cosh(2.0 * n * xi_bar)
         cfi = cfi_quadrature(protocol, spec)
         row = {
             "N": n,

@@ -149,9 +149,9 @@ class HermitianEvolver:
     eigen-coordinates, in which evolution is a diagonal phase.
     """
 
-    def __init__(self, matrix: np.ndarray, tol: float = _HERMITIAN_TOL):
+    def __init__(self, matrix: np.ndarray):
         drift = float(np.abs(matrix - matrix.conj().T).max())
-        if drift > tol:
+        if drift > _HERMITIAN_TOL:
             raise ValidationError(
                 f"evolution generator not Hermitian (max deviation {drift:.3e})"
             )

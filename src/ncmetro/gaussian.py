@@ -5,10 +5,12 @@ vacuum covariance diag(1/2, 1/2), and sigma_ij the symmetrized second moment
 <{dR_i, dR_j}>/2.  Note the convention mapping: the doubled cross moment
 <XP + PX> - 2<X><P> often quoted for these protocols equals 2 * sigma_XP.
 
-Quadratic Hamiltonians H = (1/2) R^T G R + d^T R evolve states through the
-symplectic matrix S = exp(t Omega G); because Omega G is traceless and 2x2,
-S and the inhomogeneous shift integral have closed forms, so evolution is
-exact to machine precision and purity det(cov) = 1/4 is preserved.
+One map, ``_quadratures``, reads a ladder polynomial of degree <= 2 as
+H = (1/2) R^T G R + d^T R + c, with ad = (X - iP)/sqrt2 and a = (X + iP)/sqrt2.
+States evolve through the symplectic matrix S = exp(t Omega G); because
+Omega G is traceless and 2x2, S and the inhomogeneous shift integral have
+closed forms, so evolution is exact to machine precision and purity
+det(cov) = 1/4 is preserved.
 """
 
 from __future__ import annotations
@@ -126,49 +128,39 @@ class HomodyneSpec:
         return np.array([math.cos(self.theta), math.sin(self.theta)])
 
 
-def quadratic_from_polynomial(poly: LadderPolynomial) -> QuadraticHamiltonian:
-    """Convert a degree-<=2 Hermitian ladder polynomial to (G, d) form.
+def _quadratures(poly: LadderPolynomial) -> tuple[float, float, float, float, float]:
+    """Real (G_xx, G_pp, G_xp, d_x, d_p) of a polynomial of degree <= 2, each
+    a fixed sum of its coefficients of ad^2, ad a, a^2, ad and a.  An entry,
+    or the constant, with an imaginary part above _IMAG_TOL relative to the
+    largest of them is an InternalConsistencyError."""
+    coeff = poly._terms.get  # the dict itself, not a view: the QFI path is hot
+    c20, c02, c11 = coeff((2, 0), 0j), coeff((0, 2), 0j), coeff((1, 1), 0j)
+    c10, c01, c00 = coeff((1, 0), 0j), coeff((0, 1), 0j), coeff((0, 0), 0j)
+    pair = c20 + c02
+    g_xx, g_pp, g_xp = pair + c11, c11 - pair, 1j * (c02 - c20)
+    d_x, d_p = (c10 + c01) / _SQRT2, 1j * (c01 - c10) / _SQRT2
+    imag = max(abs(g_xx.imag), abs(g_pp.imag), abs(g_xp.imag),
+               abs(d_x.imag), abs(d_p.imag), abs(c00.imag))
+    # the scale is at least 1, so an exactly real result skips computing it
+    if imag > _IMAG_TOL and imag > _IMAG_TOL * max(
+        1.0, abs(g_xx), abs(g_pp), abs(g_xp), abs(d_x), abs(d_p), abs(c00)
+    ):
+        raise InternalConsistencyError(
+            "non-Hermitian generator produced complex quadrature coefficients"
+        )
+    return g_xx.real, g_pp.real, g_xp.real, d_x.real, d_p.real
 
-    Raises NotGaussianError for higher-degree generators; those protocols
-    must go through the Fock oracle.
-    """
+
+def quadratic_from_polynomial(poly: LadderPolynomial) -> QuadraticHamiltonian:
+    """(G, d) form of a Hermitian ladder polynomial of degree <= 2; a higher
+    degree is a NotGaussianError (such protocols go to the Fock oracle)."""
     if poly.degree > 2:
         raise NotGaussianError(
             f"generator has degree {poly.degree}; not Gaussian-simulable, "
             "use the Fock oracle"
         )
-    q_xx = q_pp = cross = lin_x = lin_p = 0j
-    for (m, n), c in poly.terms.items():
-        if (m, n) == (2, 0):
-            q_xx += c / 2.0
-            q_pp -= c / 2.0
-            cross -= 1j * c / 2.0
-        elif (m, n) == (0, 2):
-            q_xx += c / 2.0
-            q_pp -= c / 2.0
-            cross += 1j * c / 2.0
-        elif (m, n) == (1, 1):
-            q_xx += c / 2.0
-            q_pp += c / 2.0
-        elif (m, n) == (1, 0):
-            lin_x += c / _SQRT2
-            lin_p -= 1j * c / _SQRT2
-        elif (m, n) == (0, 1):
-            lin_x += c / _SQRT2
-            lin_p += 1j * c / _SQRT2
-        # (0, 0): constant phase, dropped
-
-    coeffs = (q_xx, q_pp, cross, lin_x, lin_p)
-    scale = max(1.0, *(abs(c) for c in coeffs))
-    if any(abs(c.imag) > _IMAG_TOL * scale for c in coeffs):
-        raise InternalConsistencyError(
-            "non-Hermitian generator produced complex quadrature coefficients"
-        )
-    g = np.array(
-        [[2.0 * q_xx.real, 2.0 * cross.real], [2.0 * cross.real, 2.0 * q_pp.real]]
-    )
-    d = np.array([lin_x.real, lin_p.real])
-    return QuadraticHamiltonian(g_matrix=g, d_vector=d)
+    g_xx, g_pp, g_xp, d_x, d_p = _quadratures(poly)
+    return QuadraticHamiltonian([[g_xx, g_xp], [g_xp, g_pp]], [d_x, d_p])
 
 
 def _symplectic_and_integral(ham: QuadraticHamiltonian, t: float):
@@ -229,34 +221,20 @@ def run_protocol(protocol: EncodingProtocol) -> GaussianState:
     return state
 
 
-def linear_coefficients(gen: LadderPolynomial) -> tuple[float, float, float]:
-    """Decompose a degree-<=1 Hermitian polynomial as a*X + b*P + c."""
+def qfi_linear_generator(probe: GaussianState, gen: LadderPolynomial) -> float:
+    """QFI = 4 Var[gen] for a linear generator a*X + b*P + c on the probe."""
     for (m, n) in gen.terms:
         if m + n > 1:
             raise NotGaussianError(
                 f"generator has degree {gen.degree}; variance of quadratic "
                 "generators is delegated to the Fock oracle (qfi_numeric)"
             )
-    u = gen.coefficient(1, 0)
-    v = gen.coefficient(0, 1)
-    a = (u + v) / _SQRT2
-    b = 1j * (v - u) / _SQRT2
-    c = gen.constant_term()
-    scale = max(1.0, abs(a), abs(b), abs(c))
-    if max(abs(a.imag), abs(b.imag), abs(c.imag)) > _IMAG_TOL * scale:
-        raise InternalConsistencyError("linear generator is not Hermitian")
-    return a.real, b.real, c.real
-
-
-def qfi_linear_generator(probe: GaussianState, gen: LadderPolynomial) -> float:
-    """QFI = 4 Var[gen] for a linear generator a*X + b*P + c on the probe."""
-    a, b, _ = linear_coefficients(gen)
-    var = (
-        a * a * probe.var_x
-        + b * b * probe.var_p
-        + 2.0 * a * b * probe.cov_xp
-    )
-    return 4.0 * var
+    _, _, _, a, b = _quadratures(gen)
+    (var_x, cov_xp), (_, var_p) = probe.cov.tolist()
+    qfi = 4.0 * (a * a * var_x + b * b * var_p + 2.0 * a * b * cov_xp)
+    if not math.isfinite(qfi):
+        raise ValidationError(f"Gaussian QFI is {qfi!r}: the generator overflows")
+    return qfi
 
 
 def homodyne_variance(state: GaussianState, spec: HomodyneSpec) -> float:
@@ -282,7 +260,7 @@ def cfi_quadrature(protocol: EncodingProtocol, spec: HomodyneSpec) -> float:
     d_mean = n * (a_mat @ final.mean + b_vec)
     d_cov = n * (a_mat @ final.cov + final.cov @ a_mat.T)
     u = spec.direction()
-    var = float(u @ final.cov @ u)
+    var = homodyne_variance(final, spec)
     if var < 1e-300:
         raise DegenerateMeasurementError(
             "measured quadrature variance vanished; Fisher information undefined"

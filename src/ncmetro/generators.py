@@ -36,6 +36,7 @@ from .ladder import (
 from .protocols import EncodingProtocol
 
 _GENERATOR_HERMITIAN_TOL = 1e-10
+_STABILITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,12 +69,19 @@ def local_generator(protocol: EncodingProtocol) -> GeneratorResult:
         p = report.closure_p
         sqrt_p = math.sqrt(p)
         arg = n * g_bar * sqrt_p
+        try:
+            sinh, cosh = math.sinh(arg), math.cosh(arg)
+        except OverflowError:
+            raise ValidationError(
+                f"closed-form generator overflows: sinh/cosh of N*g_bar*sqrt(p) = "
+                f"{arg!r} (N = {n}, g_bar = {g_bar!r}, p = {p!r})"
+            ) from None
         c_entry = report.tower[1]
         d_entry = report.tower[2]
         gen = (
             float(n) * protocol.h_lambda
-            + (n * math.sinh(arg) / sqrt_p) * (1j * c_entry)
-            + (n * (1.0 - math.cosh(arg)) / p) * d_entry
+            + (n * sinh / sqrt_p) * (1j * c_entry)
+            + (n * (1.0 - cosh) / p) * d_entry
         )
         result = GeneratorResult(generator=gen, truncation_used=3, closed_form=True)
     else:
@@ -96,15 +104,11 @@ def certified_block(dim: int) -> int:
     return dim // 4
 
 
-def generator_by_conjugation(
-    protocol: EncodingProtocol,
-    dim: int,
-    stability_tol: float = 1e-8,
-) -> MatrixOperator:
+def generator_by_conjugation(protocol: EncodingProtocol, dim: int) -> MatrixOperator:
     """Local generator as N exp(+iNg H_g) H_lam exp(-iNg H_g) on matrices.
 
     Computed at ``dim`` and ``2 * dim``; if the two disagree by more than
-    ``stability_tol`` on the low-energy sub-block (rows and columns below
+    1e-8 on the low-energy sub-block (rows and columns below
     ``dim // 4``) the truncation is unstable at these parameters and an
     error is raised.  The quarter-dimension block leaves enough buffer for
     the exponential level spread of squeezing-type conjugations; outside
@@ -124,7 +128,7 @@ def generator_by_conjugation(
     doubled = conjugated(2 * dim)
     block = certified_block(dim)
     drift = float(np.abs(doubled[:block, :block] - base[:block, :block]).max())
-    if drift > stability_tol:
+    if drift > _STABILITY_TOL:
         raise TruncationInstabilityError(
             f"conjugated generator changed by {drift:.3e} between dim {dim} and "
             f"{2 * dim} on the {block}x{block} sub-block"

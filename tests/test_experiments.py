@@ -137,6 +137,12 @@ class TestFig3:
         with pytest.raises(ValidationError):
             fig3_scan([1, 2], xi_bar=0.0)
 
+    def test_closed_form_overflow_names_its_argument(self):
+        # cosh(2 N xi_bar) = cosh(1000) overflows; the generator's own
+        # sinh/cosh argument, N xi_bar = 500, does not
+        with pytest.raises(ValidationError, match=r"cosh\(2\*N\*xi_bar\) with N = 5000"):
+            fig3_scan([5000], xi_bar=0.1, include_fock=False)
+
 
 class TestExample1:
     def test_super_heisenberg_slope(self):

@@ -1,6 +1,7 @@
 """Symplectic engine: evolution, protocol runs, QFI/CFI, oracle agreement."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from ncmetro import (
     DegenerateMeasurementError,
     GaussianState,
     HomodyneSpec,
+    InternalConsistencyError,
+    LadderPolynomial,
     NotGaussianError,
     ProbeDescriptor,
     ValidationError,
@@ -16,6 +19,7 @@ from ncmetro import (
     evolve,
     gaussian_probe,
     homodyne_variance,
+    identity_op,
     local_generator,
     matrix_of,
     momentum_op,
@@ -332,3 +336,73 @@ class TestCfi:
                     mean=np.zeros(2), cov=np.diag([0.0, 1e300])
                 )
                 cfi_quadrature(protocol, HomodyneSpec(0.0))
+
+
+def random_quadratic(rng: random.Random, degree: int = 2) -> LadderPolynomial:
+    """Hermitian polynomial of degree <= ``degree`` with generic (non-dyadic)
+    coefficients, its terms inserted in a shuffled order."""
+    terms = {}
+    while not any(key != (0, 0) for key in terms):
+        terms = {}
+        for m in range(degree + 1):
+            for n in range(m, degree + 1 - m):
+                if rng.random() < 0.7:
+                    c = complex(rng.uniform(-1, 1), 0.0 if m == n else rng.uniform(-1, 1))
+                    terms[(m, n)], terms[(n, m)] = c, c.conjugate()
+    items = list(terms.items())
+    rng.shuffle(items)
+    return LadderPolynomial(dict(items))
+
+
+PROBES = (
+    GaussianState.vacuum(),
+    GaussianState.coherent(0.3 - 0.2j),
+    GaussianState.squeezed_vacuum(0.4, 0.7),
+)
+
+
+class TestQuadratureMap:
+    """quadratic_from_polynomial and qfi_linear_generator share one
+    ladder-to-quadrature map; these pin it against an independent rebuild."""
+
+    def test_rebuilds_the_polynomial(self):
+        rng = random.Random(1729)
+        xx, pp = normal_order_product(X, X), normal_order_product(P, P)
+        xp = normal_order_product(X, P) + normal_order_product(P, X)
+        for _ in range(300):
+            poly = random_quadratic(rng)
+            ham = quadratic_from_polynomial(poly)
+            (g_xx, g_xp), (_, g_pp) = ham.g_matrix.tolist()
+            d_x, d_p = ham.d_vector.tolist()
+            rebuilt = 0.5 * (g_xx * xx + g_pp * pp + g_xp * xp) + d_x * X + d_p * P
+            expected = poly - identity_op(poly.constant_term())
+            rebuilt = rebuilt - identity_op(rebuilt.constant_term())
+            assert rebuilt.allclose(expected, tol=1e-12), poly
+
+    def test_linear_qfi_is_four_d_sigma_d(self):
+        rng = random.Random(7919)
+        for _ in range(100):
+            gen = random_quadratic(rng, degree=1)
+            d = quadratic_from_polynomial(gen).d_vector
+            for probe in PROBES:
+                assert qfi_linear_generator(probe, gen) == pytest.approx(
+                    4.0 * float(d @ probe.cov @ d), rel=1e-12
+                )
+
+    @pytest.mark.parametrize("poly", [P + identity_op(1j), 1j * X], ids=["P+1j", "1j*X"])
+    def test_non_hermitian_rejected(self, poly):
+        with pytest.raises(InternalConsistencyError):
+            qfi_linear_generator(GaussianState.vacuum(), poly)
+
+    def test_non_hermitian_quadratic_form_rejected(self):
+        with pytest.raises(InternalConsistencyError):
+            quadratic_from_polynomial(1j * X)
+
+    def test_imaginary_constant_rejected_by_quadratic_form(self):
+        # the map checks the constant too, so this path now sees it as well
+        with pytest.raises(InternalConsistencyError):
+            quadratic_from_polynomial(P + identity_op(1j))
+
+    def test_overflowing_qfi_rejected(self):
+        with pytest.raises(ValidationError, match="Gaussian QFI is inf"):
+            qfi_linear_generator(GaussianState.vacuum(), 1e200 * X)

@@ -121,6 +121,11 @@ class TestLocalGenerator:
         assert errors[-1] < 1e-8
         assert errors[0] > errors[-1]
 
+    def test_closed_form_overflow_names_its_argument(self):
+        # sinh/cosh of N * g_bar * sqrt(p) = 100000 * 0.05 * 2 overflows a float
+        with pytest.raises(ValidationError, match=r"N\*g_bar\*sqrt\(p\) = 10000\.0"):
+            local_generator(squeeze_protocol(100000, 0.1, 0.1))
+
 
 class TestConjugationOracle:
     def test_matches_series_where_stable(self):

@@ -23,6 +23,14 @@ class TestParsers:
         assert parse_angle("0.5") == 0.5
         with pytest.raises(ValidationError):
             parse_angle("tau/4")
+        for text in ("pi/0", "pi/0.0"):
+            with pytest.raises(ValidationError):
+                parse_angle(text)
+
+    @pytest.mark.parametrize("text", ["pi/0", "pi/0.0"])
+    def test_angle_dividing_by_zero_exits_2(self, text, capsys):
+        assert main(["fig3", "--theta", text]) == 2
+        assert f"invalid angle value: '{text}'" in capsys.readouterr().err
 
     def test_int_lists(self):
         assert parse_int_list("5") == [5]
@@ -356,6 +364,30 @@ class TestMain:
     def test_validation_exit_code(self, capsys):
         assert main(["fig3", "--xi", "-1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, overflowed",
+        [
+            (["qfi", "--preset", "shear-k1", "--N", "3", "--aux", "1e300"],
+             "Gaussian QFI is inf"),
+            (["qfi", "--preset", "shear-k1", "--N", "3", "--aux", "1e300", "--format", "json"],
+             "Gaussian QFI is inf"),
+            (["example1", "--preset", "shear-k1", "--N", "8..10", "--s", "1e300"],
+             "Gaussian QFI is inf"),
+            (["qfi", "--preset", "squeeze-inf", "--N", "100000", "--aux", "0.1"],
+             "N*g_bar*sqrt(p) = 10000.0"),
+            (["generator", "--preset", "squeeze-inf", "--N", "100000", "--aux", "0.1"],
+             "N*g_bar*sqrt(p) = 10000.0"),
+            (["example1", "--preset", "squeeze-inf", "--N", "8..10", "--s", "400"],
+             "N*g_bar*sqrt(p) = 3200.0"),
+            (["fig3", "--N", "5000", "--xi", "0.1", "--dim", "8"], "cosh(2*N*xi_bar)"),
+        ],
+    )
+    def test_overflow_exit_code(self, argv, overflowed, capsys):
+        # these once printed inf (trusted, RMSE 0) or ended in an OverflowError
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and overflowed in err
 
     def test_numerical_trust_exit_code(self, capsys):
         # N=14 squeezing cannot fit in dim 8 even after one doubling
