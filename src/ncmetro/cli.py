@@ -15,11 +15,12 @@ win.  Flags are never abbreviated.  Exit codes:
 
 Each command is one entry of ``_COMMANDS`` (help text, flags, runner); the
 parser is built once from that table.  Parsing rejects unknown flags and
-malformed single values: N lists (N >= 1; one N for ``generator``/``qfi``),
-``--dim`` >= 8, ``--step`` > 0, angles and complex numbers, and every float,
-complex or angle that is not finite.  When the command runs, ``_pair``
-checks the preset-or-expressions rule and the library checks the rest
-(``--cap``, ``--xi``, ``--nu``, ``--K``, ``--kmax``, expression syntax).
+malformed single values: N and K lists (no repeats; N >= 1; one N for
+``generator``/``qfi``), ``--dim`` >= 8, ``--step`` > 0, angles and complex
+numbers, and every float, complex or angle that is not finite.  When the
+command runs, ``_pair`` checks the preset-or-expressions rule and the
+library checks the rest (``--cap``, ``--xi``, ``--nu``, ``--K``, ``--kmax``,
+expression syntax).
 ``--engine both`` prints every engine that applies.
 """
 
@@ -46,7 +47,7 @@ from .fock import (
 from .gaussian import gaussian_probe, qfi_linear_generator
 from .generators import local_generator, qcrb_rmse
 from .ladder import DEFAULT_ADJOINT_CAP, classify_pair
-from .protocols import PRESETS, EncodingProtocol, ProbeDescriptor, build_preset
+from .protocols import PRESETS, EncodingProtocol, ProbeDescriptor
 
 _PI_RE = re.compile(r"^(-?)(?:(\d+(?:\.\d*)?)\*?)?pi(?:/(\d+(?:\.\d*)?))?$")
 
@@ -69,7 +70,7 @@ def parse_angle(text: str) -> float:
 
 
 def parse_int_list(text: str) -> list[int]:
-    """Parse '5', '1..12', or '8,16,32' into a sorted list of ints."""
+    """Parse '5', '1..12', or '8,16,32' into a sorted list of distinct ints."""
     text = text.strip()
     try:
         if ".." in text:
@@ -78,11 +79,13 @@ def parse_int_list(text: str) -> list[int]:
             if hi < lo:
                 raise ValueError
             return list(range(lo, hi + 1))
-        if "," in text:
-            return sorted(int(part) for part in text.split(","))
-        return [int(text)]
+        values = sorted(int(part) for part in text.split(","))
     except ValueError:
         raise ValidationError(f"cannot parse integer list {text!r}") from None
+    for first, second in zip(values, values[1:]):
+        if first == second:
+            raise ValidationError(f"integer list {text!r} repeats {first}")
+    return values
 
 
 def parse_complex(text: str) -> complex:
@@ -171,37 +174,30 @@ _COMMON = (
 
 
 def _pair(ns: argparse.Namespace):
-    """Require exactly one of --preset and the --g/--h pair; return the parsed
-    inline pair (H_g, H_lambda), or None for a preset."""
+    """Require exactly one of --preset and the --g/--h pair; return
+    (H_g, H_lambda, factor), where ``g_bar = factor * --aux``."""
     if ns.preset is not None and (ns.g_expr or ns.h_expr):
         raise ValidationError("give either --preset or inline expressions, not both")
     if ns.preset is not None:
-        return None
+        h_lambda, h_g, factor = PRESETS[ns.preset]
+        return h_g, h_lambda, factor
     if not (ns.g_expr and ns.h_expr):
         raise ValidationError(
             f"{ns.command} needs --preset or both --g and --h expressions")
-    return parse_operator(ns.g_expr), parse_operator(ns.h_expr)
+    return parse_operator(ns.g_expr), parse_operator(ns.h_expr), 1.0
 
 
 def _protocol(ns: argparse.Namespace) -> EncodingProtocol:
-    pair = _pair(ns)
-    n = ns.n_list[0]
+    h_g, h_lambda, factor = _pair(ns)
     probe = ProbeDescriptor.coherent(ns.alpha) if ns.alpha else ProbeDescriptor.vacuum()
-    if pair is None:
-        return build_preset(ns.preset, n, ns.lambda_bar, ns.aux, probe)
-    h_g, h_lambda = pair
-    return EncodingProtocol(h_lambda=h_lambda, h_g=h_g, n_applications=n,
-                            lambda_bar=ns.lambda_bar, g_bar=ns.aux, probe=probe)
+    return EncodingProtocol(h_lambda, h_g, ns.n_list[0], ns.lambda_bar, factor * ns.aux, probe)
 
 
 @_command("classify", "classify an operator pair", *_PAIR,
           _flag("--cap", type=int, default=DEFAULT_ADJOINT_CAP))
 def _run_classify(ns):
-    pair = _pair(ns)
-    if pair is None:
-        preset = build_preset(ns.preset, 1, 0.0, 0.0)
-        pair = preset.h_g, preset.h_lambda
-    report = classify_pair(*pair, cap=ns.cap)
+    h_g, h_lambda, _ = _pair(ns)
+    report = classify_pair(h_g, h_lambda, cap=ns.cap)
     constant = report.constant_value
     parts = None if constant is None else [constant.real, constant.imag]
     value = {
@@ -262,9 +258,10 @@ def _run_fig2a(ns):
 
 
 @_command("fig2b", "leading-coefficient scan over K", _n_flag("6,10,16,20"),
-          _flag("--kmax", dest="k_max", type=int, default=0, help="default: max(N) + 4"))
+          _flag("--kmax", dest="k_max", type=int, help="default: max(N) + 4"))
 def _run_fig2b(ns):
-    ns.k_max = ns.k_max or max(ns.n_list) + 4
+    if ns.k_max is None:
+        ns.k_max = max(ns.n_list) + 4
     scan = experiments.fig2b_scan(ns.n_list, ns.k_max)
     return scan, {"k_peak": scan.metadata["k_peak"]}
 

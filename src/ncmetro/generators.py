@@ -13,9 +13,9 @@ matrices and serves as the independent oracle for the series route.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,40 +63,54 @@ def local_generator(protocol: EncodingProtocol) -> GeneratorResult:
         )
 
     n = protocol.n_applications
-    g_bar = protocol.g_bar
-
+    scalars = _scalars(report, n, protocol.g_bar)
     if report.kind == KIND_CLOSED_INFINITE:
-        p = report.closure_p
-        sqrt_p = math.sqrt(p)
-        arg = n * g_bar * sqrt_p
-        try:
-            sinh, cosh = math.sinh(arg), math.cosh(arg)
-        except OverflowError:
-            raise ValidationError(
-                f"closed-form generator overflows: sinh/cosh of N*g_bar*sqrt(p) = "
-                f"{arg!r} (N = {n}, g_bar = {g_bar!r}, p = {p!r})"
-            ) from None
-        c_entry = report.tower[1]
-        d_entry = report.tower[2]
-        gen = (
-            float(n) * protocol.h_lambda
-            + (n * sinh / sqrt_p) * (1j * c_entry)
-            + (n * (1.0 - cosh) / p) * d_entry
-        )
+        lam, odd, even = scalars
+        gen = lam * protocol.h_lambda + odd * (1j * report.tower[1]) + even * report.tower[2]
         result = GeneratorResult(generator=gen, truncation_used=3, closed_form=True)
     else:
-        k = report.nilpotency_index
         acc = LadderPolynomial()
-        for order in range(k + 1):
-            coeff = complex(0.0, n * g_bar) ** order / math.factorial(order)
-            acc = acc + coeff * report.tower[order]
+        for coeff, entry in zip(scalars, report.tower):
+            acc = acc + coeff * entry
         result = GeneratorResult(
-            generator=float(n) * acc, truncation_used=k + 1, closed_form=False
+            generator=float(n) * acc, truncation_used=len(scalars), closed_form=False
         )
 
     if not is_hermitian(result.generator, _GENERATOR_HERMITIAN_TOL):
         raise InternalConsistencyError("local generator failed the Hermiticity check")
     return result
+
+
+def _scalars(report, n: int, g_bar: float) -> list:
+    """The scalars of the local generator, checked before any polynomial is
+    built: (N, N sinh(x) / sqrt(p), N (1 - cosh(x)) / p) with
+    x = N g_bar sqrt(p) for a closed tower, else (i N g_bar)^k / k! for
+    k <= K, each later scaled by N.  One that is not finite, at that scale,
+    is a ValidationError naming N and g_bar (and p)."""
+    closed = report.kind == KIND_CLOSED_INFINITE
+    p, arg = report.closure_p, math.inf
+    try:
+        if closed:
+            sqrt_p = math.sqrt(p)
+            arg = n * g_bar * sqrt_p
+            scalars = [float(n), n * math.sinh(arg) / sqrt_p, n * (1.0 - math.cosh(arg)) / p]
+        else:
+            scalars = [complex(0.0, n * g_bar) ** order / math.factorial(order)
+                       for order in range(report.nilpotency_index + 1)]
+        finite = all(cmath.isfinite(value if closed else n * value) for value in scalars)
+    except OverflowError:
+        finite = False
+    if finite:
+        return scalars
+    if closed:
+        raise ValidationError(
+            f"closed-form generator overflows: sinh/cosh of N*g_bar*sqrt(p) = "
+            f"{arg!r} (N = {n}, g_bar = {g_bar!r}, p = {p!r})"
+        )
+    raise ValidationError(
+        f"series generator overflows: N (i N g_bar)^k / k! is not finite for "
+        f"k <= {report.nilpotency_index} (N = {n}, g_bar = {g_bar!r})"
+    )
 
 
 def certified_block(dim: int) -> int:
@@ -156,18 +170,14 @@ def leading_qfi_coefficient(k: int, n: int, g_bar: float, var_k: float) -> float
 def k_peak(n: int, k_max: int) -> tuple[int, ...]:
     """Argmax set of f(K) = N^{2(1+K)} / (K!)^2 over 0 <= K <= k_max.
 
-    Ties are decided with exact integer arithmetic; since
-    f(K+1)/f(K) = N^2/(K+1)^2, the set is {N-1, N} for every N >= 1.
+    Since f(K+1)/f(K) = N^2/(K+1)^2, f rises while K < N - 1, ties at
+    K = N - 1 and N, and falls after, so the set is {N-1, N} for every N >= 1.
     """
     if n < 1:
         raise ValidationError("number of applications must be positive")
     if k_max < n + 1:
         raise ValidationError("k_max must be at least N + 1 to bracket the peak")
-    values = [
-        Fraction(n ** (2 * (1 + k)), math.factorial(k) ** 2) for k in range(k_max + 1)
-    ]
-    peak = max(values)
-    return tuple(k for k, value in enumerate(values) if value == peak)
+    return (n - 1, n)
 
 
 def qcrb_rmse(qfi: float, nu: int = 1) -> float:

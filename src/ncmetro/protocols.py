@@ -5,9 +5,10 @@ N of each, the mean gate strengths, and the probe state.  The evolution it
 describes is the block product ``exp(-i N lam H_lam) exp(-i N g H_g)``:
 all auxiliary gates act on the probe first, then all parameter gates.
 
-Written gate prefactors are absorbed into ``g_bar`` when a protocol is
-built, e.g. the squeezing gate exp(-i (xi/2) (ad^2 + a^2)) contributes
-``g_bar = xi_bar / 2`` so that the generator series stays literal.
+``PRESETS`` maps each preset to its pair (H_lambda, H_g), built once per
+process, and a ``factor`` with ``g_bar = factor * aux`` that absorbs a
+written gate prefactor, so that the generator series stays literal: the
+squeezer exp(-i (xi/2) (ad^2 + a^2)) has 0.5 (``g_bar = xi_bar / 2``).
 """
 
 from __future__ import annotations
@@ -104,34 +105,41 @@ class EncodingProtocol:
 
 # -- built-in presets ---------------------------------------------------------
 
+_X, _P, _AD, _A = position_op(), momentum_op(), creation_op(), annihilation_op()
+
+#: The presets as data: name -> (H_lambda, H_g, factor), built once; a
+#: protocol's g_bar is factor * aux.
+PRESETS = {
+    "shear-k1": (_P, normal_order_product(_X, _X), 1.0),
+    "xp-constant": (_P, _X, 1.0),
+    "squeeze-inf": (_P, normal_order_product(_AD, _AD) + normal_order_product(_A, _A), 0.5),
+}
+
+
+def build_preset(name: str, n: int, lambda_bar: float, aux: float,
+                 probe: ProbeDescriptor | None = None) -> EncodingProtocol:
+    """Instantiate a preset by name; ``aux`` is s_bar / g_bar / xi_bar."""
+    if name not in PRESETS:
+        raise ValidationError(
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
+        )
+    h_lambda, h_g, factor = PRESETS[name]
+    return EncodingProtocol(h_lambda, h_g, n, lambda_bar, factor * aux,
+                            probe or ProbeDescriptor.vacuum())
+
 
 def shear_protocol(
     n: int, x_bar: float, s_bar: float, probe: ProbeDescriptor | None = None
 ) -> EncodingProtocol:
     """Momentum displacements exp(-i x P) interleaved with shears exp(-i s X^2)."""
-    x = position_op()
-    return EncodingProtocol(
-        h_lambda=momentum_op(),
-        h_g=normal_order_product(x, x),
-        n_applications=n,
-        lambda_bar=x_bar,
-        g_bar=s_bar,
-        probe=probe or ProbeDescriptor.vacuum(),
-    )
+    return build_preset("shear-k1", n, x_bar, s_bar, probe)
 
 
 def constant_commutator_protocol(
     n: int, x_bar: float, g_bar: float, probe: ProbeDescriptor | None = None
 ) -> EncodingProtocol:
     """Momentum displacements against position displacements: [X, P] = i."""
-    return EncodingProtocol(
-        h_lambda=momentum_op(),
-        h_g=position_op(),
-        n_applications=n,
-        lambda_bar=x_bar,
-        g_bar=g_bar,
-        probe=probe or ProbeDescriptor.vacuum(),
-    )
+    return build_preset("xp-constant", n, x_bar, g_bar, probe)
 
 
 def squeeze_protocol(
@@ -142,36 +150,4 @@ def squeeze_protocol(
     The written 1/2 prefactor of the squeezing gate is absorbed here:
     ``g_bar = xi_bar / 2``.
     """
-    ad, a = creation_op(), annihilation_op()
-    h_g = normal_order_product(ad, ad) + normal_order_product(a, a)
-    return EncodingProtocol(
-        h_lambda=momentum_op(),
-        h_g=h_g,
-        n_applications=n,
-        lambda_bar=x_bar,
-        g_bar=xi_bar / 2.0,
-        probe=probe or ProbeDescriptor.vacuum(),
-    )
-
-
-#: Preset registry: name -> builder.
-PRESETS = {
-    "shear-k1": shear_protocol,
-    "xp-constant": constant_commutator_protocol,
-    "squeeze-inf": squeeze_protocol,
-}
-
-
-def build_preset(
-    name: str,
-    n: int,
-    lambda_bar: float,
-    aux: float,
-    probe: ProbeDescriptor | None = None,
-) -> EncodingProtocol:
-    """Instantiate a preset by name; ``aux`` is s_bar / g_bar / xi_bar."""
-    if name not in PRESETS:
-        raise ValidationError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        )
-    return PRESETS[name](n, lambda_bar, aux, probe)
+    return build_preset("squeeze-inf", n, x_bar, xi_bar, probe)

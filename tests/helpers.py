@@ -10,9 +10,11 @@ power-chain embedding knows nothing about the package's closed-form matrix
 elements: it multiplies truncated ladder matrices.  The Fock references know
 nothing about the package's real and eigen-coordinate paths: they evolve the
 full vector through complex eigendecompositions at every finite-difference
-point, and build probes one level at a time.
+point, and build probes one level at a time.  The coefficient peak is
+found by comparing every exact ``Fraction`` value.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -114,6 +116,13 @@ def exact_tower(g: ExactPolynomial, h: ExactPolynomial, levels: int) -> list[Exa
     for _ in range(levels):
         tower.append(exact_commutator(g, tower[-1]))
     return tower
+
+
+def exact_k_peak(n: int, k_max: int) -> tuple[int, ...]:
+    """Argmax set of N^{2(1+K)} / (K!)^2 over 0 <= K <= k_max, in exact arithmetic."""
+    values = [Fraction(n ** (2 * (1 + k)), math.factorial(k) ** 2) for k in range(k_max + 1)]
+    peak = max(values)
+    return tuple(k for k, value in enumerate(values) if value == peak)
 
 
 def random_polynomial(rng, max_degree: int = 4, density: float = 0.5) -> LadderPolynomial:

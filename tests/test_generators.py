@@ -1,9 +1,11 @@
 """Local generators, the conjugation oracle, peak index, and the QCRB."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from helpers import exact_k_peak
 
 from ncmetro import (
     EncodingProtocol,
@@ -17,12 +19,15 @@ from ncmetro import (
     generator_by_conjugation,
     identity_op,
     k_peak,
+    ladder,
+    parse_operator,
     leading_qfi_coefficient,
     local_generator,
     matrix_of,
     momentum_op,
     normal_order_product,
     position_op,
+    protocols,
     qcrb_rmse,
     shear_protocol,
     squeeze_protocol,
@@ -59,6 +64,51 @@ class TestProtocols:
         shear_protocol(0, 0.1, 0.1)
         with pytest.raises(ValidationError):
             shear_protocol(-1, 0.1, 0.1)
+
+
+class TestPresetTable:
+    README_PAIRS = {
+        "shear-k1": ("X^2", "P"),
+        "xp-constant": ("X", "P"),
+        "squeeze-inf": ("ad^2 + a^2", "P"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(README_PAIRS))
+    def test_pairs_are_the_readme_expressions_bit_for_bit(self, name):
+        # so --preset and --g/--h share one classification memo entry
+        h_lambda, h_g, _ = protocols.PRESETS[name]
+        g_text, h_text = self.README_PAIRS[name]
+        assert ladder._exact_key(h_g) == ladder._exact_key(parse_operator(g_text))
+        assert ladder._exact_key(h_lambda) == ladder._exact_key(parse_operator(h_text))
+
+    @pytest.mark.parametrize("name", sorted(README_PAIRS))
+    def test_build_preset_forms_no_products(self, name, monkeypatch):
+        calls = []
+        original = ladder.normal_order_product
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ladder, "normal_order_product", counting)
+        monkeypatch.setattr(protocols, "normal_order_product", counting)
+        first = protocols.build_preset(name, 3, 0.1, 0.2)
+        second = protocols.build_preset(name, 5, 0.3, 0.4)
+        assert calls == []
+        assert first.h_g is second.h_g and first.h_lambda is second.h_lambda
+        h_lambda, h_g, _ = protocols.PRESETS[name]
+        assert first.h_g is h_g and first.h_lambda is h_lambda
+
+    def test_squeeze_g_bar_is_bitwise_half_xi(self):
+        rng = random.Random(11)
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -3e-320,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+        values += [rng.uniform(-10.0, 10.0) for _ in range(200)]
+        values += [math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1023))
+                   for _ in range(200)]
+        for xi in values:
+            # hex() keeps the sign of a zero
+            assert squeeze_protocol(1, 0.1, xi).g_bar.hex() == (xi / 2).hex(), xi
 
 
 class TestLocalGenerator:
@@ -125,6 +175,23 @@ class TestLocalGenerator:
         # sinh/cosh of N * g_bar * sqrt(p) = 100000 * 0.05 * 2 overflows a float
         with pytest.raises(ValidationError, match=r"N\*g_bar\*sqrt\(p\) = 10000\.0"):
             local_generator(squeeze_protocol(100000, 0.1, 0.1))
+
+
+    @pytest.mark.parametrize(
+        "protocol, named",
+        [
+            # complex(0, N g_bar) ** k once raised a bare OverflowError
+            (shear_protocol(10, 0.1, 1e308), "N = 10, g_bar = 1e+308"),
+            # N (i N g_bar) once overflowed inside the polynomial, naming a term
+            (shear_protocol(8, 0.1, 1e307), "N = 8, g_bar = 1e+307"),
+            # sinh(700) is finite, N sinh(700) is not
+            (squeeze_protocol(1000000, 0.1, 0.0007), "N = 1000000, g_bar = 0.00035, p = 4.0"),
+        ],
+    )
+    def test_overflowing_scalar_names_n_and_g_bar(self, protocol, named):
+        with pytest.raises(ValidationError, match="generator overflows") as info:
+            local_generator(protocol)
+        assert named in str(info.value)
 
 
 class TestConjugationOracle:
@@ -207,6 +274,11 @@ class TestKPeak:
     def test_tie_is_exact_for_all_desk_n(self):
         for n in range(2, 31):
             assert k_peak(n, n + 1) == (n - 1, n)
+
+    def test_matches_the_exact_argmax(self):
+        for n in range(1, 41):
+            for k_max in range(n + 1, n + 9):
+                assert k_peak(n, k_max) == exact_k_peak(n, k_max), (n, k_max)
 
     def test_preconditions(self):
         with pytest.raises(ValidationError):

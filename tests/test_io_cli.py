@@ -5,6 +5,8 @@ import json
 import math
 import random
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,9 @@ class TestParsers:
             parse_int_list("4..1")
         with pytest.raises(ValidationError):
             parse_int_list("abc")
+        for text, repeated in (("1,1", 1), ("6,6", 6), ("8,16,8", 8), ("3, 3", 3)):
+            with pytest.raises(ValidationError, match=f"repeats {repeated}"):
+                parse_int_list(text)
 
 
 class TestParseConfig:
@@ -389,6 +394,67 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and overflowed in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["generator", "--preset", "shear-k1", "--N", "10", "--aux", "1e308"],
+             "(N = 10, g_bar = 1e+308)"),
+            (["qfi", "--preset", "shear-k1", "--N", "10", "--aux", "1e308"],
+             "(N = 10, g_bar = 1e+308)"),
+            (["generator", "--g", "X^3", "--h", "P", "--N", "1000", "--aux", "1e306"],
+             "(N = 1000, g_bar = 1e+306)"),
+            (["example1", "--preset", "shear-k1", "--N", "8..10", "--s", "1e307"],
+             "(N = 8, g_bar = 1e+307)"),
+            (["generator", "--preset", "squeeze-inf", "--N", "1000000", "--aux", "0.0007"],
+             "(N = 1000000, g_bar = 0.00035, p = 4.0)"),
+            (["qfi", "--preset", "squeeze-inf", "--N", "1000000", "--aux", "0.0007"],
+             "(N = 1000000, g_bar = 0.00035, p = 4.0)"),
+        ],
+    )
+    def test_generator_overflow_names_n_and_g_bar(self, argv, named, capsys):
+        # the first three once ended in an OverflowError traceback, the others
+        # named only a polynomial term
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert "generator overflows" in err and named in err
+
+    def test_fig2b_kmax_zero_is_not_the_default(self, capsys):
+        # --kmax 0 once read as "not given" and printed K = 0..10
+        assert main(["fig2b", "--N", "6", "--kmax", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "k_max must be at least max(N) + 1" in err
+        assert main(["fig2b", "--N", "6", "--kmax", "12", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["k_max"] == 12
+        assert main(["fig2b", "--N", "6", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["k_max"] == 10
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig2a", "--K", "1,1"], ["fig2b", "--N", "6,6"], ["dvbound", "--N", "1,1"]],
+    )
+    def test_repeated_list_value_exits_2(self, argv, capsys):
+        # once a repeated CSV column, a merged k_peak and a repeated row
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "preset, g_expr, h_expr",
+        [("shear-k1", "X^2", "P"), ("xp-constant", "X", "P"),
+         ("squeeze-inf", "ad^2 + a^2", "P")],
+    )
+    def test_classify_preset_matches_inline_pair(self, preset, g_expr, h_expr, capsys):
+        for fmt in ("csv", "json"):
+            assert main(["classify", "--preset", preset, "--format", fmt]) == 0
+            by_preset = capsys.readouterr().out
+            assert main(["classify", "--g", g_expr, "--h", h_expr, "--format", fmt]) == 0
+            inline = capsys.readouterr().out
+            if fmt == "csv":
+                assert by_preset == inline
+            else:
+                assert json.loads(by_preset)["value"] == json.loads(inline)["value"]
+
     def test_numerical_trust_exit_code(self, capsys):
         # N=14 squeezing cannot fit in dim 8 even after one doubling
         code = main(
@@ -478,3 +544,29 @@ class TestCacheIdentity:
         random.Random(29).shuffle(order)
         for i in order:
             assert run(commands[i]) == cold[i], commands[i]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first fenced ``language`` block after the README heading."""
+    text = README.read_text()
+    section = text[text.index(f"## {heading}\n"):]
+    start = section.index(f"```{language}\n") + len(language) + 4
+    return section[start:section.index("```", start)]
+
+
+class TestReadme:
+    def test_command_line_examples_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # fig2a --out writes here
+        lines = [line for line in _readme_block("Command line", "bash").splitlines()
+                 if line.startswith("ncmetro ")]
+        assert len(lines) >= 10
+        for line in lines:
+            assert main(shlex.split(line)[1:]) == 0, line
+            capsys.readouterr()
+        assert (tmp_path / "coef_vs_n.csv").exists()
+
+    def test_library_quick_tour_runs(self):
+        exec(compile(_readme_block("Library quick tour", "python"), "README", "exec"), {})
