@@ -24,14 +24,11 @@ from .errors import (
 from .expressions import format_polynomial, parse_operator
 from .fock import (
     DvBoundReport,
-    FockVector,
     MatrixOperator,
     QfiEstimate,
-    SwitchState,
     branch_phase_overlap,
     dv_bound_check,
     dv_saturating_probe,
-    evolve_unitary,
     matrix_of,
     prepare_probe,
     qfi_numeric,

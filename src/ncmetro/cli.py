@@ -97,11 +97,15 @@ def parse_complex(text: str) -> complex:
 
 def _flag_type(name: str, parse, check=None, constraint: str = ""):
     """argparse ``type=``: a ValueError from ``parse`` reads "invalid <name>
-    value", a float or complex value that is not finite reads "must be
-    finite", a value failing ``check`` reads ``constraint``; all name the flag."""
+    value", followed by the library's message for a ValidationError, a float
+    or complex value that is not finite reads "must be finite", a value
+    failing ``check`` reads ``constraint``; all name the flag."""
 
     def convert(text: str):
-        value = parse(text)
+        try:
+            value = parse(text)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(f"invalid {name} value: {text!r} ({exc})") from None
         if isinstance(value, (float, complex)) and not cmath.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         if check is not None and not check(value):

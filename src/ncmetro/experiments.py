@@ -80,28 +80,33 @@ def log10_coefficient(k: int, n: int) -> float:
     return (2.0 * (1 + k) * math.log(n) - 2.0 * math.lgamma(k + 1)) / _LOG10
 
 
+def _checked_ns(n_values: Sequence[int]) -> list[int]:
+    """The N values, each checked to be at least 1, in ascending order."""
+    if any(n < 1 for n in n_values):
+        raise ValidationError("N values must be positive")
+    return sorted(n_values)
+
+
 def fig2a_scan(k_list: Sequence[int], n_range: Sequence[int]) -> ScanResult:
     """Coefficient growth with N for fixed nilpotency indices."""
     if any(k < 0 for k in k_list):
         raise ValidationError("nilpotency indices must be non-negative")
-    if any(n < 1 for n in n_range):
-        raise ValidationError("N values must be positive")
+    n_range = _checked_ns(n_range)
     columns = ["N"] + [f"logcoef_K{k}" for k in k_list]
     rows = [
         {"N": n, **{f"logcoef_K{k}": log10_coefficient(k, n) for k in k_list}}
-        for n in sorted(n_range)
+        for n in n_range
     ]
     return ScanResult(
         columns=columns,
         rows=rows,
-        metadata={"k_list": list(k_list), "n_range": sorted(n_range)},
+        metadata={"k_list": list(k_list), "n_range": n_range},
     )
 
 
 def fig2b_scan(n_list: Sequence[int], k_max: int) -> ScanResult:
-    """Coefficient against K for fixed N, annotated with the peak set."""
-    if any(n < 1 for n in n_list):
-        raise ValidationError("N values must be positive")
+    """Coefficient against K for fixed N (columns in the given order), with the peak set."""
+    _checked_ns(n_list)
     if k_max < max(n_list) + 1:
         raise ValidationError("k_max must be at least max(N) + 1")
     columns = ["K"] + [f"logcoef_N{n}" for n in n_list]
@@ -135,8 +140,7 @@ def fig3_scan(
     """
     if not xi_bar > 0:
         raise ValidationError("xi_bar must be positive")
-    if any(n < 1 for n in n_range):
-        raise ValidationError("N values must be positive")
+    n_range = _checked_ns(n_range)
     probe = ProbeDescriptor.coherent(alpha)
     spec = HomodyneSpec(theta)
     columns = [
@@ -149,7 +153,7 @@ def fig3_scan(
         "ratio_cfi_qfi",
     ]
     rows = []
-    for n in sorted(n_range):
+    for n in n_range:
         protocol = build_preset("squeeze-inf", n, x_bar, xi_bar, probe)
         try:
             closed = 2.0 * n**2 * math.cosh(2.0 * n * xi_bar)
@@ -188,7 +192,7 @@ def fig3_scan(
             "x_bar": x_bar,
             "dim": dim,
             "step": step,
-            "n_range": sorted(n_range),
+            "n_range": n_range,
         },
     )
 
@@ -201,12 +205,11 @@ def example1_scan(
     x_bar: float = 0.1,
 ) -> ScanResult:
     """Generator-variance QFI of a finite-index protocol against N."""
-    if any(n < 1 for n in n_range):
-        raise ValidationError("N values must be positive")
+    n_range = _checked_ns(n_range)
     probe = probe or ProbeDescriptor.vacuum()
     probe_state = gaussian_probe(probe)
     rows = []
-    for n in sorted(n_range):
+    for n in n_range:
         protocol = build_preset(preset, n, x_bar, s_bar, probe)
         gen = local_generator(protocol).generator
         rows.append({"N": n, "qfi": qfi_linear_generator(probe_state, gen)})
@@ -218,7 +221,7 @@ def example1_scan(
             "s_bar": s_bar,
             "x_bar": x_bar,
             "probe": probe.kind,
-            "n_range": sorted(n_range),
+            "n_range": n_range,
         },
     )
 
@@ -244,10 +247,9 @@ def switch_scan(
     probe: ProbeDescriptor | None = None,
 ) -> ScanResult:
     """Switch-construction QFI against N (see fock.switch_qfi for modes)."""
-    if any(n < 1 for n in n_range):
-        raise ValidationError("N values must be positive")
+    n_range = _checked_ns(n_range)
     rows = []
-    for n in sorted(n_range):
+    for n in n_range:
         estimate = switch_qfi(n, x, p_val, probe=probe, dim=dim, step=step, mode=mode)
         rows.append(
             {"N": n, "qfi": estimate.value, "trusted": 1 if estimate.trusted else 0}
@@ -261,7 +263,7 @@ def switch_scan(
             "dim": dim,
             "step": step,
             "mode": mode,
-            "n_range": sorted(n_range),
+            "n_range": n_range,
         },
     )
 

@@ -6,7 +6,9 @@ Everything here is deliberately independent of the symbolic generator route:
 matrix elements come from the Fock basis in closed form, states are evolved
 through eigendecompositions of the Hermitian generators, and the QFI comes
 from state overlaps, so this module can certify the closed-form results
-computed elsewhere.
+computed elsewhere.  States are plain numpy vectors: ``prepare_probe``
+returns the normalized amplitude array, and ``switch_protocol`` returns the
+two branches of the switch, each weighted 1/sqrt(2).
 
 A generator is decomposed once per dimension and process: the bounded
 least-recently-used cache of :mod:`ladder`, sized by eigenvector bytes,
@@ -37,7 +39,6 @@ import numpy as np
 from .errors import (
     BoundViolationError,
     ConvergenceError,
-    InternalConsistencyError,
     LeakageError,
     ValidationError,
     require_finite,
@@ -55,7 +56,6 @@ DEFAULT_DIM = 80
 DEFAULT_STEP = 1e-4
 
 _HERMITIAN_TOL = 1e-10
-_NORM_TOL = 1e-9
 _UNTRUSTED_REL = 0.005
 _ERROR_REL = 0.05
 
@@ -72,49 +72,6 @@ class MatrixOperator:
             raise ValidationError("matrix shape does not match dim")
         if not np.isfinite(self.matrix).all():
             raise ValidationError("matrix entries must be finite")
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Normalized state vector in the truncated Fock basis."""
-
-    dim: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.amplitudes.shape != (self.dim,):
-            raise ValidationError("amplitude vector shape does not match dim")
-        norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValidationError(f"state norm {norm!r} deviates from 1")
-
-    @property
-    def top_level_population(self) -> float:
-        return float(abs(self.amplitudes[-1]) ** 2)
-
-
-@dataclass(frozen=True)
-class SwitchState:
-    """Joint control+mode state of the two-order superposition protocol.
-
-    ``joint`` is the 2*dim vector in control-major ordering (control 0 block
-    first).
-    """
-
-    dim: int
-    joint: np.ndarray
-
-    def branch(self, c: int) -> np.ndarray:
-        """Mode vector attached to control basis state c, weight included."""
-        return self.joint[c * self.dim : (c + 1) * self.dim]
-
-    def reduced_control(self) -> np.ndarray:
-        """Exact 2x2 reduced density matrix of the control qubit."""
-        rho = np.empty((2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                rho[i, j] = np.vdot(self.branch(j), self.branch(i))
-        return rho
 
 
 def matrix_of(poly: LadderPolynomial, dim: int) -> MatrixOperator:
@@ -259,29 +216,11 @@ def _check_leakage(top: complex, context: str) -> None:
         )
 
 
-def evolve_unitary(state: FockVector, ham: MatrixOperator, t: float) -> FockVector:
-    """Apply exp(-i t H) to the state; H must be Hermitian.
-
-    Raises LeakageError when the evolved state populates the top level, and
-    InternalConsistencyError if unitarity drifts beyond 1e-9.
-    """
-    if ham.dim != state.dim:
-        raise ValidationError("state and operator dimensions differ")
-    evolver = HermitianEvolver(ham.matrix)
-    out = evolver.apply(t, state.amplitudes)
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise InternalConsistencyError(f"evolution norm drift {abs(norm - 1.0):.3e}")
-    out = out / norm
-    _check_leakage(out[-1], "evolve_unitary")
-    return FockVector(dim=state.dim, amplitudes=out)
-
-
 # -- probe preparation --------------------------------------------------------
 
 
-def prepare_probe(probe: ProbeDescriptor, dim: int) -> FockVector:
-    """Build the truncated amplitude vector for a probe descriptor."""
+def prepare_probe(probe: ProbeDescriptor, dim: int) -> np.ndarray:
+    """The normalized truncated amplitude vector of a probe descriptor."""
     if dim < 2:
         raise ValidationError("truncation dimension must be at least 2")
     amps = np.zeros(dim, dtype=complex)
@@ -319,7 +258,7 @@ def prepare_probe(probe: ProbeDescriptor, dim: int) -> FockVector:
         )
     amps = amps / norm
     _check_leakage(amps[-1], "prepare_probe")
-    return FockVector(dim=dim, amplitudes=amps)
+    return amps
 
 
 # -- finite-difference QFI ----------------------------------------------------
@@ -419,7 +358,7 @@ def _qfi_numeric_once(
 ) -> QfiEstimate:
     probe = prepare_probe(protocol.probe, dim)
     n = protocol.n_applications
-    after_aux = _evolver(protocol.h_g, dim).apply(n * protocol.g_bar, probe.amplitudes)
+    after_aux = _evolver(protocol.h_g, dim).apply(n * protocol.g_bar, probe)
     _check_leakage(after_aux[-1], "qfi_numeric (auxiliary block)")
     # Eigen-coordinates of h_lambda: evolution is a phase per coefficient,
     # and overlaps, hence the QFI, do not depend on the basis.
@@ -441,54 +380,46 @@ def _qfi_numeric_once(
 # -- quantum SWITCH (indefinite order of the two displacement blocks) ---------
 
 
-def _switch_states(n: int, p: float, probe: FockVector) -> Callable[[float], SwitchState]:
-    """The switch state as a function of x.  The x-independent work is done
-    once: exp(-iNpX)|psi> and |psi> are projected onto P's eigenbasis, so
-    each x costs two lifts and one X evolution, and both branches are still
-    checked for leakage in the Fock basis."""
+def _switch_states(n: int, p: float,
+                   probe: np.ndarray) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+    """The switch branches as a function of x.  The x-independent work is
+    done once: exp(-iNpX)|psi> and |psi> are projected onto P's eigenbasis,
+    so each x costs two lifts and one X evolution, and both branches are
+    still checked for leakage in the Fock basis."""
     if n < 1:
         raise ValidationError("switch protocol requires n >= 1")
-    dim = probe.dim
-    u_p = _evolver(momentum_op(), dim)  # exp(-i t P), t = N x
-    u_x = _evolver(position_op(), dim)  # exp(-i t X), t = N p
-    after_x = u_p.project(u_x.apply(n * p, probe.amplitudes))
-    before_x = u_p.project(probe.amplitudes)
+    u_p = _evolver(momentum_op(), probe.size)  # exp(-i t P), t = N x
+    u_x = _evolver(position_op(), probe.size)  # exp(-i t X), t = N p
+    after_x = u_p.project(u_x.apply(n * p, probe))
+    before_x = u_p.project(probe)
 
-    def state_at(x: float) -> SwitchState:
+    def state_at(x: float) -> tuple[np.ndarray, np.ndarray]:
         phases = u_p.phases(n * x)
         branch_ab = u_p.lift(phases * after_x)
         branch_ba = u_x.apply(n * p, u_p.lift(phases * before_x))
         _check_leakage(branch_ab[-1], "switch_protocol")
         _check_leakage(branch_ba[-1], "switch_protocol")
-        joint = np.concatenate([branch_ab, branch_ba]) / math.sqrt(2.0)
-        return SwitchState(dim=dim, joint=joint)
+        return branch_ab / math.sqrt(2.0), branch_ba / math.sqrt(2.0)
 
     return state_at
 
 
-def switch_protocol(
-    n: int, x: float, p: float, probe: FockVector
-) -> SwitchState:
+def switch_protocol(n: int, x: float, p: float,
+                    probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Superpose the two orders of N momentum and N position displacements.
 
-    Control 0 carries exp(-iNxP) exp(-iNpX) |psi>, control 1 the opposite
-    order; by the Weyl relation the branches differ by the phase N^2 x p, so
-    the control qubit picks up the product parameter.
+    Returns the mode vectors of control 0, exp(-iNxP) exp(-iNpX) |psi>, and
+    of control 1, the opposite order, each weighted 1/sqrt(2); by the Weyl
+    relation they differ by the phase N^2 x p, so the control qubit picks up
+    the product parameter.
     """
     return _switch_states(n, p, probe)(x)
 
 
-def branch_phase_overlap(n: int, x: float, p: float, probe: FockVector) -> complex:
+def branch_phase_overlap(n: int, x: float, p: float, probe: np.ndarray) -> complex:
     """<psi| (U_A U_B)^dag (U_B U_A) |psi>; equals exp(-i N^2 x p) exactly."""
-    state = switch_protocol(n, x, p, probe)
-    num = complex(np.vdot(state.branch(0), state.branch(1)))
-    return 2.0 * num  # each branch carries weight 1/sqrt(2)
-
-
-def _bloch_vector(rho: np.ndarray) -> np.ndarray:
-    return np.array(
-        [2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
-    )
+    ab, ba = switch_protocol(n, x, p, probe)
+    return 2.0 * complex(np.vdot(ab, ba))  # each branch carries weight 1/sqrt(2)
 
 
 def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> float:
@@ -533,7 +464,10 @@ def switch_qfi(
 
     if mode == "control":
         def bloch_at(xv: float) -> np.ndarray:
-            return _bloch_vector(switch_at(xv).reduced_control())
+            ab, ba = switch_at(xv)
+            rho_01 = np.vdot(ba, ab)  # control coherence <0|rho|1>
+            return np.array([2.0 * rho_01.real, -2.0 * rho_01.imag,
+                             (np.vdot(ab, ab) - np.vdot(ba, ba)).real])
 
         r0 = bloch_at(x)
         return _richardson_qfi(
@@ -542,10 +476,10 @@ def switch_qfi(
 
     if mode == "joint":
         def state_at(xv: float) -> np.ndarray:
-            return switch_at(xv).joint
+            return np.concatenate(switch_at(xv))
     else:
         def state_at(xv: float) -> np.ndarray:
-            return switch_at(xv).branch(0) * math.sqrt(2.0)
+            return switch_at(xv)[0] * math.sqrt(2.0)
 
     return _richardson_qfi(_overlap_passes(state_at, x), step, dim, "switch QFI")
 

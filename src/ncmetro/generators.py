@@ -62,19 +62,22 @@ def local_generator(protocol: EncodingProtocol) -> GeneratorResult:
             "unclassified pair: adjoint tower hit the cap without closure"
         )
 
-    n = protocol.n_applications
-    scalars = _scalars(report, n, protocol.g_bar)
-    if report.kind == KIND_CLOSED_INFINITE:
-        lam, odd, even = scalars
-        gen = lam * protocol.h_lambda + odd * (1j * report.tower[1]) + even * report.tower[2]
-        result = GeneratorResult(generator=gen, truncation_used=3, closed_form=True)
-    else:
-        acc = LadderPolynomial()
-        for coeff, entry in zip(scalars, report.tower):
-            acc = acc + coeff * entry
-        result = GeneratorResult(
-            generator=float(n) * acc, truncation_used=len(scalars), closed_form=False
-        )
+    n, g_bar = protocol.n_applications, protocol.g_bar
+    scalars = _scalars(report, n, g_bar)
+    try:
+        if report.kind == KIND_CLOSED_INFINITE:
+            lam, odd, even = scalars
+            gen = lam * protocol.h_lambda + odd * (1j * report.tower[1]) + even * report.tower[2]
+            result = GeneratorResult(generator=gen, truncation_used=3, closed_form=True)
+        else:
+            acc = LadderPolynomial()
+            for coeff, entry in zip(scalars, report.tower):
+                acc = acc + coeff * entry
+            result = GeneratorResult(
+                generator=float(n) * acc, truncation_used=len(scalars), closed_form=False
+            )
+    except ValidationError:  # a finite scalar times a tower coefficient is not
+        raise _overflow(report, n, g_bar) from None
 
     if not is_hermitian(result.generator, _GENERATOR_HERMITIAN_TOL):
         raise InternalConsistencyError("local generator failed the Hermiticity check")
@@ -86,30 +89,40 @@ def _scalars(report, n: int, g_bar: float) -> list:
     built: (N, N sinh(x) / sqrt(p), N (1 - cosh(x)) / p) with
     x = N g_bar sqrt(p) for a closed tower, else (i N g_bar)^k / k! for
     k <= K, each later scaled by N.  One that is not finite, at that scale,
-    is a ValidationError naming N and g_bar (and p)."""
+    is the :func:`_overflow` error."""
     closed = report.kind == KIND_CLOSED_INFINITE
-    p, arg = report.closure_p, math.inf
     try:
         if closed:
+            p = report.closure_p
             sqrt_p = math.sqrt(p)
             arg = n * g_bar * sqrt_p
             scalars = [float(n), n * math.sinh(arg) / sqrt_p, n * (1.0 - math.cosh(arg)) / p]
         else:
             scalars = [complex(0.0, n * g_bar) ** order / math.factorial(order)
                        for order in range(report.nilpotency_index + 1)]
-        finite = all(cmath.isfinite(value if closed else n * value) for value in scalars)
+        if all(cmath.isfinite(value if closed else n * value) for value in scalars):
+            return scalars
     except OverflowError:
-        finite = False
-    if finite:
-        return scalars
-    if closed:
-        raise ValidationError(
-            f"closed-form generator overflows: sinh/cosh of N*g_bar*sqrt(p) = "
-            f"{arg!r} (N = {n}, g_bar = {g_bar!r}, p = {p!r})"
+        pass
+    raise _overflow(report, n, g_bar)
+
+
+def _overflow(report, n: int, g_bar: float) -> ValidationError:
+    """The "generator overflows" error, naming N and g_bar, and for a closed
+    tower p and the sinh/cosh argument N g_bar sqrt(p)."""
+    if report.kind != KIND_CLOSED_INFINITE:
+        return ValidationError(
+            f"series generator overflows: N (i N g_bar)^k / k! is not finite for "
+            f"k <= {report.nilpotency_index} (N = {n}, g_bar = {g_bar!r})"
         )
-    raise ValidationError(
-        f"series generator overflows: N (i N g_bar)^k / k! is not finite for "
-        f"k <= {report.nilpotency_index} (N = {n}, g_bar = {g_bar!r})"
+    p = report.closure_p
+    try:
+        arg = n * g_bar * math.sqrt(p)
+    except OverflowError:
+        arg = math.inf
+    return ValidationError(
+        f"closed-form generator overflows: sinh/cosh of N*g_bar*sqrt(p) = "
+        f"{arg!r} (N = {n}, g_bar = {g_bar!r}, p = {p!r})"
     )
 
 

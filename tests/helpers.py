@@ -221,7 +221,7 @@ def full_vector_qfi(protocol, dim: int, step: float, retries: int):
     for attempt in range(retries + 1):
         d = dim * 2**attempt
         try:
-            probe = prepare_probe(protocol.probe, d).amplitudes
+            probe = prepare_probe(protocol.probe, d)
             n = protocol.n_applications
             after = eigh_evolution(matrix_of(protocol.h_g, d).matrix)(n * protocol.g_bar) @ probe
             _check_top(after)
@@ -248,7 +248,7 @@ def full_vector_switch_qfi(n: int, x: float, p: float, probe, dim: int, step: fl
     """(value, trusted) of the switch QFI, evolving both full branches at
     every x with separate decompositions of X and P; raises like
     ``switch_qfi``."""
-    psi = prepare_probe(probe, dim).amplitudes
+    psi = prepare_probe(probe, dim)
     u_x = eigh_evolution(matrix_of(position_op(), dim).matrix)(n * p)
     evolve_p = eigh_evolution(matrix_of(momentum_op(), dim).matrix)
 

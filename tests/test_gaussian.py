@@ -108,7 +108,7 @@ class TestEvolve:
         )
         dim, t = 60, 0.37
         probe = ProbeDescriptor.coherent(0.3 - 0.2j)
-        vec = prepare_probe(probe, dim).amplitudes
+        vec = prepare_probe(probe, dim)
         h = matrix_of(
             normal_order_product(X, X) + normal_order_product(P, P) + X, dim
         ).matrix
@@ -149,7 +149,7 @@ class TestStateValidation:
             ProbeDescriptor.squeezed_vacuum(0.5, -1.1),
         ):
             state = gaussian_probe(probe)
-            mean, cov = fock_moments(prepare_probe(probe, 80).amplitudes)
+            mean, cov = fock_moments(prepare_probe(probe, 80))
             assert np.allclose(state.mean, mean, atol=1e-9), probe
             assert np.allclose(state.cov, cov, atol=1e-9), probe
 
@@ -202,7 +202,7 @@ class TestRunProtocol:
                         n, x_bar, xi, ProbeDescriptor.coherent(0.3)
                     )
                     state = run_protocol(protocol)
-                    vec = prepare_probe(protocol.probe, dim).amplitudes
+                    vec = prepare_probe(protocol.probe, dim)
                     for poly, t in (
                         (protocol.h_g, n * protocol.g_bar),
                         (protocol.h_lambda, n * protocol.lambda_bar),

@@ -1,6 +1,7 @@
 """Envelope serialization, CLI parsing/validation, exit codes, determinism."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import random
@@ -409,6 +410,9 @@ class TestMain:
              "(N = 1000000, g_bar = 0.00035, p = 4.0)"),
             (["qfi", "--preset", "squeeze-inf", "--N", "1000000", "--aux", "0.0007"],
              "(N = 1000000, g_bar = 0.00035, p = 4.0)"),
+            # N (i N g_bar) is finite, its product with the 1.5 of 3i X^2 is not
+            (["generator", "--g", "X^3", "--h", "P", "--N", "1", "--aux", "1.7e308"],
+             "(N = 1, g_bar = 1.7e+308)"),
         ],
     )
     def test_generator_overflow_names_n_and_g_bar(self, argv, named, capsys):
@@ -438,6 +442,18 @@ class TestMain:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [(["fig2a", "--K", "1,1"], "repeats 1"),
+         (["fig3", "--N", "1..x"], "cannot parse integer list"),
+         (["fig3", "--theta", "pi/0"], "divides by zero")],
+    )
+    def test_parse_error_keeps_library_message(self, argv, reason, capsys):
+        # argparse once replaced the library's text by its own
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid " in err and reason in err
 
     @pytest.mark.parametrize(
         "preset, g_expr, h_expr",
@@ -570,3 +586,15 @@ class TestReadme:
 
     def test_library_quick_tour_runs(self):
         exec(compile(_readme_block("Library quick tour", "python"), "README", "exec"), {})
+
+
+class TestBenchmarkSpans:
+    def test_every_traced_name_exists(self, monkeypatch):
+        # the benchmark's tracer wraps these names; one that is renamed away
+        # would only show as a missing span in a benchmark record
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        monkeypatch.setattr("sys.dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.Tracer().missing == []
