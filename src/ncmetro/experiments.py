@@ -81,7 +81,9 @@ def log10_coefficient(k: int, n: int) -> float:
 
 
 def _checked_ns(n_values: Sequence[int]) -> list[int]:
-    """The N values, each checked to be at least 1, in ascending order."""
+    """The N values, at least one and each at least 1, in ascending order."""
+    if not n_values:
+        raise ValidationError("N values must not be empty")
     if any(n < 1 for n in n_values):
         raise ValidationError("N values must be positive")
     return sorted(n_values)

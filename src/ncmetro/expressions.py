@@ -18,6 +18,7 @@ from the unary rule.  Parse errors report the character position.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .errors import ExpressionError
 from .ladder import (
@@ -180,31 +181,54 @@ def parse_operator(text: str) -> LadderPolynomial:
     return _Parser(text).parse()
 
 
-def _format_coefficient(c: complex) -> str:
-    if c.imag == 0.0:
-        real = c.real
-        return repr(real) if real >= 0 else f"(-{-real!r})"
-    if c.real == 0.0:
-        imag = c.imag
-        return f"({imag!r}*i)" if imag >= 0 else f"(-{-imag!r}*i)"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({c.real!r} {sign} {abs(c.imag)!r}*i)"
+#: A coefficient's %-template by case: real (>= 0, < 0), imaginary, and
+#: complex with a positive or negative imaginary part.  "(%r)" of a negative
+#: x is "(-" + repr(-x) + ")", and "(%r*i)" needs no sign case.
+_COEFFICIENT_TEMPLATES = ("%r", "(%r)", "(%r*i)", "(%r + %r*i)", "(%r - %r*i)")
+
+
+@lru_cache(maxsize=None)
+def _term_template(m: int, n: int, case: int) -> str:
+    """A term's template: its coefficient's, then the monomial."""
+    factors = [_COEFFICIENT_TEMPLATES[case]]
+    if m:
+        factors.append("ad" if m == 1 else f"ad^{m}")
+    if n:
+        factors.append("a" if n == 1 else f"a^{n}")
+    return "*".join(factors)
+
+
+@lru_cache(maxsize=None)
+def _term_rank(key: tuple[int, int]) -> int:
+    """A key that sorts terms (m, n) by falling total degree d = m + n, then
+    by falling m: -(d (d + 1) / 2 + m), one integer per (d, m) as 0 <= m <= d."""
+    m, n = key
+    d = m + n
+    return -(d * (d + 1) // 2 + m)
 
 
 def format_polynomial(p: LadderPolynomial) -> str:
-    """Render a polynomial in the same grammar :func:`parse_operator` accepts."""
+    """Render a polynomial in the same grammar :func:`parse_operator` accepts:
+    highest total degree first, then highest power of ``ad``; one ``%`` over
+    the terms' templates."""
     if p.is_zero():
         return "0"
-    parts = []
-    for (m, n) in sorted(p.terms, key=lambda k: (-(k[0] + k[1]), -k[0])):
-        factors = [_format_coefficient(p.coefficient(m, n))]
-        if m == 1:
-            factors.append("ad")
-        elif m > 1:
-            factors.append(f"ad^{m}")
-        if n == 1:
-            factors.append("a")
-        elif n > 1:
-            factors.append(f"a^{n}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
+    terms = p.terms
+    templates, values = [], []
+    for key in sorted(terms, key=_term_rank):
+        c = terms[key]
+        real, imag = c.real, c.imag
+        if imag == 0.0:
+            case = 0 if real >= 0 else 1
+            values.append(real)
+        elif real == 0.0:
+            case = 2
+            values.append(imag)
+        elif imag > 0:
+            case = 3
+            values += (real, imag)
+        else:
+            case = 4
+            values += (real, -imag)
+        templates.append(_term_template(*key, case))
+    return " + ".join(templates) % tuple(values)

@@ -260,7 +260,7 @@ def cfi_quadrature(protocol: EncodingProtocol, spec: HomodyneSpec) -> float:
     d_mean = n * (a_mat @ final.mean + b_vec)
     d_cov = n * (a_mat @ final.cov + final.cov @ a_mat.T)
     u = spec.direction()
-    var = homodyne_variance(final, spec)
+    var = float(u @ final.cov @ u)  # homodyne_variance, from the same u
     if var < 1e-300:
         raise DegenerateMeasurementError(
             "measured quadrature variance vanished; Fisher information undefined"

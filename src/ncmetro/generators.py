@@ -77,7 +77,7 @@ def local_generator(protocol: EncodingProtocol) -> GeneratorResult:
                 generator=float(n) * acc, truncation_used=len(scalars), closed_form=False
             )
     except ValidationError:  # a finite scalar times a tower coefficient is not
-        raise _overflow(report, n, g_bar) from None
+        raise _overflow(report, n, g_bar, product=True) from None
 
     if not is_hermitian(result.generator, _GENERATOR_HERMITIAN_TOL):
         raise InternalConsistencyError("local generator failed the Hermiticity check")
@@ -107,13 +107,16 @@ def _scalars(report, n: int, g_bar: float) -> list:
     raise _overflow(report, n, g_bar)
 
 
-def _overflow(report, n: int, g_bar: float) -> ValidationError:
+def _overflow(report, n: int, g_bar: float, product: bool = False) -> ValidationError:
     """The "generator overflows" error, naming N and g_bar, and for a closed
-    tower p and the sinh/cosh argument N g_bar sqrt(p)."""
+    tower p and the sinh/cosh argument N g_bar sqrt(p); with ``product``,
+    the scalars are finite and only a scalar times a tower coefficient is
+    not."""
+    times = " times a tower coefficient" if product else ""
     if report.kind != KIND_CLOSED_INFINITE:
         return ValidationError(
-            f"series generator overflows: N (i N g_bar)^k / k! is not finite for "
-            f"k <= {report.nilpotency_index} (N = {n}, g_bar = {g_bar!r})"
+            f"series generator overflows: N (i N g_bar)^k / k!{times} is not finite "
+            f"for k <= {report.nilpotency_index} (N = {n}, g_bar = {g_bar!r})"
         )
     p = report.closure_p
     try:
@@ -122,7 +125,7 @@ def _overflow(report, n: int, g_bar: float) -> ValidationError:
         arg = math.inf
     return ValidationError(
         f"closed-form generator overflows: sinh/cosh of N*g_bar*sqrt(p) = "
-        f"{arg!r} (N = {n}, g_bar = {g_bar!r}, p = {p!r})"
+        f"{arg!r}{times} (N = {n}, g_bar = {g_bar!r}, p = {p!r})"
     )
 
 

@@ -17,8 +17,11 @@ is one step, :func:`adjoint_power` and the towers of :func:`classify_pair`
 are many.  The contraction weights are the exact normal-ordering integers
 R(n, m, k) = C(n, k) C(m, k) k! (Blasiak et al., Am. J. Phys. 75, 639,
 2007); for one term and one k they are a row minus a column vector, so
-each (term, k) is one slice-add over the other operand's whole grid.  A
-tower keeps each level's grid for the next level.  Every product stops at
+each (term, k) is one slice-add over the other operand's whole grid.
+While a tower runs, its levels stay trimmed, chop-zeroed grids
+(:class:`_Level`); a level's terms are built when the kernel runs over
+them, and every level becomes a polynomial once, when the report is
+returned, so a tower that overflows builds none.  Every product stops at
 the fixed total degree ``MAX_DEGREE``; within it each weight difference
 is rounded once.  A pair is classified once per process:
 :func:`classify_pair` keeps its reports in a bounded least-recently-used
@@ -295,7 +298,46 @@ def commutator(a: LadderPolynomial, b: LadderPolynomial) -> LadderPolynomial:
     """
     if a.is_zero() or b.is_zero():
         return zero_op()
-    return _AdjointStep(a)(b, None)[0]
+    return _AdjointStep(a)(_Level.of(b)).polynomial()
+
+
+class _Level:
+    """A level t of an adjoint tower, as the kernel keeps it: t's grid trimmed
+    to its terms with every chopped entry zeroed, the rows and columns of
+    its terms in row-major order, their coefficients and their count.  t as
+    a polynomial is built only when asked for (:meth:`polynomial`).  A level
+    made from a polynomial (:meth:`of`) has its grid built only if a step
+    needs it."""
+
+    __slots__ = ("grid", "ms", "ns", "values", "size", "poly")
+
+    def __init__(self, grid: np.ndarray, ms: np.ndarray, ns: np.ndarray,
+                 values: np.ndarray):
+        self.grid, self.ms, self.ns, self.values = grid, ms, ns, values
+        self.size, self.poly = len(ms), None
+
+    @classmethod
+    def of(cls, p: LadderPolynomial) -> "_Level":
+        level = cls.__new__(cls)
+        level.grid = level.ms = level.ns = level.values = None
+        level.size, level.poly = len(p._terms), p
+        return level
+
+    def polynomial(self) -> LadderPolynomial:
+        """t, its terms in row-major order, built once."""
+        if self.poly is None:
+            self.poly = LadderPolynomial._canonical(dict(zip(
+                zip(self.ms.tolist(), self.ns.tolist()), self.values.tolist())))
+        return self.poly
+
+    def degree(self) -> int:
+        if self.poly is not None:
+            return self.poly.degree
+        return int(np.add(self.ms, self.ns).max())
+
+
+#: The zero level, where a tower ends.
+_ZERO_LEVEL = _Level.of(LadderPolynomial())
 
 
 class _AdjointStep:
@@ -305,8 +347,9 @@ class _AdjointStep:
     contractions of g's terms with a grid (sized to the grid of the first
     step, and otherwise to the largest grid an entry below the degree limit
     can have), their slice-adds for the current grid shape, and the
-    contractions of the entries' terms with g's grid.
-    Callers step under ``_kernel_errors``.
+    contractions of the entries' terms with g's grid.  A level's terms are
+    built only when the kernel runs over them, or to break a tie in
+    :func:`_runs_outer`.  Callers step under ``_kernel_errors``.
     """
 
     def __init__(self, g: LadderPolynomial):
@@ -315,23 +358,23 @@ class _AdjointStep:
         self.g_grid = self.g_terms = self.g_coefficients = self.g_plan = None
         self.g_shape, self.on_g = (0, 0), {}
 
-    def __call__(self, t: LadderPolynomial,
-                 grid: np.ndarray | None) -> tuple[LadderPolynomial, np.ndarray]:
-        """[g, t] and its grid trimmed to its terms, from a nonzero t and t's
-        trimmed grid (or None, to build it only if the step needs it)."""
+    def __call__(self, t: _Level) -> _Level:
+        """[g, t] from a nonzero level t."""
         g = self.g
-        shape = _extent(t) if grid is None else grid.shape
+        grid = t.grid
+        shape = _extent(t.poly) if grid is None else grid.shape
         # extents bound degrees (m + n <= rows - 1 + cols - 1); the exact
         # degrees are needed only near the limit
         if self.degree + sum(shape) - 2 > MAX_DEGREE:
             self.degree = g.degree
-            _check_degree(self.degree + t.degree)
-        g_outer = _runs_outer(g, t)
+            _check_degree(self.degree + t.degree())
+        size = len(g._terms)
+        g_outer = size < t.size if size != t.size else _runs_outer(g, t.polynomial())
         if g_outer is None:
-            return zero_op(), grid
+            return _ZERO_LEVEL
         if g_outer:
             if grid is None:
-                grid = _grid(t, shape)
+                grid = _grid(t.poly, shape)
             if shape[0] > self.g_shape[0] or shape[1] > self.g_shape[1]:
                 # a first step (a lone commutator) needs only this grid; the
                 # grids of a tower's later levels grow towards the limit
@@ -344,17 +387,15 @@ class _AdjointStep:
             if self.g_plan is None or self.g_plan[0] != shape:
                 self.g_plan = None  # let its buffer go before the next is made
                 self.g_plan = _plan(self.g_terms, shape, self.extent)
-            entry, grid = _polynomial(_contract(self.g_coefficients, self.g_plan, grid))
-        else:
-            if self.g_grid is None:
-                self.g_grid = _grid(g, self.extent)
-            on_g = self.on_g
-            for key in t._terms:
-                if key not in on_g:
-                    on_g[key] = (*key, _contractions(*key, *self.extent))
-            plan = _plan([on_g[key] for key in t._terms], self.extent, shape)
-            entry, grid = _polynomial(_contract(_coefficients(t, False), plan, self.g_grid))
-        return entry, grid
+            return _level(_contract(self.g_coefficients, self.g_plan, grid))
+        if self.g_grid is None:
+            self.g_grid = _grid(g, self.extent)
+        p, on_g = t.polynomial(), self.on_g
+        for key in p._terms:
+            if key not in on_g:
+                on_g[key] = (*key, _contractions(*key, *self.extent))
+        plan = _plan([on_g[key] for key in p._terms], self.extent, shape)
+        return _level(_contract(_coefficients(p, False), plan, self.g_grid))
 
 
 def _runs_outer(a: LadderPolynomial, b: LadderPolynomial) -> bool | None:
@@ -480,14 +521,14 @@ def _contract(coefficients: np.ndarray, plan: tuple, grid: np.ndarray) -> np.nda
     return out
 
 
-def _polynomial(out: np.ndarray) -> tuple[LadderPolynomial, np.ndarray]:
-    """A result grid as a polynomial, and the grid trimmed to its terms.
+def _level(out: np.ndarray) -> _Level:
+    """A result grid as a tower level: chopped, checked and trimmed.
 
     The chop drops |c| <= ``CHOP_TOLERANCE`` and zeroes those entries in
-    place, so the grid holds exactly the polynomial's terms.
+    place, so the trimmed grid holds exactly the level's terms.
     """
     if not out.size:
-        return zero_op(), out
+        return _ZERO_LEVEL
     size = np.abs(out)
     keep = size > CHOP_TOLERANCE
     if not np.add.reduce(size, None) < math.inf:
@@ -497,14 +538,11 @@ def _polynomial(out: np.ndarray) -> tuple[LadderPolynomial, np.ndarray]:
             raise ValidationError(
                 f"coefficient of {(m, n)!r} is not finite: {complex(out[m, n])!r}")
     ms, ns = keep.nonzero()
-    rows = ms.tolist()
-    if not rows:
-        return zero_op(), out
-    if len(rows) != np.count_nonzero(out):
+    if not len(ms):
+        return _ZERO_LEVEL
+    if len(ms) != np.count_nonzero(out):
         out *= keep
-    cols = ns.tolist()
-    terms = dict(zip(zip(rows, cols), out[keep].tolist()))
-    return LadderPolynomial._canonical(terms), out[: rows[-1] + 1, : max(cols) + 1]
+    return _Level(out[: ms[-1] + 1, : ns[ns.argmax()] + 1], ms, ns, out[keep])
 
 
 @_kernel_errors
@@ -516,12 +554,12 @@ def adjoint_power(g: LadderPolynomial, h: LadderPolynomial, n: int) -> LadderPol
         return h
     if g.is_zero() or h.is_zero():
         return zero_op()
-    step, out, grid = _AdjointStep(g), h, None
+    step, level = _AdjointStep(g), _Level.of(h)
     for _ in range(n):
-        out, grid = step(out, grid)
-        if out.is_zero():
+        level = step(level)
+        if not level.size:
             break
-    return out
+    return level.polynomial()
 
 
 def is_hermitian(p: LadderPolynomial, tol: float = CHOP_TOLERANCE) -> bool:
@@ -632,32 +670,31 @@ def classify_pair(
 def _classify(g: LadderPolynomial, h: LadderPolynomial, cap: int) -> NilpotencyReport:
     """The adjoint tower of :func:`classify_pair` and its classification."""
     step = _AdjointStep(g)
-    tower: list[LadderPolynomial] = [h]
-    grid = None
+    levels = [_Level.of(h)]
     for n in range(1, cap + 1):
-        entry, grid = step(tower[-1], grid)
-        if entry.is_zero():
+        entry = step(levels[-1])
+        if not entry.size:
             k = n - 1
+            tower = tuple(level.polynomial() for level in levels)
             top = tower[k]
             if top.is_constant():
                 return NilpotencyReport(
                     kind=KIND_FINITE_CONSTANT,
-                    tower=tuple(tower),
+                    tower=tower,
                     nilpotency_index=k,
                     constant_value=top.constant_term(),
                 )
-            return NilpotencyReport(
-                kind=KIND_FINITE, tower=tuple(tower), nilpotency_index=k
-            )
-        tower.append(entry)
+            return NilpotencyReport(kind=KIND_FINITE, tower=tower, nilpotency_index=k)
+        levels.append(entry)
 
+    tower = tuple(level.polynomial() for level in levels)
     if len(tower) >= 4:
         p = _extract_closure_rate(tower[1], tower[3])
         if p is not None:
             return NilpotencyReport(
-                kind=KIND_CLOSED_INFINITE, tower=tuple(tower), closure_p=p, cap=cap
+                kind=KIND_CLOSED_INFINITE, tower=tower, closure_p=p, cap=cap
             )
-    return NilpotencyReport(kind=KIND_CAP_REACHED, tower=tuple(tower), cap=cap)
+    return NilpotencyReport(kind=KIND_CAP_REACHED, tower=tower, cap=cap)
 
 
 def _exact_key(p: LadderPolynomial) -> tuple[tuple, bytes]:

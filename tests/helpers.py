@@ -11,7 +11,8 @@ elements: it multiplies truncated ladder matrices.  The Fock references know
 nothing about the package's real and eigen-coordinate paths: they evolve the
 full vector through complex eigendecompositions at every finite-difference
 point, and build probes one level at a time.  The coefficient peak is
-found by comparing every exact ``Fraction`` value.
+found by comparing every exact ``Fraction`` value.  The reference formatter
+renders one term at a time with f-strings, as the package once did.
 """
 
 import math
@@ -158,6 +159,93 @@ def random_hermitian_polynomial(rng, max_degree: int = 4) -> LadderPolynomial:
                     terms[(m, n)] = value
                     terms[(n, m)] = value.conjugate()
     return LadderPolynomial(terms)
+
+
+# -- reference formatter and the tower-classify pool ---------------------------
+
+
+def _format_coefficient(c: complex) -> str:
+    if c.imag == 0.0:
+        real = c.real
+        return repr(real) if real >= 0 else f"(-{-real!r})"
+    if c.real == 0.0:
+        imag = c.imag
+        return f"({imag!r}*i)" if imag >= 0 else f"(-{-imag!r}*i)"
+    sign = "+" if c.imag >= 0 else "-"
+    return f"({c.real!r} {sign} {abs(c.imag)!r}*i)"
+
+
+def reference_format_polynomial(p: LadderPolynomial) -> str:
+    """Per-term rendering that ``format_polynomial`` must match byte for byte."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for (m, n) in sorted(p.terms, key=lambda k: (-(k[0] + k[1]), -k[0])):
+        factors = [_format_coefficient(p.coefficient(m, n))]
+        if m == 1:
+            factors.append("ad")
+        elif m > 1:
+            factors.append(f"ad^{m}")
+        if n == 1:
+            factors.append("a")
+        elif n > 1:
+            factors.append(f"a^{n}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+#: The classify commands of the benchmark's tower-classify pool at seed 1:
+#: argv, exit code, sha256 of stdout with the JSON ``duration_s`` and
+#: ``timestamp`` values replaced by ``null``, and stderr.  Recorded before
+#: the tower kept its levels as grids and the formatter used templates.
+TOWER_POOL = [
+    (["classify", "--g", "X^1", "--h", "P"], 0,
+     "c328b66ebee913ddb6a10118b2c2db3a7d2949479850012a404f4744d5965b31", ""),
+    (["classify", "--g", "X^2", "--h", "P", "--format", "json"], 0,
+     "963a4d585f07672fbc4889b53ac939605f5aed73a77c44f27f01440170025741", ""),
+    (["classify", "--g", "X^3", "--h", "P"], 0,
+     "8d101c67b34434baafada53f5c232c04c446e2803c9bd67150f0bd70c194caa8", ""),
+    (["classify", "--g", "X^4", "--h", "P", "--format", "json"], 0,
+     "a51e4cd7d762fe0b1125fe406830032fc6174615daffb13735dc7dd7934c31ae", ""),
+    (["classify", "--g", "X^5", "--h", "P"], 0,
+     "8d101c67b34434baafada53f5c232c04c446e2803c9bd67150f0bd70c194caa8", ""),
+    (["classify", "--g", "X^6", "--h", "P", "--format", "json"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: product degree 67 exceeds limit 64\n"),
+    (["classify", "--g", "P", "--h", "X^1"], 0,
+     "9c7621d9107e2d5c98592d16b4a140132d79e397b4ea1bfc84e3ab6d8dda6a82", ""),
+    (["classify", "--g", "P", "--h", "X^2", "--format", "json"], 0,
+     "d712f4f3f2b4ad49b5f4c6aabaf9c41a14b2eddea22032de2f96d634215ae9fc", ""),
+    (["classify", "--g", "P", "--h", "X^3"], 0,
+     "525a7a2b94e6de30c49ec0902750aa602707424d3d3d056f7c9742141ef6943e", ""),
+    (["classify", "--g", "P", "--h", "X^4", "--format", "json"], 0,
+     "92fb3b2717e717f82c2bd75c338695c34c4b84f63698b6bfa465bb0e0fac5dbc", ""),
+    (["classify", "--g", "P", "--h", "X^5"], 0,
+     "830d0a27d6bc438715a6ff214b0dfc8b0ae6c74ce797608b0b9724ceff6a0f5f", ""),
+    (["classify", "--g", "P", "--h", "X^6", "--format", "json"], 0,
+     "ba2fa12ff3919161aae8d3ac842bb4914b61fc32ea6a829ecd00d018fa88c513", ""),
+    (["classify", "--g", "ad*a", "--h", "X", "--format", "json"], 0,
+     "715abc5b654daa80a91d5cd683f3803d0e451f5d8b3cc3d6f4cdab88cbc21558", ""),
+    (["classify", "--g", "X^3 + P^2", "--h", "P", "--format", "json"], 0,
+     "885f2bd3967dd6cb4a37609425bbd494a48f688a698124f6ba69091be5c4bfaf", ""),
+    (["classify", "--g", "X^3+P^3", "--h", "X", "--format", "json"], 0,
+     "a4bcc6c56c71fb09edfb9e4832dd56036034f371ec3965793a1a9fa849d74017", ""),
+    (["classify", "--g", "X^4", "--h", "P^3", "--format", "json"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: product degree 65 exceeds limit 64\n"),
+    (["classify", "--g", "0.2531916479779972*ad^2 + 0.2531916479779972*a^2", "--h", "P"], 0,
+     "52f0cfb94299c612564e17253160d6a4f9ddcc0dfc1004cef0e581cd58ae2e2f", ""),
+    (["classify", "--g", "1.0122700806660994*ad^2 + 1.0122700806660994*a^2", "--h", "P",
+      "--format", "json"], 0,
+     "f1e45bc76960894c2e6004104ed075c4a8a93bceadc2e4b8e664d9295a423637", ""),
+    (["classify", "--g", "1.258045540215855*ad^2 + 1.258045540215855*a^2", "--h", "P"], 0,
+     "b44d6cc453a1551da6297164ea232a33cf53815c469e5be64e7a5f7b6f59985b", ""),
+]
+
+
+def tower_pool_pairs() -> list[tuple[str, str]]:
+    """The (g, h) expressions of :data:`TOWER_POOL`, in its order."""
+    return [(argv[2], argv[4]) for argv, *_ in TOWER_POOL]
 
 
 # -- full-vector Fock references ------------------------------------------------

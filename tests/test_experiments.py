@@ -240,3 +240,17 @@ class TestDeterminism:
         b = fig3_scan(range(1, 6), xi_bar=0.1, dim=80)
         assert a.rows == b.rows
         assert a.metadata == b.metadata
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: fig2a_scan([1], []),
+    lambda: fig2b_scan([], 5),
+    lambda: fig3_scan([], xi_bar=0.1),
+    lambda: example1_scan([], s_bar=0.2),
+    lambda: switch_scan([], 0.1, 0.2),
+], ids=["fig2a", "fig2b", "fig3", "example1", "switch"])
+def test_empty_n_list_is_rejected(scan):
+    # fig2b once raised a bare ValueError from max(), the others returned
+    # scans with no rows
+    with pytest.raises(ValidationError, match="N values must not be empty"):
+        scan()

@@ -1,13 +1,15 @@
 """Operator-expression grammar: parsing, precedence, errors, round-trip."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncmetro import (
+    DegreeOverflowError,
     ExpressionError,
     LadderPolynomial,
     annihilation_op,
+    classify_pair,
     commutator,
     creation_op,
     format_polynomial,
@@ -17,6 +19,7 @@ from ncmetro import (
     parse_operator,
     position_op,
 )
+from helpers import reference_format_polynomial, tower_pool_pairs
 
 
 def test_quadrature_difference():
@@ -104,3 +107,43 @@ def random_polynomials(draw):
 @given(random_polynomials())
 def test_format_parse_round_trip(poly):
     assert parse_operator(format_polynomial(poly)).allclose(poly, 1e-12)
+
+
+#: Parts the template cases turn on: signed zeros, subnormals, and
+#: magnitudes whose repr switches to exponent notation (|c| >= 1e16).
+_EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-300, 1e16, -1e16,
+               1.2345678901234567e16, -9.999999999999999e22, 1e300, -1e300, 1.5, -1.5]
+
+
+@st.composite
+def formatter_polynomials(draw):
+    part = st.one_of(st.sampled_from(_EDGE_PARTS),
+                     st.floats(-1e300, 1e300, allow_nan=False))
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        # exponents beyond MAX_DEGREE (64): a polynomial can hold them
+        key = (draw(st.integers(0, 80)), draw(st.integers(0, 80)))
+        terms[key] = complex(draw(part), draw(part))
+    return LadderPolynomial(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formatter_polynomials())
+@example(LadderPolynomial({(0, 0): complex(-1.5, -0.0), (64, 1): complex(-0.0, -2.0),
+                           (1, 0): complex(1e16, -5e-324), (100, 3): complex(-0.0, 1e-3),
+                           (3, 100): 1j, (300, 2): -2.0}))
+def test_format_matches_the_per_term_reference(poly):
+    assert format_polynomial(poly) == reference_format_polynomial(poly)
+
+
+def test_format_matches_the_reference_on_the_tower_pool():
+    checked = 0
+    for g, h in tower_pool_pairs():
+        try:
+            report = classify_pair(parse_operator(g), parse_operator(h))
+        except DegreeOverflowError:  # X^6 | P and X^4 | P^3: no tower to print
+            continue
+        for level in report.tower:
+            assert format_polynomial(level) == reference_format_polynomial(level)
+            checked += len(level.terms)
+    assert checked > 8000  # the two capped cubic towers alone hold 8469 terms

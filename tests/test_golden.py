@@ -1,0 +1,23 @@
+"""Golden outputs: the tower-classify pool's commands print exactly the
+bytes recorded in ``helpers.TOWER_POOL``, so a kernel or formatter change
+shows which cells it moves."""
+
+import hashlib
+import re
+
+import pytest
+
+from ncmetro.cli import main
+from helpers import TOWER_POOL
+
+_TIMING = re.compile(r'"(duration_s|timestamp)": [^,\n]*')
+
+
+@pytest.mark.parametrize("argv, code, digest, stderr", TOWER_POOL,
+                         ids=[f"{argv[2]} | {argv[4]}" for argv, *_ in TOWER_POOL])
+def test_tower_pool_output_is_pinned(argv, code, digest, stderr, capsys):
+    assert main(list(argv)) == code
+    out, err = capsys.readouterr()
+    text = _TIMING.sub(r'"\1": null', out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert err == stderr

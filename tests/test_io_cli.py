@@ -423,6 +423,24 @@ class TestMain:
         assert out == "" and err.startswith("error: ")
         assert "generator overflows" in err and named in err
 
+    @pytest.mark.parametrize("argv, cause", [
+        (["generator", "--g", "X^3", "--h", "P", "--N", "1000", "--aux", "1e306"],
+         "series generator overflows: N (i N g_bar)^k / k! is not finite for k <= 1"),
+        # N (i N g_bar) = 1.7e308 i is finite; its product with the 1.5 of
+        # 3i X^2 is not
+        (["generator", "--g", "X^3", "--h", "P", "--N", "1", "--aux", "1.7e308"],
+         "series generator overflows: N (i N g_bar)^k / k! times a tower coefficient "
+         "is not finite for k <= 1"),
+        # N sinh(709.76) / sqrt(p) is finite; its product with [g, h] is not
+        (["generator", "--g", "2*ad^2 + 2*a^2", "--h", "3*X", "--N", "1", "--aux", "177.44"],
+         "closed-form generator overflows: sinh/cosh of N*g_bar*sqrt(p) = 709.76 times "
+         "a tower coefficient (N = 1"),
+    ], ids=["series-scalar", "series-product", "closed-product"])
+    def test_generator_overflow_names_its_cause(self, argv, cause, capsys):
+        # the last two once blamed the scalar, which is finite
+        assert main(argv) == 2
+        assert cause in capsys.readouterr().err
+
     def test_fig2b_kmax_zero_is_not_the_default(self, capsys):
         # --kmax 0 once read as "not given" and printed K = 0..10
         assert main(["fig2b", "--N", "6", "--kmax", "0"]) == 2

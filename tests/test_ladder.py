@@ -48,6 +48,7 @@ from helpers import (
     naive_product,
     random_hermitian_polynomial,
     random_polynomial,
+    tower_pool_pairs,
 )
 
 X = position_op()
@@ -328,6 +329,28 @@ class TestDenseKernel:
         assert report.kind == KIND_CAP_REACHED
         for previous, entry in zip(report.tower, report.tower[1:]):
             assert entry == commutator(g, previous)
+
+    @pytest.mark.parametrize("g, h", [pair for pair in tower_pool_pairs()
+                                      if pair not in (("X^6", "P"), ("X^4", "P^3"))])
+    def test_pool_levels_are_the_commutator_loop(self, g, h):
+        # the tower keeps its levels as grids and builds their terms once, at
+        # the end; each must be the commutator of the level before, to the
+        # bytes of every coefficient and the order of the terms, which is
+        # row-major
+        g, h = parse_operator(g), parse_operator(h)
+        report = ladder._classify(g, h, ladder.DEFAULT_ADJOINT_CAP)
+        level = h
+        for entry in report.tower[1:]:
+            level = commutator(g, level)
+            assert ladder._exact_key(entry) == ladder._exact_key(level)
+            assert list(entry.terms) == sorted(entry.terms)
+        assert ladder._exact_key(report.tower[0]) == ladder._exact_key(h)
+
+    @pytest.mark.parametrize("g, h, degree", [("X^4", "P^3", 65), ("X^6", "P", 67)])
+    def test_pool_overflows_name_the_product_degree(self, g, h, degree):
+        with pytest.raises(DegreeOverflowError,
+                           match=f"product degree {degree} exceeds limit 64"):
+            classify_pair(parse_operator(g), parse_operator(h))
 
     def test_overflow_is_a_validation_error_without_warnings(self):
         a = LadderPolynomial({(2, 0): 1e300, (0, 2): 1e300})
