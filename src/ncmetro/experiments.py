@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import NumericalTrustError, ValidationError
+from .errors import DegenerateMeasurementError, NumericalTrustError, ValidationError
 from .fock import DEFAULT_DIM, DEFAULT_STEP, qfi_numeric, switch_qfi
 from .gaussian import HomodyneSpec, cfi_quadrature, gaussian_probe, qfi_linear_generator
 from .generators import k_peak, local_generator
@@ -138,12 +138,16 @@ def fig3_scan(
 
     Columns: closed-form QFI 2 N^2 cosh(2 N xi), the Gaussian-engine QFI
     from the local generator, the Fock-oracle QFI where it converged (with a
-    per-row trust marker), the CFI at theta, and the CFI/QFI ratio.
+    per-row trust marker), the CFI at theta, and the CFI/QFI ratio.  A row
+    whose final covariance does not resolve the homodyne variance keeps None
+    in its CFI and ratio columns, as an unconverged oracle row does in its
+    Fock columns.
     """
     if not xi_bar > 0:
         raise ValidationError("xi_bar must be positive")
     n_range = _checked_ns(n_range)
     probe = ProbeDescriptor.coherent(alpha)
+    probe_state = gaussian_probe(probe)
     spec = HomodyneSpec(theta)
     columns = [
         "N",
@@ -165,8 +169,11 @@ def fig3_scan(
                 f"xi_bar = {xi_bar!r}"
             ) from None
         gen = local_generator(protocol).generator
-        qfi_gauss = qfi_linear_generator(gaussian_probe(probe), gen)
-        cfi = cfi_quadrature(protocol, spec)
+        qfi_gauss = qfi_linear_generator(probe_state, gen)
+        try:
+            cfi = cfi_quadrature(protocol, spec)
+        except DegenerateMeasurementError:
+            cfi = None
         row = {
             "N": n,
             "qfi_closed_form": closed,
@@ -174,7 +181,7 @@ def fig3_scan(
             "qfi_fock": None,
             "fock_trusted": None,
             "cfi": cfi,
-            "ratio_cfi_qfi": cfi / qfi_gauss,
+            "ratio_cfi_qfi": None if cfi is None else cfi / qfi_gauss,
         }
         if include_fock:
             try:

@@ -7,8 +7,8 @@ matrix elements come from the Fock basis in closed form, states are evolved
 through eigendecompositions of the Hermitian generators, and the QFI comes
 from state overlaps, so this module can certify the closed-form results
 computed elsewhere.  States are plain numpy vectors: ``prepare_probe``
-returns the normalized amplitude array, and ``switch_protocol`` returns the
-two branches of the switch, each weighted 1/sqrt(2).
+returns a fresh normalized amplitude array, and ``switch_protocol`` returns
+the two branches of the switch, each weighted 1/sqrt(2).
 
 A generator is decomposed once per dimension and process: the bounded
 least-recently-used cache of :mod:`ladder`, sized by eigenvector bytes,
@@ -17,20 +17,26 @@ A real generator, or one that the diagonal gauge G = diag(i^k) makes real,
 gets a real symmetric decomposition and real mat-vecs; X and P = G X G^dag
 share one.  Finite differences run in the eigen-coordinates of H_lambda,
 where each point is a phase per coefficient, so no point re-evolves the
-Fock vector; the switch projects its x-independent vectors once.
+Fock vector.  A scan's x-independent work is done once: a probe is
+prepared once per descriptor and dimension and kept read-only, the
+scan-edge states are the coarse pass's, and the switch projects its
+x-independent vectors and computes the phases of exp(-iNpX) once per N.
 
 Trust model: prepared and evolved vectors must keep the population of the
 top Fock level below ``LEAKAGE_THRESHOLD``; finite-difference QFI runs a
 second pass at half step and Richardson-extrapolates, flagging the result
 untrusted above 0.5% pass disagreement and erroring above 5%.  A QFI is
 also flagged untrusted when parity keeps the top level empty, since the
-leakage check then sees nothing.
+leakage check then sees nothing.  A step whose half moves the parameter
+by less than sqrt(eps) max(1, |x0|) is refused: its passes read rounding
+noise, or zero, and can agree.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -157,6 +163,11 @@ class HermitianEvolver:
         return u if self._gauge is None else self._gauge[:, None] * u * self._gauge.conj()
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _real_times(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Real matrix times complex vector as one real product on float pairs."""
     pairs = np.ascontiguousarray(vec, dtype=complex).view(np.float64).reshape(-1, 2)
@@ -220,7 +231,25 @@ def _check_leakage(top: complex, context: str) -> None:
 
 
 def prepare_probe(probe: ProbeDescriptor, dim: int) -> np.ndarray:
-    """The normalized truncated amplitude vector of a probe descriptor."""
+    """The normalized truncated amplitude vector of a probe descriptor, as a
+    fresh array."""
+    return _probe(probe, dim).copy()
+
+
+def _probe(probe: ProbeDescriptor, dim: int) -> np.ndarray:
+    """The probe's vector, prepared once per key and kept read-only.  The
+    key holds the descriptor's repr, not the descriptor: descriptors that
+    compare equal can prepare different bits (a real alpha and the same
+    complex one), while the repr keeps every field's type and float bits
+    apart."""
+    return _cached_probe((repr(probe), dim), lambda: _read_only(_prepare(probe, dim)))
+
+
+#: Prepared probe vectors, 16 dim bytes each.
+_cached_probe = _BoundedLRU(lambda vec: vec.nbytes, 4 * 2**20)
+
+
+def _prepare(probe: ProbeDescriptor, dim: int) -> np.ndarray:
     if dim < 2:
         raise ValidationError("truncation dimension must be at least 2")
     amps = np.zeros(dim, dtype=complex)
@@ -316,6 +345,25 @@ def _richardson_qfi(
     )
 
 
+#: sqrt(machine epsilon): a smaller relative step leaves a central difference
+#: nothing but rounding.
+_STEP_FLOOR = math.sqrt(sys.float_info.epsilon)
+
+
+def _check_step(step: float, x0: float) -> None:
+    """A finite-difference step must be finite, and its half, the fine
+    pass's step, must move x0 by at least sqrt(eps) max(1, |x0|) (about
+    1.5e-8 near zero); below that the passes read rounding noise, or zero,
+    and could still agree."""
+    require_finite(step=step)
+    floor = _STEP_FLOOR * max(1.0, abs(x0))
+    if not step / 2.0 >= floor:
+        raise ValidationError(
+            f"finite-difference step {step!r} is too small: its half must be at "
+            f"least {floor:.3g} (sqrt(eps) * max(1, |x0|) at x0 = {x0!r})"
+        )
+
+
 def qfi_numeric(
     protocol: EncodingProtocol,
     dim: int = DEFAULT_DIM,
@@ -328,9 +376,7 @@ def qfi_numeric(
     Richardson extrapolated.  On leakage or >5% pass disagreement the
     truncation dimension is doubled up to ``retries`` times before raising.
     """
-    require_finite(step=step)
-    if step <= 0:
-        raise ValidationError("finite-difference step must be positive")
+    _check_step(step, protocol.lambda_bar)
     if retries < 0:
         raise ValidationError("retries must be >= 0")
     last_error: Exception | None = None
@@ -356,7 +402,7 @@ def _leakage_check_blind(protocol: EncodingProtocol, dim: int) -> bool:
 def _qfi_numeric_once(
     protocol: EncodingProtocol, dim: int, step: float
 ) -> QfiEstimate:
-    probe = prepare_probe(protocol.probe, dim)
+    probe = _probe(protocol.probe, dim)
     n = protocol.n_applications
     after_aux = _evolver(protocol.h_g, dim).apply(n * protocol.g_bar, probe)
     _check_leakage(after_aux[-1], "qfi_numeric (auxiliary block)")
@@ -368,10 +414,14 @@ def _qfi_numeric_once(
     def state_at(lam: float) -> np.ndarray:
         return evolver_l.phases(n * lam) * coeffs
 
-    for edge in (protocol.lambda_bar + step, protocol.lambda_bar - step):
-        _check_leakage(evolver_l.top_amplitude(state_at(edge)), "qfi_numeric (scan edge)")
-    estimate = _richardson_qfi(_overlap_passes(state_at, protocol.lambda_bar),
-                               step, dim, "finite-difference")
+    lam_bar = protocol.lambda_bar
+    # the scan edges are the coarse pass's outer points
+    edges = {lam: state_at(lam) for lam in (lam_bar + step, lam_bar - step)}
+    for state in edges.values():
+        _check_leakage(evolver_l.top_amplitude(state), "qfi_numeric (scan edge)")
+    estimate = _richardson_qfi(
+        _overlap_passes(lambda lam: edges[lam] if lam in edges else state_at(lam), lam_bar),
+        step, dim, "finite-difference")
     if _leakage_check_blind(protocol, dim):
         estimate = replace(estimate, trusted=False)
     return estimate
@@ -383,20 +433,22 @@ def _qfi_numeric_once(
 def _switch_states(n: int, p: float,
                    probe: np.ndarray) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
     """The switch branches as a function of x.  The x-independent work is
-    done once: exp(-iNpX)|psi> and |psi> are projected onto P's eigenbasis,
-    so each x costs two lifts and one X evolution, and both branches are
-    still checked for leakage in the Fock basis."""
+    done once: the phases of exp(-iNpX), and exp(-iNpX)|psi> and |psi>
+    projected onto P's eigenbasis, so each x costs two lifts and one X
+    evolution, and both branches are still checked for leakage in the Fock
+    basis."""
     if n < 1:
         raise ValidationError("switch protocol requires n >= 1")
     u_p = _evolver(momentum_op(), probe.size)  # exp(-i t P), t = N x
     u_x = _evolver(position_op(), probe.size)  # exp(-i t X), t = N p
-    after_x = u_p.project(u_x.apply(n * p, probe))
+    phases_x = u_x.phases(n * p)
+    after_x = u_p.project(u_x.lift(phases_x * u_x.project(probe)))
     before_x = u_p.project(probe)
 
     def state_at(x: float) -> tuple[np.ndarray, np.ndarray]:
         phases = u_p.phases(n * x)
         branch_ab = u_p.lift(phases * after_x)
-        branch_ba = u_x.apply(n * p, u_p.lift(phases * before_x))
+        branch_ba = u_x.lift(phases_x * u_x.project(u_p.lift(phases * before_x)))
         _check_leakage(branch_ab[-1], "switch_protocol")
         _check_leakage(branch_ba[-1], "switch_protocol")
         return branch_ab / math.sqrt(2.0), branch_ba / math.sqrt(2.0)
@@ -457,10 +509,9 @@ def switch_qfi(
     """
     if mode not in SWITCH_MODES:
         raise ValidationError(f"mode must be one of {SWITCH_MODES}")
-    require_finite(x=x, p=p, step=step)
-    if step <= 0:
-        raise ValidationError("finite-difference step must be positive")
-    switch_at = _switch_states(n, p, prepare_probe(probe or ProbeDescriptor.vacuum(), dim))
+    require_finite(x=x, p=p)
+    _check_step(step, x)
+    switch_at = _switch_states(n, p, _probe(probe or ProbeDescriptor.vacuum(), dim))
 
     if mode == "control":
         def bloch_at(xv: float) -> np.ndarray:

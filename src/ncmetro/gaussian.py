@@ -8,14 +8,23 @@ vacuum covariance diag(1/2, 1/2), and sigma_ij the symmetrized second moment
 One map, ``_quadratures``, reads a ladder polynomial of degree <= 2 as
 H = (1/2) R^T G R + d^T R + c, with ad = (X - iP)/sqrt2 and a = (X + iP)/sqrt2.
 States evolve through the symplectic matrix S = exp(t Omega G); because
-Omega G is traceless and 2x2, S and the inhomogeneous shift integral have
-closed forms, so evolution is exact to machine precision and purity
+m = t Omega G is traceless and 2x2, m @ m = -det(m) I, so S and the
+inhomogeneous shift integral have closed forms (Weedbrook et al., Rev. Mod.
+Phys. 84, 621, 2012), evolution is exact to machine precision and purity
 det(cov) = 1/4 is preserved.
+
+The engine runs on plain floats: a state is the tuple
+(<X>, <P>, sigma_XX, sigma_XP, sigma_PP), a generator the tuple that
+``_quadratures`` returns, and ``_flow`` is the one evolution step under
+``evolve``, ``run_protocol`` and ``cfi_quadrature``.  A ``GaussianState``,
+with its frozen numpy arrays, is built only where a public function
+returns one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +39,72 @@ from .errors import (
 from .ladder import LadderPolynomial
 from .protocols import EncodingProtocol, ProbeDescriptor
 
-#: Standard symplectic form in (X, P) ordering.
-OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 _SQRT2 = math.sqrt(2.0)
 _IMAG_TOL = 1e-10
+
+#: Smallest variance along the homodyne axis, relative to the size of the
+#: covariance terms it sums, that ``cfi_quadrature`` resolves: rounding in
+#: the covariance moves it by up to about 2 eps times that size, so at this
+#: floor the CFI is still within 5e-4.
+_VAR_RESOLUTION = 1e-12
+
+#: (<X>, <P>, sigma_XX, sigma_XP, sigma_PP) of a state.
+Moments = tuple[float, float, float, float, float]
+#: (G_xx, G_pp, G_xp, d_x, d_p) of a quadratic generator, as ``_quadratures``.
+Quadratures = tuple[float, float, float, float, float]
+
+
+#: 2^27 + 1, Veltkamp's splitting constant for doubles.
+_SPLIT = 134217729.0
+
+
+def _dot2(a: float, b: float, c: float, d: float) -> float:
+    """a*b + c*d with the rounding errors of both products and of the sum
+    added back (Dot2 of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 1955,
+    2005), as accurate as with one fused multiply-add.  The covariance of a
+    squeezed state and its variance along the squeezed axis are sums that
+    cancel, so plain products lose digits there."""
+    p, q = a * b, c * d
+    x = _SPLIT * a
+    a_hi = x - (x - a)
+    a_lo = a - a_hi
+    x = _SPLIT * b
+    b_hi = x - (x - b)
+    b_lo = b - b_hi
+    x = _SPLIT * c
+    c_hi = x - (x - c)
+    c_lo = c - c_hi
+    x = _SPLIT * d
+    d_hi = x - (x - d)
+    d_lo = d - d_hi
+    total = p + q
+    x = total - p
+    return total + (((p - (total - x)) + (q - x))
+                    + (((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo)
+                    + (((c_hi * d_hi - q) + c_hi * d_lo + c_lo * d_hi) + c_lo * d_lo))
 
 
 def _frozen_array(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=float).reshape(shape)
     arr.setflags(write=False)
     return arr
+
+
+#: Rounding of the smallest eigenvalue in ``_check_uncertainty``, relative to
+#: a + c: the half trace and the hypot each round off about eps (a + c) / 2,
+#: and the moments, computed with Dot2, carry a few eps of their own.
+_UNCERTAINTY_ROUNDING = 8.0 * sys.float_info.epsilon
+
+
+def _check_uncertainty(var_x: float, cov_xp: float, var_p: float) -> None:
+    """cov + (i/2) Omega = [[a, b + i/2], [b - i/2, c]] must be positive
+    semidefinite; its smallest eigenvalue in closed form, with hypot for
+    sqrt(((a - c) / 2)^2 + b^2 + 1/4) so that no square overflows.  The
+    slack is 1e-9, or the rounding of that difference where it is larger:
+    a strongly squeezed pure state sits on the boundary, not beyond it."""
+    lowest = (var_x + var_p) / 2.0 - math.hypot((var_x - var_p) / 2.0, cov_xp, 0.5)
+    if lowest < -max(1e-9, _UNCERTAINTY_ROUNDING * (var_x + var_p)):
+        raise ValidationError("covariance violates the uncertainty relation")
 
 
 @dataclass(frozen=True)
@@ -53,31 +117,22 @@ class GaussianState:
     def __post_init__(self):
         object.__setattr__(self, "mean", _frozen_array(self.mean, (2,)))
         object.__setattr__(self, "cov", _frozen_array(self.cov, (2, 2)))
-        if abs(self.cov[0, 1] - self.cov[1, 0]) > 1e-12:
+        (a, b), (b_t, c) = self.cov.tolist()
+        if abs(b - b_t) > 1e-12:
             raise ValidationError("covariance matrix must be symmetric")
-        # Uncertainty relation: cov + (i/2) Omega = [[a, b + i/2], [b - i/2, c]]
-        # is positive semidefinite; its smallest eigenvalue in closed form, with
-        # hypot for sqrt(((a - c) / 2)^2 + b^2 + 1/4) so that no square overflows.
-        (a, b), (_, c) = self.cov.tolist()
-        if (a + c) / 2.0 - math.hypot((a - c) / 2.0, b, 0.5) < -1e-9:
-            raise ValidationError("covariance violates the uncertainty relation")
+        _check_uncertainty(a, b, c)
 
     @staticmethod
     def vacuum() -> "GaussianState":
-        return GaussianState(mean=np.zeros(2), cov=0.5 * np.eye(2))
+        return _state(_VACUUM)
 
     @staticmethod
     def coherent(alpha: complex) -> "GaussianState":
-        mean = np.array([_SQRT2 * alpha.real, _SQRT2 * alpha.imag])
-        return GaussianState(mean=mean, cov=0.5 * np.eye(2))
+        return _state(_coherent(alpha))
 
     @staticmethod
     def squeezed_vacuum(r: float, phi: float = 0.0) -> "GaussianState":
-        rot = np.array(
-            [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
-        )
-        core = 0.5 * np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)])
-        return GaussianState(mean=np.zeros(2), cov=rot @ core @ rot.T)
+        return _state(_squeezed_vacuum(r, phi))
 
     @property
     def var_x(self) -> float:
@@ -98,7 +153,33 @@ class GaussianState:
 
     def purity_defect(self) -> float:
         """det(cov) - 1/4; zero for pure states."""
-        return float(np.linalg.det(self.cov) - 0.25)
+        (a, b), (_, c) = self.cov.tolist()
+        return a * c - b * b - 0.25
+
+
+def _moments(state: GaussianState) -> Moments:
+    (mean_x, mean_p), ((var_x, cov_xp), (_, var_p)) = state.mean.tolist(), state.cov.tolist()
+    return mean_x, mean_p, var_x, cov_xp, var_p
+
+
+def _state(moments: Moments) -> GaussianState:
+    mean_x, mean_p, var_x, cov_xp, var_p = moments
+    return GaussianState(mean=(mean_x, mean_p), cov=((var_x, cov_xp), (cov_xp, var_p)))
+
+
+_VACUUM: Moments = (0.0, 0.0, 0.5, 0.0, 0.5)
+
+
+def _coherent(alpha: complex) -> Moments:
+    return _SQRT2 * alpha.real, _SQRT2 * alpha.imag, 0.5, 0.0, 0.5
+
+
+def _squeezed_vacuum(r: float, phi: float) -> Moments:
+    """R diag(e^{-2r}, e^{2r}) R^T / 2 for the rotation R by phi."""
+    cos, sin = math.cos(phi), math.sin(phi)
+    low, high = 0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r)
+    return (0.0, 0.0, cos * low * cos + sin * high * sin,
+            cos * low * sin - sin * high * cos, sin * low * sin + cos * high * cos)
 
 
 @dataclass(frozen=True)
@@ -128,7 +209,7 @@ class HomodyneSpec:
         return np.array([math.cos(self.theta), math.sin(self.theta)])
 
 
-def _quadratures(poly: LadderPolynomial) -> tuple[float, float, float, float, float]:
+def _quadratures(poly: LadderPolynomial) -> Quadratures:
     """Real (G_xx, G_pp, G_xp, d_x, d_p) of a polynomial of degree <= 2, each
     a fixed sum of its coefficients of ad^2, ad a, a^2, ad and a.  An entry,
     or the constant, with an imaginary part above _IMAG_TOL relative to the
@@ -151,57 +232,80 @@ def _quadratures(poly: LadderPolynomial) -> tuple[float, float, float, float, fl
     return g_xx.real, g_pp.real, g_xp.real, d_x.real, d_p.real
 
 
-def quadratic_from_polynomial(poly: LadderPolynomial) -> QuadraticHamiltonian:
-    """(G, d) form of a Hermitian ladder polynomial of degree <= 2; a higher
-    degree is a NotGaussianError (such protocols go to the Fock oracle)."""
+def _quadratic(poly: LadderPolynomial) -> Quadratures:
+    """``_quadratures`` of a generator the engine can evolve; a degree above 2
+    is a NotGaussianError (such protocols go to the Fock oracle)."""
     if poly.degree > 2:
         raise NotGaussianError(
             f"generator has degree {poly.degree}; not Gaussian-simulable, "
             "use the Fock oracle"
         )
-    g_xx, g_pp, g_xp, d_x, d_p = _quadratures(poly)
+    return _quadratures(poly)
+
+
+def quadratic_from_polynomial(poly: LadderPolynomial) -> QuadraticHamiltonian:
+    """(G, d) form of a Hermitian ladder polynomial of degree <= 2."""
+    g_xx, g_pp, g_xp, d_x, d_p = _quadratic(poly)
     return QuadraticHamiltonian([[g_xx, g_xp], [g_xp, g_pp]], [d_x, d_p])
 
 
-def _symplectic_and_integral(ham: QuadraticHamiltonian, t: float):
-    """Return S = exp(t Omega G) and J = integral_0^t exp(s Omega G) ds."""
-    m = t * (OMEGA @ ham.g_matrix)  # traceless, so m @ m = -det(m) * I
-    delta = float(np.linalg.det(m))
-    eye = np.eye(2)
+def _flow(state: Moments, quad: Quadratures, t: float) -> Moments:
+    """The moments after exp(-i t H): mean -> S mean + J Omega d and
+    cov -> S cov S^T, with S = exp(m) and J = integral_0^t exp(s m / t) ds
+    for the traceless m = t Omega G = [[a, b], [c, -a]] of determinant delta,
+    so that S = p I + q m and J = t (u I + v m)."""
+    mean_x, mean_p, var_x, cov_xp, var_p = state
+    g_xx, g_pp, g_xp, d_x, d_p = quad
+    a, b, c = t * g_xp, t * g_pp, t * -g_xx
+    if not (a or b or c):  # S = I, J = t I: a linear generator only displaces
+        return mean_x + t * d_p, mean_p - t * d_x, var_x, cov_xp, var_p
+    delta = a * -a - b * c
     if abs(delta) < 1e-30:
-        s = eye + m
-        j = t * (eye + 0.5 * m)
+        p = q = u = 1.0
+        v = 0.5
     elif delta > 0.0:
         w = math.sqrt(delta)
-        s = math.cos(w) * eye + (math.sin(w) / w) * m
-        j = t * ((math.sin(w) / w) * eye + ((1.0 - math.cos(w)) / delta) * m)
+        p, q = math.cos(w), math.sin(w) / w
+        u, v = q, (1.0 - p) / delta
     else:
         k = math.sqrt(-delta)
-        s = math.cosh(k) * eye + (math.sinh(k) / k) * m
-        j = t * ((math.sinh(k) / k) * eye + ((math.cosh(k) - 1.0) / (-delta)) * m)
-    return s, j
+        p, q = math.cosh(k), math.sinh(k) / k
+        u, v = q, (p - 1.0) / -delta
+    s00, s01, s10, s11 = p + q * a, q * b, q * c, p - q * a
+    j00, j01, j10, j11 = t * (u + v * a), t * (v * b), t * (v * c), t * (u - v * a)
+    # (S cov) S^T, symmetrized
+    t00, t01 = _dot2(s00, var_x, s01, cov_xp), _dot2(s00, cov_xp, s01, var_p)
+    t10, t11 = _dot2(s10, var_x, s11, cov_xp), _dot2(s10, cov_xp, s11, var_p)
+    return (
+        s00 * mean_x + s01 * mean_p + (j00 * d_p - j01 * d_x),
+        s10 * mean_x + s11 * mean_p + (j10 * d_p - j11 * d_x),
+        _dot2(t00, s00, t01, s01),
+        0.5 * (_dot2(t00, s10, t01, s11) + _dot2(t10, s00, t11, s01)),
+        _dot2(t10, s10, t11, s11),
+    )
 
 
 def evolve(state: GaussianState, ham: QuadraticHamiltonian, t: float) -> GaussianState:
     """Evolve the state under exp(-i t H); exact symplectic propagation."""
-    s, j = _symplectic_and_integral(ham, t)
-    shift = j @ (OMEGA @ ham.d_vector)
-    mean = s @ state.mean + shift
-    cov = s @ state.cov @ s.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(mean=mean, cov=cov)
+    (g_xx, g_xp), (_, g_pp) = ham.g_matrix.tolist()
+    d_x, d_p = ham.d_vector.tolist()
+    return _state(_flow(_moments(state), (g_xx, g_pp, g_xp, d_x, d_p), t))
 
 
-def gaussian_probe(probe: ProbeDescriptor) -> GaussianState:
+def _probe_moments(probe: ProbeDescriptor) -> Moments:
     if probe.kind == "vacuum":
-        return GaussianState.vacuum()
+        return _VACUUM
     if probe.kind == "coherent":
-        return GaussianState.coherent(probe.alpha)
+        return _coherent(probe.alpha)
     if probe.kind == "squeezed_vacuum":
-        return GaussianState.squeezed_vacuum(probe.r, probe.phi)
+        return _squeezed_vacuum(probe.r, probe.phi)
     raise NotGaussianError(
         f"probe kind {probe.kind!r} is not Gaussian; use the Fock oracle"
     )
+
+
+def gaussian_probe(probe: ProbeDescriptor) -> GaussianState:
+    return _state(_probe_moments(probe))
 
 
 def run_protocol(protocol: EncodingProtocol) -> GaussianState:
@@ -211,14 +315,14 @@ def run_protocol(protocol: EncodingProtocol) -> GaussianState:
     left order of the written product), i.e. the state is
     exp(-i N lam H_lam) exp(-i N g H_g) |probe>.
     """
-    state = gaussian_probe(protocol.probe)
-    if protocol.n_applications == 0:
-        return state
-    ham_g = quadratic_from_polynomial(protocol.h_g)
-    ham_l = quadratic_from_polynomial(protocol.h_lambda)
-    state = evolve(state, ham_g, protocol.n_applications * protocol.g_bar)
-    state = evolve(state, ham_l, protocol.n_applications * protocol.lambda_bar)
-    return state
+    state = _probe_moments(protocol.probe)
+    n = protocol.n_applications
+    if n:
+        quad_g, quad_l = _quadratic(protocol.h_g), _quadratic(protocol.h_lambda)
+        state = _flow(state, quad_g, n * protocol.g_bar)
+        _check_uncertainty(*state[2:])  # the state between the blocks is one too
+        state = _flow(state, quad_l, n * protocol.lambda_bar)
+    return _state(state)
 
 
 def qfi_linear_generator(probe: GaussianState, gen: LadderPolynomial) -> float:
@@ -237,10 +341,15 @@ def qfi_linear_generator(probe: GaussianState, gen: LadderPolynomial) -> float:
     return qfi
 
 
+def _variance_along(cos: float, sin: float, var_x: float, cov_xp: float,
+                    var_p: float) -> float:
+    """u^T cov u for u = (cos, sin)."""
+    return _dot2(_dot2(cos, var_x, sin, cov_xp), cos, _dot2(cos, cov_xp, sin, var_p), sin)
+
+
 def homodyne_variance(state: GaussianState, spec: HomodyneSpec) -> float:
     """Variance of Q = X cos(theta) + P sin(theta) in the state."""
-    u = spec.direction()
-    return float(u @ state.cov @ u)
+    return _variance_along(math.cos(spec.theta), math.sin(spec.theta), *_moments(state)[2:])
 
 
 def cfi_quadrature(protocol: EncodingProtocol, spec: HomodyneSpec) -> float:
@@ -252,19 +361,25 @@ def cfi_quadrature(protocol: EncodingProtocol, spec: HomodyneSpec) -> float:
     A = Omega G_lam, b = Omega d_lam.  The variance term vanishes whenever
     the measured variance is lambda-independent.
     """
-    final = run_protocol(protocol)
-    ham_l = quadratic_from_polynomial(protocol.h_lambda)
+    mean_x, mean_p, var_x, cov_xp, var_p = _moments(run_protocol(protocol))
+    g_xx, g_pp, g_xp, d_x, d_p = _quadratic(protocol.h_lambda)
     n = protocol.n_applications
-    a_mat = OMEGA @ ham_l.g_matrix
-    b_vec = OMEGA @ ham_l.d_vector
-    d_mean = n * (a_mat @ final.mean + b_vec)
-    d_cov = n * (a_mat @ final.cov + final.cov @ a_mat.T)
-    u = spec.direction()
-    var = float(u @ final.cov @ u)  # homodyne_variance, from the same u
+    cos, sin = math.cos(spec.theta), math.sin(spec.theta)
+    var = _variance_along(cos, sin, var_x, cov_xp, var_p)
     if var < 1e-300:
         raise DegenerateMeasurementError(
             "measured quadrature variance vanished; Fisher information undefined"
         )
-    mean_term = float(u @ d_mean) ** 2 / var
-    var_term = 0.5 * float(u @ d_cov @ u) ** 2 / var**2
-    return mean_term + var_term
+    # a squeezed state's variance along its squeezed axis cancels e^{4 N xi}
+    size = cos * cos * abs(var_x) + 2.0 * abs(cos * sin * cov_xp) + sin * sin * abs(var_p)
+    if var < _VAR_RESOLUTION * size:
+        raise DegenerateMeasurementError(
+            f"measured quadrature variance {var:.3e} is lost in the rounding of "
+            f"covariance terms of size {size:.3e}; Fisher information not resolved"
+        )
+    # u^T A, for A = Omega G_lam = [[G_xp, G_pp], [-G_xx, -G_xp]]
+    ua_x, ua_p = cos * g_xp - sin * g_xx, cos * g_pp - sin * g_xp
+    d_mean = n * ((ua_x * mean_x + ua_p * mean_p) + (cos * d_p - sin * d_x))
+    # u^T (A cov + cov A^T) u = 2 u^T A cov u
+    d_var = 2.0 * n * ((ua_x * var_x + ua_p * cov_xp) * cos + (ua_x * cov_xp + ua_p * var_p) * sin)
+    return d_mean ** 2 / var + 0.5 * d_var ** 2 / var**2

@@ -11,7 +11,9 @@ from ncmetro import fock, ladder  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def _cold_caches():
-    """Start every test with empty process-wide caches (decompositions and
-    classified pairs), so no test passes on what an earlier one left."""
+    """Start every test with empty process-wide caches (decompositions,
+    prepared probes and classified pairs), so no test passes on what an
+    earlier one left."""
     fock._cached_evolver.cache_clear()
+    fock._cached_probe.cache_clear()
     ladder._reports.cache_clear()

@@ -1,5 +1,7 @@
 """Truncated-Fock oracle: matrices, evolution, QFI, switch, DV bound."""
 
+import contextlib
+import io
 import math
 import sys
 import threading
@@ -32,16 +34,20 @@ from ncmetro import (
     switch_protocol,
     switch_qfi,
 )
-from ncmetro import fock
+from ncmetro import fock, ladder
+from ncmetro.cli import main
 from ncmetro.errors import NumericalTrustError
 from ncmetro.experiments import fig3_scan, switch_scan
 from ncmetro.fock import SWITCH_MODES, HermitianEvolver
 from ncmetro.protocols import build_preset
 
 from helpers import (
+    ORACLE_POOL,
     eigh_evolution,
     full_vector_qfi,
     full_vector_switch_qfi,
+    per_row_qfi,
+    per_row_switch_qfi,
     power_chain_matrix,
     random_hermitian_polynomial,
     recurrence_probe,
@@ -541,6 +547,214 @@ class TestDecompositionCache:
         switch_scan(range(1, 7), 0.1, 0.2, dim=100, mode="joint")
         assert sizes == [100]
         assert len(fock._cached_evolver._entries) == fock._cached_evolver.floor
+
+
+def _exact(compute):
+    """(repr of the result, which keeps every float bit, or the type and text
+    of the trust error raised; the result or the error)."""
+    try:
+        result = compute()
+    except NumericalTrustError as exc:
+        return (type(exc), str(exc)), exc
+    return repr(result), result
+
+
+_PROBES = (ProbeDescriptor.vacuum(), ProbeDescriptor.coherent(0.3 + 0.1j),
+           ProbeDescriptor.squeezed_vacuum(0.3, 0.4))
+
+
+class TestPerRowReferences:
+    """Each scan prepares and projects its probe once and reuses the scan
+    edges as coarse-pass states; the numbers stay those of the per-row
+    routines in ``helpers``, bit for bit, errors with their text."""
+
+    def test_qfi_numeric(self):
+        outcomes = set()
+        for probe in _PROBES:
+            for dim in (41, 80):
+                for name in ("squeeze-inf", "shear-k1", "xp-constant", "x2p2"):
+                    for n in (1, 5, 12):
+                        if name == "x2p2":
+                            protocol = EncodingProtocol(h_lambda=P * P, h_g=X * X, n_applications=n,
+                                                        lambda_bar=0.1, g_bar=0.1, probe=probe)
+                        else:
+                            protocol = build_preset(name, n, 0.1, 0.15, probe)
+                        for step, retries in ((1e-4, 1), (0.05, 0)):
+                            got, result = _exact(
+                                lambda: qfi_numeric(protocol, dim=dim, step=step, retries=retries))
+                            want, _ = _exact(lambda: per_row_qfi(protocol, dim, step, retries))
+                            assert got == want, (probe.kind, dim, name, n, step)
+                            if isinstance(result, fock.QfiEstimate):
+                                outcomes.add("retried" if result.dim > dim else result.trusted)
+                            else:
+                                outcomes.add(type(result).__name__)
+        assert outcomes == {True, False, "retried", "LeakageError", "ConvergenceError"}
+
+    def test_switch_qfi(self):
+        outcomes = set()
+        for probe in _PROBES[:2]:
+            for dim in (41, 80):
+                for mode in SWITCH_MODES:
+                    for n in (1, 4, 12):
+                        for step in (1e-4, 0.3):
+                            got, result = _exact(lambda: switch_qfi(
+                                n, 0.1, 0.2, probe=probe, dim=dim, step=step, mode=mode))
+                            want, _ = _exact(lambda: per_row_switch_qfi(
+                                n, 0.1, 0.2, probe=probe, dim=dim, step=step, mode=mode))
+                            assert got == want, (probe.kind, dim, mode, n, step)
+                            outcomes.add(getattr(result, "trusted", type(result).__name__))
+        assert outcomes == {True, False, "LeakageError", "ConvergenceError"}
+
+    def test_fig3_scan_fock_columns(self):
+        probe = ProbeDescriptor.coherent(0.3)
+        used = set()
+        for dim in (81, 110):
+            for row in fig3_scan(range(1, 13), dim=dim).rows:
+                protocol = build_preset("squeeze-inf", row["N"], 0.1, 0.1, probe)
+                _, want = _exact(lambda: per_row_qfi(protocol, dim, fock.DEFAULT_STEP))
+                if isinstance(want, NumericalTrustError):
+                    assert row["qfi_fock"] is None and row["fock_trusted"] is None
+                else:
+                    assert repr(row["qfi_fock"]) == repr(want.value), (dim, row["N"])
+                    assert row["fock_trusted"] == int(want.trusted)
+                    used.add(want.dim)
+        assert used == {81, 162, 110}  # N = 12 leaks at dim 81 and is retried
+
+    def test_scans_prepare_the_probe_once(self, monkeypatch):
+        prepared, projected = [], []
+        prepare, project = fock._prepare, HermitianEvolver.project
+        monkeypatch.setattr(fock, "_prepare", lambda probe, dim: prepared.append(dim)
+                            or prepare(probe, dim))
+        monkeypatch.setattr(HermitianEvolver, "project", lambda self, vec: projected.append(
+            vec.flags.writeable) or project(self, vec))
+        fig3_scan(range(1, 13), dim=110)
+        assert prepared == [110]
+        # per row, the kept probe onto H_g's eigenbasis and the state onto H_lambda's
+        assert projected == [False, True] * 12
+        prepared.clear()
+        projected.clear()
+        switch_scan(range(1, 7), 0.1, 0.2, dim=100, mode="joint")
+        assert prepared == [100]
+        # per row, the kept probe onto X's and P's eigenbases, exp(-iNpX)|psi>
+        # onto P's, and the five states of its two passes onto X's
+        assert projected == ([False, True, False] + [True] * 5) * 6
+
+    def test_prepare_probe_returns_a_fresh_array(self):
+        probe = ProbeDescriptor.coherent(0.4)
+        vec = prepare_probe(probe, 30)
+        vec[:] = 0.0
+        again = prepare_probe(probe, 30)
+        assert again is not vec and again.flags.writeable
+        assert np.array_equal(again, fock._prepare(probe, 30))
+        assert not fock._probe(probe, 30).flags.writeable
+
+    @pytest.mark.parametrize("plus, minus", [
+        (ProbeDescriptor.coherent(0.3), ProbeDescriptor(kind="coherent", alpha=0.3)),
+        (ProbeDescriptor.fock_vector([0.6, 0.0, 0.8]), ProbeDescriptor.fock_vector([0.6, -0.0, 0.8])),
+        (ProbeDescriptor.squeezed_vacuum(0.0, 0.0), ProbeDescriptor.squeezed_vacuum(-0.0, -0.0)),
+    ], ids=["real-alpha", "fock-vector", "squeezed"])
+    def test_equal_descriptors_keep_their_own_vectors(self, plus, minus):
+        # a real alpha prepares other bits than the same complex one, so the
+        # probe cache keys on the repr, which tells every such twin apart
+        assert plus == minus
+        for probe in (plus, minus, plus, minus):
+            assert fock._probe(probe, 12).tobytes() == fock._prepare(probe, 12).tobytes()
+
+
+def _clear_caches():
+    fock._cached_evolver.cache_clear()
+    fock._cached_probe.cache_clear()
+    ladder._reports.cache_clear()
+
+
+def _history_items():
+    """The oracle-scans pool's commands and the warm-cache cases."""
+    return [("cli", argv) for argv, *_ in ORACLE_POOL] + [("case", case) for case in _warm_cache_cases()]
+
+
+def _run_item(item):
+    kind, what = item
+    if kind == "case":
+        fn, arg, dim = what
+        if fn is switch_qfi:
+            return _exact(lambda: switch_qfi(5, 0.1, 0.2, probe=ProbeDescriptor.coherent(0.2),
+                                             dim=dim, mode=arg))[0]
+        return _exact(lambda: qfi_numeric(arg, dim=dim))[0]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(what))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestHistoryIndependence:
+    def test_cold_warm_and_shuffled_runs_agree_byte_for_byte(self):
+        items = _history_items()
+        cold = []
+        for item in items:
+            _clear_caches()
+            cold.append(_run_item(item))
+        _clear_caches()
+        assert [_run_item(item) for item in items] == cold
+        order = np.random.default_rng(20261019).permutation(2 * len(items)) % len(items)
+        for i in order:
+            assert _run_item(items[i]) == cold[i], items[i]
+
+    def test_x_evolver_used_before_p_twin_is_made(self):
+        # in_gauge copies X's evolver: P's twin shares its eigenvectors, and
+        # nothing X's evolver did with the kept probe may reach P's
+        probe = ProbeDescriptor.coherent(0.2 + 0.1j)
+        cold = [_exact(lambda: switch_qfi(5, 0.1, 0.2, probe=probe, dim=60, mode=mode))[0]
+                for mode in SWITCH_MODES]
+        _clear_caches()
+        vec = fock._probe(probe, 60)
+        shared = fock._evolver(X, 60)
+        in_x = shared.project(vec)  # before P's twin exists
+        twin = fock._evolver(P, 60)
+        assert twin._eigvecs is shared._eigvecs
+        assert not np.allclose(twin.project(vec), in_x)
+        assert [_exact(lambda: switch_qfi(5, 0.1, 0.2, probe=probe, dim=60, mode=mode))[0]
+                for mode in SWITCH_MODES] == cold
+
+    def test_threads_never_get_another_probes_vector(self, monkeypatch):
+        # budgets that keep only a few probe vectors and decompositions, so
+        # both caches fill and evict under contention
+        probes = [ProbeDescriptor.coherent(complex(0.05 * k, 0.1)) for k in range(10)]
+        probes += [ProbeDescriptor.vacuum(), ProbeDescriptor.squeezed_vacuum(0.2, 0.3)]
+        dims = (20, 24)
+        protocols = [build_preset("squeeze-inf", 2, 0.1, 0.1, probe) for probe in probes]
+        cold = [_exact(lambda: qfi_numeric(protocol, dim=24))[0] for protocol in protocols]
+        prepared = {(i, dim): fock._prepare(probe, dim).tobytes()
+                    for i, probe in enumerate(probes) for dim in dims}
+        monkeypatch.setattr(fock._cached_evolver, "budget", 8 * 24**2 * 3)
+        monkeypatch.setattr(fock._cached_probe, "budget", 16 * 24 * 5)
+        _clear_caches()
+        mismatches, results = [], []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(150):
+                i = int(rng.integers(len(probes)))
+                if rng.random() < 0.2:
+                    results.append((i, _exact(lambda: qfi_numeric(protocols[i], dim=24))[0]))
+                    continue
+                dim = dims[rng.integers(2)]
+                if fock._probe(probes[i], dim).tobytes() != prepared[i, dim]:
+                    mismatches.append((i, dim))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert len(results) > 50
+        assert all(outcome == cold[i] for i, outcome in results)
 
 
 class TestDvBound:

@@ -5,9 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncmetro import (
     DegenerateMeasurementError,
+    EncodingProtocol,
     GaussianState,
     HomodyneSpec,
     InternalConsistencyError,
@@ -31,6 +34,16 @@ from ncmetro import (
     run_protocol,
     shear_protocol,
     squeeze_protocol,
+)
+from ncmetro.experiments import fig3_scan
+from ncmetro.protocols import build_preset
+
+from helpers import (
+    numpy_cfi,
+    numpy_evolve,
+    numpy_probe,
+    numpy_run_protocol,
+    numpy_symplectic_and_integral,
 )
 
 X = position_op()
@@ -127,6 +140,13 @@ class TestStateValidation:
         with pytest.raises(ValidationError):
             GaussianState(mean=np.zeros(2), cov=0.49 * np.eye(2))
 
+    def test_violation_beyond_rounding_rejected_at_any_trace(self):
+        # det(cov) = 0.1, 60% below 1/4, with the smallest eigenvalue of
+        # cov + (i/2) Omega at -1.5e-6: the slack follows the rounding of
+        # that eigenvalue, about eps (a + c), not a + c itself
+        with pytest.raises(ValidationError):
+            GaussianState(mean=np.zeros(2), cov=np.diag([1e5, 1e-6]))
+
     def test_pure_states_accepted_up_to_strong_squeezing(self):
         # pure states sit exactly on the uncertainty boundary
         GaussianState.vacuum()
@@ -135,6 +155,18 @@ class TestStateValidation:
             for phi in (0.0, 0.4, math.pi / 4, 2.0):
                 state = GaussianState.squeezed_vacuum(float(r), phi)
                 assert np.linalg.det(state.cov) == pytest.approx(0.25, rel=1e-6)
+
+    def test_strongly_squeezed_pure_states_accepted(self):
+        # rounding once left the rotated covariance asymmetric beyond 1e-12
+        # (r >= 6), or pushed the smallest eigenvalue of cov + (i/2) Omega
+        # below an absolute -1e-9 (N xi = 12)
+        for r in (6.0, 7.0, 10.0, 15.0):
+            for phi in (0.4, math.pi / 4, 2.0):
+                state = GaussianState.squeezed_vacuum(r, phi)
+                assert state.cov[0, 1] == state.cov[1, 0]
+                assert state.var_x + state.var_p == pytest.approx(math.cosh(2 * r), rel=1e-12)
+        state = run_protocol(squeeze_protocol(12, 0.1, 1.0, ProbeDescriptor.coherent(0.3)))
+        assert state.var_x + state.var_p == pytest.approx(math.cosh(24.0), rel=1e-12)
 
     def test_asymmetric_cov_rejected(self):
         with pytest.raises(ValidationError):
@@ -338,6 +370,25 @@ class TestCfi:
                 cfi_quadrature(protocol, HomodyneSpec(0.0))
 
 
+def test_cfi_refuses_a_variance_lost_to_rounding():
+    # N^2 e^{2 N xi} once came out wrong by more than 1% at exit 0 in 146 of
+    # these 348 cells, up to 1e16 times too large, and 24 others were refused
+    # only because rounding broke the uncertainty relation
+    resolved = refused = 0
+    for xi in np.linspace(0.2, 3.0, 29):
+        for n in range(1, 13):
+            protocol = build_preset("squeeze-inf", n, 0.1, float(xi), ProbeDescriptor.coherent(0.3))
+            try:
+                cfi = cfi_quadrature(protocol, HomodyneSpec(math.pi / 4.0))
+            except DegenerateMeasurementError as exc:
+                assert "not resolved" in str(exc)
+                refused += 1
+                continue
+            assert cfi == pytest.approx(n**2 * math.exp(2 * n * xi), rel=5e-4), (xi, n)
+            resolved += 1
+    assert resolved > 100 and refused > 100
+
+
 def random_quadratic(rng: random.Random, degree: int = 2) -> LadderPolynomial:
     """Hermitian polynomial of degree <= ``degree`` with generic (non-dyadic)
     coefficients, its terms inserted in a shuffled order."""
@@ -406,3 +457,119 @@ class TestQuadratureMap:
     def test_overflowing_qfi_rejected(self):
         with pytest.raises(ValidationError, match="Gaussian QFI is inf"):
             qfi_linear_generator(GaussianState.vacuum(), 1e200 * X)
+
+
+# -- the plain-float core against the numpy reference ---------------------------
+
+XP = normal_order_product(X, P) + normal_order_product(P, X)
+XX, PP = normal_order_product(X, X), normal_order_product(P, P)
+BRANCHES = ("elliptic", "hyperbolic", "degenerate")
+
+
+def _generator(g_xx: float, g_pp: float, g_xp: float, d_x: float, d_p: float) -> LadderPolynomial:
+    """(1/2) R^T G R + d^T R as a ladder polynomial."""
+    return 0.5 * (g_xx * XX + g_pp * PP + g_xp * XP) + d_x * X + d_p * P
+
+
+@st.composite
+def generators(draw, branch: str, scale: float = 1.0):
+    """A quadratic generator whose flow takes ``branch``: det G > 0 rotates
+    (elliptic), det G < 0 squeezes (hyperbolic), det G = 0 shears or only
+    displaces (degenerate)."""
+    size = st.floats(0.1 * scale, scale)
+    linear = st.floats(-scale, scale)
+    d_x, d_p = draw(linear), draw(linear)
+    if branch == "degenerate":
+        g = draw(st.sampled_from([0.0, 1.0, -1.0])) * draw(size)
+        g_xx, g_pp = (g, 0.0) if draw(st.booleans()) else (0.0, g)
+        return _generator(g_xx, g_pp, 0.0, d_x, d_p)
+    g_xx, g_pp = draw(size), draw(size)
+    if branch == "hyperbolic":
+        g_pp = -g_pp
+    g_xp = draw(st.floats(-0.9, 0.9)) * math.sqrt(g_xx * abs(g_pp))
+    return _generator(g_xx, g_pp, g_xp, d_x, d_p)
+
+
+PROBE_DESCRIPTORS = st.sampled_from([
+    ProbeDescriptor.vacuum(), ProbeDescriptor.coherent(0.3 - 0.2j),
+    ProbeDescriptor.squeezed_vacuum(0.4, 0.7), ProbeDescriptor.squeezed_vacuum(0.2, -1.1),
+])
+
+
+def _same_state(state: GaussianState, mean: np.ndarray, cov: np.ndarray) -> bool:
+    """Moments within 1e-13 of the reference's largest one, or of the
+    vacuum's scale 1/2: a mean that cancels to zero is rounding noise on the
+    scale of what it summed."""
+    scale = max(float(np.abs(mean).max()), float(np.abs(cov).max()), 0.5)
+    return max(float(np.abs(state.mean - mean).max()),
+               float(np.abs(state.cov - cov).max())) <= 1e-13 * scale
+
+
+def _branch(poly: LadderPolynomial, t: float) -> str:
+    _, _, delta = numpy_symplectic_and_integral(quadratic_from_polynomial(poly).g_matrix, t)
+    if abs(delta) < 1e-30:
+        return "degenerate"
+    return "elliptic" if delta > 0 else "hyperbolic"
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evolve_matches_numpy_reference(branch, data):
+    poly = data.draw(generators(branch))
+    t = data.draw(st.floats(0.05, 3.0)) * data.draw(st.sampled_from([1.0, -1.0]))
+    probe = data.draw(PROBE_DESCRIPTORS)
+    assert _branch(poly, t) == branch
+    ham = quadratic_from_polynomial(poly)
+    state = evolve(gaussian_probe(probe), ham, t)
+    mean, cov = numpy_evolve(*numpy_probe(probe), ham, t)
+    assert _same_state(state, mean, cov)
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_run_protocol_and_cfi_match_numpy_reference(branch, data):
+    # mild flows (N |t| |G| <= 0.75), so the variance along theta is not a
+    # sum that cancels the compared digits away
+    h_g = data.draw(generators(data.draw(st.sampled_from(BRANCHES)), scale=0.5))
+    h_lambda = data.draw(generators(branch, scale=0.5))
+    n = data.draw(st.integers(1, 3))
+    lam = data.draw(st.floats(0.02, 0.25))
+    # no flow so slow that np.linalg.det in the reference underflows and warns
+    aux = data.draw(st.sampled_from([0.0, 1.0, -1.0])) * data.draw(st.floats(1e-3, 0.25))
+    assert _branch(h_lambda, n * lam) == branch
+    protocol = EncodingProtocol(h_lambda=h_lambda, h_g=h_g, n_applications=n,
+                                lambda_bar=lam, g_bar=aux, probe=data.draw(PROBE_DESCRIPTORS))
+    state = run_protocol(protocol)
+    mean, cov = numpy_run_protocol(protocol)
+    assert _same_state(state, mean, cov)
+    theta = data.draw(st.floats(0.0, math.pi))
+    want = numpy_cfi(protocol, theta)
+    got = cfi_quadrature(protocol, HomodyneSpec(theta))
+    assert abs(got - want) <= 1e-13 * max(want, _cfi_scale(protocol, theta, mean, cov))
+
+
+def _cfi_scale(protocol, theta: float, mean: np.ndarray, cov: np.ndarray) -> float:
+    """The CFI that derivatives as large as the terms they sum would give: a
+    derivative that cancels (a rotation of the vacuum) is rounding noise
+    on that scale, not on its own."""
+    ham = quadratic_from_polynomial(protocol.h_lambda)
+    g, d = float(np.abs(ham.g_matrix).max()), float(np.abs(ham.d_vector).max())
+    u = np.array([math.cos(theta), math.sin(theta)])
+    var = float(u @ cov @ u)
+    n = protocol.n_applications
+    d_mean, d_var = n * (g * float(np.abs(mean).max()) + d), n * g * float(np.abs(cov).max())
+    return d_mean**2 / var + d_var**2 / var**2
+
+
+def test_squeeze_protocol_closed_forms():
+    # QFI 2 N^2 cosh(2 N xi) and homodyne CFI N^2 e^{2 N xi} over fig3's
+    # range; the variance the CFI divides by is a sum that cancels e^{4 N xi}
+    for xi in (0.05, 0.08, 0.1):
+        for row in fig3_scan(range(1, 13), xi_bar=xi, include_fock=False).rows:
+            n = row["N"]
+            assert row["qfi_gaussian"] == pytest.approx(2 * n**2 * math.cosh(2 * n * xi), rel=1e-13)
+            assert row["cfi"] == pytest.approx(n**2 * math.exp(2 * n * xi), rel=1e-12)
+            protocol = build_preset("squeeze-inf", n, 0.1, xi, ProbeDescriptor.coherent(0.3))
+            assert row["cfi"] == pytest.approx(numpy_cfi(protocol, math.pi / 4.0), rel=1e-13)

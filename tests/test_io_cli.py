@@ -1,7 +1,9 @@
 """Envelope serialization, CLI parsing/validation, exit codes, determinism."""
 
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import random
@@ -489,6 +491,43 @@ class TestMain:
             else:
                 assert json.loads(by_preset)["value"] == json.loads(inline)["value"]
 
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--N", "1..2", "--step", "1e-300"],
+        ["switch", "--N", "1..3", "--x", "0.1", "--p", "0.2", "--step", "1e-15",
+         "--mode", "definite"],
+        ["qfi", "--preset", "squeeze-inf", "--N", "3", "--aux", "0.1", "--lam", "0.1",
+         "--engine", "fock", "--step", "1e-14"],
+    ], ids=["fig3", "switch", "qfi"])
+    def test_step_too_small_to_move_the_parameter_exits_2(self, argv, capsys):
+        # once printed trusted QFIs at exit 0: 0 (exact 2.04 and 8.65) for
+        # fig3, 18.377 (exact 18) at N = 3 for switch, 21.2703 (exact
+        # 21.3384) for qfi
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        step = argv[argv.index("--step") + 1]
+        assert out == "" and f"finite-difference step {step} is too small" in err
+
+    def test_fig3_leaves_an_unresolved_cfi_empty(self, capsys):
+        # --xi 1 was once refused as a whole, as "covariance violates the
+        # uncertainty relation", which it does not; --xi 0.9 printed a CFI of
+        # 5.8e25 at N = 11, where N^2 e^{2 N xi} is 4.8e10; --xi 0.6 printed
+        # N = 12's CFI 3% off.  A CFI the final covariance cannot resolve
+        # leaves its row's CFI and ratio cells empty, and the scan goes on.
+        for xi, resolved in (("1", ()), ("0.9", ()), ("0.6", range(10, 12))):
+            assert main(["fig3", "--N", "10..12", "--xi", xi, "--dim", "40"]) == 0
+            out, err = capsys.readouterr()
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert [int(row["N"]) for row in rows] == [10, 11, 12] and err == ""
+            for row in rows:
+                n = int(row["N"])
+                assert float(row["qfi_closed_form"]) == pytest.approx(
+                    2 * n * n * math.cosh(2 * n * float(xi)), rel=1e-12)
+                if n in resolved:
+                    assert float(row["cfi"]) == pytest.approx(
+                        n * n * math.exp(2 * n * float(xi)), rel=5e-4)
+                else:
+                    assert row["cfi"] == row["ratio_cfi_qfi"] == ""
+
     def test_numerical_trust_exit_code(self, capsys):
         # N=14 squeezing cannot fit in dim 8 even after one doubling
         code = main(
@@ -571,6 +610,7 @@ class TestCacheIdentity:
         cold = []
         for argv in commands:
             fock._cached_evolver.cache_clear()
+            fock._cached_probe.cache_clear()
             ladder._reports.cache_clear()
             cold.append(run(argv))
         assert {code for code, _, _ in cold} == {0, 2}
