@@ -14,8 +14,10 @@ win.  Flags are never abbreviated.  Exit codes:
 0 success, 2 validation error, 3 numerical-trust failure.
 
 Each command is one entry of ``_COMMANDS`` (help text, flags, runner); the
-parser is built once from that table.  Parsing rejects unknown flags and
-malformed single values: N and K lists (no repeats; N >= 1; one N for
+parser, with one subparser per command, is built once from that table, and
+a command line that starts with a command's name is parsed by that
+command's subparser alone.  Parsing rejects unknown flags and malformed
+single values: N and K lists (no repeats; N >= 1; one N for
 ``generator``/``qfi``), ``--dim`` >= 8, ``--step`` > 0, angles and complex
 numbers, and every float, complex or angle that is not finite.  When the
 command runs, ``_pair`` checks the preset-or-expressions rule and the
@@ -332,7 +334,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _build_parser() -> _ArgumentParser:
+def _build_parser() -> tuple[_ArgumentParser, dict[str, _ArgumentParser]]:
+    """The full parser, and each command's subparser by name: a subparser
+    sets ``command`` itself, so it can parse its command's flags alone."""
     # no abbreviated flags: a prefix of --config would otherwise be stored
     # and its file never read
     parser = _ArgumentParser(prog="ncmetro", description=__doc__, allow_abbrev=False)
@@ -341,10 +345,11 @@ def _build_parser() -> _ArgumentParser:
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for names, kwargs in flags + _COMMON:
             p.add_argument(*names, **kwargs)
-    return parser
+        p.set_defaults(command=command)
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
 
 #: Every flag of every command; each takes one value.
 _VALUE_FLAGS = frozenset(name for _, flags, _ in _COMMANDS.values()
@@ -397,7 +402,12 @@ def _load_config_file(path: str) -> list[str]:
 
 def parse_config(argv: list[str]) -> argparse.Namespace:
     """Parse an argv vector into the command's namespace; the checks that
-    need the library run in :func:`run_config`."""
+    need the library run in :func:`run_config`.
+
+    When the first token names a command, that command's subparser parses
+    the rest; anything else (no command, ``--help``, an unknown command, a
+    flag before the command) goes to the full parser, which reports it.
+    """
     spots = [i for i, token in enumerate(argv)
              if token == "--config" or token.startswith("--config=")]
     if spots:
@@ -410,7 +420,11 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
         if path is None or len(spots) > 1:
             raise ValidationError("--config takes one file path and may be given once")
         argv = [argv[0], *_load_config_file(path), *argv[1:idx], *rest]
-    return _PARSER.parse_args(_join_negative_values(argv))
+    argv = _join_negative_values(argv)
+    subparser = _SUBPARSERS.get(argv[0]) if argv else None
+    if subparser is None:
+        return _PARSER.parse_args(argv)
+    return subparser.parse_args(argv[1:])
 
 
 def run_config(ns: argparse.Namespace) -> io.ResultEnvelope:

@@ -191,14 +191,11 @@ def _evolver(poly: LadderPolynomial, dim: int) -> HermitianEvolver:
 
     A polynomial whose gauge-rotated terms c i^(n-m) are real is evolved
     through the decomposition of that real polynomial, so P reuses X's; the
-    gauge twin is kept with its entry, so a hit costs one lookup.
+    gauge twin is kept with its entry, so a hit costs one lookup.  The
+    sorted key and the gauge flag are derived once per polynomial and kept
+    in its memo (:func:`_evolver_key`).
     """
-    terms, gauge = poly.terms, False
-    if any(c.imag for c in terms.values()):
-        rotated = {(m, n): c * _I_POWERS[(n - m) % 4] for (m, n), c in terms.items()}
-        if not any(c.imag for c in rotated.values()):
-            terms, gauge = rotated, True
-    key = tuple(sorted(terms.items()))
+    key, gauge = poly._memoised(_evolver_key)
     entry = _cached_evolver((key, dim), lambda: [
         HermitianEvolver(matrix_of(LadderPolynomial(dict(key)), dim).matrix), None])
     if not gauge:
@@ -206,6 +203,17 @@ def _evolver(poly: LadderPolynomial, dim: int) -> HermitianEvolver:
     if entry[1] is None:
         entry[1] = entry[0].in_gauge()
     return entry[1]
+
+
+def _evolver_key(poly: LadderPolynomial) -> tuple[tuple, bool]:
+    """The sorted terms that :func:`_evolver` decomposes, and whether they
+    are poly's gauge-rotated terms."""
+    terms, gauge = poly.terms, False
+    if any(c.imag for c in terms.values()):
+        rotated = {(m, n): c * _I_POWERS[(n - m) % 4] for (m, n), c in terms.items()}
+        if not any(c.imag for c in rotated.values()):
+            terms, gauge = rotated, True
+    return tuple(sorted(terms.items())), gauge
 
 
 #: Decompositions as [evolver, gauge twin], bounded by their eigenvector
@@ -430,6 +438,11 @@ def _qfi_numeric_once(
 # -- quantum SWITCH (indefinite order of the two displacement blocks) ---------
 
 
+#: The switch's displacement generators, built once so that each keeps its
+#: evolver key in its memo across switch rows.
+_X, _P = position_op(), momentum_op()
+
+
 def _switch_states(n: int, p: float,
                    probe: np.ndarray) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
     """The switch branches as a function of x.  The x-independent work is
@@ -439,8 +452,8 @@ def _switch_states(n: int, p: float,
     basis."""
     if n < 1:
         raise ValidationError("switch protocol requires n >= 1")
-    u_p = _evolver(momentum_op(), probe.size)  # exp(-i t P), t = N x
-    u_x = _evolver(position_op(), probe.size)  # exp(-i t X), t = N p
+    u_p = _evolver(_P, probe.size)  # exp(-i t P), t = N x
+    u_x = _evolver(_X, probe.size)  # exp(-i t X), t = N p
     phases_x = u_x.phases(n * p)
     after_x = u_p.project(u_x.lift(phases_x * u_x.project(probe)))
     before_x = u_p.project(probe)

@@ -90,20 +90,23 @@ def _frozen_array(values, shape) -> np.ndarray:
     return arr
 
 
-#: Rounding of the smallest eigenvalue in ``_check_uncertainty``, relative to
-#: a + c: the half trace and the hypot each round off about eps (a + c) / 2,
-#: and the moments, computed with Dot2, carry a few eps of their own.
+#: Rounding of det(cov) = a c - b^2 in ``_check_uncertainty``, relative to
+#: |a c| + b^2: Dot2 computes it to about eps of that, and the moments,
+#: themselves computed with Dot2, carry a few eps of their own.
 _UNCERTAINTY_ROUNDING = 8.0 * sys.float_info.epsilon
 
 
 def _check_uncertainty(var_x: float, cov_xp: float, var_p: float) -> None:
     """cov + (i/2) Omega = [[a, b + i/2], [b - i/2, c]] must be positive
-    semidefinite; its smallest eigenvalue in closed form, with hypot for
-    sqrt(((a - c) / 2)^2 + b^2 + 1/4) so that no square overflows.  The
-    slack is 1e-9, or the rounding of that difference where it is larger:
-    a strongly squeezed pure state sits on the boundary, not beyond it."""
-    lowest = (var_x + var_p) / 2.0 - math.hypot((var_x - var_p) / 2.0, cov_xp, 0.5)
-    if lowest < -max(1e-9, _UNCERTAINTY_ROUNDING * (var_x + var_p)):
+    semidefinite: a + c > 0 and det(cov) = a c - b^2 >= 1/4.  The
+    determinant is one compensated Dot2, so a violation far below the
+    trace, such as diag(1e10, 1e-12), still shows.  The slack is 1e-9, or
+    the rounding of the determinant where it is larger: a strongly squeezed
+    pure state sits on the boundary, not beyond it.  Moments that are not
+    finite are left to the callers' finite checks."""
+    det = _dot2(var_x, var_p, -cov_xp, cov_xp)
+    slack = max(1e-9, _UNCERTAINTY_ROUNDING * (abs(var_x * var_p) + cov_xp * cov_xp))
+    if var_x + var_p <= 0.0 or det < 0.25 - slack:
         raise ValidationError("covariance violates the uncertainty relation")
 
 

@@ -64,9 +64,15 @@ class LadderPolynomial:
     Instances behave as immutable values: arithmetic returns new objects and
     the term mapping is exposed read-only.  ``==`` compares terms exactly
     (bit-level float equality); use :meth:`allclose` for tolerant comparison.
+
+    Values that depend on the terms alone (the exact key of
+    :func:`classify_pair`, :func:`is_hermitian` at its default tolerance, the
+    Fock oracle's evolver key) are derived once per instance and kept in its
+    memo (:meth:`_memoised`), so a shared operator such as a preset's pays
+    for each once per process.  Every constructor sets the memo empty.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_memo")
 
     def __init__(self, terms: Mapping[tuple[int, int], complex] | None = None):
         canonical: dict[tuple[int, int], complex] = {}
@@ -81,15 +87,42 @@ class LadderPolynomial:
                     raise ValidationError(f"coefficient of {key!r} is not finite: {coeff!r}")
                 if size > CHOP_TOLERANCE:
                     canonical[(int(m), int(n))] = c
-        self._terms = canonical
+        self._terms, self._memo = canonical, None
 
     @classmethod
     def _canonical(cls, terms: dict[tuple[int, int], complex]) -> "LadderPolynomial":
         """Wrap a mapping that is already canonical (int keys, finite complex
         coefficients above the chop) without checking it again."""
         poly = cls.__new__(cls)
-        poly._terms = terms
+        poly._terms, poly._memo = terms, None
         return poly
+
+    @classmethod
+    def _combined(cls, terms: dict[tuple[int, int], complex]) -> "LadderPolynomial":
+        """Canonicalize coefficients computed over canonical operands' keys:
+        each is coerced to complex, checked finite and chopped as by the
+        constructor, whose exponent checks those keys have already passed."""
+        canonical: dict[tuple[int, int], complex] = {}
+        for key, coeff in terms.items():
+            c = complex(coeff)
+            size = abs(c)
+            if not size < math.inf:
+                raise ValidationError(f"coefficient of {key!r} is not finite: {coeff!r}")
+            if size > CHOP_TOLERANCE:
+                canonical[key] = c
+        return cls._canonical(canonical)
+
+    def _memoised(self, derive: Callable[["LadderPolynomial"], object]):
+        """``derive(self)``, computed on the first call and kept: ``derive``
+        must depend on the terms alone."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        try:
+            return memo[derive]
+        except KeyError:
+            value = memo[derive] = derive(self)
+            return value
 
     # -- inspection ---------------------------------------------------------
 
@@ -127,7 +160,7 @@ class LadderPolynomial:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0j) + c
-        return LadderPolynomial(out)
+        return LadderPolynomial._combined(out)
 
     def __sub__(self, other: "LadderPolynomial") -> "LadderPolynomial":
         if not isinstance(other, LadderPolynomial):
@@ -135,21 +168,21 @@ class LadderPolynomial:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0j) - c
-        return LadderPolynomial(out)
+        return LadderPolynomial._combined(out)
 
     def __neg__(self) -> "LadderPolynomial":
-        return LadderPolynomial({k: -c for k, c in self._terms.items()})
+        return LadderPolynomial._combined({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, LadderPolynomial):
             return normal_order_product(self, other)
         if isinstance(other, (int, float, complex)):
-            return LadderPolynomial({k: c * other for k, c in self._terms.items()})
+            return LadderPolynomial._combined({k: c * other for k, c in self._terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return LadderPolynomial({k: other * c for k, c in self._terms.items()})
+            return LadderPolynomial._combined({k: other * c for k, c in self._terms.items()})
         return NotImplemented
 
     def dagger(self) -> "LadderPolynomial":
@@ -563,7 +596,14 @@ def adjoint_power(g: LadderPolynomial, h: LadderPolynomial, n: int) -> LadderPol
 
 
 def is_hermitian(p: LadderPolynomial, tol: float = CHOP_TOLERANCE) -> bool:
-    """True iff coefficient(m, n) == conj(coefficient(n, m)) within tol."""
+    """True iff coefficient(m, n) == conj(coefficient(n, m)) within tol; at
+    the default tolerance the answer is kept in p's memo."""
+    if tol == CHOP_TOLERANCE:
+        return p._memoised(_is_hermitian)
+    return _is_hermitian(p, tol)
+
+
+def _is_hermitian(p: LadderPolynomial, tol: float = CHOP_TOLERANCE) -> bool:
     seen = set()
     for (m, n), c in p.terms.items():
         if (n, m) in seen:
@@ -700,7 +740,11 @@ def _classify(g: LadderPolynomial, h: LadderPolynomial, cap: int) -> NilpotencyR
 def _exact_key(p: LadderPolynomial) -> tuple[tuple, bytes]:
     """p's exponents in term order and its coefficients' bytes, so that
     coefficients equal under ``==`` but for the sign of a zero part
-    (0.0 and -0.0) give different keys."""
+    (0.0 and -0.0) give different keys; kept in p's memo."""
+    return p._memoised(_fresh_exact_key)
+
+
+def _fresh_exact_key(p: LadderPolynomial) -> tuple[tuple, bytes]:
     terms = p._terms
     return tuple(terms), np.fromiter(terms.values(), complex, len(terms)).tobytes()
 

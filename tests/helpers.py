@@ -602,3 +602,249 @@ ORACLE_POOL = [
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'control'], 0,
      "4e35e6054ca995e8c14eab588aef152ecaa50562323b342c865bbc00564a545b"),
 ]
+
+
+# -- the point-queries pool -------------------------------------------------------
+
+#: The commands of the benchmark's point-queries pool at seed 1, round 0:
+#: argv, exit code, sha256 of stdout with the JSON ``duration_s`` and
+#: ``timestamp`` values replaced by ``null``, and stderr.  Recorded while
+#: each command still ran through both parser levels, every protocol
+#: re-checked its operators and every attempt rebuilt its keys.  The
+#: ``known`` cell (squeeze-inf, N = 10, aux 0.25, step 1e-5, dim 80) prints
+#: a Fock QFI marked trusted that is wrong (ROADMAP item 2); it is pinned as
+#: it is, and is re-recorded with the fix.
+POINT_POOL = [
+    (['qfi', '--preset', 'shear-k1', '--N', '11', '--aux', '0.2872671728892704', '--lam',
+      '0.1', '--step', '1e-4', '--engine', 'both'], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'numerical-trust failure: qfi_numeric (scan edge): top-level population 2.362e-07'
+     ' exceeds 1e-08; increase the truncation dimension\n'),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.16623111063471216', '--lam',
+      '0.1', '--step', '1e-4', '--engine', 'both'], 0,
+     "1cec06d74bf18a21b7458395e50a41a5730e2389af1371d772fc7d04a89be774",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '10', '--aux', '0.22809262330411978', '--lam',
+      '0.1', '--step', '1e-5', '--engine', 'both'], 0,
+     "bd8953ddf8c4a003aaa3f93aa376d23d5ae9ba99d7f06d6d3d5c1ed8fff54510",
+     ""),
+    (['generator', '--preset', 'shear-k1', '--N', '3', '--aux', '0.05547456410175743'], 0,
+     "54bef4cfec7362e92ec333f773361b3eac876f226a834b5372dd445492a2f529",
+     ""),
+    (['dvbound', '--pair', 'qubit', '--N', '1..39', '--gbar', '0.8927544249596328'], 0,
+     "6c7ed94c552f5cdcc28a47785f2af879d25293513251ce0736b63e62f370c8d5",
+     ""),
+    (['qfi', '--preset', 'xp-constant', '--N', '12', '--aux', '0.149866896968619', '--lam',
+      '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
+     "e7aed66e98671725a8b5909e3fe97a2017fd89132875c038256b2f94b4c0f15d",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '8', '--aux', '0.05694351632362723', '--lam',
+      '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
+     "1716ae98aac1744a0a48721ffcc11da87df163a891d4ae3d5534315892f3bb99",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '12', '--aux', '0.26255369300804726', '--lam',
+      '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
+     "f8bcf85f0e3700c431f1170405c08954d5e89af3f87288c2aae4b99b91dcf665",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '7', '--aux', '0.06816389775850713', '--lam',
+      '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
+     "53b04e1534605079ce09d8bb1a4e0e1de61d98041527f225eb75b8f5656d364b",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '9', '--aux', '0.14770349612663988', '--lam',
+      '0', '--step', '1e-4', '--engine', 'both'], 0,
+     "d7b53f4d9d4e71330fa3e6b701773db5f84221cf8a978b48947a17703860ff11",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '12', '--aux', '0.26363418792863974',
+      '--lam', '0', '--step', '1e-4', '--engine', 'both'], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'numerical-trust failure: qfi_numeric (scan edge): top-level population 1.391e-06'
+     ' exceeds 1e-08; increase the truncation dimension\n'),
+    (['fig2b', '--N', '1,10,15', '--kmax', '20', '--format', 'json'], 0,
+     "2dace4f9b344ad9baa4d99bedf338febea1c19be1b550ad3410e09c431e9a9d9",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.19904548683883266', '--lam',
+      '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
+     "7d0d4fbed44c2d84952db281366d78f75c5ec555d19da2702795a1db6c86fc31",
+     ""),
+    (['dvbound', '--pair', 'qutrit', '--N', '1..38', '--gbar', '0.26604118161710794',
+      '--format', 'json'], 0,
+     "f1791506801e3a34083d8bfbaec5c7f2c585cfbab2d1990fe8b46a67a78ecdc1",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '11', '--aux', '0.2842527289122918', '--lam',
+      '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'numerical-trust failure: qfi_numeric (scan edge): top-level population 1.161e-08'
+     ' exceeds 1e-08; increase the truncation dimension\n'),
+    (['dvbound', '--pair', 'qutrit', '--N', '1..25', '--gbar', '0.49066310232388805',
+      '--format', 'json'], 0,
+     "7ddacbc18269bb9c394c79efeb88e0543ba4d88ac6bcf721b0793e086554b0cf",
+     ""),
+    (['qfi', '--preset', 'xp-constant', '--N', '11', '--aux', '0.2772172852453678', '--lam',
+      '0.1', '--step', '1e-5', '--engine', 'both'], 0,
+     "2ff1620f4d4dc326fe13be6d13a1afbb7825dfd786f34709daf759a126a6053d",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '9', '--aux', '0.2525944683032009', '--lam',
+      '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'numerical-trust failure: qfi_numeric (scan edge): top-level population 1.125e-07'
+     ' exceeds 1e-08; increase the truncation dimension\n'),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.06073841203833418', '--lam',
+      '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
+     "f9efe85d6dd1ffd60b2a9080f156a2f15b1747b76f2a4e4e9153bd7d52d4d026",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.2834885031101344', '--lam',
+      '0.1', '--step', '1e-5', '--engine', 'both'], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'numerical-trust failure: qfi_numeric (scan edge): top-level population 2.569e-04'
+     ' exceeds 1e-08; increase the truncation dimension\n'),
+    (['qfi', '--preset', 'shear-k1', '--N', '9', '--aux', '0.2536946646354327', '--lam',
+      '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
+     "ba7736bb86f0f67b017e083b1e3b2fdb855e16551c08c0795b28cefb48172eef",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '12', '--aux', '0.1090530354729455', '--lam',
+      '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
+     "ee0a22021e953439c69a28b1b72f3bb360b4e7df1d255b809de1f5ab85e8076b",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '12', '--aux', '0.26040260397232273', '--lam',
+      '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'numerical-trust failure: qfi_numeric (scan edge): top-level population 8.578e-07'
+     ' exceeds 1e-08; increase the truncation dimension\n'),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.05818581289756403', '--lam',
+      '0.1', '--step', '1e-4', '--engine', 'both'], 0,
+     "0340a2d9021fbd5aabf56ff4144f6c9d3913f474443474f56e132d629abfc347",
+     ""),
+    (['fig2b', '--N', '18,24', '--kmax', '33', '--format', 'json'], 0,
+     "b95675bbbb4f36805dbac078f231e56362d9ba2e9191b932267e4804b57d73f1",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '10', '--aux', '0.04113167909437091',
+      '--lam', '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
+     "5d4eec7e3e13a2467a16baa0aa4f714b4a6c4907676b2632e5d5c837b2faa66f",
+     ""),
+    (['dvbound', '--pair', 'qubit', '--N', '1..15', '--gbar', '0.8125953363333489'], 0,
+     "9b6bc7ed442bc09085a4f04bb07285cb2351af354c144e5a03f1021c68a82fe5",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '12', '--aux', '0.18750982686822806', '--lam',
+      '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
+     "2b0dd991a37c23a0fbd3eae035b587045a4ed473322580133345b3ded2e3541a",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '9', '--aux', '0.24580559648335557', '--lam',
+      '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
+     "f6698ecd9377343b936bbca8b3d3272157dcc351cf572bee06c0964a1886beca",
+     ""),
+    (['example1', '--preset', 'xp-constant', '--N', '8..38', '--s', '0.25243101236714105'], 0,
+     "c3f139ec0d3d3b03515639112912326c474a5faeb5f5ad7b8e38ded76debd32a",
+     ""),
+    (['qfi', '--preset', 'xp-constant', '--N', '8', '--aux', '0.040911087162807544',
+      '--lam', '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
+     "c2a1050a7cbc7f1217b2cb6f4638832e7c59de44e30087fedf60220cc1e27074",
+     ""),
+    (['example1', '--preset', 'shear-k1', '--N', '8..23', '--s', '0.24495247586526248',
+      '--format', 'json'], 0,
+     "d351a446625670e600e08720dc92af3a2bab5d6c7e5e0eb2455e90dfbe7d2f64",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '7', '--aux', '0.19127957392259023', '--lam',
+      '0.1', '--step', '1e-4', '--engine', 'both'], 0,
+     "4f81df190604bbbe89b297d610bc4a6aa03696e08e28889348a09636cb9aa04d",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '10', '--aux', '0.13842255405494638', '--lam',
+      '0', '--step', '1e-5', '--engine', 'both'], 0,
+     "0821751d2e3fd559799012b11c80c368bc41182a31a312513aff362f68f053e7",
+     ""),
+    (['generator', '--preset', 'squeeze-inf', '--N', '1', '--aux', '0.26013147868174713'], 0,
+     "93e09242699d99a141779ae76e6de4dbd572f5a6728a25fe226bdeec4255d7b7",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '12', '--aux', '0.26598242263732014',
+      '--lam', '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'numerical-trust failure: qfi_numeric (scan edge): top-level population 3.969e-03'
+     ' exceeds 1e-08; increase the truncation dimension\n'),
+    (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '11', '--aux', '0.2982351017262083',
+      '--lam', '0', '--step', '1e-4', '--engine', 'both'], 0,
+     "3d049c383b932e402c346021c330184f2ce2e2cd310ad08a5efe504ef029d9a0",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '9', '--aux', '0.2496027651485496', '--lam',
+      '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
+     "fb252a2067809d1a6ccf338a4803bc8368b4207d283618dc78462e91089e12ee",
+     ""),
+    (['fig2b', '--N', '1,19,22,23', '--kmax', '28'], 0,
+     "0c74ece47241bc174e1ddf3d50c0e249e3c5d824665e8e6f03474ebec4a7cc22",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '4', '--aux', '0.12090203789971098', '--lam',
+      '0.1', '--step', '1e-4', '--engine', 'both'], 0,
+     "5031b927dc009a86376a309293398069cb93d63451dd3525e264405d442ec645",
+     ""),
+    (['example1', '--preset', 'squeeze-inf', '--N', '8..46', '--s', '0.0668227589665487',
+      '--format', 'json'], 0,
+     "8587cdbd0940c720564360eac10594129dee848cfd0b260bd647745b651c24f6",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '7', '--aux', '0.19528976095946415', '--lam',
+      '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
+     "ce88709552a9fe660f868a97b47f6f4b5c02b11123a7cef2bbf12ebc42a34038",
+     ""),
+    (['fig2b', '--N', '5,6,19', '--kmax', '27', '--format', 'json'], 0,
+     "777750580e0e585ac0f39206a5e7ae6363690f0558fbb2f432cfdfa7cc9f9065",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.060349575077261866',
+      '--lam', '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
+     "9e575f36da1a96810383416fb5b2627fcffdd73b533f1145c8031cec0d8e2b0d",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '11', '--aux', '0.2868323347323185', '--lam',
+      '0.1', '--step', '1e-5', '--engine', 'both'], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'numerical-trust failure: qfi_numeric (scan edge): top-level population 5.207e-03'
+     ' exceeds 1e-08; increase the truncation dimension\n'),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '5', '--aux', '0.26509039882544266', '--lam',
+      '0', '--step', '1e-4', '--engine', 'both'], 0,
+     "0065498523a673875e527dd1f09900c18cc287537d813417e301bf8009012988",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '10', '--aux', '0.25', '--lam', '0',
+      '--step', '1e-5', '--dim', '80', '--engine', 'both'], 0,
+     "7e96a992853294e32240460e7e4579273c3ee5aa6f55edd0478bd186d1e64b77",
+     ""),
+    (['qfi', '--preset', 'xp-constant', '--N', '10', '--aux', '0.15164451761993963',
+      '--lam', '0', '--step', '1e-5', '--engine', 'both'], 0,
+     "512f6432190dff243b28a13c7d96ad6311536d4a88ff0765b75e3157e5bf8fff",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '11', '--aux', '0.2893123801696813', '--lam',
+      '0', '--step', '1e-5', '--engine', 'both'], 0,
+     "c8f1215446533d07a13f4825418da98cb3c1d4126fed9cb9d06d9e48f6bead7f",
+     ""),
+    (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '6', '--aux', '0.13829571963275675',
+      '--lam', '0.1', '--step', '1e-5', '--engine', 'both'], 0,
+     "25121b8ce29ddec608f6a602f283446b5050b35d978463a188a2b730aa72e0ac",
+     ""),
+    (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '12', '--aux', '0.2786646742010518',
+      '--lam', '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
+     "73b484ea30616adc081367228d0edf4c9934ca56302b574f88758baab4d95763",
+     ""),
+    (['example1', '--preset', 'shear-k1', '--N', '8..60', '--s', '0.190200355195341',
+      '--format', 'json'], 0,
+     "53bb4ad7e233780784e9ce09f487ae96adc3ba79edc4238ea584a73ea105c91d",
+     ""),
+    (['qfi', '--preset', 'shear-k1', '--N', '4', '--aux', '0.11245307624563024', '--lam',
+      '0.1', '--step', '1e-5', '--engine', 'both'], 0,
+     "1a0d9d763e35c9f347693ad7f0d3809b3b8ce596fa3c2a05f45adaf8c3f8610f",
+     ""),
+    (['qfi', '--preset', 'squeeze-inf', '--N', '10', '--aux', '0.22762015865434093',
+      '--lam', '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'numerical-trust failure: qfi_numeric (scan edge): top-level population 3.300e-05'
+     ' exceeds 1e-08; increase the truncation dimension\n'),
+    (['generator', '--preset', 'squeeze-inf', '--N', '6', '--aux', '0.1421373791999675'], 0,
+     "6823722410b6b12948f2a96190ad69dcd7a3cd7ed45098abc6306bc8cfb1e993",
+     ""),
+    (['generator', '--preset', 'xp-constant', '--N', '9', '--aux', '0.19138719900987894'], 0,
+     "d4ad9af1605407e5018cc56ae6377f5e4e1d07e471b9cbdcc97f68273bb7e977",
+     ""),
+    (['generator', '--preset', 'xp-constant', '--N', '6', '--aux', '0.042045717396111654'], 0,
+     "fc71fa49687662b1290c6e6c32fe251a96381e58377ba6fbc20d683a6a13bd28",
+     ""),
+    (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '9', '--aux', '0.24320555754470125',
+      '--lam', '0.1', '--step', '1e-4', '--engine', 'both'], 0,
+     "1b571d4c2c153ca7387cbc6da84485473ca664c7cffd9eed820f890e8fdd1b83",
+     ""),
+    (['generator', '--preset', 'shear-k1', '--N', '8', '--aux', '0.1923952439985261'], 0,
+     "ccd7febcc40dfaf26d7d85556121856dba0a5941b38ab3a580228b2675a95db1",
+     ""),
+]

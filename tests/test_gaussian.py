@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from ncmetro import (
     squeeze_protocol,
 )
 from ncmetro.experiments import fig3_scan
+from ncmetro.gaussian import _dot2
 from ncmetro.protocols import build_preset
 
 from helpers import (
@@ -146,6 +148,29 @@ class TestStateValidation:
         # that eigenvalue, about eps (a + c), not a + c itself
         with pytest.raises(ValidationError):
             GaussianState(mean=np.zeros(2), cov=np.diag([1e5, 1e-6]))
+
+    @pytest.mark.parametrize("diagonal", [(1e10, 1e-12), (1e8, 1e-10), (1e-12, 1e10)])
+    def test_violation_far_below_the_trace_rejected(self, diagonal):
+        # det(cov) = 0.01, 25 times below 1/4; the closed-form smallest
+        # eigenvalue of cov + (i/2) Omega (about -2.4e-11) was lost inside a
+        # slack of 8 eps (a + c), so these states were accepted
+        with pytest.raises(ValidationError):
+            GaussianState(mean=np.zeros(2), cov=np.diag(diagonal))
+
+    def test_fig3_grid_states_sit_within_the_rounding_of_the_boundary(self):
+        # the fig3 grid xi = 0.2..3.0 by N = 1..12 for the vacuum and two
+        # coherent probes: every state, and every state between the blocks,
+        # passes the determinant test; the closest lies 0.68 eps (|a c| + b^2)
+        # below 1/4, well inside the 8 eps slack
+        eps = sys.float_info.epsilon
+        for probe in (ProbeDescriptor.vacuum(), ProbeDescriptor.coherent(0.3),
+                      ProbeDescriptor.coherent(0.3 + 0.2j)):
+            for xi in np.linspace(0.2, 3.0, 29):
+                for n in range(1, 13):
+                    state = run_protocol(build_preset("squeeze-inf", n, 0.1, float(xi), probe))
+                    (a, b), (_, c) = state.cov.tolist()
+                    margin = (_dot2(a, c, -b, b) - 0.25) / (abs(a * c) + b * b)
+                    assert margin >= -eps, (probe, xi, n)
 
     def test_pure_states_accepted_up_to_strong_squeezing(self):
         # pure states sit exactly on the uncertainty boundary
@@ -360,12 +385,13 @@ class TestCfi:
         spec = HomodyneSpec(math.pi / 4.0)
         assert homodyne_variance(state, spec) > 0  # sanity: not actually degenerate
         with pytest.raises(DegenerateMeasurementError):
-            # force the degenerate branch through a zero-variance fake
+            # force the degenerate branch through a fake whose variance along
+            # theta = 0 is below 1e-300; det(cov) = 0.5 keeps it a valid state
             from unittest import mock
 
             with mock.patch("ncmetro.gaussian.run_protocol") as fake:
                 fake.return_value = GaussianState(
-                    mean=np.zeros(2), cov=np.diag([0.0, 1e300])
+                    mean=np.zeros(2), cov=np.diag([5e-301, 1e300])
                 )
                 cfi_quadrature(protocol, HomodyneSpec(0.0))
 

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncmetro import ValidationError, fock, ladder
+from ncmetro import ValidationError, cli, fock, ladder
 from ncmetro.cli import main, parse_angle, parse_config, parse_int_list, run_config
 from ncmetro.io import ResultEnvelope, emit, from_json, to_csv, to_json
+from helpers import ORACLE_POOL, POINT_POOL, TOWER_POOL
 
 
 class TestParsers:
@@ -644,6 +645,57 @@ class TestReadme:
 
     def test_library_quick_tour_runs(self):
         exec(compile(_readme_block("Library quick tour", "python"), "README", "exec"), {})
+
+
+#: Help, no-command, unknown-command and parse-error command lines.
+_HELP_AND_ERRORS = [
+    [], ["--help"], ["-h"], ["nosuch"], ["qfi", "--help"], ["classify", "-h"],
+    ["switch", "--help"], ["qfi", "--preset", "shear-k1", "--bogus", "1"],
+    ["qfi", "--preset"], ["fig2a", "--K", "1,1"], ["qfi", "--preset", "nosuch"],
+    ["--format", "json", "qfi", "--preset", "shear-k1"],
+    ["qfi", "--preset", "shear-k1", "--conf", "x"], ["qfi", "--preset", "shear-k1", "extra"],
+    ["classify", "--g", "X", "--h", "P", "--cap", "x"], ["generator", "--config"],
+]
+
+
+def _pool_and_readme_commands():
+    lines = [line for line in _readme_block("Command line", "bash").splitlines()
+             if line.startswith("ncmetro ")]
+    return ([list(argv) for argv, *_ in TOWER_POOL + ORACLE_POOL + POINT_POOL]
+            + [shlex.split(line)[1:] for line in lines])
+
+
+class TestCommandDispatch:
+    """A command line that starts with a command's name is parsed by that
+    command's subparser alone; it must read exactly as the full parser
+    reads it."""
+
+    @pytest.mark.parametrize("argv", _pool_and_readme_commands(), ids=" ".join)
+    def test_namespace_is_the_full_parsers(self, argv):
+        assert parse_config(argv) == cli._PARSER.parse_args(cli._join_negative_values(argv))
+
+    def test_a_command_line_skips_the_outer_parser(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("outer parser used")
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+        ns = parse_config(["qfi", "--preset", "shear-k1", "--lam", "-0.5"])
+        assert (ns.command, ns.preset, ns.lambda_bar) == ("qfi", "shear-k1", -0.5)
+
+    @pytest.mark.parametrize("argv", _HELP_AND_ERRORS, ids=" ".join)
+    def test_help_and_errors_read_as_through_the_full_parser(self, argv, monkeypatch, capsys):
+        def run():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # --help exits from argparse
+                code = ("exit", exc.code)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        dispatched = run()
+        monkeypatch.setattr(cli, "_SUBPARSERS", {})
+        assert dispatched == run()
+        assert dispatched[0] in (2, ("exit", 0))
 
 
 class TestBenchmarkSpans:

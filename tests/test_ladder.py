@@ -34,13 +34,15 @@ from ncmetro import (
 )
 from ncmetro.cli import main
 from ncmetro.ladder import (
+    CHOP_TOLERANCE,
     KIND_CAP_REACHED,
     KIND_CLOSED_INFINITE,
     KIND_FINITE,
     KIND_FINITE_CONSTANT,
 )
 
-from ncmetro import ladder
+from ncmetro import fock, ladder
+from ncmetro.expressions import format_polynomial
 from helpers import (
     exact_commutator,
     exact_tower,
@@ -641,3 +643,128 @@ def test_tower_levels_are_the_commutator_chain(g, h, cap):
         assert _raw_terms(entry) == _raw_terms(level)
     if report.kind in (KIND_FINITE, KIND_FINITE_CONSTANT):
         assert commutator(g, level).is_zero()
+
+
+# -- the per-polynomial memo and the arithmetic constructor ---------------------
+
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]),
+                   st.floats(-4, 4, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def polynomials_of_every_kind(draw):
+    """Hermitian, general, gauge-real (c i^(n-m) real) or complex terms."""
+    raw = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               st.tuples(_PARTS, _PARTS), min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["hermitian", "general", "gauge-real", "complex"]))
+    if kind == "gauge-real":
+        terms = {(m, n): re * fock._I_POWERS[(m - n) % 4] for (m, n), (re, _) in raw.items()}
+    else:
+        terms = {key: complex(re, im) for key, (re, im) in raw.items()}
+    p = LadderPolynomial(terms)
+    return p + p.dagger() if kind == "hermitian" else p
+
+
+def _fresh_answers(p):
+    """The memoised values, computed afresh on a new polynomial of p's terms."""
+    twin = LadderPolynomial._canonical(dict(p.terms))
+    return [ladder._is_hermitian(twin), ladder._fresh_exact_key(twin),
+            repr(fock._evolver_key(twin))]
+
+
+_ASKS = (ladder.is_hermitian, ladder._exact_key,
+         lambda p: repr(p._memoised(fock._evolver_key)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials_of_every_kind(), st.permutations(range(3)))
+def test_memoised_values_equal_fresh_computations(p, order):
+    fresh = _fresh_answers(p)
+    for _ in range(2):
+        for i in order:
+            assert _ASKS[i](p) == fresh[i]
+    # a tolerance other than the default is never answered from the memo
+    assert is_hermitian(p, 0.0) == ladder._is_hermitian(p, 0.0)
+    assert is_hermitian(p, 10.0) == ladder._is_hermitian(p, 10.0)
+
+
+def test_gauge_real_polynomials_share_the_real_key():
+    # P is X in the gauge: its evolver key is X's terms, flagged
+    x_key, x_gauge = X._memoised(fock._evolver_key)
+    p_key, p_gauge = P._memoised(fock._evolver_key)
+    assert p_key == x_key and p_gauge and not x_gauge
+
+
+def test_every_constructor_starts_with_an_empty_memo():
+    g, h = parse_operator("ad^2 + a^2"), parse_operator("X^2 + 0.5*P")
+    built = [LadderPolynomial(), LadderPolynomial({(1, 0): 1.0}), g, h, g + h, g - h, -g,
+             2.0 * g, g * 2.0, g.dagger(), normal_order_product(g, h), commutator(g, h),
+             adjoint_power(g, h, 2), LadderPolynomial._canonical({(0, 0): 1j})]
+    # the levels above h of a tower of copies (classify_pair keys g and h)
+    g_copy, h_copy = LadderPolynomial(dict(g.terms)), LadderPolynomial(dict(h.terms))
+    built += classify_pair(g_copy, h_copy).tower[1:]
+    for poly in built:
+        assert poly._memo is None
+
+
+def _summed(a, b, subtract):
+    """a + b or a - b as the unchecked dict that the constructor canonicalizes."""
+    out = dict(a.terms)
+    for key, c in b.terms.items():
+        out[key] = out.get(key, 0j) - c if subtract else out.get(key, 0j) + c
+    return out
+
+
+def _arithmetic_cases(a, b, factor):
+    """(result, the full constructor's result from the same dict) per operation."""
+    return [
+        (a + b, LadderPolynomial(_summed(a, b, False))),
+        (a - b, LadderPolynomial(_summed(a, b, True))),
+        (-a, LadderPolynomial({k: -c for k, c in a.terms.items()})),
+        (a * factor, LadderPolynomial({k: c * factor for k, c in a.terms.items()})),
+        (factor * a, LadderPolynomial({k: factor * c for k, c in a.terms.items()})),
+    ]
+
+
+class TestArithmeticConstructor:
+    SIGNED = LadderPolynomial({(1, 0): complex(1.0, -0.0), (0, 1): complex(-0.0, 2.0),
+                               (2, 2): complex(3.0, -0.0), (0, 0): complex(-0.0, -1.5)})
+    CANCELLING = LadderPolynomial({(1, 0): complex(-1.0, 0.0), (0, 1): complex(0.0, -2.0),
+                                   (3, 1): 0.25 - 0.5j})
+
+    @pytest.mark.parametrize("factor", [2.0, -0.0, 0.5, 1j, -3 + 0.25j, 7,
+                                        np.float64(0.5), np.float64(-2.0),
+                                        np.complex128(1.5 - 2j)])
+    def test_matches_the_full_constructor_bit_for_bit(self, factor):
+        for a, b in ((self.SIGNED, self.CANCELLING), (self.CANCELLING, self.SIGNED),
+                     (self.SIGNED, self.SIGNED), (SQUEEZE, X2)):
+            for result, expected in _arithmetic_cases(a, b, factor):
+                assert _raw_terms(result) == _raw_terms(expected)
+                assert all(type(c) is complex for c in result.terms.values())
+                assert all(type(m) is int and type(n) is int for m, n in result.terms)
+                assert format_polynomial(result) == format_polynomial(expected)
+
+    def test_a_coefficient_at_the_chop_is_dropped_as_before(self):
+        at_chop = LadderPolynomial({(1, 1): 2 * CHOP_TOLERANCE, (0, 2): 1.0})
+        for factor in (0.5, np.float64(0.5)):
+            for result, expected in _arithmetic_cases(at_chop, at_chop, factor)[3:]:
+                assert _raw_terms(result) == _raw_terms(expected) == [((0, 2), _raw(0.5 + 0j))]
+        three, two = (LadderPolynomial({(1, 1): k * CHOP_TOLERANCE}) for k in (3, 2))
+        assert _raw_terms(three - two) == _raw_terms(LadderPolynomial(_summed(three, two, True)))
+
+    def test_overflow_raises_the_constructors_message(self):
+        big = LadderPolynomial({(0, 0): 1.0, (1, 0): 1e308 + 1e308j})
+        cases = [
+            (lambda: big + big, _summed(big, big, False)),
+            (lambda: big - (-big), _summed(big, -big, True)),
+            (lambda: big * 10.0, {k: c * 10.0 for k, c in big.terms.items()}),
+            (lambda: 10.0 * big, {k: 10.0 * c for k, c in big.terms.items()}),
+            (lambda: big * 1e300j, {k: c * 1e300j for k, c in big.terms.items()}),
+        ]
+        for operate, raw in cases:
+            with pytest.raises(ValidationError) as lean:
+                operate()
+            with pytest.raises(ValidationError) as full:
+                LadderPolynomial(raw)
+            assert str(lean.value) == str(full.value)
+            assert "coefficient of (1, 0) is not finite" in str(lean.value)
