@@ -1,17 +1,5 @@
-"""Command-line entry point.
-
-Subcommands: classify, generator, qfi, fig2a, fig2b, fig3, example1,
-switch, dvbound.  Operator pairs come either from a named preset
-(``--preset shear-k1|xp-constant|squeeze-inf``) or from inline expressions
-(``--g "X^2" --h "P"``).  Angles accept rational multiples of pi
-(``pi/4``, ``-3*pi/2``) as well as plain floats; N accepts a single value,
-a range ``1..12``, or a comma list ``8,16,32``.  A value may start with
-``-`` (``--theta -pi/4``); only a token that is itself a flag reads as one.
-
-A ``--config FILE`` (or ``--config=FILE``), given at most once, may hold
-``key = value`` lines mirroring the long flags; explicit command-line flags
-win.  Flags are never abbreviated.  Exit codes:
-0 success, 2 validation error, 3 numerical-trust failure.
+"""Command-line entry point; ``_DESCRIPTION`` is what ``ncmetro --help``
+prints.
 
 Each command is one entry of ``_COMMANDS`` (help text, flags, runner); the
 parser, with one subparser per command, is built once from that table, and
@@ -19,7 +7,8 @@ a command line that starts with a command's name is parsed by that
 command's subparser alone.  Parsing rejects unknown flags and malformed
 single values: N and K lists (no repeats; N >= 1; one N for
 ``generator``/``qfi``), ``--dim`` >= 8, ``--step`` > 0, angles and complex
-numbers, and every float, complex or angle that is not finite.  When the
+numbers, and every float, complex or angle that is not finite.  A value
+that starts with ``-`` is joined to its flag before parsing.  When the
 command runs, ``_pair`` checks the preset-or-expressions rule and the
 library checks the rest (``--cap``, ``--xi``, ``--nu``, ``--K``, ``--kmax``,
 expression syntax).
@@ -50,6 +39,26 @@ from .gaussian import gaussian_probe, qfi_linear_generator
 from .generators import local_generator, qcrb_rmse
 from .ladder import DEFAULT_ADJOINT_CAP, classify_pair
 from .protocols import PRESETS, EncodingProtocol, ProbeDescriptor
+
+_DESCRIPTION = """\
+Noncommutativity and enhanced quantum metrology: classify operator pairs,
+compute local generators and quantum Fisher information, and run the
+scans behind the figures.
+
+Operator pairs come either from a named preset (--preset shear-k1,
+xp-constant or squeeze-inf) or from inline expressions (--g "X^2" --h "P").
+Angles accept rational multiples of pi (pi/4, -3*pi/2) as well as plain
+floats; N accepts a single value, a range 1..12 or a comma list 8,16,32.
+A value may start with '-' (--theta -pi/4); only a token that is itself a
+flag reads as one.
+
+--config FILE (or --config=FILE), given at most once, reads "key = value"
+lines named after the long flags; flags given on the command line win.
+Flags are never abbreviated.  Run "ncmetro COMMAND --help" for the flags
+of a command.
+
+Exit codes: 0 success, 2 validation error, 3 numerical-trust failure.
+"""
 
 _PI_RE = re.compile(r"^(-?)(?:(\d+(?:\.\d*)?)\*?)?pi(?:/(\d+(?:\.\d*)?))?$")
 
@@ -339,7 +348,8 @@ def _build_parser() -> tuple[_ArgumentParser, dict[str, _ArgumentParser]]:
     sets ``command`` itself, so it can parse its command's flags alone."""
     # no abbreviated flags: a prefix of --config would otherwise be stored
     # and its file never read
-    parser = _ArgumentParser(prog="ncmetro", description=__doc__, allow_abbrev=False)
+    parser = _ArgumentParser(prog="ncmetro", description=_DESCRIPTION, allow_abbrev=False,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)

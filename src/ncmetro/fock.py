@@ -20,7 +20,8 @@ where each point is a phase per coefficient, so no point re-evolves the
 Fock vector.  A scan's x-independent work is done once: a probe is
 prepared once per descriptor and dimension and kept read-only, the
 scan-edge states are the coarse pass's, and the switch projects its
-x-independent vectors and computes the phases of exp(-iNpX) once per N.
+x-independent vectors and computes the phases of exp(-iNpX) once per N;
+its definite-order mode evolves only the branch it measures.
 
 Trust model: prepared and evolved vectors must keep the population of the
 top Fock level below ``LEAKAGE_THRESHOLD``; finite-difference QFI runs a
@@ -443,19 +444,28 @@ def _qfi_numeric_once(
 _X, _P = position_op(), momentum_op()
 
 
-def _switch_states(n: int, p: float,
-                   probe: np.ndarray) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-    """The switch branches as a function of x.  The x-independent work is
-    done once: the phases of exp(-iNpX), and exp(-iNpX)|psi> and |psi>
-    projected onto P's eigenbasis, so each x costs two lifts and one X
-    evolution, and both branches are still checked for leakage in the Fock
-    basis."""
+def _switch_setup(
+    n: int, p: float, probe: np.ndarray
+) -> tuple[HermitianEvolver, HermitianEvolver, np.ndarray, np.ndarray]:
+    """The x-independent work of the switch: P's and X's evolvers, the
+    phases of exp(-iNpX), and exp(-iNpX)|psi> projected onto P's
+    eigenbasis, from which each x lifts the measured branch."""
     if n < 1:
         raise ValidationError("switch protocol requires n >= 1")
     u_p = _evolver(_P, probe.size)  # exp(-i t P), t = N x
     u_x = _evolver(_X, probe.size)  # exp(-i t X), t = N p
     phases_x = u_x.phases(n * p)
     after_x = u_p.project(u_x.lift(phases_x * u_x.project(probe)))
+    return u_p, u_x, phases_x, after_x
+
+
+def _switch_states(n: int, p: float,
+                   probe: np.ndarray) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+    """The switch branches as a function of x.  Besides the set-up, |psi>
+    is projected onto P's eigenbasis once, so each x costs two lifts and
+    one X evolution, and both branches are still checked for leakage in
+    the Fock basis."""
+    u_p, u_x, phases_x, after_x = _switch_setup(n, p, probe)
     before_x = u_p.project(probe)
 
     def state_at(x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -465,6 +475,20 @@ def _switch_states(n: int, p: float,
         _check_leakage(branch_ab[-1], "switch_protocol")
         _check_leakage(branch_ba[-1], "switch_protocol")
         return branch_ab / math.sqrt(2.0), branch_ba / math.sqrt(2.0)
+
+    return state_at
+
+
+def _definite_states(n: int, p: float, probe: np.ndarray) -> Callable[[float], np.ndarray]:
+    """The measured branch exp(-iNxP) exp(-iNpX)|psi> alone, one lift per x,
+    leakage-checked as in ``_switch_states`` and with the same floats as
+    its first branch scaled back by sqrt(2)."""
+    u_p, _, _, after_x = _switch_setup(n, p, probe)
+
+    def state_at(x: float) -> np.ndarray:
+        branch_ab = u_p.lift(u_p.phases(n * x) * after_x)
+        _check_leakage(branch_ab[-1], "switch_protocol")
+        return branch_ab / math.sqrt(2.0) * math.sqrt(2.0)
 
     return state_at
 
@@ -518,13 +542,19 @@ def switch_qfi(
     - ``joint``: QFI of the full control+mode vector; for a vacuum probe it
       equals 2 N^2 + N^4 p^2 (the mode displacement term plus the phase).
     - ``definite``: QFI of the single fixed-order branch exp(-iNxP)
-      exp(-iNpX)|psi>; the phase channel is absent, leaving 2 N^2.
+      exp(-iNpX)|psi>; the phase channel is absent, leaving 2 N^2.  Only
+      that branch is evolved and checked for leakage, so leakage of the
+      opposite order, which this mode never reads, does not refuse it.
     """
     if mode not in SWITCH_MODES:
         raise ValidationError(f"mode must be one of {SWITCH_MODES}")
     require_finite(x=x, p=p)
     _check_step(step, x)
-    switch_at = _switch_states(n, p, _probe(probe or ProbeDescriptor.vacuum(), dim))
+    probe_vec = _probe(probe or ProbeDescriptor.vacuum(), dim)
+    if mode == "definite":
+        return _richardson_qfi(_overlap_passes(_definite_states(n, p, probe_vec), x),
+                               step, dim, "switch QFI")
+    switch_at = _switch_states(n, p, probe_vec)
 
     if mode == "control":
         def bloch_at(xv: float) -> np.ndarray:
@@ -538,14 +568,8 @@ def switch_qfi(
             lambda h: _qubit_qfi(r0, bloch_at(x + h), bloch_at(x - h), h),
             step, dim, "control-QFI")
 
-    if mode == "joint":
-        def state_at(xv: float) -> np.ndarray:
-            return np.concatenate(switch_at(xv))
-    else:
-        def state_at(xv: float) -> np.ndarray:
-            return switch_at(xv)[0] * math.sqrt(2.0)
-
-    return _richardson_qfi(_overlap_passes(state_at, x), step, dim, "switch QFI")
+    return _richardson_qfi(_overlap_passes(lambda xv: np.concatenate(switch_at(xv)), x),
+                           step, dim, "switch QFI")
 
 
 # -- discrete-variable bound demonstration ------------------------------------

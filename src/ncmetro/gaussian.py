@@ -18,7 +18,9 @@ The engine runs on plain floats: a state is the tuple
 ``_quadratures`` returns, and ``_flow`` is the one evolution step under
 ``evolve``, ``run_protocol`` and ``cfi_quadrature``.  A ``GaussianState``,
 with its frozen numpy arrays, is built only where a public function
-returns one.
+returns one: ``cfi_quadrature`` reads the final moments that
+``run_protocol`` wraps.  A generator's quadratures are derived once per
+polynomial and kept in its memo.
 """
 
 from __future__ import annotations
@@ -208,9 +210,6 @@ class HomodyneSpec:
     def __post_init__(self):
         require_finite(theta=self.theta)
 
-    def direction(self) -> np.ndarray:
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
-
 
 def _quadratures(poly: LadderPolynomial) -> Quadratures:
     """Real (G_xx, G_pp, G_xp, d_x, d_p) of a polynomial of degree <= 2, each
@@ -237,7 +236,14 @@ def _quadratures(poly: LadderPolynomial) -> Quadratures:
 
 def _quadratic(poly: LadderPolynomial) -> Quadratures:
     """``_quadratures`` of a generator the engine can evolve; a degree above 2
-    is a NotGaussianError (such protocols go to the Fock oracle)."""
+    is a NotGaussianError (such protocols go to the Fock oracle).  The
+    result is derived once per polynomial and kept in its memo, so a
+    preset's shared operators are read once per process; an error is
+    raised on every call and never kept."""
+    return poly._memoised(_checked_quadratures)
+
+
+def _checked_quadratures(poly: LadderPolynomial) -> Quadratures:
     if poly.degree > 2:
         raise NotGaussianError(
             f"generator has degree {poly.degree}; not Gaussian-simulable, "
@@ -318,6 +324,12 @@ def run_protocol(protocol: EncodingProtocol) -> GaussianState:
     left order of the written product), i.e. the state is
     exp(-i N lam H_lam) exp(-i N g H_g) |probe>.
     """
+    return _state(_final_moments(protocol))
+
+
+def _final_moments(protocol: EncodingProtocol) -> Moments:
+    """The moments that ``run_protocol`` wraps, with the state between the
+    blocks checked; the final ones are left to the caller's check."""
     state = _probe_moments(protocol.probe)
     n = protocol.n_applications
     if n:
@@ -325,7 +337,7 @@ def run_protocol(protocol: EncodingProtocol) -> GaussianState:
         state = _flow(state, quad_g, n * protocol.g_bar)
         _check_uncertainty(*state[2:])  # the state between the blocks is one too
         state = _flow(state, quad_l, n * protocol.lambda_bar)
-    return _state(state)
+    return state
 
 
 def qfi_linear_generator(probe: GaussianState, gen: LadderPolynomial) -> float:
@@ -364,7 +376,8 @@ def cfi_quadrature(protocol: EncodingProtocol, spec: HomodyneSpec) -> float:
     A = Omega G_lam, b = Omega d_lam.  The variance term vanishes whenever
     the measured variance is lambda-independent.
     """
-    mean_x, mean_p, var_x, cov_xp, var_p = _moments(run_protocol(protocol))
+    mean_x, mean_p, var_x, cov_xp, var_p = _final_moments(protocol)
+    _check_uncertainty(var_x, cov_xp, var_p)  # as building run_protocol's state does
     g_xx, g_pp, g_xp, d_x, d_p = _quadratic(protocol.h_lambda)
     n = protocol.n_applications
     cos, sin = math.cos(spec.theta), math.sin(spec.theta)

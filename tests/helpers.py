@@ -28,6 +28,7 @@ import numpy as np
 
 from ncmetro import (
     ConvergenceError,
+    DegenerateMeasurementError,
     LadderPolynomial,
     LeakageError,
     ProbeDescriptor,
@@ -37,6 +38,7 @@ from ncmetro import (
     position_op,
     prepare_probe,
     quadratic_from_polynomial,
+    run_protocol,
 )
 from ncmetro.fock import (
     SWITCH_MODES,
@@ -47,6 +49,7 @@ from ncmetro.fock import (
     _qubit_qfi,
     _richardson_qfi,
 )
+from ncmetro.gaussian import _VAR_RESOLUTION, _variance_along
 
 
 @lru_cache(maxsize=None)
@@ -390,9 +393,10 @@ def full_vector_switch_qfi(n: int, x: float, p: float, probe, dim: int, step: fl
 # -- per-row Fock references ----------------------------------------------------
 #
 # ``_qfi_numeric_once`` and ``_switch_states`` as they stood when every row
-# prepared and projected its own probe, and rebuilt every state it needed;
-# the two functions after them wrap them the way ``qfi_numeric`` and
-# ``switch_qfi`` do.
+# prepared and projected its own probe, and rebuilt every state it needed,
+# and the definite order's branch evolved from the probe at every x; the two
+# functions after them wrap them the way ``qfi_numeric`` and ``switch_qfi``
+# do.
 
 
 def _qfi_numeric_once(protocol, dim: int, step: float):
@@ -440,6 +444,24 @@ def _switch_states(n: int, p: float, probe: np.ndarray):
     return state_at
 
 
+def _definite_states(n: int, p: float, probe: np.ndarray):
+    """The definite order's measured branch exp(-iNxP) exp(-iNpX)|psi>,
+    evolved from the probe at every x and leakage-checked alone; weighted
+    1/sqrt(2) as a switch branch and scaled back, as ``switch_qfi`` reads
+    it."""
+    if n < 1:
+        raise ValidationError("switch protocol requires n >= 1")
+    u_p = _evolver(momentum_op(), probe.size)
+    u_x = _evolver(position_op(), probe.size)
+
+    def state_at(x: float) -> np.ndarray:
+        branch_ab = u_p.apply(n * x, u_x.apply(n * p, probe))
+        _check_leakage(branch_ab[-1], "switch_protocol")
+        return branch_ab / math.sqrt(2.0) * math.sqrt(2.0)
+
+    return state_at
+
+
 def per_row_qfi(protocol, dim: int, step: float, retries: int = 1):
     """``qfi_numeric`` over the per-row ``_qfi_numeric_once``."""
     last_error = None
@@ -453,9 +475,14 @@ def per_row_qfi(protocol, dim: int, step: float, retries: int = 1):
 
 def per_row_switch_qfi(n: int, x: float, p: float, probe=None, dim: int = 80,
                        step: float = 1e-4, mode: str = "control"):
-    """``switch_qfi`` over the per-row ``_switch_states``."""
+    """``switch_qfi`` over the per-row ``_switch_states``, or in definite
+    mode over the per-row ``_definite_states``."""
     assert mode in SWITCH_MODES
-    switch_at = _switch_states(n, p, prepare_probe(probe or ProbeDescriptor.vacuum(), dim))
+    probe_vec = prepare_probe(probe or ProbeDescriptor.vacuum(), dim)
+    if mode == "definite":
+        return _richardson_qfi(_overlap_passes(_definite_states(n, p, probe_vec), x),
+                               step, dim, "switch QFI")
+    switch_at = _switch_states(n, p, probe_vec)
     if mode == "control":
         def bloch_at(xv: float) -> np.ndarray:
             ab, ba = switch_at(xv)
@@ -467,13 +494,8 @@ def per_row_switch_qfi(n: int, x: float, p: float, probe=None, dim: int = 80,
         return _richardson_qfi(
             lambda h: _qubit_qfi(r0, bloch_at(x + h), bloch_at(x - h), h),
             step, dim, "control-QFI")
-    if mode == "joint":
-        def state_at(xv: float) -> np.ndarray:
-            return np.concatenate(switch_at(xv))
-    else:
-        def state_at(xv: float) -> np.ndarray:
-            return switch_at(xv)[0] * math.sqrt(2.0)
-    return _richardson_qfi(_overlap_passes(state_at, x), step, dim, "switch QFI")
+    return _richardson_qfi(_overlap_passes(lambda xv: np.concatenate(switch_at(xv)), x),
+                           step, dim, "switch QFI")
 
 
 # -- numpy Gaussian reference ----------------------------------------------------
@@ -545,6 +567,38 @@ def numpy_cfi(protocol, theta: float) -> float:
     u = np.array([math.cos(theta), math.sin(theta)])
     var = float(u @ cov @ u)
     return float(u @ d_mean) ** 2 / var + 0.5 * float(u @ d_cov @ u) ** 2 / var**2
+
+
+# -- the homodyne CFI over run_protocol -------------------------------------------
+#
+# ``cfi_quadrature`` as it stood when it read the final moments from the
+# ``GaussianState`` that ``run_protocol`` returns, and the generator's
+# quadratures afresh at every call.
+
+
+def run_protocol_cfi(protocol, spec) -> float:
+    state = run_protocol(protocol)
+    (mean_x, mean_p), ((var_x, cov_xp), (_, var_p)) = state.mean.tolist(), state.cov.tolist()
+    ham_l = quadratic_from_polynomial(LadderPolynomial(dict(protocol.h_lambda.terms)))
+    (g_xx, g_xp), (_, g_pp) = ham_l.g_matrix.tolist()
+    d_x, d_p = ham_l.d_vector.tolist()
+    n = protocol.n_applications
+    cos, sin = math.cos(spec.theta), math.sin(spec.theta)
+    var = _variance_along(cos, sin, var_x, cov_xp, var_p)
+    if var < 1e-300:
+        raise DegenerateMeasurementError(
+            "measured quadrature variance vanished; Fisher information undefined"
+        )
+    size = cos * cos * abs(var_x) + 2.0 * abs(cos * sin * cov_xp) + sin * sin * abs(var_p)
+    if var < _VAR_RESOLUTION * size:
+        raise DegenerateMeasurementError(
+            f"measured quadrature variance {var:.3e} is lost in the rounding of "
+            f"covariance terms of size {size:.3e}; Fisher information not resolved"
+        )
+    ua_x, ua_p = cos * g_xp - sin * g_xx, cos * g_pp - sin * g_xp
+    d_mean = n * ((ua_x * mean_x + ua_p * mean_p) + (cos * d_p - sin * d_x))
+    d_var = 2.0 * n * ((ua_x * var_x + ua_p * cov_xp) * cos + (ua_x * cov_xp + ua_p * var_p) * sin)
+    return d_mean ** 2 / var + 0.5 * d_var ** 2 / var**2
 
 
 # -- the oracle-scans pool ---------------------------------------------------------

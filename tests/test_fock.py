@@ -283,6 +283,22 @@ class TestSwitch:
             estimate = switch_qfi(n, 0.1, 0.2, dim=80, mode="definite")
             assert estimate.value == pytest.approx(2 * n**2, rel=1e-8)
 
+    def test_definite_order_reads_only_its_branch(self):
+        # at dim 20 and N = 12 the opposite order leaks and the measured one
+        # does not: only the modes that read both branches are refused
+        assert switch_qfi(12, 0.1, 0.2, dim=20, mode="definite").value == pytest.approx(
+            288.0, rel=1e-7)
+        for mode in ("control", "joint"):
+            with pytest.raises(LeakageError, match="^switch_protocol: "):
+                switch_qfi(12, 0.1, 0.2, dim=20, mode=mode)
+        # the measured branch's own leakage still refuses the definite order
+        vacuum = prepare_probe(ProbeDescriptor.vacuum(), 10)
+        branch = (eigh_evolution(matrix_of(P, 10).matrix)(0.6)
+                  @ eigh_evolution(matrix_of(X, 10).matrix)(1.2) @ vacuum)
+        assert abs(branch[-1]) ** 2 > fock.LEAKAGE_THRESHOLD
+        with pytest.raises(LeakageError, match="^switch_protocol: "):
+            switch_qfi(6, 0.1, 0.2, dim=10, mode="definite")
+
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
             switch_qfi(2, 0.1, 0.2, mode="sideways")
@@ -605,6 +621,24 @@ class TestPerRowReferences:
                             outcomes.add(getattr(result, "trusted", type(result).__name__))
         assert outcomes == {True, False, "LeakageError", "ConvergenceError"}
 
+    def test_switch_qfi_definite_benchmark_cells(self):
+        # the definite cells of the oracle-scans benchmark (N 1..6 at dims 80,
+        # 170 and 200, p = 0.2, x = 0.1 and jittered by 1e-9 r) equal the
+        # per-row branch and the first branch of ``switch_protocol``, whose
+        # two orders the definite mode once evolved
+        for dim in (80, 170, 200):
+            probe = prepare_probe(ProbeDescriptor.vacuum(), dim)
+            for n in range(1, 7):
+                for x in (0.1, 0.1 * (1.0 + 1e-9), 0.1 * (1.0 + 7e-9)):
+                    got, result = _exact(lambda: switch_qfi(n, x, 0.2, dim=dim, mode="definite"))
+                    want, _ = _exact(lambda: per_row_switch_qfi(
+                        n, x, 0.2, dim=dim, mode="definite"))
+                    both, _ = _exact(lambda: fock._richardson_qfi(fock._overlap_passes(
+                        lambda xv: switch_protocol(n, xv, 0.2, probe)[0] * math.sqrt(2.0), x),
+                        fock.DEFAULT_STEP, dim, "switch QFI"))
+                    assert got == want == both, (dim, n, x)
+                    assert result.trusted and result.value == pytest.approx(2 * n**2, rel=1e-7)
+
     def test_fig3_scan_fock_columns(self):
         probe = ProbeDescriptor.coherent(0.3)
         used = set()
@@ -638,6 +672,11 @@ class TestPerRowReferences:
         # per row, the kept probe onto X's and P's eigenbases, exp(-iNpX)|psi>
         # onto P's, and the five states of its two passes onto X's
         assert projected == ([False, True, False] + [True] * 5) * 6
+        projected.clear()
+        switch_scan(range(1, 7), 0.1, 0.2, dim=100, mode="definite")
+        # the definite order's measured branch: per row, the kept probe onto
+        # X's eigenbasis and exp(-iNpX)|psi> onto P's, and no state per x
+        assert projected == [False, True] * 6
 
     def test_prepare_probe_returns_a_fresh_array(self):
         probe = ProbeDescriptor.coherent(0.4)

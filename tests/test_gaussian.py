@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -36,8 +37,9 @@ from ncmetro import (
     shear_protocol,
     squeeze_protocol,
 )
+from ncmetro import gaussian
 from ncmetro.experiments import fig3_scan
-from ncmetro.gaussian import _dot2
+from ncmetro.gaussian import _dot2, _moments
 from ncmetro.protocols import build_preset
 
 from helpers import (
@@ -46,6 +48,7 @@ from helpers import (
     numpy_probe,
     numpy_run_protocol,
     numpy_symplectic_and_integral,
+    run_protocol_cfi,
 )
 
 X = position_op()
@@ -389,11 +392,22 @@ class TestCfi:
             # theta = 0 is below 1e-300; det(cov) = 0.5 keeps it a valid state
             from unittest import mock
 
-            with mock.patch("ncmetro.gaussian.run_protocol") as fake:
-                fake.return_value = GaussianState(
+            with mock.patch("ncmetro.gaussian._final_moments") as fake:
+                fake.return_value = _moments(GaussianState(
                     mean=np.zeros(2), cov=np.diag([5e-301, 1e300])
-                )
+                ))
                 cfi_quadrature(protocol, HomodyneSpec(0.0))
+
+    def test_final_state_checked_as_run_protocol_checks_it(self, monkeypatch):
+        # final moments with det(cov) = 0.2 < 1/4 are refused by both readers
+        protocol = squeeze_protocol(1, 0.1, 0.1)
+        final = gaussian._final_moments
+        monkeypatch.setattr(gaussian, "_final_moments",
+                            lambda protocol: final(protocol)[:2] + (0.5, 0.0, 0.4))
+        for compute in (lambda: run_protocol(protocol),
+                        lambda: cfi_quadrature(protocol, HomodyneSpec(0.3))):
+            with pytest.raises(ValidationError, match="^covariance violates the uncertainty"):
+                compute()
 
 
 def test_cfi_refuses_a_variance_lost_to_rounding():
@@ -413,6 +427,48 @@ def test_cfi_refuses_a_variance_lost_to_rounding():
             assert cfi == pytest.approx(n**2 * math.exp(2 * n * xi), rel=5e-4), (xi, n)
             resolved += 1
     assert resolved > 100 and refused > 100
+
+
+def test_cfi_reads_the_moments_run_protocol_wraps():
+    # the fig3 grid, refusals with their text, equals the CFI read from the
+    # GaussianState of run_protocol with the quadratures derived afresh
+    outcomes = set()
+    for alpha in (0.0, 0.3):
+        for xi in np.linspace(0.2, 3.0, 29):
+            for n in range(1, 13):
+                protocol = build_preset("squeeze-inf", n, 0.1, float(xi),
+                                        ProbeDescriptor.coherent(alpha))
+                got, want = (_outcome(lambda: cfi(protocol, HomodyneSpec(math.pi / 4.0)))
+                             for cfi in (cfi_quadrature, run_protocol_cfi))
+                assert got == want, (alpha, xi, n)
+                outcomes.add(got[0])
+    assert outcomes == {"value", DegenerateMeasurementError}
+
+
+def _outcome(compute):
+    """("value", repr of the float) or (the error type, its text)."""
+    try:
+        return "value", repr(compute())
+    except DegenerateMeasurementError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_quadratic_memo_equals_a_fresh_derivation(seed, degree, skew):
+    poly = random_quadratic(random.Random(seed), degree)
+    if skew:  # a lone ad term leaves an imaginary part in d_p
+        poly = poly + LadderPolynomial({(1, 0): 0.5})
+    try:
+        want = gaussian._checked_quadratures(LadderPolynomial(dict(poly.terms)))
+    except (NotGaussianError, InternalConsistencyError) as exc:
+        for _ in range(2):  # raised on every call, never kept
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                gaussian._quadratic(poly)
+        assert gaussian._checked_quadratures not in (poly._memo or {})
+    else:
+        assert gaussian._quadratic(poly) == want
+        assert gaussian._quadratic(poly) is gaussian._quadratic(poly)  # kept
 
 
 def random_quadratic(rng: random.Random, degree: int = 2) -> LadderPolynomial:

@@ -665,6 +665,20 @@ def _pool_and_readme_commands():
             + [shlex.split(line)[1:] for line in lines])
 
 
+def test_top_level_help_is_for_users(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for command in cli._COMMANDS:
+        assert command in text
+    for note in ("--preset", "1..12", "pi/4", "--config", "Exit codes: 0 success, 2 validation "
+                 "error, 3 numerical-trust failure"):
+        assert note in text
+    for internal in ("_COMMANDS", "_pair", "subparser"):
+        assert internal not in text
+
+
 class TestCommandDispatch:
     """A command line that starts with a command's name is parsed by that
     command's subparser alone; it must read exactly as the full parser
