@@ -237,8 +237,10 @@ def _run_generator(ns):
     terms = sorted(result.generator.terms.items())
     columns = ["m", "n", "coeff_re", "coeff_im"]
     rows = [[m, n, c.real, c.imag] for (m, n), c in terms]
-    value = {"generator": format_polynomial(result.generator),
-             "truncation_used": result.truncation_used, "closed_form": result.closed_form}
+    # only JSON prints the value; CSV would format the generator for nothing
+    value = ({"generator": format_polynomial(result.generator),
+              "truncation_used": result.truncation_used, "closed_form": result.closed_form}
+             if ns.format == "json" else None)
     return columns, rows, value
 
 
@@ -293,8 +295,15 @@ def _run_fig3(ns):
     return scan, None, {str(row["N"]): row["fock_trusted"] for row in scan.rows}
 
 
-def _with_fit(scan: experiments.ScanResult):
-    fit = experiments.fit_loglog_slope([(r["N"], r["qfi"]) for r in scan.rows])
+def _with_fit(scan: experiments.ScanResult, fmt: str):
+    """The scan and, for JSON only, the log-log fit of its QFI against N, or
+    None where the fit rejects the rows (fewer than three, or one not positive)."""
+    if fmt != "json":
+        return (scan,)
+    try:
+        fit = experiments.fit_loglog_slope([(r["N"], r["qfi"]) for r in scan.rows])
+    except ValidationError:
+        return scan, {"fit": None}
     return scan, {"fit": {"slope": fit.slope, "intercept": fit.intercept,
                           "r_squared": fit.r_squared, "window": list(fit.window)}}
 
@@ -305,7 +314,7 @@ def _with_fit(scan: experiments.ScanResult):
           _flag("--lam", dest="lambda_bar", type=_FLOAT, default=0.1))
 def _run_example1(ns):
     return _with_fit(experiments.example1_scan(
-        ns.n_list, ns.aux, preset=ns.preset, x_bar=ns.lambda_bar))
+        ns.n_list, ns.aux, preset=ns.preset, x_bar=ns.lambda_bar), ns.format)
 
 
 @_command("switch", "two-order superposition scaling fit", _n_flag("1..6"),
@@ -317,7 +326,7 @@ def _run_switch(ns):
     if ns.mode == "control" and ns.p == 0:
         raise ValidationError("control-mode switch scan needs --p nonzero")
     return _with_fit(experiments.switch_scan(ns.n_list, ns.x, ns.p, dim=ns.dim,
-                                             step=ns.step, mode=ns.mode))
+                                             step=ns.step, mode=ns.mode), ns.format)
 
 
 @_command("dvbound", "finite-dimension QFI bound scan", _n_flag("1..50"),
@@ -461,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalTrustError as exc:
         print(f"numerical-trust failure: {exc}", file=sys.stderr)
         return 3
-    except NcmetroError as exc:
+    except (NcmetroError, MemoryError) as exc:  # MemoryError: --dim too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if ns.out is None:

@@ -1,9 +1,8 @@
 """Scripted scaling experiments: coefficient scans, QFI/CFI scans, and
 log-log exponent fits.
 
-Every scan is a pure function of its parameters (no randomness anywhere),
-returns rows sorted by the scan variable, and stamps enough metadata to
-re-run bit-identically.
+Every scan is a pure function of its parameters (no randomness anywhere)
+and returns rows sorted by the scan variable.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ _LOG10 = math.log(10.0)
 
 @dataclass
 class ScanResult:
-    """Tabular scan output: named columns, rows keyed by the scan variable."""
+    """Tabular scan output: named columns, rows keyed by the scan variable,
+    and any result besides the rows (fig2b's peak set)."""
 
     columns: list[str]
     rows: list[dict]
@@ -99,11 +99,7 @@ def fig2a_scan(k_list: Sequence[int], n_range: Sequence[int]) -> ScanResult:
         {"N": n, **{f"logcoef_K{k}": log10_coefficient(k, n) for k in k_list}}
         for n in n_range
     ]
-    return ScanResult(
-        columns=columns,
-        rows=rows,
-        metadata={"k_list": list(k_list), "n_range": n_range},
-    )
+    return ScanResult(columns=columns, rows=rows)
 
 
 def fig2b_scan(n_list: Sequence[int], k_max: int) -> ScanResult:
@@ -117,11 +113,7 @@ def fig2b_scan(n_list: Sequence[int], k_max: int) -> ScanResult:
         for k in range(k_max + 1)
     ]
     peaks = {f"N{n}": list(k_peak(n, k_max)) for n in n_list}
-    return ScanResult(
-        columns=columns,
-        rows=rows,
-        metadata={"n_list": list(n_list), "k_max": k_max, "k_peak": peaks},
-    )
+    return ScanResult(columns=columns, rows=rows, metadata={"k_peak": peaks})
 
 
 def fig3_scan(
@@ -191,19 +183,7 @@ def fig3_scan(
             except NumericalTrustError:
                 pass  # row keeps None markers: oracle did not converge
         rows.append(row)
-    return ScanResult(
-        columns=columns,
-        rows=rows,
-        metadata={
-            "xi_bar": xi_bar,
-            "alpha": [alpha.real, alpha.imag] if isinstance(alpha, complex) else alpha,
-            "theta": theta,
-            "x_bar": x_bar,
-            "dim": dim,
-            "step": step,
-            "n_range": n_range,
-        },
-    )
+    return ScanResult(columns=columns, rows=rows)
 
 
 def example1_scan(
@@ -222,17 +202,7 @@ def example1_scan(
         protocol = build_preset(preset, n, x_bar, s_bar, probe)
         gen = local_generator(protocol).generator
         rows.append({"N": n, "qfi": qfi_linear_generator(probe_state, gen)})
-    return ScanResult(
-        columns=["N", "qfi"],
-        rows=rows,
-        metadata={
-            "preset": preset,
-            "s_bar": s_bar,
-            "x_bar": x_bar,
-            "probe": probe.kind,
-            "n_range": n_range,
-        },
-    )
+    return ScanResult(columns=["N", "qfi"], rows=rows)
 
 
 def example1_scaling(
@@ -263,18 +233,7 @@ def switch_scan(
         rows.append(
             {"N": n, "qfi": estimate.value, "trusted": 1 if estimate.trusted else 0}
         )
-    return ScanResult(
-        columns=["N", "qfi", "trusted"],
-        rows=rows,
-        metadata={
-            "x": x,
-            "p": p_val,
-            "dim": dim,
-            "step": step,
-            "mode": mode,
-            "n_range": n_range,
-        },
-    )
+    return ScanResult(columns=["N", "qfi", "trusted"], rows=rows)
 
 
 def switch_scaling(

@@ -174,13 +174,20 @@ def leading_qfi_coefficient(k: int, n: int, g_bar: float, var_k: float) -> float
         raise ValidationError("number of applications must be positive")
     if var_k < 0:
         raise ValidationError("variance must be non-negative")
-    numerator = n ** (2 * (1 + k))
-    denominator = math.factorial(k) ** 2
     try:
-        base = numerator / denominator
+        try:
+            base = n ** (2 * (1 + k)) / math.factorial(k) ** 2
+        except OverflowError:
+            base = math.exp(2 * (1 + k) * math.log(n) - 2 * math.lgamma(k + 1))
+        value = 4.0 * base * (g_bar ** (2 * k)) * var_k
     except OverflowError:
-        base = math.exp(2 * (1 + k) * math.log(n) - 2 * math.lgamma(k + 1))
-    return 4.0 * base * (g_bar ** (2 * k)) * var_k
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(
+            f"leading QFI coefficient is not finite: 4 N^(2(1+K)) / (K!)^2 g_bar^(2K) "
+            f"Var (K = {k}, N = {n}, g_bar = {g_bar!r})"
+        )
+    return value
 
 
 def k_peak(n: int, k_max: int) -> tuple[int, ...]:

@@ -234,6 +234,15 @@ class TestNonFiniteScalars:
             example1_scan([1, 2, 3], **kwargs)
 
 
+def test_only_fig2b_records_metadata():
+    # nothing prints a scan's parameters back; fig2b's peak set is printed
+    assert fig2a_scan([1], [1, 2]).metadata == {}
+    assert fig3_scan([1, 2], xi_bar=0.1, dim=40).metadata == {}
+    assert example1_scan([1, 2], s_bar=0.2).metadata == {}
+    assert switch_scan([1, 2], 0.1, 0.2, dim=40).metadata == {}
+    assert fig2b_scan([2], 3).metadata == {"k_peak": {"N2": [1, 2]}}
+
+
 class TestDeterminism:
     def test_scans_are_reproducible(self):
         a = fig3_scan(range(1, 6), xi_bar=0.1, dim=80)

@@ -265,6 +265,17 @@ class TestLeadingCoefficient:
         ) * 4.0
         assert value == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("k, n, g_bar, named", [
+        (200, 1000, 0.1, "(K = 200, N = 1000, g_bar = 0.1)"),  # past the log fallback
+        (1, 10, 1e300, "(K = 1, N = 10, g_bar = 1e+300)"),  # g_bar^(2K)
+        (1, 10**40, 1e80, f"(K = 1, N = {10**40}, g_bar = 1e+80)"),  # the product
+    ])
+    def test_overflow_names_its_inputs(self, k, n, g_bar, named):
+        # once a bare OverflowError ("math range error") or an inf
+        with pytest.raises(ValidationError, match="is not finite") as info:
+            leading_qfi_coefficient(k, n, g_bar, 1.0)
+        assert named in str(info.value)
+
 
 class TestKPeak:
     @pytest.mark.parametrize("n, expected", [(6, (5, 6)), (2, (1, 2)), (1, (0, 1))])

@@ -51,6 +51,26 @@ def test_oracle_pool_output_is_pinned(argv, code, digest, capsys):
     assert err == ""
 
 
+def _unprinted(*args, **kwargs):
+    raise AssertionError("computed for output that CSV does not print")
+
+
+_CSV_CELLS = ([(argv, code, digest, "") for argv, code, digest in ORACLE_POOL]
+              + [cell for cell in POINT_POOL if "json" not in cell[0]])
+
+
+@pytest.mark.parametrize("argv, code, digest, stderr", _CSV_CELLS,
+                         ids=[" ".join(argv) for argv, *_ in _CSV_CELLS])
+def test_csv_pools_neither_fit_nor_format(argv, code, digest, stderr, capsys, monkeypatch):
+    # only JSON prints the log-log fit and the generator's printable form
+    monkeypatch.setattr("ncmetro.experiments.fit_loglog_slope", _unprinted)
+    monkeypatch.setattr("ncmetro.cli.format_polynomial", _unprinted)
+    assert main(list(argv)) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(blank_columns(out).encode()).hexdigest() == digest
+    assert err == stderr
+
+
 def _load_perfbench(name: str, monkeypatch):
     """A benchmark module loaded from its file, registered under its own
     name (``workloads`` imports ``checks``) until the test ends."""

@@ -572,6 +572,29 @@ class TestMain:
         # with p = 0 the control qubit carries no information
         assert main(["switch", "--x", "0.1", "--p", "0", "--N", "1..4"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["switch", "--N", "1,2", "--x", "0.1", "--p", "0.2"],
+        ["example1", "--N", "8,16"],
+    ], ids=["switch", "example1"])
+    def test_short_scan_prints_its_rows(self, argv, capsys):
+        # two N values are too few for the log-log fit, which only JSON prints
+        ns = argv[2].split(",")
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and [row[0] for row in csv.reader(io.StringIO(out))][1:] == ns
+        assert main(argv + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["value"] == {"fit": None}
+        assert [row[0] for row in data["rows"]] == [int(n) for n in ns]
+
+    def test_dimension_too_large_to_allocate_exits_2(self, capsys):
+        # 10^13 levels: the first probe vector (146 TiB) exceeds a 128 TiB
+        # address space, so it is refused at once whatever the overcommit policy
+        argv = ["qfi", "--preset", "shear-k1", "--engine", "fock", "--dim", str(10**13)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: Unable to allocate 146. TiB")
+
 
 def _cache_commands():
     """Seeded classify, qfi, generator and example1 commands over the presets,
