@@ -14,8 +14,8 @@ from typing import Sequence
 from .errors import DegenerateMeasurementError, NumericalTrustError, ValidationError
 from .fock import DEFAULT_DIM, DEFAULT_STEP, qfi_numeric, switch_qfi
 from .gaussian import HomodyneSpec, cfi_quadrature, gaussian_probe, qfi_linear_generator
-from .generators import k_peak, local_generator
-from .protocols import ProbeDescriptor, build_preset
+from .generators import classified_pair, generator_at, k_peak
+from .protocols import PRESETS, ProbeDescriptor, build_preset
 
 _LOG10 = math.log(10.0)
 
@@ -150,6 +150,8 @@ def fig3_scan(
         "cfi",
         "ratio_cfi_qfi",
     ]
+    h_lambda, h_g, _ = PRESETS["squeeze-inf"]
+    report = classified_pair(h_g, h_lambda)
     rows = []
     for n in n_range:
         protocol = build_preset("squeeze-inf", n, x_bar, xi_bar, probe)
@@ -160,7 +162,7 @@ def fig3_scan(
                 f"closed-form QFI overflows: cosh(2*N*xi_bar) with N = {n}, "
                 f"xi_bar = {xi_bar!r}"
             ) from None
-        gen = local_generator(protocol).generator
+        gen = generator_at(report, h_lambda, n, protocol.g_bar).generator
         qfi_gauss = qfi_linear_generator(probe_state, gen)
         try:
             cfi = cfi_quadrature(protocol, spec)
@@ -193,14 +195,16 @@ def example1_scan(
     preset: str = "shear-k1",
     x_bar: float = 0.1,
 ) -> ScanResult:
-    """Generator-variance QFI of a finite-index protocol against N."""
+    """Generator-variance QFI of a finite-index protocol against N; the
+    protocol is built, validated and classified once, each N builds its generator."""
     n_range = _checked_ns(n_range)
     probe = probe or ProbeDescriptor.vacuum()
     probe_state = gaussian_probe(probe)
+    protocol = build_preset(preset, n_range[0], x_bar, s_bar, probe)
+    report = classified_pair(protocol.h_g, protocol.h_lambda)
     rows = []
     for n in n_range:
-        protocol = build_preset(preset, n, x_bar, s_bar, probe)
-        gen = local_generator(protocol).generator
+        gen = generator_at(report, protocol.h_lambda, n, protocol.g_bar).generator
         rows.append({"N": n, "qfi": qfi_linear_generator(probe_state, gen)})
     return ScanResult(columns=["N", "qfi"], rows=rows)
 

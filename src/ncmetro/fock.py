@@ -128,6 +128,7 @@ class HermitianEvolver:
         self._real = not matrix.imag.any()
         self._eigvals, self._eigvecs = np.linalg.eigh(matrix.real if self._real else matrix)
         self._eigvals.flags.writeable = self._eigvecs.flags.writeable = False  # _evolver shares instances
+        self._w_max = float(max(-self._eigvals[0], self._eigvals[-1]))  # max|w|
 
     def in_gauge(self) -> "HermitianEvolver":
         """Evolver of G H G^dag that shares this real decomposition of H."""
@@ -226,10 +227,22 @@ def _evolver_key(poly: LadderPolynomial) -> tuple[tuple, bool]:
 _cached_evolver = _BoundedLRU(lambda entry: entry[0]._eigvecs.nbytes, 64 * 2**20, floor=4)
 
 
+def _evolution_time(n: int, value: float, name: str, w_max: float) -> float:
+    """N * value, checked once per row: a largest phase N * value * max|w| that
+    is not finite, or an N too large for a float, is a ValidationError."""
+    try:
+        if math.isfinite(n * value * w_max):
+            return n * value
+    except OverflowError:
+        pass
+    raise ValidationError(f"evolution time overflows: N*{name}*max|w| is not finite "
+                          f"(N = {n}, {name} = {value!r})")
+
+
 def _check_leakage(top: complex, context: str) -> None:
-    """Reject a state whose top Fock amplitude ``top`` is too populated."""
+    """Reject a state whose top Fock amplitude ``top`` is too populated, or nan."""
     pop = float(abs(top) ** 2)
-    if pop > LEAKAGE_THRESHOLD:
+    if not pop <= LEAKAGE_THRESHOLD:
         raise LeakageError(
             f"{context}: top-level population {pop:.3e} exceeds "
             f"{LEAKAGE_THRESHOLD:g}; increase the truncation dimension"
@@ -267,7 +280,10 @@ def _prepare(probe: ProbeDescriptor, dim: int) -> np.ndarray:
     elif probe.kind == "coherent":
         # <n|alpha> = e^{-|alpha|^2/2} prod_{j<=n} alpha / sqrt(j)
         ratios = np.empty(dim, dtype=complex)
-        ratios[0] = math.exp(-abs(probe.alpha) ** 2 / 2.0)
+        try:
+            ratios[0] = math.exp(-abs(probe.alpha) ** 2 / 2.0)
+        except OverflowError:  # |alpha|^2 overflows: the amplitudes underflow to 0
+            ratios[0] = 0.0
         ratios[1:] = probe.alpha / np.sqrt(np.arange(1, dim))
         amps[:] = np.cumprod(ratios)
     elif probe.kind == "squeezed_vacuum":
@@ -336,12 +352,12 @@ def _richardson_qfi(
     pass_qfi: Callable[[float], float], step: float, dim: int, what: str
 ) -> QfiEstimate:
     """Passes at ``step`` and ``step / 2``, Richardson extrapolated; raises
-    ConvergenceError when they disagree by more than 5%."""
+    ConvergenceError when they disagree by more than 5%, or by nan."""
     coarse = pass_qfi(step)
     fine = pass_qfi(step / 2.0)
     value = (4.0 * fine - coarse) / 3.0
     rel = abs(fine - coarse) / max(abs(value), 1e-300)
-    if rel > _ERROR_REL:
+    if not rel <= _ERROR_REL:
         raise ConvergenceError(f"{what} passes disagree by {rel:.2%} at dim {dim}")
     return QfiEstimate(
         value=value,
@@ -413,7 +429,8 @@ def _qfi_numeric_once(
 ) -> QfiEstimate:
     probe = _probe(protocol.probe, dim)
     n = protocol.n_applications
-    after_aux = _evolver(protocol.h_g, dim).apply(n * protocol.g_bar, probe)
+    u_g = _evolver(protocol.h_g, dim)
+    after_aux = u_g.apply(_evolution_time(n, protocol.g_bar, "g_bar", u_g._w_max), probe)
     _check_leakage(after_aux[-1], "qfi_numeric (auxiliary block)")
     # Eigen-coordinates of h_lambda: evolution is a phase per coefficient,
     # and overlaps, hence the QFI, do not depend on the basis.
@@ -454,7 +471,7 @@ def _switch_setup(
         raise ValidationError("switch protocol requires n >= 1")
     u_p = _evolver(_P, probe.size)  # exp(-i t P), t = N x
     u_x = _evolver(_X, probe.size)  # exp(-i t X), t = N p
-    phases_x = u_x.phases(n * p)
+    phases_x = u_x.phases(_evolution_time(n, p, "p", u_x._w_max))
     after_x = u_p.project(u_x.lift(phases_x * u_x.project(probe)))
     return u_p, u_x, phases_x, after_x
 
@@ -620,6 +637,10 @@ def dv_bound_check(
 ) -> DvBoundReport:
     """Verify QFI <= N^2 (spectral spread of h_lambda)^2 for each N.
 
+    Every entry is validated first; then every N's unitary, conjugated
+    generator and vector are built at once as stacked arrays, each slice
+    (and each row's two ``np.vdot``) with the floats of a lone N.
+
     Raises BoundViolationError if the inequality fails beyond float slack,
     which would signal an implementation bug rather than physics.
     """
@@ -635,22 +656,25 @@ def dv_bound_check(
     n_list = list(n_list)
     if not n_list:
         raise ValidationError("n_list must not be empty")
+    for n in n_list:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"n_list entries must be integers, not {n!r}")
+        if n < 1:
+            raise ValidationError("n_list entries must be >= 1")
     probe = np.asarray(probe, dtype=complex)
     probe = probe / np.linalg.norm(probe)
 
     eig_l = np.linalg.eigvalsh(h_lambda)
     spread = float(eig_l[-1] - eig_l[0])
     w_g, v_g = np.linalg.eigh(h_g)
+    w_max = float(max(-w_g[0], w_g[-1]))
+    times = [_evolution_time(int(n), g_bar, "g_bar", w_max) for n in n_list]
 
+    phases = np.exp(np.multiply.outer([1j * t for t in times], w_g))
+    u = (v_g * phases[:, None, :]) @ v_g.conj().T
+    h = np.array(n_list, dtype=float)[:, None, None] * (u @ h_lambda @ u.conj().swapaxes(1, 2))
     rows = []
-    for n in n_list:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValidationError(f"n_list entries must be integers, not {n!r}")
-        if n < 1:
-            raise ValidationError("n_list entries must be >= 1")
-        u = (v_g * np.exp(1j * n * g_bar * w_g)) @ v_g.conj().T
-        h = n * (u @ h_lambda @ u.conj().T)
-        vec = h @ probe
+    for n, vec in zip(n_list, h @ probe):
         mean = float(np.vdot(probe, vec).real)
         qfi = 4.0 * (float(np.vdot(vec, vec).real) - mean**2)
         bound = n**2 * spread**2

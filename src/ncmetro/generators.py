@@ -49,25 +49,32 @@ class GeneratorResult:
 
 
 def local_generator(protocol: EncodingProtocol) -> GeneratorResult:
-    """Local generator of the protocol with respect to lambda_bar.
+    """Local generator of the protocol with respect to lambda_bar.  A scan
+    over N classifies its pair once (:func:`classified_pair`) and calls
+    :func:`generator_at` per N."""
+    report = classified_pair(protocol.h_g, protocol.h_lambda)
+    return generator_at(report, protocol.h_lambda, protocol.n_applications, protocol.g_bar)
 
-    The pair (h_g, h_lambda) is classified by :func:`classify_pair`, which
-    builds its tower once per process, so a scan over N classifies it once.
-    Finite classifications use the exact truncated series, closed towers the
-    sinh/cosh closed form; an unclassified pair is an error.
-    """
-    report = classify_pair(protocol.h_g, protocol.h_lambda)
+
+def classified_pair(h_g: LadderPolynomial, h_lambda: LadderPolynomial):
+    """The :func:`classify_pair` report of (h_g, h_lambda); a pair whose
+    tower hit the cap without closure is an UnclassifiedPairError."""
+    report = classify_pair(h_g, h_lambda)
     if report.kind == KIND_CAP_REACHED:
         raise UnclassifiedPairError(
             "unclassified pair: adjoint tower hit the cap without closure"
         )
+    return report
 
-    n, g_bar = protocol.n_applications, protocol.g_bar
+
+def generator_at(report, h_lambda: LadderPolynomial, n: int, g_bar: float) -> GeneratorResult:
+    """The local generator at N and g_bar of a :func:`classified_pair` report:
+    the exact truncated series, or the sinh/cosh closed form; Hermitian-checked."""
     scalars = _scalars(report, n, g_bar)
     try:
         if report.kind == KIND_CLOSED_INFINITE:
             lam, odd, even = scalars
-            gen = lam * protocol.h_lambda + odd * (1j * report.tower[1]) + even * report.tower[2]
+            gen = lam * h_lambda + odd * (1j * report.tower[1]) + even * report.tower[2]
             result = GeneratorResult(generator=gen, truncation_used=3, closed_form=True)
         else:
             acc = LadderPolynomial()

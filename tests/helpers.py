@@ -12,7 +12,8 @@ nothing about the package's real and eigen-coordinate paths: they evolve the
 full vector through complex eigendecompositions at every finite-difference
 point, and build probes one level at a time.  The per-row Fock references
 are the oracle's own routines as they stood before scans reused their
-probe work, kept verbatim, so the package must match them bit for bit.  The
+probe work, and ``dv_bound_check`` as it stood before it stacked its N
+values, kept verbatim, so the package must match them bit for bit.  The
 Gaussian reference is the engine's former numpy path: 2x2 matrix products
 and ``np.linalg.det``.  The coefficient peak is found by comparing every
 exact ``Fraction`` value.  The reference formatter renders one term at a
@@ -23,6 +24,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +42,12 @@ from ncmetro import (
     quadratic_from_polynomial,
     run_protocol,
 )
+from ncmetro.errors import BoundViolationError, require_finite
 from ncmetro.fock import (
     SWITCH_MODES,
+    DvBoundReport,
+    DvBoundRow,
+    _HERMITIAN_TOL,
     _check_leakage,
     _evolver,
     _leakage_check_blind,
@@ -496,6 +502,54 @@ def per_row_switch_qfi(n: int, x: float, p: float, probe=None, dim: int = 80,
             step, dim, "control-QFI")
     return _richardson_qfi(_overlap_passes(lambda xv: np.concatenate(switch_at(xv)), x),
                            step, dim, "switch QFI")
+
+
+def per_row_dv_bound_check(
+    h_g: np.ndarray,
+    h_lambda: np.ndarray,
+    n_list: Sequence[int],
+    g_bar: float,
+    probe: np.ndarray,
+) -> DvBoundReport:
+    """``dv_bound_check`` as it stood when each N built its own unitary,
+    conjugated generator and vector, validating its entry on the way."""
+    require_finite(g_bar=g_bar)
+    h_g = np.asarray(h_g, dtype=complex)
+    h_lambda = np.asarray(h_lambda, dtype=complex)
+    d = h_g.shape[0]
+    if d < 2 or h_g.shape != (d, d) or h_lambda.shape != (d, d):
+        raise ValidationError("generators must be square matrices of dim >= 2")
+    for name, mat in (("h_g", h_g), ("h_lambda", h_lambda)):
+        if np.abs(mat - mat.conj().T).max() > _HERMITIAN_TOL:
+            raise ValidationError(f"{name} is not Hermitian")
+    n_list = list(n_list)
+    if not n_list:
+        raise ValidationError("n_list must not be empty")
+    probe = np.asarray(probe, dtype=complex)
+    probe = probe / np.linalg.norm(probe)
+
+    eig_l = np.linalg.eigvalsh(h_lambda)
+    spread = float(eig_l[-1] - eig_l[0])
+    w_g, v_g = np.linalg.eigh(h_g)
+
+    rows = []
+    for n in n_list:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"n_list entries must be integers, not {n!r}")
+        if n < 1:
+            raise ValidationError("n_list entries must be >= 1")
+        u = (v_g * np.exp(1j * n * g_bar * w_g)) @ v_g.conj().T
+        h = n * (u @ h_lambda @ u.conj().T)
+        vec = h @ probe
+        mean = float(np.vdot(probe, vec).real)
+        qfi = 4.0 * (float(np.vdot(vec, vec).real) - mean**2)
+        bound = n**2 * spread**2
+        if qfi > bound * (1.0 + 1e-9) + 1e-9:
+            raise BoundViolationError(
+                f"QFI {qfi!r} exceeds spectral bound {bound!r} at N={n}"
+            )
+        rows.append(DvBoundRow(n=int(n), qfi=qfi, bound=bound))
+    return DvBoundReport(rows=tuple(rows), spectral_spread=spread, g_bar=g_bar)
 
 
 # -- numpy Gaussian reference ----------------------------------------------------

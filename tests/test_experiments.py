@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ncmetro import ValidationError
+from ncmetro import ProbeDescriptor, ValidationError, generators
 from ncmetro.experiments import (
     example1_scan,
     example1_scaling,
@@ -16,6 +16,10 @@ from ncmetro.experiments import (
     switch_scaling,
     switch_scan,
 )
+from ncmetro.gaussian import gaussian_probe, qfi_linear_generator
+from ncmetro.generators import local_generator
+from ncmetro.ladder import classify_pair
+from ncmetro.protocols import PRESETS, build_preset
 
 
 class TestFitLogLog:
@@ -263,3 +267,43 @@ def test_empty_n_list_is_rejected(scan):
     # scans with no rows
     with pytest.raises(ValidationError, match="N values must not be empty"):
         scan()
+
+
+class TestScansClassifyOnce:
+    """example1 and fig3 classify their pair once per scan and build only the
+    generator per N; each row keeps the floats of the per-row route through
+    ``local_generator``."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_example1_rows_match_per_row_generators(self, preset):
+        probe = ProbeDescriptor.coherent(0.2 - 0.1j)
+        for s_bar in (0.0, 0.13, 0.3):
+            scan = example1_scan(range(8, 40), s_bar, probe=probe, preset=preset, x_bar=0.1)
+            want = [qfi_linear_generator(gaussian_probe(probe), local_generator(
+                build_preset(preset, n, 0.1, s_bar, probe)).generator) for n in range(8, 40)]
+            assert repr([row["qfi"] for row in scan.rows]) == repr(want)
+
+    def test_fig3_gaussian_column_matches_per_row_generators(self):
+        for xi_bar, alpha in ((0.1, 0.3), (0.27, -0.4 + 0.2j)):
+            scan = fig3_scan(range(1, 13), xi_bar=xi_bar, alpha=alpha, include_fock=False)
+            probe = ProbeDescriptor.coherent(alpha)
+            want = [qfi_linear_generator(gaussian_probe(probe), local_generator(
+                build_preset("squeeze-inf", n, 0.1, xi_bar, probe)).generator)
+                for n in range(1, 13)]
+            assert repr([row["qfi_gaussian"] for row in scan.rows]) == repr(want)
+
+    @pytest.mark.parametrize("scan", [
+        lambda: example1_scan(range(8, 20), s_bar=0.2),
+        lambda: example1_scan(range(8, 20), s_bar=0.2, preset="squeeze-inf"),
+        lambda: fig3_scan(range(1, 7), xi_bar=0.1, dim=40),
+    ], ids=["example1", "example1-closed", "fig3"])
+    def test_pair_classified_once_per_scan(self, scan, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return classify_pair(*args, **kwargs)
+
+        monkeypatch.setattr(generators, "classify_pair", counting)
+        scan()
+        assert len(calls) == 1

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import re
 import sys
 import threading
 
@@ -46,6 +47,7 @@ from helpers import (
     eigh_evolution,
     full_vector_qfi,
     full_vector_switch_qfi,
+    per_row_dv_bound_check,
     per_row_qfi,
     per_row_switch_qfi,
     power_chain_matrix,
@@ -858,3 +860,80 @@ class TestDvBound:
         probe = dv_saturating_probe(SIGMA_Z)
         with pytest.raises(ValidationError, match="g_bar must be finite"):
             dv_bound_check(SIGMA_X, SIGMA_Z, [1, 2], g_bar, probe)
+
+    @pytest.mark.parametrize("pair", ["qubit", "qutrit"])
+    @pytest.mark.parametrize("n_list", [range(1, 40), [9, 2, 31, 5, 1], [3, 10**20, 7],
+                                        np.arange(12, 0, -1)],
+                             ids=["1..39", "unsorted", "beyond-int64", "numpy"])
+    def test_matches_per_row_reference(self, pair, n_list):
+        # every N's unitary, conjugated generator and vector are computed at
+        # once, as stacked arrays; each row keeps the floats of its own loop
+        h_g, h_l = (SIGMA_X, SIGMA_Z) if pair == "qubit" else (SPIN1_X, SPIN1_Z)
+        probes = (dv_saturating_probe(h_l), np.linspace(0.2, 1.1, len(h_l)) * (1 - 0.7j))
+        for probe in probes:
+            for g_bar in (0.05, 0.3, 0.77, -1.3, 0.0, 1e-9, 417.5):
+                got = dv_bound_check(h_g, h_l, n_list, g_bar, probe)
+                assert repr(got) == repr(per_row_dv_bound_check(h_g, h_l, n_list, g_bar, probe))
+
+    @pytest.mark.parametrize("bad", [0, -2, True, 2.0, np.float64(3.0)])
+    def test_entry_errors_match_per_row_reference(self, bad):
+        probe = dv_saturating_probe(SIGMA_Z)
+        for n_list in ([1, bad], [bad, 5, 3], [4, 2, bad, 7]):
+            with pytest.raises(ValidationError) as ours:
+                dv_bound_check(SIGMA_X, SIGMA_Z, n_list, 0.3, probe)
+            with pytest.raises(ValidationError) as ref:
+                per_row_dv_bound_check(SIGMA_X, SIGMA_Z, n_list, 0.3, probe)
+            assert str(ours.value) == str(ref.value)
+
+    def test_entries_validated_before_any_row(self):
+        # N = 2 at g_bar = 1e308 overflows, but the entry 0 after it is
+        # reported first: every entry is checked before anything is computed
+        probe = dv_saturating_probe(SIGMA_Z)
+        with pytest.raises(ValidationError, match="entries must be >= 1"):
+            dv_bound_check(SIGMA_X, SIGMA_Z, [2, 0], 1e308, probe)
+
+    @pytest.mark.parametrize("n_list, named", [
+        ([1, 2, 3], "(N = 2, g_bar = 1e+308)"),
+        ([3, 2, 1], "(N = 3, g_bar = 1e+308)"),
+        ([1, 10**400], f"(N = {10**400}, g_bar = 1e+308)"),
+    ], ids=["ascending", "descending", "beyond-float"])
+    def test_overflowing_evolution_time_rejected(self, n_list, named):
+        # N = 2 once gave a row of nan, and an N too large for a float an
+        # OverflowError
+        probe = dv_saturating_probe(SIGMA_Z)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"evolution time overflows: N*g_bar*max|w| is not finite {named}")):
+            dv_bound_check(SIGMA_X, SIGMA_Z, n_list, 1e308, probe)
+
+
+class TestOverflowOutcomes:
+    def test_nan_population_is_leakage(self):
+        # a nan amplitude once passed the leakage check
+        with pytest.raises(LeakageError, match="population nan exceeds"):
+            fock._check_leakage(complex(math.nan, 0.0), "test")
+
+    def test_nan_disagreement_is_a_convergence_error(self):
+        # a nan pass disagreement once passed the 5% check, untrusted
+        with pytest.raises(ConvergenceError, match="disagree by nan%"):
+            fock._richardson_qfi(lambda h: math.nan, 1e-4, 80, "test")
+
+    @pytest.mark.parametrize("alpha", [1e200, 1e154, complex(1e308, 1e308), 40.0])
+    def test_overflowing_amplitude_is_all_zero(self, alpha):
+        # |alpha|^2 overflowing once raised a bare OverflowError; at 40 the
+        # amplitudes underflow to zero
+        with pytest.raises(ValidationError, match="probe amplitudes are all zero"):
+            prepare_probe(ProbeDescriptor.coherent(alpha), 80)
+
+    @pytest.mark.parametrize("aux", [1e308, 1e307])
+    def test_overflowing_auxiliary_time_rejected(self, aux):
+        # N*g_bar*max|w| with max|w| ~ 13.5 for X^2 at dim 80: once nan, at exit 0
+        protocol = build_preset("shear-k1", 2, 0.1, aux)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"N*g_bar*max|w| is not finite (N = 2, g_bar = {aux!r})")):
+            qfi_numeric(protocol)
+
+    @pytest.mark.parametrize("mode", SWITCH_MODES)
+    def test_overflowing_switch_time_rejected(self, mode):
+        with pytest.raises(ValidationError, match=re.escape(
+                "N*p*max|w| is not finite (N = 3, p = 1e+308)")):
+            switch_qfi(3, 0.1, 1e308, dim=40, mode=mode)

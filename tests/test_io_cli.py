@@ -9,6 +9,7 @@ import math
 import random
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -586,6 +587,44 @@ class TestMain:
         data = json.loads(capsys.readouterr().out)
         assert data["value"] == {"fit": None}
         assert [row[0] for row in data["rows"]] == [int(n) for n in ns]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["qfi", "--preset", "shear-k1", "--N", "2", "--aux", "1e308", "--engine", "fock"],
+         "N*g_bar*max|w| is not finite (N = 2, g_bar = 1e+308)"),
+        *((["switch", "--N", "1..3", "--x", "0.1", "--p", "1e308", "--mode", mode],
+           "N*p*max|w| is not finite (N = 1, p = 1e+308)") for mode in fock.SWITCH_MODES),
+        *((["dvbound", "--N", "1..3", "--gbar", "1e308", "--pair", pair],
+           "N*g_bar*max|w| is not finite (N = 2, g_bar = 1e+308)") for pair in ("qubit", "qutrit")),
+    ], ids=["qfi", *(f"switch-{mode}" for mode in fock.SWITCH_MODES), "dvbound-qubit",
+            "dvbound-qutrit"])
+    def test_overflowing_evolution_time_exits_2(self, argv, named, capsys):
+        # these once printed nan at exit 0, with a numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: evolution time overflows: {named}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--N", "1..2", "--alpha", "1e200"],
+        ["qfi", "--preset", "shear-k1", "--N", "2", "--alpha", "1e200", "--engine", "fock"],
+        ["qfi", "--preset", "shear-k1", "--N", "2", "--alpha", "40", "--engine", "fock"],
+    ], ids=["fig3", "qfi", "qfi-underflow"])
+    def test_overflowing_amplitude_exits_2(self, argv, capsys):
+        # |alpha|^2 = 1e400 once ended in an OverflowError traceback (exit 1);
+        # alpha = 40 underflows to the same all-zero probe
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: probe amplitudes are all zero\n")
+
+    def test_dvbound_n_beyond_int64(self, capsys):
+        # an N above 2^63 keeps its row, in the parser's ascending order
+        assert main(["dvbound", "--N", "3,100000000000000000000,7"]) == 0
+        assert capsys.readouterr() == (
+            "N,qfi,bound,ratio\n"
+            "3,8.9999999999999911,9,0.999999999999999\n"
+            "7,48.999999999999957,49,0.99999999999999911\n"
+            "100000000000000000000,9.9999999999999882e+39,1e+40,0.99999999999999878\n", "")
 
     def test_dimension_too_large_to_allocate_exits_2(self, capsys):
         # 10^13 levels: the first probe vector (146 TiB) exceeds a 128 TiB
