@@ -54,16 +54,11 @@ def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]
     return slope, intercept, r_squared
 
 
-def fit_loglog_slope(
-    points: Sequence[tuple[float, float]],
-    window: tuple[float, float] | None = None,
-) -> FitResult:
-    """Ordinary least squares on (ln x, ln y); all points must be positive."""
-    if window is not None:
-        lo, hi = window
-        points = [(x, y) for x, y in points if lo <= x <= hi]
+def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> FitResult:
+    """Ordinary least squares on (ln x, ln y); all points must be positive.
+    The result's ``window`` is the fitted range of x."""
     if len(points) < 3:
-        raise ValidationError("log-log fit needs at least 3 points in the window")
+        raise ValidationError("log-log fit needs at least 3 points")
     if any(x <= 0 or y <= 0 for x, y in points):
         raise ValidationError("log-log fit requires strictly positive values")
     xs = [math.log(x) for x, _ in points]

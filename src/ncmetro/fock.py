@@ -435,12 +435,15 @@ def _qfi_numeric_once(
     # Eigen-coordinates of h_lambda: evolution is a phase per coefficient,
     # and overlaps, hence the QFI, do not depend on the basis.
     evolver_l = _evolver(protocol.h_lambda, dim)
+    lam_bar = protocol.lambda_bar
+    # the scan edges lam_bar +- step are the largest times
+    _evolution_time(n, max(abs(lam_bar + step), abs(lam_bar - step)), "lambda",
+                    evolver_l._w_max)
     coeffs = evolver_l.project(after_aux)
 
     def state_at(lam: float) -> np.ndarray:
         return evolver_l.phases(n * lam) * coeffs
 
-    lam_bar = protocol.lambda_bar
     # the scan edges are the coarse pass's outer points
     edges = {lam: state_at(lam) for lam in (lam_bar + step, lam_bar - step)}
     for state in edges.values():
@@ -462,27 +465,29 @@ _X, _P = position_op(), momentum_op()
 
 
 def _switch_setup(
-    n: int, p: float, probe: np.ndarray
+    n: int, p: float, x_max: float, probe: np.ndarray
 ) -> tuple[HermitianEvolver, HermitianEvolver, np.ndarray, np.ndarray]:
     """The x-independent work of the switch: P's and X's evolvers, the
     phases of exp(-iNpX), and exp(-iNpX)|psi> projected onto P's
-    eigenbasis, from which each x lifts the measured branch."""
+    eigenbasis, from which each x lifts the measured branch; the times N*x
+    are checked once, at the largest |x| the branches are evolved to."""
     if n < 1:
         raise ValidationError("switch protocol requires n >= 1")
     u_p = _evolver(_P, probe.size)  # exp(-i t P), t = N x
+    _evolution_time(n, x_max, "x", u_p._w_max)
     u_x = _evolver(_X, probe.size)  # exp(-i t X), t = N p
     phases_x = u_x.phases(_evolution_time(n, p, "p", u_x._w_max))
     after_x = u_p.project(u_x.lift(phases_x * u_x.project(probe)))
     return u_p, u_x, phases_x, after_x
 
 
-def _switch_states(n: int, p: float,
+def _switch_states(n: int, p: float, x_max: float,
                    probe: np.ndarray) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
     """The switch branches as a function of x.  Besides the set-up, |psi>
     is projected onto P's eigenbasis once, so each x costs two lifts and
     one X evolution, and both branches are still checked for leakage in
     the Fock basis."""
-    u_p, u_x, phases_x, after_x = _switch_setup(n, p, probe)
+    u_p, u_x, phases_x, after_x = _switch_setup(n, p, x_max, probe)
     before_x = u_p.project(probe)
 
     def state_at(x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -496,11 +501,12 @@ def _switch_states(n: int, p: float,
     return state_at
 
 
-def _definite_states(n: int, p: float, probe: np.ndarray) -> Callable[[float], np.ndarray]:
+def _definite_states(n: int, p: float, x_max: float,
+                     probe: np.ndarray) -> Callable[[float], np.ndarray]:
     """The measured branch exp(-iNxP) exp(-iNpX)|psi> alone, one lift per x,
     leakage-checked as in ``_switch_states`` and with the same floats as
     its first branch scaled back by sqrt(2)."""
-    u_p, _, _, after_x = _switch_setup(n, p, probe)
+    u_p, _, _, after_x = _switch_setup(n, p, x_max, probe)
 
     def state_at(x: float) -> np.ndarray:
         branch_ab = u_p.lift(u_p.phases(n * x) * after_x)
@@ -519,7 +525,7 @@ def switch_protocol(n: int, x: float, p: float,
     relation they differ by the phase N^2 x p, so the control qubit picks up
     the product parameter.
     """
-    return _switch_states(n, p, probe)(x)
+    return _switch_states(n, p, abs(x), probe)(x)
 
 
 def branch_phase_overlap(n: int, x: float, p: float, probe: np.ndarray) -> complex:
@@ -568,10 +574,11 @@ def switch_qfi(
     require_finite(x=x, p=p)
     _check_step(step, x)
     probe_vec = _probe(probe or ProbeDescriptor.vacuum(), dim)
+    x_max = max(abs(x + step), abs(x - step))
     if mode == "definite":
-        return _richardson_qfi(_overlap_passes(_definite_states(n, p, probe_vec), x),
+        return _richardson_qfi(_overlap_passes(_definite_states(n, p, x_max, probe_vec), x),
                                step, dim, "switch QFI")
-    switch_at = _switch_states(n, p, probe_vec)
+    switch_at = _switch_states(n, p, x_max, probe_vec)
 
     if mode == "control":
         def bloch_at(xv: float) -> np.ndarray:
@@ -676,8 +683,14 @@ def dv_bound_check(
     rows = []
     for n, vec in zip(n_list, h @ probe):
         mean = float(np.vdot(probe, vec).real)
-        qfi = 4.0 * (float(np.vdot(vec, vec).real) - mean**2)
-        bound = n**2 * spread**2
+        try:
+            qfi = 4.0 * (float(np.vdot(vec, vec).real) - mean**2)
+            bound = n**2 * spread**2
+        except OverflowError:
+            qfi = bound = math.inf
+        if not (math.isfinite(qfi) and math.isfinite(bound)):
+            raise ValidationError(f"QFI overflows: 4 Var[h] or its bound N^2 spread^2 "
+                                  f"is not finite (N = {n})")
         if qfi > bound * (1.0 + 1e-9) + 1e-9:
             raise BoundViolationError(
                 f"QFI {qfi!r} exceeds spectral bound {bound!r} at N={n}"

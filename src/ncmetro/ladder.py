@@ -17,13 +17,15 @@ is one step, :func:`adjoint_power` and the towers of :func:`classify_pair`
 are many.  The contraction weights are the exact normal-ordering integers
 R(n, m, k) = C(n, k) C(m, k) k! (Blasiak et al., Am. J. Phys. 75, 639,
 2007); for one term and one k they are a row minus a column vector, so
-each (term, k) is one slice-add over the other operand's whole grid.
-While a tower runs, its levels stay trimmed, chop-zeroed grids
-(:class:`_Level`); a level's terms are built when the kernel runs over
-them, and every level becomes a polynomial once, when the report is
-returned, so a tower that overflows builds none.  Every product stops at
-the fixed total degree ``MAX_DEGREE``; within it each weight difference
-is rounded once.  A pair is classified once per process:
+each (term, k) is one slice-add over the other operand's whole grid: the
+kernel (:func:`_contract`) is one loop that slices as it adds, and a
+stepper sizes g's contractions once, to the largest grid a level below the
+degree limit can have.  While a tower runs, its levels stay trimmed,
+chop-zeroed grids (:class:`_Level`); a level's terms are built when the
+kernel runs over them, and every level becomes a polynomial once, when the
+report is returned, so a tower that overflows builds none.  Every product
+stops at the fixed total degree ``MAX_DEGREE``; within it each weight
+difference is rounded once.  A pair is classified once per process:
 :func:`classify_pair` keeps its reports in a bounded least-recently-used
 cache (:class:`_BoundedLRU`, which also holds the Fock oracle's
 decompositions), sized by the tower terms they hold.
@@ -376,20 +378,19 @@ _ZERO_LEVEL = _Level.of(LadderPolynomial())
 class _AdjointStep:
     """ad_g, one level t -> [g, t] of g's adjoint tower on dense grids.
 
-    Built once per g, it keeps what the levels share: g's grid, the
-    contractions of g's terms with a grid (sized to the grid of the first
-    step, and otherwise to the largest grid an entry below the degree limit
-    can have), their slice-adds for the current grid shape, and the
-    contractions of the entries' terms with g's grid.  A level's terms are
-    built only when the kernel runs over them, or to break a tie in
+    Built once per g, it keeps what the levels share: g's coefficients and
+    grid, and the contractions of g's terms, sized once, at the first step
+    that runs over them, to the largest grid an entry below the degree
+    limit can have.  The contractions of an entry's terms with g's grid are
+    derived at each step that runs over them.  A level's terms are built
+    only when the kernel runs over them, or to break a tie in
     :func:`_runs_outer`.  Callers step under ``_kernel_errors``.
     """
 
     def __init__(self, g: LadderPolynomial):
         self.g, self.extent = g, _extent(g)
         self.degree = sum(self.extent) - 2  # bounds g's degree; exact once needed
-        self.g_grid = self.g_terms = self.g_coefficients = self.g_plan = None
-        self.g_shape, self.on_g = (0, 0), {}
+        self.g_grid = self.g_terms = self.g_coefficients = None
 
     def __call__(self, t: _Level) -> _Level:
         """[g, t] from a nonzero level t."""
@@ -406,29 +407,19 @@ class _AdjointStep:
         if g_outer is None:
             return _ZERO_LEVEL
         if g_outer:
-            if grid is None:
-                grid = _grid(t.poly, shape)
-            if shape[0] > self.g_shape[0] or shape[1] > self.g_shape[1]:
-                # a first step (a lone commutator) needs only this grid; the
-                # grids of a tower's later levels grow towards the limit
-                first = self.g_terms is None and self.g_grid is None
-                self.g_shape = shape if first else (MAX_DEGREE + 1 - g.degree,) * 2
-                self.g_terms = [(m1, n1, _contractions(m1, n1, *self.g_shape))
+            if self.g_terms is None:
+                limit = MAX_DEGREE + 1 - g.degree
+                self.g_terms = [(m1, n1, _contractions(m1, n1, limit, limit))
                                 for m1, n1 in g._terms]
                 self.g_coefficients = _coefficients(g, True)
-                self.g_plan = None
-            if self.g_plan is None or self.g_plan[0] != shape:
-                self.g_plan = None  # let its buffer go before the next is made
-                self.g_plan = _plan(self.g_terms, shape, self.extent)
-            return _level(_contract(self.g_coefficients, self.g_plan, grid))
+            if grid is None:
+                grid = _grid(t.poly, shape)
+            return _level(_contract(self.g_terms, self.g_coefficients, self.extent, grid))
         if self.g_grid is None:
             self.g_grid = _grid(g, self.extent)
-        p, on_g = t.polynomial(), self.on_g
-        for key in p._terms:
-            if key not in on_g:
-                on_g[key] = (*key, _contractions(*key, *self.extent))
-        plan = _plan([on_g[key] for key in p._terms], self.extent, shape)
-        return _level(_contract(_coefficients(p, False), plan, self.g_grid))
+        p = t.polynomial()
+        terms = [(m1, n1, _contractions(m1, n1, *self.extent)) for m1, n1 in p._terms]
+        return _level(_contract(terms, _coefficients(p, False), shape, self.g_grid))
 
 
 def _runs_outer(a: LadderPolynomial, b: LadderPolynomial) -> bool | None:
@@ -511,46 +502,28 @@ def _coefficients(p: LadderPolynomial, positive: bool) -> np.ndarray:
                     dtype=complex)[:, None, None]
 
 
-def _plan(terms: list, shape: tuple[int, int], outer_shape: tuple[int, int]) -> tuple:
-    """The kernel's slice-adds for an inner grid of ``shape``, given the outer
-    operand's extent and its terms as (m1, n1, contractions) in term order.
-
-    Returns the inner shape, the result's shape, a buffer for the grid
-    scaled by each term's coefficient, and, in term order and then k order,
-    (target block, scaled block, weight block) for every contraction k of
-    term (m1, n1) that reaches the grid; the target block is the scaled
-    block shifted by (m1 - k, n1 - k).
-    """
-    rows, cols = shape
-    scaled = np.empty((len(terms), rows, cols), dtype=complex)
-    blocks = []
-    for t, (m1, n1, contractions) in enumerate(terms):
-        for k, i, j, weight in contractions:
-            if (k < rows and k <= n1) or (k < cols and k <= m1):
-                target = (slice(m1 - k + i, m1 - k + rows), slice(n1 - k + j, n1 - k + cols))
-                blocks.append((target, scaled[t, i:, j:], weight[i:rows, j:cols]))
-    return shape, (outer_shape[0] + rows - 2, outer_shape[1] + cols - 2), scaled, blocks
-
-
-def _contract(coefficients: np.ndarray, plan: tuple, grid: np.ndarray) -> np.ndarray:
+def _contract(terms: list, coefficients: np.ndarray, extent: tuple[int, int],
+              grid: np.ndarray) -> np.ndarray:
     """The kernel: the dense grid of [outer, inner] from the outer operand's
-    coefficients (:func:`_coefficients`), the slice-adds of :func:`_plan`
-    and the inner operand's grid.
+    terms as (m1, n1, contractions) in term order, its coefficients
+    (:func:`_coefficients`) and extent, and the inner operand's grid.
 
     Contraction k of term (m1, n1, c) moves grid entry (m2, n2, c2) to
     (m1 + m2 - k, n1 + n2 - k) with the value (c * c2) * W_k[m2, n2]: one
-    product of the coefficients with the grid, then one slice-add per
-    (term, k).  The sums start at +0 and so never end at -0, and negated
-    coefficients negate every product and sum exactly.
+    product of the coefficients with the grid, then, in term order and then
+    k order, one slice-add per (term, k) that reaches the grid, with the
+    scaled grid's block shifted by (m1 - k, n1 - k).  The sums start at +0
+    and so never end at -0, and negated coefficients negate every product
+    and sum exactly.
     """
-    _, shape, scaled, blocks = plan
-    if not blocks:
-        return np.zeros((0, 0), dtype=complex)
-    out = np.zeros(shape, dtype=complex)
-    np.multiply(coefficients, grid, out=scaled)
-    for target, source, weight in blocks:
-        block = out[target]
-        block += source * weight
+    rows, cols = grid.shape
+    out = np.zeros((extent[0] + rows - 2, extent[1] + cols - 2), dtype=complex)
+    for (m1, n1, contractions), scaled in zip(terms, coefficients * grid):
+        for k, i, j, weight in contractions:
+            if not ((k < rows and k <= n1) or (k < cols and k <= m1)):
+                break  # k rises, so no later contraction reaches the grid
+            block = out[m1 - k + i: m1 - k + rows, n1 - k + j: n1 - k + cols]
+            block += scaled[i:, j:] * weight[i:rows, j:cols]
     return out
 
 

@@ -35,11 +35,6 @@ class TestFitLogLog:
         assert fit.slope == pytest.approx(4.0, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(5.0), abs=1e-12)
 
-    def test_window_filtering(self):
-        points = [(x, x**3) for x in (1.0, 2.0, 4.0, 8.0, 16.0)]
-        fit = fit_loglog_slope(points, window=(2.0, 8.0))
-        assert fit.window == (2.0, 8.0)
-
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
             fit_loglog_slope([(1.0, 1.0), (2.0, 4.0)])

@@ -905,6 +905,21 @@ class TestDvBound:
                 f"evolution time overflows: N*g_bar*max|w| is not finite {named}")):
             dv_bound_check(SIGMA_X, SIGMA_Z, n_list, 1e308, probe)
 
+    @pytest.mark.parametrize("n", [10**200, 2 * 10**154], ids=["mean-squared", "bound"])
+    def test_overflowing_qfi_rejected(self, n):
+        # N = 10^200 overflows mean^2, N = 2 10^154 the int-times-float bound;
+        # both once raised a bare OverflowError
+        probe = dv_saturating_probe(SIGMA_Z)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"QFI overflows: 4 Var[h] or its bound N^2 spread^2 is not finite (N = {n})")):
+            dv_bound_check(SIGMA_X, SIGMA_Z, [1, n], 0.0, probe)
+
+    def test_largest_finite_qfi_keeps_its_row(self):
+        probe = dv_saturating_probe(SIGMA_Z)
+        n_list = [3, 10**150]
+        got = dv_bound_check(SIGMA_X, SIGMA_Z, n_list, 0.0, probe)
+        assert repr(got) == repr(per_row_dv_bound_check(SIGMA_X, SIGMA_Z, n_list, 0.0, probe))
+
 
 class TestOverflowOutcomes:
     def test_nan_population_is_leakage(self):
@@ -937,3 +952,20 @@ class TestOverflowOutcomes:
         with pytest.raises(ValidationError, match=re.escape(
                 "N*p*max|w| is not finite (N = 3, p = 1e+308)")):
             switch_qfi(3, 0.1, 1e308, dim=40, mode=mode)
+
+    def test_overflowing_lambda_time_rejected(self):
+        # N times the scan edge lambda_bar + step once gave a nan population
+        protocol = build_preset("xp-constant", 3, 1e308, 0.1)
+        with pytest.raises(ValidationError, match=re.escape(
+                "N*lambda*max|w| is not finite (N = 3, lambda = 1.000001e+308)")):
+            qfi_numeric(protocol, dim=8, step=1e302)
+
+    @pytest.mark.parametrize("mode", SWITCH_MODES)
+    def test_overflowing_switch_x_time_rejected(self, mode):
+        # the edge x - step is the largest |x|; once a nan population
+        with pytest.raises(ValidationError, match=re.escape(
+                "N*x*max|w| is not finite (N = 2, x = 1.00001e+308)")):
+            switch_qfi(2, -1e308, 0.2, dim=8, step=1e303, mode=mode)
+        with pytest.raises(ValidationError, match=re.escape(
+                "N*x*max|w| is not finite (N = 2, x = 1e+308)")):
+            switch_protocol(2, 1e308, 0.2, prepare_probe(ProbeDescriptor.vacuum(), 8))

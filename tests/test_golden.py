@@ -4,7 +4,10 @@ bytes recorded in ``helpers.TOWER_POOL``, the point-queries pool's those in
 ``helpers.ORACLE_POOL`` (fig3's Gaussian CFI columns blanked), so a kernel,
 formatter, parser or oracle change shows which cells it moves.  Each pool
 is checked against the benchmark's own workload, so a benchmark revision
-cannot leave a pool out of date."""
+cannot leave a pool out of date.  Digests of the exact tower levels (the
+pool's pairs, CSV cells included, and random pairs) and of lone
+commutators in both argument orders pin the kernel's bits where no output
+prints them."""
 
 import hashlib
 import importlib.util
@@ -12,10 +15,13 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ncmetro import DegreeOverflowError, ValidationError, commutator, ladder, parse_operator
 from ncmetro.cli import main
-from helpers import ORACLE_POOL, POINT_POOL, TOWER_POOL, blank_columns
+from helpers import (ORACLE_POOL, POINT_POOL, TOWER_POOL, blank_columns,
+                     random_hermitian_polynomial, random_polynomial, tower_pool_pairs)
 
 _TIMING = re.compile(r'"(duration_s|timestamp)": [^,\n]*')
 
@@ -91,3 +97,62 @@ def test_pools_are_the_workloads_seed_1_round_0(workload, pool, monkeypatch):
     commands = [op.argv for op in workloads.WORKLOADS[workload](1).round(0)]
     # TOWER_POOL lists its cells in design order, the others in round order
     assert sorted(commands) == sorted(list(argv) for argv, *_ in pool)
+
+
+def _digest_levels(digest, tower) -> None:
+    for level in tower:
+        keys, coefficients = ladder._exact_key(level)
+        digest.update(repr(keys).encode())
+        digest.update(coefficients)
+
+
+def _tower_digest(pairs, cap: int) -> str:
+    """sha256 over each pair's kind and every level's exact key, or over the
+    error text of a pair whose tower overflows."""
+    digest = hashlib.sha256()
+    for g, h in pairs:
+        try:
+            report = ladder._classify(g, h, cap)
+        except (DegreeOverflowError, ValidationError) as exc:
+            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        digest.update(report.kind.encode())
+        _digest_levels(digest, report.tower)
+    return digest.hexdigest()
+
+
+def _unequal_pairs(seed: int, count: int):
+    """``count`` random generic-coefficient pairs whose term counts differ, so
+    the kernel runs over one operand in one order and the other in the other."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        a = random_polynomial(rng, int(rng.integers(1, 6)), 0.4)
+        b = random_polynomial(rng, int(rng.integers(1, 6)), 0.4)
+        if len(a.terms) != len(b.terms):
+            pairs.append((a, b))
+    return pairs
+
+
+def test_pool_towers_keep_their_bits():
+    # every level of every tower-classify pair, CSV cells included
+    pairs = [(parse_operator(g), parse_operator(h)) for g, h in tower_pool_pairs()]
+    assert _tower_digest(pairs, ladder.DEFAULT_ADJOINT_CAP) == (
+        "6f754c4a3ca982638df9d3f619f253dcfcb1402410839894fcc50cf2e50c4154")
+
+
+def test_random_towers_keep_their_bits():
+    rng = np.random.default_rng(2401)
+    pairs = [(random_hermitian_polynomial(rng, int(rng.integers(1, 5))),
+              random_hermitian_polynomial(rng, int(rng.integers(1, 5)))) for _ in range(40)]
+    assert _tower_digest(pairs, 12) == (
+        "931c082bac5bd039877542d5c1342419efba9729aea96b36f3d7c42641735143")
+
+
+def test_lone_commutators_keep_their_bits():
+    # a lone commutator is the first step of a tower, in both argument orders
+    digest = hashlib.sha256()
+    for a, b in _unequal_pairs(2402, 40):
+        _digest_levels(digest, (commutator(a, b), commutator(b, a)))
+    assert digest.hexdigest() == (
+        "f77bf98355c88d07620050023b97f8390b3ccb2e10553392dc1e703979950b46")

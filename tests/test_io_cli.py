@@ -604,6 +604,33 @@ class TestMain:
             assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: evolution time overflows: {named}\n")
 
+    @pytest.mark.parametrize("argv, named", [
+        (["switch", "--N", "1000000000000", "--x", "1e300", "--step", "1e300", "--p", "0.2",
+          "--dim", "8"], "N*x*max|w| is not finite (N = 1000000000000, x = 2e+300)"),
+        (["switch", "--N", "2", "--x", "1e308", "--step", "1e303", "--p", "0.2", "--mode",
+          "definite", "--dim", "8"], "N*x*max|w| is not finite (N = 2, x = 1.00001e+308)"),
+        (["qfi", "--preset", "xp-constant", "--N", "3", "--lam", "1e308", "--step", "1e302",
+          "--engine", "fock"], "N*lambda*max|w| is not finite (N = 3, lambda = 1.000001e+308)"),
+    ], ids=["switch-control", "switch-definite", "qfi"])
+    def test_overflowing_scan_edge_time_exits_2(self, argv, named, capsys):
+        # the largest time is N times the scan edge x +- step (or lambda +-
+        # step); these once printed a numpy RuntimeWarning, then a nan
+        # population at exit 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: evolution time overflows: {named}\n")
+
+    @pytest.mark.parametrize("n", [10**200, 2 * 10**154], ids=["mean-squared", "bound"])
+    def test_dvbound_overflowing_qfi_exits_2(self, n, capsys):
+        # mean^2 (N = 10^200) or N^2 spread^2 (N = 2 10^154) once ended in an
+        # OverflowError traceback (exit 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["dvbound", "--N", f"3,{n}", "--gbar", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: QFI overflows: 4 Var[h] or its bound "
+                                           f"N^2 spread^2 is not finite (N = {n})\n")
+
     @pytest.mark.parametrize("argv", [
         ["fig3", "--N", "1..2", "--alpha", "1e200"],
         ["qfi", "--preset", "shear-k1", "--N", "2", "--alpha", "1e200", "--engine", "fock"],
