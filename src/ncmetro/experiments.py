@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DegenerateMeasurementError, NumericalTrustError, ValidationError
-from .fock import DEFAULT_DIM, DEFAULT_STEP, qfi_numeric, switch_qfi
+from .errors import DegenerateMeasurementError, NcmetroError, NumericalTrustError, ValidationError
+from .fock import DEFAULT_DIM, DEFAULT_STEP, QfiEstimate, _qfi_rows, _results, _switch_qfis
 from .gaussian import HomodyneSpec, cfi_quadrature, gaussian_probe, qfi_linear_generator
 from .generators import classified_pair, generator_at, k_peak
 from .protocols import PRESETS, ProbeDescriptor, build_preset
@@ -128,7 +128,8 @@ def fig3_scan(
     per-row trust marker), the CFI at theta, and the CFI/QFI ratio.  A row
     whose final covariance does not resolve the homodyne variance keeps None
     in its CFI and ratio columns, as an unconverged oracle row does in its
-    Fock columns.
+    Fock columns.  The oracle runs every row as one stack after the Gaussian
+    columns; the first row that fails either decides the error.
     """
     if not xi_bar > 0:
         raise ValidationError("xi_bar must be positive")
@@ -147,23 +148,27 @@ def fig3_scan(
     ]
     h_lambda, h_g, _ = PRESETS["squeeze-inf"]
     report = classified_pair(h_g, h_lambda)
-    rows = []
+    rows, failure = [], None
     for n in n_range:
-        protocol = build_preset("squeeze-inf", n, x_bar, xi_bar, probe)
         try:
-            closed = 2.0 * n**2 * math.cosh(2.0 * n * xi_bar)
-        except OverflowError:
-            raise ValidationError(
-                f"closed-form QFI overflows: cosh(2*N*xi_bar) with N = {n}, "
-                f"xi_bar = {xi_bar!r}"
-            ) from None
-        gen = generator_at(report, h_lambda, n, protocol.g_bar).generator
-        qfi_gauss = qfi_linear_generator(probe_state, gen)
-        try:
-            cfi = cfi_quadrature(protocol, spec)
-        except DegenerateMeasurementError:
-            cfi = None
-        row = {
+            protocol = build_preset("squeeze-inf", n, x_bar, xi_bar, probe)
+            try:
+                closed = 2.0 * n**2 * math.cosh(2.0 * n * xi_bar)
+            except OverflowError:
+                raise ValidationError(
+                    f"closed-form QFI overflows: cosh(2*N*xi_bar) with N = {n}, "
+                    f"xi_bar = {xi_bar!r}"
+                ) from None
+            gen = generator_at(report, h_lambda, n, protocol.g_bar).generator
+            qfi_gauss = qfi_linear_generator(probe_state, gen)
+            try:
+                cfi = cfi_quadrature(protocol, spec)
+            except DegenerateMeasurementError:
+                cfi = None
+        except NcmetroError as exc:  # raised once the rows before it have their oracle outcome
+            failure = exc
+            break
+        rows.append({
             "N": n,
             "qfi_closed_form": closed,
             "qfi_gaussian": qfi_gauss,
@@ -171,15 +176,15 @@ def fig3_scan(
             "fock_trusted": None,
             "cfi": cfi,
             "ratio_cfi_qfi": None if cfi is None else cfi / qfi_gauss,
-        }
-        if include_fock:
-            try:
-                estimate = qfi_numeric(protocol, dim=dim, step=step)
-                row["qfi_fock"] = estimate.value
-                row["fock_trusted"] = 1 if estimate.trusted else 0
-            except NumericalTrustError:
-                pass  # row keeps None markers: oracle did not converge
-        rows.append(row)
+        })
+    if include_fock and rows:  # the rows' protocols differ only in N
+        for row, outcome in zip(rows, _qfi_rows(protocol, [row["N"] for row in rows], dim, step)):
+            if isinstance(outcome, QfiEstimate):
+                row.update(qfi_fock=outcome.value, fock_trusted=int(outcome.trusted))
+            elif not isinstance(outcome, NumericalTrustError):  # else the oracle did not converge
+                raise outcome
+    if failure is not None:
+        raise failure
     return ScanResult(columns=columns, rows=rows)
 
 
@@ -226,12 +231,8 @@ def switch_scan(
 ) -> ScanResult:
     """Switch-construction QFI against N (see fock.switch_qfi for modes)."""
     n_range = _checked_ns(n_range)
-    rows = []
-    for n in n_range:
-        estimate = switch_qfi(n, x, p_val, probe=probe, dim=dim, step=step, mode=mode)
-        rows.append(
-            {"N": n, "qfi": estimate.value, "trusted": 1 if estimate.trusted else 0}
-        )
+    estimates = _results(_switch_qfis(n_range, x, p_val, probe, dim, step, mode))
+    rows = [{"N": n, "qfi": e.value, "trusted": int(e.trusted)} for n, e in zip(n_range, estimates)]
     return ScanResult(columns=["N", "qfi", "trusted"], rows=rows)
 
 

@@ -12,16 +12,16 @@ the two branches of the switch, each weighted 1/sqrt(2).
 
 A generator is decomposed once per dimension and process: the bounded
 least-recently-used cache of :mod:`ladder`, sized by eigenvector bytes,
-shares each decomposition between a scan's points and between calls.
+shares each decomposition between a scan's rows and between calls.
 A real generator, or one that the diagonal gauge G = diag(i^k) makes real,
 gets a real symmetric decomposition and real mat-vecs; X and P = G X G^dag
 share one.  Finite differences run in the eigen-coordinates of H_lambda,
-where each point is a phase per coefficient, so no point re-evolves the
-Fock vector.  A scan's x-independent work is done once: a probe is
-prepared once per descriptor and dimension and kept read-only, the
-scan-edge states are the coarse pass's, and the switch projects its
-x-independent vectors and computes the phases of exp(-iNpX) once per N;
-its definite-order mode evolves only the branch it measures.
+where each point is a phase per coefficient.  A scan runs its N values as
+one stack: the probe is prepared (once per descriptor and dimension, kept
+read-only) and projected once, one exponential covers every row, point
+and eigenvalue, and each change of basis is one stacked product whose
+slices keep a lone row's floats; each row still takes its own overlaps and
+trust checks.  The definite-order switch evolves only its measured branch.
 
 Trust model: prepared and evolved vectors must keep the population of the
 top Fock level below ``LEAKAGE_THRESHOLD``; finite-difference QFI runs a
@@ -47,6 +47,7 @@ from .errors import (
     BoundViolationError,
     ConvergenceError,
     LeakageError,
+    NumericalTrustError,
     ValidationError,
     require_finite,
 )
@@ -110,7 +111,8 @@ class HermitianEvolver:
     V w V^T, so H = (G V) w (G V)^dag with V real and every mat-vec a real
     product on the complex vector viewed as float pairs; any other H keeps a
     complex decomposition.  ``project``, ``phases`` and ``lift`` expose the
-    eigen-coordinates, in which evolution is a diagonal phase.
+    eigen-coordinates, in which evolution is a diagonal phase; they take
+    stacks along leading axes, each slice with the floats of a lone vector.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -129,6 +131,7 @@ class HermitianEvolver:
         self._eigvals, self._eigvecs = np.linalg.eigh(matrix.real if self._real else matrix)
         self._eigvals.flags.writeable = self._eigvecs.flags.writeable = False  # _evolver shares instances
         self._w_max = float(max(-self._eigvals[0], self._eigvals[-1]))  # max|w|
+        self._minus_iw = _read_only(-1j * self._eigvals)
 
     def in_gauge(self) -> "HermitianEvolver":
         """Evolver of G H G^dag that shares this real decomposition of H."""
@@ -136,8 +139,8 @@ class HermitianEvolver:
         twin._gauge = _gauge(self._eigvals.size)
         return twin
 
-    def phases(self, t: float) -> np.ndarray:
-        return np.exp(-1j * t * self._eigvals)
+    def phases(self, t) -> np.ndarray:
+        return np.exp(np.multiply.outer(t, self._minus_iw))
 
     def project(self, vec: np.ndarray) -> np.ndarray:
         """Eigen-coordinates (G V)^dag vec of a Fock-basis vector."""
@@ -145,11 +148,12 @@ class HermitianEvolver:
             vec = self._gauge.conj() * vec
         if self._real:
             return _real_times(self._eigvecs.T, vec)
-        return (vec.conj() @ self._eigvecs).conj()
+        return (vec.conj()[..., None, :] @ self._eigvecs)[..., 0, :].conj()
 
     def lift(self, coeffs: np.ndarray) -> np.ndarray:
         """Fock-basis vector G V coeffs of eigen-coordinates."""
-        out = _real_times(self._eigvecs, coeffs) if self._real else self._eigvecs @ coeffs
+        out = (_real_times(self._eigvecs, coeffs) if self._real
+               else (self._eigvecs @ coeffs[..., None])[..., 0])
         return out if self._gauge is None else self._gauge * out
 
     def top_amplitude(self, coeffs: np.ndarray) -> complex:
@@ -170,10 +174,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _real_times(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Real matrix times complex vector as one real product on float pairs."""
-    pairs = np.ascontiguousarray(vec, dtype=complex).view(np.float64).reshape(-1, 2)
-    return (matrix @ pairs).view(np.complex128).ravel()
+def _real_times(matrix: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Real matrix times each complex vector of a stack, as real products on float pairs."""
+    pairs = np.ascontiguousarray(vecs, dtype=complex).view(np.float64)
+    return (matrix @ pairs.reshape(*vecs.shape, 2)).view(np.complex128).reshape(vecs.shape)
 
 
 #: i^k for k = 0..3, exact.
@@ -389,6 +393,22 @@ def _check_step(step: float, x0: float) -> None:
         )
 
 
+def _outcome(compute: Callable[[], object]) -> object:
+    """``compute()``, or the LeakageError or ConvergenceError it raised."""
+    try:
+        return compute()
+    except (LeakageError, ConvergenceError) as exc:
+        return exc
+
+
+def _results(outcomes: list) -> list:
+    """The estimates of a scan's rows, or the first row's error raised."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
 def qfi_numeric(
     protocol: EncodingProtocol,
     dim: int = DEFAULT_DIM,
@@ -401,17 +421,29 @@ def qfi_numeric(
     Richardson extrapolated.  On leakage or >5% pass disagreement the
     truncation dimension is doubled up to ``retries`` times before raising.
     """
+    return _results(_qfi_rows(protocol, [protocol.n_applications], dim, step, retries))[0]
+
+
+def _qfi_rows(protocol: EncodingProtocol, ns: Sequence[int], dim: int, step: float,
+              retries: int = 1) -> list:
+    """``qfi_numeric`` at each N of a scan: a row's estimate, or the trust
+    error of its last attempt, the rows that leak or whose passes disagree
+    retried together at twice the dimension; a refused time ends the list."""
     _check_step(step, protocol.lambda_bar)
     if retries < 0:
         raise ValidationError("retries must be >= 0")
-    last_error: Exception | None = None
-    for attempt in range(retries + 1):
-        d = dim * (2**attempt)
-        try:
-            return _qfi_numeric_once(protocol, d, step)
-        except (LeakageError, ConvergenceError) as exc:
-            last_error = exc
-    raise last_error
+    try:
+        outcomes = _qfi_stack(protocol, ns, dim, step)
+    except LeakageError as exc:  # the probe leaks
+        outcomes = [exc] * len(ns)
+    again = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, NumericalTrustError)]
+    if retries and again:
+        redo = _qfi_rows(protocol, [ns[i] for i in again], 2 * dim, step, retries - 1)
+        for i, outcome in zip(again, redo):
+            outcomes[i] = outcome
+        if len(redo) < len(again):  # ended by a refused time
+            del outcomes[again[len(redo) - 1] + 1:]
+    return outcomes
 
 
 def _leakage_check_blind(protocol: EncodingProtocol, dim: int) -> bool:
@@ -424,36 +456,55 @@ def _leakage_check_blind(protocol: EncodingProtocol, dim: int) -> bool:
                     for poly in (protocol.h_g, protocol.h_lambda) for m, n in poly.terms))
 
 
-def _qfi_numeric_once(
-    protocol: EncodingProtocol, dim: int, step: float
-) -> QfiEstimate:
+def _qfi_stack(protocol: EncodingProtocol, ns: list[int], dim: int, step: float) -> list:
+    """One attempt of each row, its checks in a lone row's order (the g_bar
+    time, the auxiliary block's leakage, the lambda time, the scan edges'
+    leakage, the passes); no row past a refused time is evolved further."""
     probe = _probe(protocol.probe, dim)
-    n = protocol.n_applications
     u_g = _evolver(protocol.h_g, dim)
-    after_aux = u_g.apply(_evolution_time(n, protocol.g_bar, "g_bar", u_g._w_max), probe)
-    _check_leakage(after_aux[-1], "qfi_numeric (auxiliary block)")
+    times, end = [], []
+    for n in ns:
+        try:
+            times.append(_evolution_time(n, protocol.g_bar, "g_bar", u_g._w_max))
+        except ValidationError as exc:
+            end = [exc]
+            break
+    after_aux = u_g.lift(u_g.phases(times) * u_g.project(probe))
     # Eigen-coordinates of h_lambda: evolution is a phase per coefficient,
     # and overlaps, hence the QFI, do not depend on the basis.
-    evolver_l = _evolver(protocol.h_lambda, dim)
-    lam_bar = protocol.lambda_bar
-    # the scan edges lam_bar +- step are the largest times
-    _evolution_time(n, max(abs(lam_bar + step), abs(lam_bar - step)), "lambda",
-                    evolver_l._w_max)
-    coeffs = evolver_l.project(after_aux)
-
-    def state_at(lam: float) -> np.ndarray:
-        return evolver_l.phases(n * lam) * coeffs
-
-    # the scan edges are the coarse pass's outer points
-    edges = {lam: state_at(lam) for lam in (lam_bar + step, lam_bar - step)}
-    for state in edges.values():
-        _check_leakage(evolver_l.top_amplitude(state), "qfi_numeric (scan edge)")
-    estimate = _richardson_qfi(
-        _overlap_passes(lambda lam: edges[lam] if lam in edges else state_at(lam), lam_bar),
-        step, dim, "finite-difference")
-    if _leakage_check_blind(protocol, dim):
-        estimate = replace(estimate, trusted=False)
-    return estimate
+    lam_bar, evolver_l, outcomes, live = protocol.lambda_bar, None, [], []
+    for i, n in enumerate(ns[:len(times)]):
+        try:
+            _check_leakage(after_aux[i, -1], "qfi_numeric (auxiliary block)")
+        except LeakageError as exc:
+            outcomes.append(exc)
+            continue
+        evolver_l = evolver_l or _evolver(protocol.h_lambda, dim)
+        try:  # the scan edges lam_bar +- step are the largest times
+            _evolution_time(n, max(abs(lam_bar + step), abs(lam_bar - step)), "lambda",
+                            evolver_l._w_max)
+        except ValidationError as exc:
+            end = [exc]
+            break
+        outcomes.append(None)
+        live.append(i)
+    if not live:
+        return outcomes + end
+    lams = (lam_bar + step, lam_bar - step, lam_bar, lam_bar + step / 2.0, lam_bar - step / 2.0)
+    coeffs = evolver_l.project(after_aux if len(live) == len(after_aux) else after_aux[live])
+    states = evolver_l.phases([[ns[i] * lam for lam in lams] for i in live]) * coeffs[:, None]
+    for i, points in zip(live, states):
+        state_at = dict(zip(lams, points))
+        try:
+            for edge in lams[:2]:  # the scan edges are the coarse pass's outer points
+                _check_leakage(evolver_l.top_amplitude(state_at[edge]), "qfi_numeric (scan edge)")
+            estimate = _richardson_qfi(_overlap_passes(state_at.__getitem__, lam_bar),
+                                       step, dim, "finite-difference")
+        except (LeakageError, ConvergenceError) as exc:
+            outcomes[i] = exc
+            continue
+        outcomes[i] = replace(estimate, trusted=False) if _leakage_check_blind(protocol, dim) else estimate
+    return outcomes + end
 
 
 # -- quantum SWITCH (indefinite order of the two displacement blocks) ---------
@@ -464,56 +515,38 @@ def _qfi_numeric_once(
 _X, _P = position_op(), momentum_op()
 
 
-def _switch_setup(
-    n: int, p: float, x_max: float, probe: np.ndarray
-) -> tuple[HermitianEvolver, HermitianEvolver, np.ndarray, np.ndarray]:
-    """The x-independent work of the switch: P's and X's evolvers, the
-    phases of exp(-iNpX), and exp(-iNpX)|psi> projected onto P's
-    eigenbasis, from which each x lifts the measured branch; the times N*x
-    are checked once, at the largest |x| the branches are evolved to."""
-    if n < 1:
+def _switch_rows(ns: Sequence[int], xs: Sequence[float], p: float, probe: np.ndarray,
+                 both: bool) -> list:
+    """Per N of ``ns`` (ascending), the stack over ``xs`` of exp(-iNxP)
+    exp(-iNpX)|psi> and, if ``both``, of the opposite order, each weighted
+    1/sqrt(2) and leakage-checked x by x; or the row's LeakageError.  N*x is
+    checked at the largest |x|, and a refused time ends the list."""
+    if ns[0] < 1:
         raise ValidationError("switch protocol requires n >= 1")
     u_p = _evolver(_P, probe.size)  # exp(-i t P), t = N x
-    _evolution_time(n, x_max, "x", u_p._w_max)
     u_x = _evolver(_X, probe.size)  # exp(-i t X), t = N p
-    phases_x = u_x.phases(_evolution_time(n, p, "p", u_x._w_max))
+    times, end = [], []
+    for n in ns:
+        try:
+            _evolution_time(n, max(map(abs, xs)), "x", u_p._w_max)
+            times.append(_evolution_time(n, p, "p", u_x._w_max))
+        except ValidationError as exc:
+            end = [exc]
+            break
+    phases_x = u_x.phases(times)
     after_x = u_p.project(u_x.lift(phases_x * u_x.project(probe)))
-    return u_p, u_x, phases_x, after_x
+    phases = u_p.phases([[n * x for x in xs] for n in ns[:len(times)]])
+    stacks = [u_p.lift(phases * after_x[:, None])]
+    if both:
+        p_first = u_p.lift(phases * u_p.project(probe))  # exp(-iNxP)|psi>
+        stacks.append(u_x.lift(phases_x[:, None] * u_x.project(p_first)))
 
+    def weighted(branches: tuple) -> tuple:
+        for top in np.stack([branch[:, -1] for branch in branches], 1).ravel():  # x by x
+            _check_leakage(top, "switch_protocol")
+        return tuple(branch / math.sqrt(2.0) for branch in branches)
 
-def _switch_states(n: int, p: float, x_max: float,
-                   probe: np.ndarray) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-    """The switch branches as a function of x.  Besides the set-up, |psi>
-    is projected onto P's eigenbasis once, so each x costs two lifts and
-    one X evolution, and both branches are still checked for leakage in
-    the Fock basis."""
-    u_p, u_x, phases_x, after_x = _switch_setup(n, p, x_max, probe)
-    before_x = u_p.project(probe)
-
-    def state_at(x: float) -> tuple[np.ndarray, np.ndarray]:
-        phases = u_p.phases(n * x)
-        branch_ab = u_p.lift(phases * after_x)
-        branch_ba = u_x.lift(phases_x * u_x.project(u_p.lift(phases * before_x)))
-        _check_leakage(branch_ab[-1], "switch_protocol")
-        _check_leakage(branch_ba[-1], "switch_protocol")
-        return branch_ab / math.sqrt(2.0), branch_ba / math.sqrt(2.0)
-
-    return state_at
-
-
-def _definite_states(n: int, p: float, x_max: float,
-                     probe: np.ndarray) -> Callable[[float], np.ndarray]:
-    """The measured branch exp(-iNxP) exp(-iNpX)|psi> alone, one lift per x,
-    leakage-checked as in ``_switch_states`` and with the same floats as
-    its first branch scaled back by sqrt(2)."""
-    u_p, _, _, after_x = _switch_setup(n, p, x_max, probe)
-
-    def state_at(x: float) -> np.ndarray:
-        branch_ab = u_p.lift(u_p.phases(n * x) * after_x)
-        _check_leakage(branch_ab[-1], "switch_protocol")
-        return branch_ab / math.sqrt(2.0) * math.sqrt(2.0)
-
-    return state_at
+    return [_outcome(lambda: weighted(branches)) for branches in zip(*stacks)] + end
 
 
 def switch_protocol(n: int, x: float, p: float,
@@ -525,7 +558,7 @@ def switch_protocol(n: int, x: float, p: float,
     relation they differ by the phase N^2 x p, so the control qubit picks up
     the product parameter.
     """
-    return _switch_states(n, p, abs(x), probe)(x)
+    return tuple(branch[0] for branch in _results(_switch_rows([n], [x], p, probe, True))[0])
 
 
 def branch_phase_overlap(n: int, x: float, p: float, probe: np.ndarray) -> complex:
@@ -569,31 +602,37 @@ def switch_qfi(
       that branch is evolved and checked for leakage, so leakage of the
       opposite order, which this mode never reads, does not refuse it.
     """
+    return _results(_switch_qfis([n], x, p, probe, dim, step, mode))[0]
+
+
+def _switch_qfis(ns: Sequence[int], x: float, p: float, probe: ProbeDescriptor | None,
+                 dim: int, step: float, mode: str) -> list:
+    """``switch_qfi`` at each N of ``ns`` (ascending): a row's estimate or its
+    trust error, the list ended by a refused time."""
     if mode not in SWITCH_MODES:
         raise ValidationError(f"mode must be one of {SWITCH_MODES}")
     require_finite(x=x, p=p)
     _check_step(step, x)
     probe_vec = _probe(probe or ProbeDescriptor.vacuum(), dim)
-    x_max = max(abs(x + step), abs(x - step))
-    if mode == "definite":
-        return _richardson_qfi(_overlap_passes(_definite_states(n, p, x_max, probe_vec), x),
+    xs = (x, x + step, x - step, x + step / 2.0, x - step / 2.0)
+
+    def bloch(ab: np.ndarray, ba: np.ndarray) -> np.ndarray:
+        rho_01 = np.vdot(ba, ab)  # control coherence <0|rho|1>
+        return np.array([2.0 * rho_01.real, -2.0 * rho_01.imag,
+                         (np.vdot(ab, ab) - np.vdot(ba, ba)).real])
+
+    def row_qfi(branches: tuple) -> QfiEstimate:
+        if mode == "control":
+            r = dict(zip(xs, map(bloch, *branches)))  # Bloch vectors of the control qubit
+            return _richardson_qfi(lambda h: _qubit_qfi(r[x], r[x + h], r[x - h], h),
+                                   step, dim, "control-QFI")
+        # the definite order's branch scaled back by sqrt(2), or both orders
+        states = branches[0] * math.sqrt(2.0) if mode == "definite" else np.concatenate(branches, 1)
+        return _richardson_qfi(_overlap_passes(dict(zip(xs, states)).__getitem__, x),
                                step, dim, "switch QFI")
-    switch_at = _switch_states(n, p, x_max, probe_vec)
 
-    if mode == "control":
-        def bloch_at(xv: float) -> np.ndarray:
-            ab, ba = switch_at(xv)
-            rho_01 = np.vdot(ba, ab)  # control coherence <0|rho|1>
-            return np.array([2.0 * rho_01.real, -2.0 * rho_01.imag,
-                             (np.vdot(ab, ab) - np.vdot(ba, ba)).real])
-
-        r0 = bloch_at(x)
-        return _richardson_qfi(
-            lambda h: _qubit_qfi(r0, bloch_at(x + h), bloch_at(x - h), h),
-            step, dim, "control-QFI")
-
-    return _richardson_qfi(_overlap_passes(lambda xv: np.concatenate(switch_at(xv)), x),
-                           step, dim, "switch QFI")
+    return [row if isinstance(row, Exception) else _outcome(lambda: row_qfi(row))
+            for row in _switch_rows(ns, xs, p, probe_vec, both=mode != "definite")]
 
 
 # -- discrete-variable bound demonstration ------------------------------------

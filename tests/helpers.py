@@ -711,6 +711,79 @@ ORACLE_POOL = [
      "4e35e6054ca995e8c14eab588aef152ecaa50562323b342c865bbc00564a545b"),
 ]
 
+#: The oracle-scans pool's other commands: seed 7919, round 0, and seed 1,
+#: round 1, whose x and xi carry the 1e-9 jitter.  Entries as in
+#: ``ORACLE_POOL``, recorded while each scan still ran its oracle one row at
+#: a time.
+ORACLE_POOL_2 = [
+    (['fig3', '--N', '1..12', '--xi', '0.05365472351548517', '--alpha', '0.07508514729672061',
+      '--dim', '110'], 0,
+     "7d3e7f440810e4e8bd4afb6e1e1f4724abe335908d8a46a4f205f2782bf3f2ad"),
+    (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'definite'], 0,
+     "9084103090a20326de82fca1318219a3a9cd583281a4f1b24c85c5e795684e05"),
+    (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'definite'], 0,
+     "3e3b44e1466c1545b0b5385d3d31c687dcf5cf96262d49d50aca118f4b3b203b"),
+    (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'control'], 0,
+     "4e35e6054ca995e8c14eab588aef152ecaa50562323b342c865bbc00564a545b"),
+    (['fig3', '--N', '1..12', '--xi', '0.057806997785026126', '--alpha', '0.40316864591585555',
+      '--dim', '140'], 0,
+     "60ee1dfaed62e74a73c7e892a45b2a2b65d5f4b7e518aeb8e897fdb8a539df08"),
+    (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '110', '--mode', 'joint'], 0,
+     "3f9a212b67495c32295e1bf4dcfe4cd45bef96bc52d60333db8663d54d1bd6cf"),
+    (['fig3', '--N', '1..12', '--xi', '0.05459252422466936', '--alpha', '0.4055282788782957',
+      '--dim', '140'], 0,
+     "900b8014b5f72dfc9df4c15ac1c7a82643b8f94dbeb3c8b4c724fcbd1eee0429"),
+    (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'joint'], 0,
+     "ffc47ad41c1a5667814d666ab0d7cadb942a76f0eb0d475d42890e5e395ef44e"),
+    (['fig3', '--N', '1..12', '--xi', '0.09327499615237893', '--alpha', '0.20132729213847672',
+      '--dim', '80'], 0,
+     "2b58bd307cebb74defc282dac5638374e250bb92caf7a5891bc5fea1abfae67f"),
+    (['fig3', '--N', '1..12', '--xi', '0.06670522480187428', '--alpha', '0.48735330546950933',
+      '--dim', '140'], 0,
+     "47a95dad426080e0097b2bc7df7a5ed13a517faa2f4e7f68d413a710ff3d2a55"),
+    (['fig3', '--N', '1..12', '--xi', '0.09763047957971971', '--alpha', '0.09860409460095854',
+      '--dim', '140'], 0,
+     "5466849ada1dc29d7cbceaf34ea9c59fba5b008609b45cf274556371ae5a4246"),
+    (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '80', '--mode', 'control'], 0,
+     "799e8a1d61d443d5827f7814e0fd2d52c08fcdbeaced7438a172362f20113622"),
+    (['fig3', '--N', '1..12', '--xi', '0.09522088199206873', '--alpha', '0.05635785300768742',
+      '--dim', '140'], 0,
+     "5e2529dfca45c93f673b86f5fb76cc724ecc8cac832ea2239bfbfe85e64ee986"),
+    (['fig3', '--N', '1..12', '--xi', '0.05478421334590127', '--alpha', '0.058489196250636144',
+      '--dim', '140'], 0,
+     "c64efd10865b083aa140f50618ee61b11a813497317948dffd8d035c5a22e103"),
+    (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
+      '--dim', '80', '--mode', 'definite'], 0,
+     "ea7e53e09db8d2ffd761ec83815d7be98c9b76ddd6219a80cc604ded3b2d1114"),
+    (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
+      '--dim', '200', '--mode', 'control'], 0,
+     "995bed9a0709ea0b01526468706ad02670a62fcb1e3f0a8f67de6762e9f3db8b"),
+    (['fig3', '--N', '1..12', '--xi', '0.06287113704774813', '--alpha', '0.293187459999862',
+      '--dim', '110'], 0,
+     "6e5d5deb1f53fb3a293bba8e0fc23bdf67bea9ef8c88ba20d84cb245aca762a4"),
+    (['fig3', '--N', '1..12', '--xi', '0.05779300498158356', '--alpha', '0.19829790306031891',
+      '--dim', '80'], 0,
+     "0bc5b50c0d889751b8d208935e87c04dfb297877bf48f18b15341ff98c95048a"),
+    (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
+      '--dim', '170', '--mode', 'joint'], 0,
+     "31c54fe9d1ae36d629908b09c3eddcbf79f46d44117f07f2650019225bf975e4"),
+    (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
+      '--dim', '200', '--mode', 'control'], 0,
+     "995bed9a0709ea0b01526468706ad02670a62fcb1e3f0a8f67de6762e9f3db8b"),
+    (['fig3', '--N', '1..12', '--xi', '0.09897310452316525', '--alpha', '0.4975887965498427',
+      '--dim', '140'], 0,
+     "fd2d9e2130c91dc6185e8b2694365829faa21a0ef461f5d39f710d1ebbd6d9cb"),
+    (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
+      '--dim', '170', '--mode', 'definite'], 0,
+     "d0be1a07823d7d6eeac8e3b74d5846c9a280623bf628681461308a8542d0233e"),
+    (['fig3', '--N', '1..12', '--xi', '0.07230354029394825', '--alpha', '0.19893663594015332',
+      '--dim', '140'], 0,
+     "b815af05285596a0bbb71caaa2953fcb27d9d0418a4dbc21d8bd0af29d2490e9"),
+    (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
+      '--dim', '110', '--mode', 'joint'], 0,
+     "d624526df4dfe8dffbb03ff80031cb19e85eba5b2243f671778ad5f9a0bee6b4"),
+]
+
 
 # -- the point-queries pool -------------------------------------------------------
 

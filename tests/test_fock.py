@@ -580,6 +580,18 @@ def _exact(compute):
 _PROBES = (ProbeDescriptor.vacuum(), ProbeDescriptor.coherent(0.3 + 0.1j),
            ProbeDescriptor.squeezed_vacuum(0.3, 0.4))
 
+#: The benchmark's dimensions, and the odd 41 and 81.
+_SCAN_DIMS = (41, 80, 81, 110, 140, 170, 200)
+
+
+def _per_row_switch_scan(ns, x, p, probe, dim, step, mode):
+    """``switch_scan``'s rows over ``per_row_switch_qfi``, one N at a time."""
+    rows = []
+    for n in ns:
+        estimate = per_row_switch_qfi(n, x, p, probe=probe, dim=dim, step=step, mode=mode)
+        rows.append({"N": n, "qfi": estimate.value, "trusted": 1 if estimate.trusted else 0})
+    return rows
+
 
 class TestPerRowReferences:
     """Each scan prepares and projects its probe once and reuses the scan
@@ -656,29 +668,81 @@ class TestPerRowReferences:
                     used.add(want.dim)
         assert used == {81, 162, 110}  # N = 12 leaks at dim 81 and is retried
 
+    def test_fig3_scan_rows(self):
+        # every row's Fock columns are the per-row reference's, bit for bit,
+        # or None where it raises a trust error
+        outcomes = set()
+        for dim in _SCAN_DIMS:
+            for alpha in (0.0, 0.3):  # the vacuum as a coherent probe, and a coherent one
+                probe = ProbeDescriptor.coherent(alpha)
+                for step in (1e-4, 0.3):
+                    for xi in (0.1, 0.05478421334590127):  # the second a benchmark cell's jittered xi
+                        for ns in (range(1, 13), [2, 30]):
+                            for row in fig3_scan(ns, xi_bar=xi, alpha=alpha, dim=dim, step=step).rows:
+                                protocol = build_preset("squeeze-inf", row["N"], 0.1, xi, probe)
+                                _, want = _exact(lambda: per_row_qfi(protocol, dim, step))
+                                where = (dim, alpha, step, xi, row["N"])
+                                if isinstance(want, NumericalTrustError):
+                                    assert row["qfi_fock"] is None and row["fock_trusted"] is None, where
+                                    outcomes.add("refused")
+                                else:
+                                    assert repr(row["qfi_fock"]) == repr(want.value), where
+                                    assert row["fock_trusted"] == int(want.trusted), where
+                                    outcomes.add("retried" if want.dim > dim else want.trusted)
+        assert outcomes == {True, False, "retried", "refused"}
+
+    def test_switch_scan_rows(self):
+        # every row is the per-row reference's, bit for bit; a scan with a
+        # row that fails raises the first such row's error
+        outcomes = set()
+        for dim in _SCAN_DIMS:
+            for probe in (None, ProbeDescriptor.coherent(0.3 + 0.1j)):
+                for step in (1e-4, 0.3):
+                    for mode in SWITCH_MODES:
+                        for x in (0.1, 0.1 * (1.0 + 1e-9)):  # the benchmark's x and its jitter
+                            for ns in (range(1, 7), [1, 2], [1, 50, 10**33]):
+                                got, result = _exact(lambda: switch_scan(
+                                    ns, x, 0.2, dim=dim, step=step, mode=mode, probe=probe).rows)
+                                want, _ = _exact(lambda: _per_row_switch_scan(
+                                    ns, x, 0.2, probe, dim, step, mode))
+                                assert got == want, (dim, probe, step, mode, x, ns)
+                                if isinstance(result, list):
+                                    outcomes.update(row["trusted"] for row in result)
+                                else:
+                                    outcomes.add(type(result).__name__)
+        assert outcomes == {0, 1, "LeakageError", "ConvergenceError"}
+
     def test_scans_prepare_the_probe_once(self, monkeypatch):
-        prepared, projected = [], []
-        prepare, project = fock._prepare, HermitianEvolver.project
+        # a scan prepares its probe once, and changes basis and takes phases
+        # once per step of the evolution, each call over all its rows
+        prepared, calls = [], []
+        prepare = fock._prepare
         monkeypatch.setattr(fock, "_prepare", lambda probe, dim: prepared.append(dim)
                             or prepare(probe, dim))
-        monkeypatch.setattr(HermitianEvolver, "project", lambda self, vec: projected.append(
-            vec.flags.writeable) or project(self, vec))
+        for name in ("project", "lift", "phases"):
+            method = getattr(HermitianEvolver, name)
+            monkeypatch.setattr(HermitianEvolver, name, lambda self, arg, name=name, method=method:
+                                calls.append((name, np.shape(arg))) or method(self, arg))
         fig3_scan(range(1, 13), dim=110)
         assert prepared == [110]
-        # per row, the kept probe onto H_g's eigenbasis and the state onto H_lambda's
-        assert projected == [False, True] * 12
+        # the probe onto H_g's eigenbasis, every row's auxiliary block, then
+        # every row's states onto H_lambda's, and the five points of each
+        assert calls == [("phases", (12,)), ("project", (110,)), ("lift", (12, 110)),
+                         ("project", (12, 110)), ("phases", (12, 5))]
         prepared.clear()
-        projected.clear()
+        calls.clear()
         switch_scan(range(1, 7), 0.1, 0.2, dim=100, mode="joint")
         assert prepared == [100]
-        # per row, the kept probe onto X's and P's eigenbases, exp(-iNpX)|psi>
-        # onto P's, and the five states of its two passes onto X's
-        assert projected == ([False, True, False] + [True] * 5) * 6
-        projected.clear()
+        # exp(-iNpX)|psi> for every N, onto P's eigenbasis; then both orders
+        # at the five points of every N
+        setup = [("phases", (6,)), ("project", (100,)), ("lift", (6, 100)), ("project", (6, 100)),
+                 ("phases", (6, 5)), ("lift", (6, 5, 100))]
+        assert calls == setup + [("project", (100,)), ("lift", (6, 5, 100)),
+                                 ("project", (6, 5, 100)), ("lift", (6, 5, 100))]
+        calls.clear()
         switch_scan(range(1, 7), 0.1, 0.2, dim=100, mode="definite")
-        # the definite order's measured branch: per row, the kept probe onto
-        # X's eigenbasis and exp(-iNpX)|psi> onto P's, and no state per x
-        assert projected == [False, True] * 6
+        # the definite order's measured branch alone
+        assert calls == setup
 
     def test_prepare_probe_returns_a_fresh_array(self):
         probe = ProbeDescriptor.coherent(0.4)

@@ -1,7 +1,8 @@
 """Golden outputs: the tower-classify pool's commands print exactly the
 bytes recorded in ``helpers.TOWER_POOL``, the point-queries pool's those in
 ``helpers.POINT_POOL``, and the oracle-scans pool's those in
-``helpers.ORACLE_POOL`` (fig3's Gaussian CFI columns blanked), so a kernel,
+``helpers.ORACLE_POOL`` and ``helpers.ORACLE_POOL_2`` (fig3's Gaussian CFI
+columns blanked), so a kernel,
 formatter, parser or oracle change shows which cells it moves.  Each pool
 is checked against the benchmark's own workload, so a benchmark revision
 cannot leave a pool out of date.  Digests of the exact tower levels (the
@@ -20,7 +21,7 @@ import pytest
 
 from ncmetro import DegreeOverflowError, ValidationError, commutator, ladder, parse_operator
 from ncmetro.cli import main
-from helpers import (ORACLE_POOL, POINT_POOL, TOWER_POOL, blank_columns,
+from helpers import (ORACLE_POOL, ORACLE_POOL_2, POINT_POOL, TOWER_POOL, blank_columns,
                      random_hermitian_polynomial, random_polynomial, tower_pool_pairs)
 
 _TIMING = re.compile(r'"(duration_s|timestamp)": [^,\n]*')
@@ -51,6 +52,15 @@ def test_point_pool_output_is_pinned(argv, code, digest, stderr, capsys):
 @pytest.mark.parametrize("argv, code, digest", ORACLE_POOL,
                          ids=[" ".join(argv[:1] + argv[-4:]) for argv, *_ in ORACLE_POOL])
 def test_oracle_pool_output_is_pinned(argv, code, digest, capsys):
+    assert main(list(argv)) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(blank_columns(out).encode()).hexdigest() == digest
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv, code, digest", ORACLE_POOL_2,
+                         ids=[" ".join(argv[:1] + argv[-6:]) for argv, *_ in ORACLE_POOL_2])
+def test_second_oracle_pool_output_is_pinned(argv, code, digest, capsys):
     assert main(list(argv)) == code
     out, err = capsys.readouterr()
     assert hashlib.sha256(blank_columns(out).encode()).hexdigest() == digest
@@ -97,6 +107,15 @@ def test_pools_are_the_workloads_seed_1_round_0(workload, pool, monkeypatch):
     commands = [op.argv for op in workloads.WORKLOADS[workload](1).round(0)]
     # TOWER_POOL lists its cells in design order, the others in round order
     assert sorted(commands) == sorted(list(argv) for argv, *_ in pool)
+
+
+def test_second_oracle_pool_is_seed_7919_round_0_and_seed_1_round_1(monkeypatch):
+    monkeypatch.setattr("sys.dont_write_bytecode", True)
+    _load_perfbench("checks", monkeypatch)
+    workloads = _load_perfbench("workloads", monkeypatch)
+    scans = workloads.WORKLOADS["oracle-scans"]
+    commands = [op.argv for op in scans(7919).round(0) + scans(1).round(1)]
+    assert commands == [list(argv) for argv, *_ in ORACLE_POOL_2]
 
 
 def _digest_levels(digest, tower) -> None:

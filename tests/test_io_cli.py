@@ -644,6 +644,27 @@ class TestMain:
             assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: probe amplitudes are all zero\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["switch", "--N", f"1,50,{10**33}", "--x", "0.1", "--p", "0.2", "--mode", mode],
+         "numerical-trust failure: switch_protocol: top-level population 3.760e-03 exceeds "
+         "1e-08; increase the truncation dimension") for mode in fock.SWITCH_MODES
+    ] + [
+        (["fig3", "--N", "1,30,10000000000", "--xi", "0.1", "--dim", "80"],
+         "error: closed-form QFI overflows: cosh(2*N*xi_bar) with N = 10000000000, xi_bar = 0.1"),
+        (["fig3", "--N", "1,30", "--xi", "0.1", "--dim", "80", "--step", "1e-12"],
+         "error: finite-difference step 1e-12 is too small: its half must be at least 1.49e-08 "
+         "(sqrt(eps) * max(1, |x0|) at x0 = 0.1)"),
+    ], ids=[f"switch-{mode}" for mode in fock.SWITCH_MODES] + ["fig3-closed-form", "fig3-step"])
+    def test_first_failing_row_decides_the_scan_error(self, argv, message, capsys):
+        # the N = 50 switch row leaks before N = 10^33 is reached; fig3's
+        # leaking N = 30 row keeps empty Fock cells and the overflowing
+        # closed form of N = 10^10 ends the scan; a refused step ends it at
+        # its first row; and no row past the failing one warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == (3 if argv[0] == "switch" else 2)
+        assert capsys.readouterr() == ("", message + "\n")
+
     def test_dvbound_n_beyond_int64(self, capsys):
         # an N above 2^63 keeps its row, in the parser's ascending order
         assert main(["dvbound", "--N", "3,100000000000000000000,7"]) == 0
