@@ -38,13 +38,11 @@ from .fock import (
 from .gaussian import (
     GaussianState,
     HomodyneSpec,
-    QuadraticHamiltonian,
     cfi_quadrature,
     evolve,
     gaussian_probe,
     homodyne_variance,
     qfi_linear_generator,
-    quadratic_from_polynomial,
     run_protocol,
 )
 from .generators import (
@@ -77,7 +75,6 @@ from .protocols import (
     EncodingProtocol,
     ProbeDescriptor,
     build_preset,
-    constant_commutator_protocol,
     shear_protocol,
     squeeze_protocol,
 )

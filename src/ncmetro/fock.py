@@ -294,7 +294,10 @@ def _prepare(probe: ProbeDescriptor, dim: int) -> np.ndarray:
         # <2k|r,phi> / <2k-2|r,phi> = -e^{2i phi} tanh(r) sqrt((2k-1)/(2k))
         k = np.arange(1, (dim + 1) // 2)
         ratios = np.empty(k.size + 1, dtype=complex)
-        ratios[0] = 1.0 / math.sqrt(math.cosh(probe.r))
+        try:
+            ratios[0] = 1.0 / math.sqrt(math.cosh(probe.r))
+        except OverflowError:  # cosh(r) overflows: the amplitudes underflow to 0
+            ratios[0] = 0.0
         ratios[1:] = -np.exp(2j * probe.phi) * math.tanh(probe.r) * np.sqrt((2 * k - 1) / (2 * k))
         amps[::2] = np.cumprod(ratios)
     elif probe.kind == "fock_vector":
@@ -708,7 +711,10 @@ def dv_bound_check(
         if n < 1:
             raise ValidationError("n_list entries must be >= 1")
     probe = np.asarray(probe, dtype=complex)
-    probe = probe / np.linalg.norm(probe)
+    norm = float(np.linalg.norm(probe)) if probe.shape == (d,) else math.nan
+    if not 0.0 < norm < math.inf:
+        raise ValidationError(f"probe must be a length-{d} vector with a finite nonzero norm")
+    probe = probe / norm
 
     eig_l = np.linalg.eigvalsh(h_lambda)
     spread = float(eig_l[-1] - eig_l[0])

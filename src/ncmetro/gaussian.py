@@ -2,8 +2,9 @@
 
 States are (mean, covariance) pairs in the (X, P) quadratures with hbar = 1,
 vacuum covariance diag(1/2, 1/2), and sigma_ij the symmetrized second moment
-<{dR_i, dR_j}>/2.  Note the convention mapping: the doubled cross moment
-<XP + PX> - 2<X><P> often quoted for these protocols equals 2 * sigma_XP.
+<{dR_i, dR_j}>/2, held in ``GaussianState.cov``.  Note the convention
+mapping: the doubled cross moment <XP + PX> - 2<X><P> often quoted for these
+protocols equals 2 * sigma_XP, that is ``2 * cov[0, 1]``.
 
 One map, ``_quadratures``, reads a ladder polynomial of degree <= 2 as
 H = (1/2) R^T G R + d^T R + c, with ad = (X - iP)/sqrt2 and a = (X + iP)/sqrt2.
@@ -13,9 +14,10 @@ inhomogeneous shift integral have closed forms (Weedbrook et al., Rev. Mod.
 Phys. 84, 621, 2012), evolution is exact to machine precision and purity
 det(cov) = 1/4 is preserved.
 
-The engine runs on plain floats: a state is the tuple
-(<X>, <P>, sigma_XX, sigma_XP, sigma_PP), a generator the tuple that
-``_quadratures`` returns, and ``_flow`` is the one evolution step under
+Every generator is a ladder polynomial, the one generator type of both
+engines.  The engine runs on plain floats: a state is the tuple
+(<X>, <P>, sigma_XX, sigma_XP, sigma_PP), a generator is read as the tuple
+that ``_quadratures`` returns, and ``_flow`` is the one evolution step under
 ``evolve``, ``run_protocol`` and ``cfi_quadrature``.  A ``GaussianState``,
 with its frozen numpy arrays, is built only where a public function
 returns one: ``cfi_quadrature`` reads the final moments that
@@ -127,40 +129,6 @@ class GaussianState:
             raise ValidationError("covariance matrix must be symmetric")
         _check_uncertainty(a, b, c)
 
-    @staticmethod
-    def vacuum() -> "GaussianState":
-        return _state(_VACUUM)
-
-    @staticmethod
-    def coherent(alpha: complex) -> "GaussianState":
-        return _state(_coherent(alpha))
-
-    @staticmethod
-    def squeezed_vacuum(r: float, phi: float = 0.0) -> "GaussianState":
-        return _state(_squeezed_vacuum(r, phi))
-
-    @property
-    def var_x(self) -> float:
-        return float(self.cov[0, 0])
-
-    @property
-    def var_p(self) -> float:
-        return float(self.cov[1, 1])
-
-    @property
-    def cov_xp(self) -> float:
-        """Symmetrized cross moment sigma_XP."""
-        return float(self.cov[0, 1])
-
-    def anticommutator_covariance(self) -> float:
-        """<XP + PX> - 2<X><P> = 2 sigma_XP (the doubled-cross convention)."""
-        return 2.0 * self.cov_xp
-
-    def purity_defect(self) -> float:
-        """det(cov) - 1/4; zero for pure states."""
-        (a, b), (_, c) = self.cov.tolist()
-        return a * c - b * b - 0.25
-
 
 def _moments(state: GaussianState) -> Moments:
     (mean_x, mean_p), ((var_x, cov_xp), (_, var_p)) = state.mean.tolist(), state.cov.tolist()
@@ -182,23 +150,14 @@ def _coherent(alpha: complex) -> Moments:
 def _squeezed_vacuum(r: float, phi: float) -> Moments:
     """R diag(e^{-2r}, e^{2r}) R^T / 2 for the rotation R by phi."""
     cos, sin = math.cos(phi), math.sin(phi)
-    low, high = 0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r)
+    try:
+        low, high = 0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r)
+    except OverflowError:
+        raise ValidationError(
+            f"squeezed probe overflows: e^(2|r|) is not finite (r = {r!r})"
+        ) from None
     return (0.0, 0.0, cos * low * cos + sin * high * sin,
             cos * low * sin - sin * high * cos, sin * low * sin + cos * high * cos)
-
-
-@dataclass(frozen=True)
-class QuadraticHamiltonian:
-    """H = (1/2) R^T G R + d^T R with symmetric real G (constants dropped)."""
-
-    g_matrix: np.ndarray
-    d_vector: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "g_matrix", _frozen_array(self.g_matrix, (2, 2)))
-        object.__setattr__(self, "d_vector", _frozen_array(self.d_vector, (2,)))
-        if abs(self.g_matrix[0, 1] - self.g_matrix[1, 0]) > 1e-12:
-            raise ValidationError("G must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -252,12 +211,6 @@ def _checked_quadratures(poly: LadderPolynomial) -> Quadratures:
     return _quadratures(poly)
 
 
-def quadratic_from_polynomial(poly: LadderPolynomial) -> QuadraticHamiltonian:
-    """(G, d) form of a Hermitian ladder polynomial of degree <= 2."""
-    g_xx, g_pp, g_xp, d_x, d_p = _quadratic(poly)
-    return QuadraticHamiltonian([[g_xx, g_xp], [g_xp, g_pp]], [d_x, d_p])
-
-
 def _flow(state: Moments, quad: Quadratures, t: float) -> Moments:
     """The moments after exp(-i t H): mean -> S mean + J Omega d and
     cov -> S cov S^T, with S = exp(m) and J = integral_0^t exp(s m / t) ds
@@ -294,11 +247,10 @@ def _flow(state: Moments, quad: Quadratures, t: float) -> Moments:
     )
 
 
-def evolve(state: GaussianState, ham: QuadraticHamiltonian, t: float) -> GaussianState:
-    """Evolve the state under exp(-i t H); exact symplectic propagation."""
-    (g_xx, g_xp), (_, g_pp) = ham.g_matrix.tolist()
-    d_x, d_p = ham.d_vector.tolist()
-    return _state(_flow(_moments(state), (g_xx, g_pp, g_xp, d_x, d_p), t))
+def evolve(state: GaussianState, generator: LadderPolynomial, t: float) -> GaussianState:
+    """Evolve the state under exp(-i t H) for a Hermitian ladder polynomial
+    H of degree <= 2; exact symplectic propagation."""
+    return _state(_flow(_moments(state), _quadratic(generator), t))
 
 
 def _probe_moments(probe: ProbeDescriptor) -> Moments:

@@ -212,8 +212,9 @@ def k_peak(n: int, k_max: int) -> tuple[int, ...]:
 
 def qcrb_rmse(qfi: float, nu: int = 1) -> float:
     """Cramer-Rao root-mean-square error 1 / sqrt(nu * QFI)."""
-    if qfi <= 0:
-        raise ValidationError("QFI must be positive for a finite error bound")
+    if not 0 < qfi < math.inf:  # nan and inf too
+        raise ValidationError("QFI must be positive for a finite error bound" if qfi <= 0
+                              else f"QFI must be finite, got {qfi!r}")
     if nu < 1:
         raise ValidationError("number of repetitions must be at least 1")
     return 1.0 / math.sqrt(nu * qfi)

@@ -187,12 +187,6 @@ class LadderPolynomial:
             return LadderPolynomial._combined({k: other * c for k, c in self._terms.items()})
         return NotImplemented
 
-    def dagger(self) -> "LadderPolynomial":
-        """Hermitian adjoint: (a_dag^m a^n)^dag = a_dag^n a^m, conjugated coeffs."""
-        return LadderPolynomial(
-            {(n, m): c.conjugate() for (m, n), c in self._terms.items()}
-        )
-
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -611,18 +605,6 @@ class NilpotencyReport:
     constant_value: complex | None = None
     closure_p: float | None = None
     cap: int | None = None
-
-    def summary(self) -> str:
-        if self.kind == KIND_FINITE:
-            return f"finite nilpotency index {self.nilpotency_index}"
-        if self.kind == KIND_FINITE_CONSTANT:
-            return (
-                f"finite nilpotency index {self.nilpotency_index} with constant "
-                f"top commutator {self.constant_value}"
-            )
-        if self.kind == KIND_CLOSED_INFINITE:
-            return f"closed infinite tower with p = {self.closure_p}"
-        return f"unclassified after {self.cap} levels"
 
 
 def _extract_closure_rate(

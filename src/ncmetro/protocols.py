@@ -135,13 +135,6 @@ def shear_protocol(
     return build_preset("shear-k1", n, x_bar, s_bar, probe)
 
 
-def constant_commutator_protocol(
-    n: int, x_bar: float, g_bar: float, probe: ProbeDescriptor | None = None
-) -> EncodingProtocol:
-    """Momentum displacements against position displacements: [X, P] = i."""
-    return build_preset("xp-constant", n, x_bar, g_bar, probe)
-
-
 def squeeze_protocol(
     n: int, x_bar: float, xi_bar: float, probe: ProbeDescriptor | None = None
 ) -> EncodingProtocol:

@@ -39,7 +39,6 @@ from ncmetro import (
     momentum_op,
     position_op,
     prepare_probe,
-    quadratic_from_polynomial,
     run_protocol,
 )
 from ncmetro.errors import BoundViolationError, require_finite
@@ -55,7 +54,7 @@ from ncmetro.fock import (
     _qubit_qfi,
     _richardson_qfi,
 )
-from ncmetro.gaussian import _VAR_RESOLUTION, _variance_along
+from ncmetro.gaussian import _VAR_RESOLUTION, _quadratic, _variance_along
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +160,11 @@ def random_polynomial(rng, max_degree: int = 4, density: float = 0.5) -> LadderP
                 if rng.random() < density:
                     terms[(m, n)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return LadderPolynomial(terms)
+
+
+def dagger(p: LadderPolynomial) -> LadderPolynomial:
+    """Hermitian adjoint: (ad^m a^n)^dag = ad^n a^m, conjugated coefficients."""
+    return LadderPolynomial({(n, m): c.conjugate() for (m, n), c in p.terms.items()})
 
 
 def random_hermitian_polynomial(rng, max_degree: int = 4) -> LadderPolynomial:
@@ -402,13 +406,15 @@ def full_vector_switch_qfi(n: int, x: float, p: float, probe, dim: int, step: fl
 # prepared and projected its own probe, and rebuilt every state it needed,
 # and the definite order's branch evolved from the probe at every x; the two
 # functions after them wrap them the way ``qfi_numeric`` and ``switch_qfi``
-# do.
+# do.  Each exp(-i t H) v is written out as ``lift(phases(t) * project(v))``,
+# the floats of ``HermitianEvolver.apply``.
 
 
 def _qfi_numeric_once(protocol, dim: int, step: float):
     probe = prepare_probe(protocol.probe, dim)
     n = protocol.n_applications
-    after_aux = _evolver(protocol.h_g, dim).apply(n * protocol.g_bar, probe)
+    evolver_g = _evolver(protocol.h_g, dim)
+    after_aux = evolver_g.lift(evolver_g.phases(n * protocol.g_bar) * evolver_g.project(probe))
     _check_leakage(after_aux[-1], "qfi_numeric (auxiliary block)")
     # Eigen-coordinates of h_lambda: evolution is a phase per coefficient,
     # and overlaps, hence the QFI, do not depend on the basis.
@@ -436,13 +442,13 @@ def _switch_states(n: int, p: float, probe: np.ndarray):
         raise ValidationError("switch protocol requires n >= 1")
     u_p = _evolver(momentum_op(), probe.size)  # exp(-i t P), t = N x
     u_x = _evolver(position_op(), probe.size)  # exp(-i t X), t = N p
-    after_x = u_p.project(u_x.apply(n * p, probe))
+    after_x = u_p.project(u_x.lift(u_x.phases(n * p) * u_x.project(probe)))
     before_x = u_p.project(probe)
 
     def state_at(x: float) -> tuple[np.ndarray, np.ndarray]:
         phases = u_p.phases(n * x)
         branch_ab = u_p.lift(phases * after_x)
-        branch_ba = u_x.apply(n * p, u_p.lift(phases * before_x))
+        branch_ba = u_x.lift(u_x.phases(n * p) * u_x.project(u_p.lift(phases * before_x)))
         _check_leakage(branch_ab[-1], "switch_protocol")
         _check_leakage(branch_ba[-1], "switch_protocol")
         return branch_ab / math.sqrt(2.0), branch_ba / math.sqrt(2.0)
@@ -461,7 +467,8 @@ def _definite_states(n: int, p: float, probe: np.ndarray):
     u_x = _evolver(position_op(), probe.size)
 
     def state_at(x: float) -> np.ndarray:
-        branch_ab = u_p.apply(n * x, u_x.apply(n * p, probe))
+        after_x = u_x.lift(u_x.phases(n * p) * u_x.project(probe))
+        branch_ab = u_p.lift(u_p.phases(n * x) * u_p.project(after_x))
         _check_leakage(branch_ab[-1], "switch_protocol")
         return branch_ab / math.sqrt(2.0) * math.sqrt(2.0)
 
@@ -592,10 +599,17 @@ def numpy_symplectic_and_integral(g_matrix: np.ndarray, t: float):
     return s, j, delta
 
 
-def numpy_evolve(mean: np.ndarray, cov: np.ndarray, ham, t: float):
-    """(mean, cov) after exp(-i t H) for a QuadraticHamiltonian ``ham``."""
-    s, j, _ = numpy_symplectic_and_integral(ham.g_matrix, t)
-    shift = j @ (OMEGA @ ham.d_vector)
+def numpy_quadratic(poly: LadderPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """(G, d) of H = (1/2) R^T G R + d^T R as numpy arrays."""
+    g_xx, g_pp, g_xp, d_x, d_p = _quadratic(poly)
+    return np.array([[g_xx, g_xp], [g_xp, g_pp]]), np.array([d_x, d_p])
+
+
+def numpy_evolve(mean: np.ndarray, cov: np.ndarray, poly: LadderPolynomial, t: float):
+    """(mean, cov) after exp(-i t H) for a quadratic generator ``poly``."""
+    g_matrix, d_vector = numpy_quadratic(poly)
+    s, j, _ = numpy_symplectic_and_integral(g_matrix, t)
+    shift = j @ (OMEGA @ d_vector)
     cov = s @ cov @ s.T
     return s @ mean + shift, 0.5 * (cov + cov.T)
 
@@ -604,19 +618,17 @@ def numpy_run_protocol(protocol) -> tuple[np.ndarray, np.ndarray]:
     mean, cov = numpy_probe(protocol.probe)
     n = protocol.n_applications
     if n:
-        ham_g = quadratic_from_polynomial(protocol.h_g)
-        ham_l = quadratic_from_polynomial(protocol.h_lambda)
-        mean, cov = numpy_evolve(mean, cov, ham_g, n * protocol.g_bar)
-        mean, cov = numpy_evolve(mean, cov, ham_l, n * protocol.lambda_bar)
+        mean, cov = numpy_evolve(mean, cov, protocol.h_g, n * protocol.g_bar)
+        mean, cov = numpy_evolve(mean, cov, protocol.h_lambda, n * protocol.lambda_bar)
     return mean, cov
 
 
 def numpy_cfi(protocol, theta: float) -> float:
     mean, cov = numpy_run_protocol(protocol)
-    ham_l = quadratic_from_polynomial(protocol.h_lambda)
+    g_matrix, d_vector = numpy_quadratic(protocol.h_lambda)
     n = protocol.n_applications
-    a_mat = OMEGA @ ham_l.g_matrix
-    d_mean = n * (a_mat @ mean + OMEGA @ ham_l.d_vector)
+    a_mat = OMEGA @ g_matrix
+    d_mean = n * (a_mat @ mean + OMEGA @ d_vector)
     d_cov = n * (a_mat @ cov + cov @ a_mat.T)
     u = np.array([math.cos(theta), math.sin(theta)])
     var = float(u @ cov @ u)
@@ -633,9 +645,7 @@ def numpy_cfi(protocol, theta: float) -> float:
 def run_protocol_cfi(protocol, spec) -> float:
     state = run_protocol(protocol)
     (mean_x, mean_p), ((var_x, cov_xp), (_, var_p)) = state.mean.tolist(), state.cov.tolist()
-    ham_l = quadratic_from_polynomial(LadderPolynomial(dict(protocol.h_lambda.terms)))
-    (g_xx, g_xp), (_, g_pp) = ham_l.g_matrix.tolist()
-    d_x, d_p = ham_l.d_vector.tolist()
+    g_xx, g_pp, g_xp, d_x, d_p = _quadratic(LadderPolynomial(dict(protocol.h_lambda.terms)))
     n = protocol.n_applications
     cos, sin = math.cos(spec.theta), math.sin(spec.theta)
     var = _variance_along(cos, sin, var_x, cov_xp, var_p)

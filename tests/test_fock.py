@@ -19,7 +19,6 @@ from ncmetro import (
     ProbeDescriptor,
     ValidationError,
     branch_phase_overlap,
-    constant_commutator_protocol,
     dv_bound_check,
     dv_saturating_probe,
     identity_op,
@@ -187,7 +186,7 @@ class TestPrepareProbe:
 
 class TestQfiNumeric:
     def test_single_displacement_on_vacuum(self):
-        protocol = constant_commutator_protocol(1, 0.2, 0.0)
+        protocol = build_preset("xp-constant", 1, 0.2, 0.0)
         estimate = qfi_numeric(protocol, dim=40)
         assert estimate.value == pytest.approx(2.0, rel=1e-9)
         assert estimate.trusted
@@ -898,6 +897,16 @@ class TestDvBound:
         with pytest.raises(ValidationError):
             dv_bound_check(SIGMA_X, SIGMA_Z, [0], 0.1, probe)
 
+    @pytest.mark.parametrize("probe", [
+        np.zeros(2), np.array([math.nan, 1.0]), np.array([math.inf, 0.0]),
+        np.array([1.0, 0.0, 0.0]), np.ones((2, 1)),
+    ], ids=["zero", "nan", "inf", "length-3", "column"])
+    def test_bad_probe_rejected(self, probe):
+        # these once ended in the "QFI overflows" error (after a RuntimeWarning
+        # for the zero probe) or a raw numpy ValueError
+        with pytest.raises(ValidationError, match="^probe must be a length-2 vector"):
+            dv_bound_check(SIGMA_X, SIGMA_Z, [1, 2], 0.3, probe)
+
     def test_empty_n_list_rejected(self):
         # an empty list once gave a report whose max_ratio raised ValueError
         probe = dv_saturating_probe(SIGMA_Z)
@@ -1002,6 +1011,12 @@ class TestOverflowOutcomes:
         # amplitudes underflow to zero
         with pytest.raises(ValidationError, match="probe amplitudes are all zero"):
             prepare_probe(ProbeDescriptor.coherent(alpha), 80)
+
+    @pytest.mark.parametrize("r", [800.0, -800.0, 1e300])
+    def test_overflowing_squeezing_is_all_zero(self, r):
+        # cosh(r) overflowing once raised a bare OverflowError
+        with pytest.raises(ValidationError, match="probe amplitudes are all zero"):
+            prepare_probe(ProbeDescriptor.squeezed_vacuum(r), 40)
 
     @pytest.mark.parametrize("aux", [1e308, 1e307])
     def test_overflowing_auxiliary_time_rejected(self, aux):

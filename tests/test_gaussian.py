@@ -32,7 +32,6 @@ from ncmetro import (
     position_op,
     prepare_probe,
     qfi_linear_generator,
-    quadratic_from_polynomial,
     run_protocol,
     shear_protocol,
     squeeze_protocol,
@@ -44,6 +43,7 @@ from ncmetro.protocols import build_preset
 
 from helpers import (
     numpy_cfi,
+    numpy_quadratic,
     numpy_evolve,
     numpy_probe,
     numpy_run_protocol,
@@ -53,11 +53,10 @@ from helpers import (
 
 X = position_op()
 P = momentum_op()
-DISPLACE = quadratic_from_polynomial(P)
-SHEAR = quadratic_from_polynomial(normal_order_product(X, X))
-SQUEEZE = quadratic_from_polynomial(
-    normal_order_product(X, X) - normal_order_product(P, P)
-)
+DISPLACE = P
+SHEAR = normal_order_product(X, X)
+SQUEEZE = normal_order_product(X, X) - normal_order_product(P, P)
+VACUUM = gaussian_probe(ProbeDescriptor.vacuum())
 
 
 def fock_moments(vec):
@@ -82,15 +81,15 @@ def fock_moments(vec):
 
 class TestEvolve:
     def test_displacement_shifts_x(self):
-        state = evolve(GaussianState.vacuum(), DISPLACE, 0.3)
+        state = evolve(VACUUM, DISPLACE, 0.3)
         assert np.allclose(state.mean, [0.3, 0.0], atol=1e-14)
         assert np.allclose(state.cov, 0.5 * np.eye(2), atol=1e-14)
 
     def test_shear_leaves_var_x(self):
-        state = evolve(GaussianState.vacuum(), SHEAR, 0.2)
+        state = evolve(VACUUM, SHEAR, 0.2)
         assert np.allclose(state.mean, 0.0, atol=1e-14)
-        assert state.var_x == pytest.approx(0.5, abs=1e-14)
-        assert abs(state.cov_xp) > 1e-3
+        assert state.cov[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert abs(state.cov[0, 1]) > 1e-3
 
     def test_shear_heisenberg_map_vs_fock(self):
         # P -> P - 2 s X on the matrix side
@@ -101,35 +100,31 @@ class TestEvolve:
         w, v = np.linalg.eigh(hg)
         psi = (v * np.exp(-1j * s * w)) @ v.conj().T @ vac
         mean, cov = fock_moments(psi)
-        state = evolve(GaussianState.vacuum(), SHEAR, s)
+        state = evolve(VACUUM, SHEAR, s)
         assert np.allclose(state.mean, mean, atol=1e-8)
         assert np.allclose(state.cov, cov, atol=1e-8)
 
     def test_squeeze_then_diagonal_quadrature(self):
         # N steps of strength xi: variance at 45 degrees is exp(-2 N xi)/2
         n, xi = 4, 0.1
-        state = evolve(GaussianState.vacuum(), SQUEEZE, n * xi / 2.0)
+        state = evolve(VACUUM, SQUEEZE, n * xi / 2.0)
         var = homodyne_variance(state, HomodyneSpec(math.pi / 4.0))
         assert var == pytest.approx(math.exp(-2 * n * xi) / 2.0, rel=1e-12)
 
     def test_purity_preserved_through_gate_stack(self):
-        state = GaussianState.coherent(0.2 + 0.1j)
-        for ham, t in ((SHEAR, 0.3), (SQUEEZE, -0.2), (DISPLACE, 1.1), (SHEAR, -0.7)):
-            state = evolve(state, ham, t)
-            assert abs(state.purity_defect()) < 1e-10
+        state = gaussian_probe(ProbeDescriptor.coherent(0.2 + 0.1j))
+        for gen, t in ((SHEAR, 0.3), (SQUEEZE, -0.2), (DISPLACE, 1.1), (SHEAR, -0.7)):
+            state = evolve(state, gen, t)
+            assert abs(np.linalg.det(state.cov) - 0.25) < 1e-10
 
     def test_rotation_branch_vs_fock(self):
         # X^2 + P^2 generates rotation (positive-determinant branch); adding
         # a linear term exercises the trigonometric shift integral too
-        rotor = quadratic_from_polynomial(
-            normal_order_product(X, X) + normal_order_product(P, P) + X
-        )
+        rotor = normal_order_product(X, X) + normal_order_product(P, P) + X
         dim, t = 60, 0.37
         probe = ProbeDescriptor.coherent(0.3 - 0.2j)
         vec = prepare_probe(probe, dim)
-        h = matrix_of(
-            normal_order_product(X, X) + normal_order_product(P, P) + X, dim
-        ).matrix
+        h = matrix_of(rotor, dim).matrix
         w, v = np.linalg.eigh(h)
         vec = (v * np.exp(-1j * t * w)) @ v.conj().T @ vec
         mean, cov = fock_moments(vec)
@@ -177,11 +172,11 @@ class TestStateValidation:
 
     def test_pure_states_accepted_up_to_strong_squeezing(self):
         # pure states sit exactly on the uncertainty boundary
-        GaussianState.vacuum()
-        GaussianState.coherent(0.3 - 1.2j)
+        gaussian_probe(ProbeDescriptor.vacuum())
+        gaussian_probe(ProbeDescriptor.coherent(0.3 - 1.2j))
         for r in np.linspace(0.0, 5.0, 11):
             for phi in (0.0, 0.4, math.pi / 4, 2.0):
-                state = GaussianState.squeezed_vacuum(float(r), phi)
+                state = gaussian_probe(ProbeDescriptor.squeezed_vacuum(float(r), phi))
                 assert np.linalg.det(state.cov) == pytest.approx(0.25, rel=1e-6)
 
     def test_strongly_squeezed_pure_states_accepted(self):
@@ -190,11 +185,20 @@ class TestStateValidation:
         # below an absolute -1e-9 (N xi = 12)
         for r in (6.0, 7.0, 10.0, 15.0):
             for phi in (0.4, math.pi / 4, 2.0):
-                state = GaussianState.squeezed_vacuum(r, phi)
+                state = gaussian_probe(ProbeDescriptor.squeezed_vacuum(r, phi))
                 assert state.cov[0, 1] == state.cov[1, 0]
-                assert state.var_x + state.var_p == pytest.approx(math.cosh(2 * r), rel=1e-12)
+                assert np.trace(state.cov) == pytest.approx(math.cosh(2 * r), rel=1e-12)
         state = run_protocol(squeeze_protocol(12, 0.1, 1.0, ProbeDescriptor.coherent(0.3)))
-        assert state.var_x + state.var_p == pytest.approx(math.cosh(24.0), rel=1e-12)
+        assert np.trace(state.cov) == pytest.approx(math.cosh(24.0), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [400.0, -400.0, 1e300])
+    def test_overflowing_squeezing_rejected(self, r):
+        # e^{2|r|} overflowing once raised a bare OverflowError in each reader
+        protocol = build_preset("squeeze-inf", 2, 0.1, 0.1, ProbeDescriptor.squeezed_vacuum(r))
+        for compute in (lambda: gaussian_probe(protocol.probe), lambda: run_protocol(protocol),
+                        lambda: cfi_quadrature(protocol, HomodyneSpec(0.3))):
+            with pytest.raises(ValidationError, match=re.escape(f"(r = {r!r})")):
+                compute()
 
     def test_asymmetric_cov_rejected(self):
         with pytest.raises(ValidationError):
@@ -289,24 +293,24 @@ class TestQfiLinearGenerator:
     def test_squeeze_generator_on_coherent(self):
         n, xi = 5, 0.1
         gen = (-n * math.sinh(n * xi)) * X + (n * math.cosh(n * xi)) * P
-        qfi = qfi_linear_generator(GaussianState.coherent(0.3), gen)
+        qfi = qfi_linear_generator(gaussian_probe(ProbeDescriptor.coherent(0.3)), gen)
         assert qfi == pytest.approx(2 * n**2 * math.cosh(2 * n * xi), rel=1e-12)
 
     def test_momentum_generator_on_vacuum(self):
-        assert qfi_linear_generator(GaussianState.vacuum(), 4.0 * P) == pytest.approx(
+        assert qfi_linear_generator(VACUUM, 4.0 * P) == pytest.approx(
             32.0, rel=1e-12
         )
 
     def test_shear_generator_on_vacuum(self):
         n, s = 3, 0.1
         gen = float(n) * P - (2 * n * n * s) * X
-        qfi = qfi_linear_generator(GaussianState.vacuum(), gen)
+        qfi = qfi_linear_generator(VACUUM, gen)
         assert qfi == pytest.approx(2 * n**2 + 8 * n**4 * s**2, rel=1e-12)
 
     def test_quadratic_generator_delegated(self):
         with pytest.raises(NotGaussianError):
             qfi_linear_generator(
-                GaussianState.vacuum(), normal_order_product(X, X)
+                VACUUM, normal_order_product(X, X)
             )
 
     def test_matches_local_generator_pipeline(self):
@@ -327,7 +331,7 @@ class TestHomodyne:
     def test_vacuum_is_isotropic(self):
         for theta in np.linspace(0, 2 * math.pi, 9):
             assert homodyne_variance(
-                GaussianState.vacuum(), HomodyneSpec(theta)
+                VACUUM, HomodyneSpec(theta)
             ) == pytest.approx(0.5, rel=1e-14)
 
     def test_full_angle_formula_on_grid(self):
@@ -488,15 +492,15 @@ def random_quadratic(rng: random.Random, degree: int = 2) -> LadderPolynomial:
 
 
 PROBES = (
-    GaussianState.vacuum(),
-    GaussianState.coherent(0.3 - 0.2j),
-    GaussianState.squeezed_vacuum(0.4, 0.7),
+    VACUUM,
+    gaussian_probe(ProbeDescriptor.coherent(0.3 - 0.2j)),
+    gaussian_probe(ProbeDescriptor.squeezed_vacuum(0.4, 0.7)),
 )
 
 
 class TestQuadratureMap:
-    """quadratic_from_polynomial and qfi_linear_generator share one
-    ladder-to-quadrature map; these pin it against an independent rebuild."""
+    """evolve and qfi_linear_generator share one ladder-to-quadrature map;
+    these pin it against an independent rebuild."""
 
     def test_rebuilds_the_polynomial(self):
         rng = random.Random(1729)
@@ -504,9 +508,7 @@ class TestQuadratureMap:
         xp = normal_order_product(X, P) + normal_order_product(P, X)
         for _ in range(300):
             poly = random_quadratic(rng)
-            ham = quadratic_from_polynomial(poly)
-            (g_xx, g_xp), (_, g_pp) = ham.g_matrix.tolist()
-            d_x, d_p = ham.d_vector.tolist()
+            g_xx, g_pp, g_xp, d_x, d_p = gaussian._quadratic(poly)
             rebuilt = 0.5 * (g_xx * xx + g_pp * pp + g_xp * xp) + d_x * X + d_p * P
             expected = poly - identity_op(poly.constant_term())
             rebuilt = rebuilt - identity_op(rebuilt.constant_term())
@@ -516,7 +518,7 @@ class TestQuadratureMap:
         rng = random.Random(7919)
         for _ in range(100):
             gen = random_quadratic(rng, degree=1)
-            d = quadratic_from_polynomial(gen).d_vector
+            _, d = numpy_quadratic(gen)
             for probe in PROBES:
                 assert qfi_linear_generator(probe, gen) == pytest.approx(
                     4.0 * float(d @ probe.cov @ d), rel=1e-12
@@ -525,20 +527,25 @@ class TestQuadratureMap:
     @pytest.mark.parametrize("poly", [P + identity_op(1j), 1j * X], ids=["P+1j", "1j*X"])
     def test_non_hermitian_rejected(self, poly):
         with pytest.raises(InternalConsistencyError):
-            qfi_linear_generator(GaussianState.vacuum(), poly)
+            qfi_linear_generator(VACUUM, poly)
 
     def test_non_hermitian_quadratic_form_rejected(self):
         with pytest.raises(InternalConsistencyError):
-            quadratic_from_polynomial(1j * X)
+            evolve(VACUUM, 1j * X, 0.1)
 
     def test_imaginary_constant_rejected_by_quadratic_form(self):
         # the map checks the constant too, so this path now sees it as well
         with pytest.raises(InternalConsistencyError):
-            quadratic_from_polynomial(P + identity_op(1j))
+            evolve(VACUUM, P + identity_op(1j), 0.1)
+
+    def test_cubic_generator_not_evolved(self):
+        cubic = normal_order_product(normal_order_product(X, X), X)
+        with pytest.raises(NotGaussianError, match="degree 3"):
+            evolve(VACUUM, cubic, 0.1)
 
     def test_overflowing_qfi_rejected(self):
         with pytest.raises(ValidationError, match="Gaussian QFI is inf"):
-            qfi_linear_generator(GaussianState.vacuum(), 1e200 * X)
+            qfi_linear_generator(VACUUM, 1e200 * X)
 
 
 # -- the plain-float core against the numpy reference ---------------------------
@@ -588,7 +595,7 @@ def _same_state(state: GaussianState, mean: np.ndarray, cov: np.ndarray) -> bool
 
 
 def _branch(poly: LadderPolynomial, t: float) -> str:
-    _, _, delta = numpy_symplectic_and_integral(quadratic_from_polynomial(poly).g_matrix, t)
+    _, _, delta = numpy_symplectic_and_integral(numpy_quadratic(poly)[0], t)
     if abs(delta) < 1e-30:
         return "degenerate"
     return "elliptic" if delta > 0 else "hyperbolic"
@@ -602,9 +609,8 @@ def test_evolve_matches_numpy_reference(branch, data):
     t = data.draw(st.floats(0.05, 3.0)) * data.draw(st.sampled_from([1.0, -1.0]))
     probe = data.draw(PROBE_DESCRIPTORS)
     assert _branch(poly, t) == branch
-    ham = quadratic_from_polynomial(poly)
-    state = evolve(gaussian_probe(probe), ham, t)
-    mean, cov = numpy_evolve(*numpy_probe(probe), ham, t)
+    state = evolve(gaussian_probe(probe), poly, t)
+    mean, cov = numpy_evolve(*numpy_probe(probe), poly, t)
     assert _same_state(state, mean, cov)
 
 
@@ -636,8 +642,8 @@ def _cfi_scale(protocol, theta: float, mean: np.ndarray, cov: np.ndarray) -> flo
     """The CFI that derivatives as large as the terms they sum would give: a
     derivative that cancels (a rotation of the vacuum) is rounding noise
     on that scale, not on its own."""
-    ham = quadratic_from_polynomial(protocol.h_lambda)
-    g, d = float(np.abs(ham.g_matrix).max()), float(np.abs(ham.d_vector).max())
+    g_matrix, d_vector = numpy_quadratic(protocol.h_lambda)
+    g, d = float(np.abs(g_matrix).max()), float(np.abs(d_vector).max())
     u = np.array([math.cos(theta), math.sin(theta)])
     var = float(u @ cov @ u)
     n = protocol.n_applications

@@ -15,7 +15,6 @@ from ncmetro import (
     ValidationError,
     certified_block,
     classify_pair,
-    constant_commutator_protocol,
     generator_by_conjugation,
     identity_op,
     k_peak,
@@ -137,7 +136,7 @@ class TestLocalGenerator:
 
     def test_constant_commutator_generator(self):
         # N P + N (i N g)(i) = N P - N^2 g * identity
-        protocol = constant_commutator_protocol(3, 0.1, 0.2)
+        protocol = protocols.build_preset("xp-constant", 3, 0.1, 0.2)
         expected = 3.0 * P - (9 * 0.2) * identity_op()
         assert local_generator(protocol).generator.allclose(expected, 1e-12)
 
@@ -307,6 +306,12 @@ class TestQcrb:
             qcrb_rmse(0.0, 1)
         with pytest.raises(ValidationError):
             qcrb_rmse(1.0, 0)
+
+    @pytest.mark.parametrize("qfi", [math.nan, math.inf])
+    def test_non_finite_qfi_rejected(self, qfi):
+        # nan once came back as nan and inf as a zero error bound
+        with pytest.raises(ValidationError, match="QFI must be finite"):
+            qcrb_rmse(qfi, 1)
 
     def test_exponential_decay_of_squeeze_protocol(self):
         # 1/sqrt(2 N^2 cosh(2 N xi)) ~ N^-1 e^-(N xi) for N xi large

@@ -754,7 +754,12 @@ class TestReadme:
         assert (tmp_path / "coef_vs_n.csv").exists()
 
     def test_library_quick_tour_runs(self):
-        exec(compile(_readme_block("Library quick tour", "python"), "README", "exec"), {})
+        tour = {}
+        exec(compile(_readme_block("Library quick tour", "python"), "README", "exec"), tour)
+        # the claims in the tour's comments
+        assert (tour["pair"].kind, tour["pair"].closure_p) == ("closed_infinite", 4.0)
+        numeric = tour["nc"].qfi_numeric(tour["proto"], dim=80).value
+        assert numeric == pytest.approx(tour["qfi"], rel=1e-9)
 
 
 #: Help, no-command, unknown-command and parse-error command lines.

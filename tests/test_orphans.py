@@ -3,12 +3,16 @@ constant, and every private method, of ``src/ncmetro`` is referred to by a
 name or an attribute somewhere in ``src/``, so a refactor cannot leave a
 helper behind that only its own definition mentions.  Functions that a
 decorator registers (the CLI runners) are reached through the registry and
-are exempt."""
+are exempt.  No orphaned exports either: every name the package re-exports
+has a reader in the package, the acceptance tests, the benchmark's tracer
+or the README."""
 
 import ast
+import re
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "ncmetro"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "ncmetro"
 
 #: Decorators that register the function they wrap.
 _REGISTERING = {"_command"}
@@ -73,3 +77,26 @@ def test_every_private_helper_is_referenced():
                     orphans.append(f"{module}:{line} {name}")
     assert checked > 100  # the walk found the package's helpers
     assert orphans == []
+
+
+def _module_constant(tree: ast.Module, name: str):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _assigned_names(node) == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no constant {name}")
+
+
+def test_every_export_has_a_reader():
+    init = ast.parse((_SRC / "__init__.py").read_text())
+    exports = [alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names]
+    readers = _references(ast.parse(path.read_text(), str(path))
+                          for path in sorted(_SRC.glob("*.py")) if path.name != "__init__.py")
+    readers |= _references([ast.parse((_ROOT / "tests" / "test_acceptance.py").read_text())])
+    tracer = ast.parse((_ROOT / "perfbench" / "tracer.py").read_text())
+    readers |= {name for _, name in _module_constant(tracer, "FUNCTIONS")}
+    readers |= {span.split(".")[1] for span, _ in _module_constant(tracer, "METHODS")}
+    for span in re.findall(r"`([^`\n]+)`", (_ROOT / "README.md").read_text()):
+        readers |= set(re.findall(r"[A-Za-z_]\w*", span))
+    assert len(exports) > 50  # the walk found the package's exports
+    assert [name for name in exports if name not in readers] == []
