@@ -20,8 +20,15 @@ where each point is a phase per coefficient.  A scan runs its N values as
 one stack: the probe is prepared (once per descriptor and dimension, kept
 read-only) and projected once, one exponential covers every row, point
 and eigenvalue, and each change of basis is one stacked product whose
-slices keep a lone row's floats; each row still takes its own overlaps and
-trust checks.  The definite-order switch evolves only its measured branch.
+slices keep a lone row's floats.  The passes' overlaps (both passes of a
+``qfi_numeric`` stack in one product), the switch's Bloch vectors and the
+scan edges' top amplitudes are stacked BLAS dots (``np.vecdot``, slice by
+slice the dot of ``np.vdot``; stacked ``(..., 1, D) @ (..., D, 1)``
+products give the same bits at about twice the cost, a conjugated copy and
+a matrix product per slice); each row then takes
+the modulus of its overlaps, its Richardson step and its trust checks, in
+a lone row's order and with a lone row's error texts.  A single query is a
+one-row stack.  The definite-order switch evolves only its measured branch.
 
 Trust model: prepared and evolved vectors must keep the population of the
 top Fock level below ``LEAKAGE_THRESHOLD``; finite-difference QFI runs a
@@ -156,9 +163,11 @@ class HermitianEvolver:
                else (self._eigvecs @ coeffs[..., None])[..., 0])
         return out if self._gauge is None else self._gauge * out
 
-    def top_amplitude(self, coeffs: np.ndarray) -> complex:
-        """Last Fock amplitude of ``lift(coeffs)``, in O(dim)."""
-        top = self._eigvecs[-1] @ coeffs
+    def top_amplitudes(self, coeffs: np.ndarray) -> np.ndarray:
+        """Last Fock amplitude of ``lift`` of each vector of a stack, in O(dim)
+        each."""
+        row = self._eigvecs[-1]
+        top = np.vecdot(row if self._real else row.conj(), coeffs)
         return top if self._gauge is None else top * self._gauge[-1]
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
@@ -338,19 +347,25 @@ class QfiEstimate:
     step: float
 
 
-def _overlap_qfi(
-    center: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float
-) -> float:
+def _overlap_qfi(center: np.ndarray, plus: np.ndarray, minus: np.ndarray,
+                 step: float | np.ndarray):
+    """4 (<dpsi|dpsi> - |<center|dpsi>|^2) of the central difference dpsi, for
+    one state, or as a flat list over a stack, ``center`` and ``step``
+    broadcast against ``plus`` and ``minus``.  Each value has a
+    lone state's bits: ``np.vecdot`` takes the BLAS dot of ``np.vdot`` slice
+    by slice, and the rest is taken one state at a time (numpy's vectorised
+    complex modulus rounds differently)."""
     dpsi = (plus - minus) / (2.0 * step)
-    return 4.0 * (
-        float(np.vdot(dpsi, dpsi).real) - abs(np.vdot(center, dpsi)) ** 2
-    )
+    norms, overlaps = np.vecdot(dpsi, dpsi).real, np.vecdot(center, dpsi)
+    values = [4.0 * (norm - abs(overlap) ** 2) for norm, overlap in zip(norms.flat, overlaps.flat)]
+    return values if overlaps.ndim else values[0]
 
 
 def _overlap_passes(
     state_at: Callable[[float], np.ndarray], x0: float
 ) -> Callable[[float], float]:
-    """Central-difference overlap QFI at x0 as a function of the step."""
+    """Central-difference overlap QFI at x0 as a function of the step, of one
+    state or of each state of a stack."""
     center = state_at(x0)
     return lambda h: _overlap_qfi(center, state_at(x0 + h), state_at(x0 - h), h)
 
@@ -402,6 +417,25 @@ def _outcome(compute: Callable[[], object]) -> object:
         return compute()
     except (LeakageError, ConvergenceError) as exc:
         return exc
+
+
+#: The coarse and the fine pass's steps, in units of the step, as a column
+#: that broadcasts over a stack's two passes.
+_PASS_STEPS = _read_only(np.array([[1.0], [0.5]]))
+
+
+def _row_estimates(pass_qfi: Callable[[float], Sequence[float]], step: float, dim: int,
+                   what: str) -> list:
+    """``_richardson_qfi`` of each row of a stack, or its ConvergenceError,
+    from the values ``pass_qfi`` gives for the whole stack at each step."""
+    estimates = []
+    for coarse, fine in zip(pass_qfi(step), pass_qfi(step / 2.0)):
+        try:
+            estimates.append(_richardson_qfi({step: coarse, step / 2.0: fine}.__getitem__,
+                                             step, dim, what))
+        except ConvergenceError as exc:
+            estimates.append(exc)
+    return estimates
 
 
 def _results(outcomes: list) -> list:
@@ -493,20 +527,26 @@ def _qfi_stack(protocol: EncodingProtocol, ns: list[int], dim: int, step: float)
         live.append(i)
     if not live:
         return outcomes + end
-    lams = (lam_bar + step, lam_bar - step, lam_bar, lam_bar + step / 2.0, lam_bar - step / 2.0)
+    # ordered so that each pass's outer points are slices: +h, +h/2, centre, -h, -h/2
+    lams = (lam_bar + step, lam_bar + step / 2.0, lam_bar, lam_bar - step, lam_bar - step / 2.0)
     coeffs = evolver_l.project(after_aux if len(live) == len(after_aux) else after_aux[live])
     states = evolver_l.phases([[ns[i] * lam for lam in lams] for i in live]) * coeffs[:, None]
-    for i, points in zip(live, states):
-        state_at = dict(zip(lams, points))
-        try:
-            for edge in lams[:2]:  # the scan edges are the coarse pass's outer points
-                _check_leakage(evolver_l.top_amplitude(state_at[edge]), "qfi_numeric (scan edge)")
-            estimate = _richardson_qfi(_overlap_passes(state_at.__getitem__, lam_bar),
-                                       step, dim, "finite-difference")
-        except (LeakageError, ConvergenceError) as exc:
+    for i, edges in zip(live, evolver_l.top_amplitudes(states[:, ::3])):
+        try:  # the scan edges are the coarse pass's outer points
+            for top in edges:
+                _check_leakage(top, "qfi_numeric (scan edge)")
+        except LeakageError as exc:
             outcomes[i] = exc
-            continue
-        outcomes[i] = replace(estimate, trusted=False) if _leakage_check_blind(protocol, dim) else estimate
+    kept = [j for j, i in enumerate(live) if outcomes[i] is None]
+    if not kept:
+        return outcomes + end
+    states = states if len(kept) == len(live) else states[kept]
+    both = _overlap_qfi(states[:, 2:3], states[:, :2], states[:, 3:], _PASS_STEPS * step)
+    passes = {step: both[::2], step / 2.0: both[1::2]}.__getitem__
+    blind = _leakage_check_blind(protocol, dim)
+    for j, estimate in zip(kept, _row_estimates(passes, step, dim, "finite-difference")):
+        outcomes[live[j]] = replace(estimate, trusted=False) if blind and isinstance(
+            estimate, QfiEstimate) else estimate
     return outcomes + end
 
 
@@ -519,11 +559,12 @@ _X, _P = position_op(), momentum_op()
 
 
 def _switch_rows(ns: Sequence[int], xs: Sequence[float], p: float, probe: np.ndarray,
-                 both: bool) -> list:
-    """Per N of ``ns`` (ascending), the stack over ``xs`` of exp(-iNxP)
-    exp(-iNpX)|psi> and, if ``both``, of the opposite order, each weighted
-    1/sqrt(2) and leakage-checked x by x; or the row's LeakageError.  N*x is
-    checked at the largest |x|, and a refused time ends the list."""
+                 both: bool) -> tuple[list, list]:
+    """The stack, rows by ``xs``, of exp(-iNxP) exp(-iNpX)|psi> over N of
+    ``ns`` (ascending) and, if ``both``, of the opposite order, each weighted
+    1/sqrt(2); and per row None or its LeakageError, the branches checked x
+    by x.  N*x is checked at the largest |x|, and a refused time ends the
+    rows and the list."""
     if ns[0] < 1:
         raise ValidationError("switch protocol requires n >= 1")
     u_p = _evolver(_P, probe.size)  # exp(-i t P), t = N x
@@ -544,12 +585,13 @@ def _switch_rows(ns: Sequence[int], xs: Sequence[float], p: float, probe: np.nda
         p_first = u_p.lift(phases * u_p.project(probe))  # exp(-iNxP)|psi>
         stacks.append(u_x.lift(phases_x[:, None] * u_x.project(p_first)))
 
-    def weighted(branches: tuple) -> tuple:
-        for top in np.stack([branch[:, -1] for branch in branches], 1).ravel():  # x by x
+    def leaks(tops: np.ndarray) -> None:
+        for top in tops.ravel():  # x by x
             _check_leakage(top, "switch_protocol")
-        return tuple(branch / math.sqrt(2.0) for branch in branches)
 
-    return [_outcome(lambda: weighted(branches)) for branches in zip(*stacks)] + end
+    tops = np.stack([stack[..., -1] for stack in stacks], -1)
+    return ([stack / math.sqrt(2.0) for stack in stacks],
+            [_outcome(lambda: leaks(row)) for row in tops] + end)
 
 
 def switch_protocol(n: int, x: float, p: float,
@@ -561,7 +603,9 @@ def switch_protocol(n: int, x: float, p: float,
     relation they differ by the phase N^2 x p, so the control qubit picks up
     the product parameter.
     """
-    return tuple(branch[0] for branch in _results(_switch_rows([n], [x], p, probe, True))[0])
+    stacks, outcomes = _switch_rows([n], [x], p, probe, True)
+    _results(outcomes)
+    return tuple(stack[0, 0] for stack in stacks)
 
 
 def branch_phase_overlap(n: int, x: float, p: float, probe: np.ndarray) -> complex:
@@ -570,14 +614,13 @@ def branch_phase_overlap(n: int, x: float, p: float, probe: np.ndarray) -> compl
     return 2.0 * complex(np.vdot(ab, ba))  # each branch carries weight 1/sqrt(2)
 
 
-def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> float:
-    """QFI of a qubit from its Bloch vectors at x0 and x0 +- step."""
+def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> list:
+    """QFI of a qubit from its Bloch vectors at x0 and x0 +- step, for each
+    row of a stack, as floats with a lone row's bits."""
     dr = (plus - minus) / (2.0 * step)
-    qfi = float(dr @ dr)
-    denom = 1.0 - float(r0 @ r0)
-    if denom > 1e-9:
-        qfi += float(r0 @ dr) ** 2 / denom
-    return qfi
+    rows = zip(np.vecdot(dr, dr).tolist(), (1.0 - np.vecdot(r0, r0)).tolist(),
+               np.vecdot(r0, dr).tolist())
+    return [qfi + tilt ** 2 / denom if denom > 1e-9 else qfi for qfi, denom, tilt in rows]
 
 
 SWITCH_MODES = ("control", "joint", "definite")
@@ -618,24 +661,29 @@ def _switch_qfis(ns: Sequence[int], x: float, p: float, probe: ProbeDescriptor |
     _check_step(step, x)
     probe_vec = _probe(probe or ProbeDescriptor.vacuum(), dim)
     xs = (x, x + step, x - step, x + step / 2.0, x - step / 2.0)
-
-    def bloch(ab: np.ndarray, ba: np.ndarray) -> np.ndarray:
-        rho_01 = np.vdot(ba, ab)  # control coherence <0|rho|1>
-        return np.array([2.0 * rho_01.real, -2.0 * rho_01.imag,
-                         (np.vdot(ab, ab) - np.vdot(ba, ba)).real])
-
-    def row_qfi(branches: tuple) -> QfiEstimate:
-        if mode == "control":
-            r = dict(zip(xs, map(bloch, *branches)))  # Bloch vectors of the control qubit
-            return _richardson_qfi(lambda h: _qubit_qfi(r[x], r[x + h], r[x - h], h),
+    stacks, outcomes = _switch_rows(ns, xs, p, probe_vec, both=mode != "definite")
+    kept = [j for j, outcome in enumerate(outcomes[:len(stacks[0])]) if outcome is None]
+    if not kept:  # every row leaks, or the first row's time is refused
+        return outcomes
+    if len(kept) < len(stacks[0]):
+        stacks = [stack[kept] for stack in stacks]
+    if mode == "control":
+        ab, ba = stacks
+        rho_01 = np.vecdot(ba, ab)  # control coherence <0|rho|1>
+        bloch = np.stack([2.0 * rho_01.real, -2.0 * rho_01.imag,
+                          (np.vecdot(ab, ab) - np.vecdot(ba, ba)).real], -1)
+        r = dict(zip(xs, bloch.swapaxes(0, 1)))  # Bloch vectors of the control qubit
+        estimates = _row_estimates(lambda h: _qubit_qfi(r[x], r[x + h], r[x - h], h),
                                    step, dim, "control-QFI")
+    else:
         # the definite order's branch scaled back by sqrt(2), or both orders
-        states = branches[0] * math.sqrt(2.0) if mode == "definite" else np.concatenate(branches, 1)
-        return _richardson_qfi(_overlap_passes(dict(zip(xs, states)).__getitem__, x),
-                               step, dim, "switch QFI")
-
-    return [row if isinstance(row, Exception) else _outcome(lambda: row_qfi(row))
-            for row in _switch_rows(ns, xs, p, probe_vec, both=mode != "definite")]
+        states = stacks[0] * math.sqrt(2.0) if mode == "definite" else np.concatenate(stacks, -1)
+        estimates = _row_estimates(
+            _overlap_passes(dict(zip(xs, states.swapaxes(0, 1))).__getitem__, x),
+            step, dim, "switch QFI")
+    for j, estimate in zip(kept, estimates):
+        outcomes[j] = estimate
+    return outcomes
 
 
 # -- discrete-variable bound demonstration ------------------------------------

@@ -5,16 +5,21 @@ Given a classified operator pair, the local generator of the block encoding
 
     h = N * sum_{n=0}^{K} (i N g)^n / n! * tower[n]
 
-for finite nilpotency index K, and has the sinh/cosh closed form when the
-tower satisfies the closure relation.  ``generator_by_conjugation`` computes
-the same object as ``N exp(+iNg H_g) H_lam exp(-iNg H_g)`` on truncated
-matrices and serves as the independent oracle for the series route.
+for finite nilpotency index K.  When the tower satisfies the closure
+relation it has the closed form N [h0 + e^x h+ + e^-x h-] at
+x = N g sqrt(p), h split along the eigenvalues of i ad_g (``_split``), so
+that each part scales by one exponential and none cancels.  Scans read the
+tower or its split once and sum each N's terms with a single query's floats
+(``_generator_terms``).  ``generator_by_conjugation`` computes the same
+object as ``N exp(+iNg H_g) H_lam exp(-iNg H_g)`` on truncated matrices and
+serves as the independent oracle for the series route.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +32,7 @@ from .errors import (
 )
 from .fock import HermitianEvolver, MatrixOperator, matrix_of
 from .ladder import (
+    CHOP_TOLERANCE,
     KIND_CAP_REACHED,
     KIND_CLOSED_INFINITE,
     LadderPolynomial,
@@ -49,11 +55,10 @@ class GeneratorResult:
 
 
 def local_generator(protocol: EncodingProtocol) -> GeneratorResult:
-    """Local generator of the protocol with respect to lambda_bar.  A scan
-    over N classifies its pair once (:func:`classified_pair`) and calls
-    :func:`generator_at` per N."""
+    """Local generator of the protocol with respect to lambda_bar (a scan
+    over N reads its pair's tower once instead: ``experiments``)."""
     report = classified_pair(protocol.h_g, protocol.h_lambda)
-    return generator_at(report, protocol.h_lambda, protocol.n_applications, protocol.g_bar)
+    return generator_at(report, protocol.n_applications, protocol.g_bar)
 
 
 def classified_pair(h_g: LadderPolynomial, h_lambda: LadderPolynomial):
@@ -67,48 +72,108 @@ def classified_pair(h_g: LadderPolynomial, h_lambda: LadderPolynomial):
     return report
 
 
-def generator_at(report, h_lambda: LadderPolynomial, n: int, g_bar: float) -> GeneratorResult:
+def generator_at(report, n: int, g_bar: float) -> GeneratorResult:
     """The local generator at N and g_bar of a :func:`classified_pair` report:
-    the exact truncated series, or the sinh/cosh closed form; Hermitian-checked."""
-    scalars = _scalars(report, n, g_bar)
+    the exact truncated series, or the closed form N [h0 + e^x h+ + e^-x h-]
+    of :func:`_split`; Hermitian-checked."""
+    closed = report.kind == KIND_CLOSED_INFINITE
+    gen = LadderPolynomial._canonical(_generator_terms(report, _parts(report), n, g_bar))
+    if not is_hermitian(gen, _GENERATOR_HERMITIAN_TOL):
+        raise InternalConsistencyError("local generator failed the Hermiticity check")
+    return GeneratorResult(generator=gen, closed_form=closed,
+                           truncation_used=3 if closed else report.nilpotency_index + 1)
+
+
+def _parts(report) -> tuple[LadderPolynomial, ...]:
+    """What the local generator of a report is a sum of, each times a scalar
+    of :func:`_scalars`: a closed tower's :func:`_split`, else its tower."""
+    return _split(report) if report.kind == KIND_CLOSED_INFINITE else report.tower
+
+
+def _generator_terms(report, parts, n: int, g_bar: float) -> dict:
+    """The canonical terms of the local generator at N and g_bar, from the
+    report's :func:`_parts` read once (a scan calls this per N): N e^(+-x)
+    times the split parts, or the series summed entry by entry, then scaled
+    by N, with each product and sum chopped where LadderPolynomial
+    arithmetic chops it, so its floats are those of ``N * sum(s_k * t_k)``.
+    A coefficient that is not finite is the product overflow."""
+    scalars = _scalars(report, n, g_bar, parts)
+    acc: dict = {}
+    if report.kind == KIND_CLOSED_INFINITE:
+        for scalar, part in zip(scalars, parts):
+            for key, coeff in part._terms.items():
+                acc[key] = acc[key] + scalar * coeff if key in acc else scalar * coeff
+    else:
+        for scalar, entry in zip(scalars, parts):
+            for key, coeff in entry._terms.items():
+                term = scalar * coeff
+                if not abs(term) <= CHOP_TOLERANCE:  # nan and inf are kept, and raise below
+                    total = acc.get(key, 0j) + term
+                    if not abs(total) <= CHOP_TOLERANCE:
+                        acc[key] = total
+                    else:
+                        del acc[key]
+        acc = {key: float(n) * coeff for key, coeff in acc.items()}
+    terms = {}
+    for key, coeff in acc.items():
+        size = abs(coeff)
+        if not size < math.inf:
+            raise _overflow(report, n, g_bar, product=True)
+        if size > CHOP_TOLERANCE:
+            terms[key] = coeff
+    return terms
+
+
+#: A split part's coefficient at most this many roundings of its inputs is
+#: their rounding residue, and is dropped.
+_RESIDUE_ROUNDINGS = 16
+
+
+def _split(report) -> tuple[LadderPolynomial, LadderPolynomial, LadderPolynomial]:
+    """(h0, h+, h-) of a closed tower.  On a closed orbit a = i ad_g satisfies
+    a^3 = p a, so h = h0 + h+ + h- along a's eigenvalues 0 and +-sqrt(p),
+    with h0 = t0 + t2 / p and h+- = (-t2 +- sqrt(p) i t1) / (2 p), and
+    exp(i N g_bar ad_g) h = h0 + e^x h+ + e^-x h- at x = N g_bar sqrt(p)
+    (Higham, Functions of Matrices, SIAM 2008, ch. 10).  Each part scales by
+    one exponential, so no e^x term cancels another.  A coefficient is
+    dropped only as the rounding residue of its own inputs, not by the
+    absolute chop, which applies to the scaled generator: e^x can make a
+    small part the largest term.  Where h only contracts, h+ is exactly
+    zero.  Each part is Hermitian."""
+    t0, t1, t2 = (entry._terms for entry in report.tower[:3])
+    p, rate = report.closure_p, math.sqrt(report.closure_p) * 1j
+    residue = _RESIDUE_ROUNDINGS * sys.float_info.epsilon
+    h0, h_plus, h_minus = {}, {}, {}
+    for key in t0.keys() | t1.keys() | t2.keys():
+        h, odd, even = t0.get(key, 0j), rate * t1.get(key, 0j), t2.get(key, 0j)
+        for part, value, inputs in (
+            (h0, h + (1.0 / p) * even, abs(h) + abs(even) / p),
+            (h_plus, (0.5 / p) * (odd - even), (0.5 / p) * (abs(odd) + abs(even))),
+            (h_minus, (-0.5 / p) * (odd + even), (0.5 / p) * (abs(odd) + abs(even))),
+        ):
+            if not abs(value) <= residue * inputs:  # kept if not finite: N e^x times it raises
+                part[key] = value
+    return tuple(map(LadderPolynomial._canonical, (h0, h_plus, h_minus)))
+
+
+def _scalars(report, n: int, g_bar: float, parts) -> list:
+    """The scalars of the local generator, checked before any polynomial is
+    built: (N, N e^x, N e^-x) with x = N g_bar sqrt(p) for the parts of a
+    closed tower (0 for a part that is zero, whose exponential is never
+    taken), else (i N g_bar)^k / k! for k <= K, each later scaled by N.  One
+    that is not finite, at that scale, is the :func:`_overflow` error."""
     try:
         if report.kind == KIND_CLOSED_INFINITE:
-            lam, odd, even = scalars
-            gen = lam * h_lambda + odd * (1j * report.tower[1]) + even * report.tower[2]
-            result = GeneratorResult(generator=gen, truncation_used=3, closed_form=True)
-        else:
-            acc = LadderPolynomial()
-            for coeff, entry in zip(scalars, report.tower):
-                acc = acc + coeff * entry
-            result = GeneratorResult(
-                generator=float(n) * acc, truncation_used=len(scalars), closed_form=False
-            )
-    except ValidationError:  # a finite scalar times a tower coefficient is not
-        raise _overflow(report, n, g_bar, product=True) from None
-
-    if not is_hermitian(result.generator, _GENERATOR_HERMITIAN_TOL):
-        raise InternalConsistencyError("local generator failed the Hermiticity check")
-    return result
-
-
-def _scalars(report, n: int, g_bar: float) -> list:
-    """The scalars of the local generator, checked before any polynomial is
-    built: (N, N sinh(x) / sqrt(p), N (1 - cosh(x)) / p) with
-    x = N g_bar sqrt(p) for a closed tower, else (i N g_bar)^k / k! for
-    k <= K, each later scaled by N.  One that is not finite, at that scale,
-    is the :func:`_overflow` error."""
-    closed = report.kind == KIND_CLOSED_INFINITE
-    try:
-        if closed:
-            p = report.closure_p
-            sqrt_p = math.sqrt(p)
-            arg = n * g_bar * sqrt_p
-            scalars = [float(n), n * math.sinh(arg) / sqrt_p, n * (1.0 - math.cosh(arg)) / p]
+            arg = n * g_bar * math.sqrt(report.closure_p)
+            scalars = [n * math.exp(sign * arg) if part._terms else 0.0
+                       for sign, part in zip((0.0, 1.0, -1.0), parts)]
+            if all(map(math.isfinite, scalars)):
+                return scalars
         else:
             scalars = [complex(0.0, n * g_bar) ** order / math.factorial(order)
                        for order in range(report.nilpotency_index + 1)]
-        if all(cmath.isfinite(value if closed else n * value) for value in scalars):
-            return scalars
+            if all(cmath.isfinite(n * value) for value in scalars):
+                return scalars
     except OverflowError:
         pass
     raise _overflow(report, n, g_bar)
@@ -116,9 +181,9 @@ def _scalars(report, n: int, g_bar: float) -> list:
 
 def _overflow(report, n: int, g_bar: float, product: bool = False) -> ValidationError:
     """The "generator overflows" error, naming N and g_bar, and for a closed
-    tower p and the sinh/cosh argument N g_bar sqrt(p); with ``product``,
-    the scalars are finite and only a scalar times a tower coefficient is
-    not."""
+    tower p and the exponent N g_bar sqrt(p) (the text's sinh/cosh are its
+    e^x and e^-x); with ``product``, the scalars are finite and only a
+    scalar times a tower coefficient is not."""
     times = " times a tower coefficient" if product else ""
     if report.kind != KIND_CLOSED_INFINITE:
         return ValidationError(

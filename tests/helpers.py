@@ -50,8 +50,6 @@ from ncmetro.fock import (
     _check_leakage,
     _evolver,
     _leakage_check_blind,
-    _overlap_passes,
-    _qubit_qfi,
     _richardson_qfi,
 )
 from ncmetro.gaussian import _VAR_RESOLUTION, _quadratic, _variance_along
@@ -407,7 +405,38 @@ def full_vector_switch_qfi(n: int, x: float, p: float, probe, dim: int, step: fl
 # and the definite order's branch evolved from the probe at every x; the two
 # functions after them wrap them the way ``qfi_numeric`` and ``switch_qfi``
 # do.  Each exp(-i t H) v is written out as ``lift(phases(t) * project(v))``,
-# the floats of ``HermitianEvolver.apply``.
+# the floats of ``HermitianEvolver.apply``.  The overlaps, Bloch vectors and
+# top amplitudes are the oracle's lone-state routines as they stood before
+# scans took them as stacked products: one ``np.vdot`` or ``@`` per state.
+
+
+def _top_amplitude(evolver, coeffs: np.ndarray) -> complex:
+    """Last Fock amplitude of ``evolver.lift(coeffs)``, in O(dim)."""
+    top = evolver._eigvecs[-1] @ coeffs
+    return top if evolver._gauge is None else top * evolver._gauge[-1]
+
+
+def _overlap_qfi(center: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> float:
+    dpsi = (plus - minus) / (2.0 * step)
+    return 4.0 * (
+        float(np.vdot(dpsi, dpsi).real) - abs(np.vdot(center, dpsi)) ** 2
+    )
+
+
+def _overlap_passes(state_at, x0: float):
+    """Central-difference overlap QFI at x0 as a function of the step."""
+    center = state_at(x0)
+    return lambda h: _overlap_qfi(center, state_at(x0 + h), state_at(x0 - h), h)
+
+
+def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> float:
+    """QFI of a qubit from its Bloch vectors at x0 and x0 +- step."""
+    dr = (plus - minus) / (2.0 * step)
+    qfi = float(dr @ dr)
+    denom = 1.0 - float(r0 @ r0)
+    if denom > 1e-9:
+        qfi += float(r0 @ dr) ** 2 / denom
+    return qfi
 
 
 def _qfi_numeric_once(protocol, dim: int, step: float):
@@ -425,7 +454,7 @@ def _qfi_numeric_once(protocol, dim: int, step: float):
         return evolver_l.phases(n * lam) * coeffs
 
     for edge in (protocol.lambda_bar + step, protocol.lambda_bar - step):
-        _check_leakage(evolver_l.top_amplitude(state_at(edge)), "qfi_numeric (scan edge)")
+        _check_leakage(_top_amplitude(evolver_l, state_at(edge)), "qfi_numeric (scan edge)")
     estimate = _richardson_qfi(_overlap_passes(state_at, protocol.lambda_bar),
                                step, dim, "finite-difference")
     if _leakage_check_blind(protocol, dim):
@@ -687,7 +716,9 @@ def blank_columns(text: str, names=("cfi", "ratio_cfi_qfi")) -> str:
 #: 1, round 0: argv, exit code and the sha256 of stdout after
 #: :func:`blank_columns` (fig3's homodyne CFI and its ratio are the Gaussian
 #: engine's, not the oracle's).  Recorded while every row still prepared and
-#: projected its own probe and the Gaussian engine ran on numpy.
+#: projected its own probe and the Gaussian engine ran on numpy; the fig3
+#: digests re-recorded when closed-tower generators became e^x/e^-x splits
+#: (their qfi_gaussian cells moved in the last bits).
 ORACLE_POOL = [
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '80', '--mode', 'definite'], 0,
      "a7871c5ed45a1e64f4e4d3ff7a72fd5578fd36fe03f24092c92fca9f295ae6f6"),
@@ -695,28 +726,28 @@ ORACLE_POOL = [
      "ffc47ad41c1a5667814d666ab0d7cadb942a76f0eb0d475d42890e5e395ef44e"),
     (['fig3', '--N', '1..12', '--xi', '0.05478421329111705', '--alpha', '0.058489196250636144',
       '--dim', '140'], 0,
-     "9391ac91019be706c12d974f3af7e3f25d9b519b49adf784141ca970e299efba"),
+     "1ec6308ac78eb6a770e7286548c18785a4c891757be0bbcf89c9688438310b3b"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '110', '--mode', 'joint'], 0,
      "3f9a212b67495c32295e1bf4dcfe4cd45bef96bc52d60333db8663d54d1bd6cf"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'control'], 0,
      "4e35e6054ca995e8c14eab588aef152ecaa50562323b342c865bbc00564a545b"),
     (['fig3', '--N', '1..12', '--xi', '0.09522088189684784', '--alpha', '0.05635785300768742',
       '--dim', '140'], 0,
-     "23a784bfbd1d448d15b6b85dfe4f74ddde856f187cee4c20afe73b7a2d02a804"),
+     "95408998295b98406ae62de7c7fc00121c6ee099c9e7bf6ec07ec8ebdb4abcf9"),
     (['fig3', '--N', '1..12', '--xi', '0.05779300492379055', '--alpha', '0.19829790306031891',
       '--dim', '80'], 0,
-     "f227ba9b7677c8ec9da265eadb2236a69b886cd5792d37302ce941fc182a9c0c"),
+     "d02387f321dfd3d30297f5a758a9be4b4682704edeca09c4e18cdd386403b38f"),
     (['fig3', '--N', '1..12', '--xi', '0.09897310442419215', '--alpha', '0.4975887965498427',
       '--dim', '140'], 0,
-     "39392e4de637c0747953762a01a2bf711bb6f1d46507ce10074551579a7c0712"),
+     "ea25001b6cb9b1f8a61e3899565ba1a9f833b5f71087b86974aa5c0281cfd564"),
     (['fig3', '--N', '1..12', '--xi', '0.0723035402216447', '--alpha', '0.19893663594015332',
       '--dim', '140'], 0,
-     "7e475a2613a318104b95ac01641a31479dce201c478437eb593b1d829a8ccaba"),
+     "2f98a722545ef587ccc4eb677fce59c48c573b8c14d0ebe4120616f8a96596e5"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'definite'], 0,
      "3e3b44e1466c1545b0b5385d3d31c687dcf5cf96262d49d50aca118f4b3b203b"),
     (['fig3', '--N', '1..12', '--xi', '0.062871136984877', '--alpha', '0.293187459999862',
       '--dim', '110'], 0,
-     "f36f8b6a8ed1f9ee7fef31c1f47f43e209c8c87cdc26bf719c06e2bc20f47fd4"),
+     "37a166dcef70a216ad1f38f6bb393a866af0676ca055b1cabaf08370fdd0274e"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'control'], 0,
      "4e35e6054ca995e8c14eab588aef152ecaa50562323b342c865bbc00564a545b"),
 ]
@@ -724,11 +755,11 @@ ORACLE_POOL = [
 #: The oracle-scans pool's other commands: seed 7919, round 0, and seed 1,
 #: round 1, whose x and xi carry the 1e-9 jitter.  Entries as in
 #: ``ORACLE_POOL``, recorded while each scan still ran its oracle one row at
-#: a time.
+#: a time; the fig3 digests re-recorded as in ``ORACLE_POOL``.
 ORACLE_POOL_2 = [
     (['fig3', '--N', '1..12', '--xi', '0.05365472351548517', '--alpha', '0.07508514729672061',
       '--dim', '110'], 0,
-     "7d3e7f440810e4e8bd4afb6e1e1f4724abe335908d8a46a4f205f2782bf3f2ad"),
+     "6eb21985bc9bf44dc7baafdd915bcc82fe096885388ed4e5cf62e7aaaaa90d85"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'definite'], 0,
      "9084103090a20326de82fca1318219a3a9cd583281a4f1b24c85c5e795684e05"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'definite'], 0,
@@ -737,31 +768,31 @@ ORACLE_POOL_2 = [
      "4e35e6054ca995e8c14eab588aef152ecaa50562323b342c865bbc00564a545b"),
     (['fig3', '--N', '1..12', '--xi', '0.057806997785026126', '--alpha', '0.40316864591585555',
       '--dim', '140'], 0,
-     "60ee1dfaed62e74a73c7e892a45b2a2b65d5f4b7e518aeb8e897fdb8a539df08"),
+     "1919ddd2e2d13d061600c22578adae4d638d6dff048b5bdfe586dbe2fce4563a"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '110', '--mode', 'joint'], 0,
      "3f9a212b67495c32295e1bf4dcfe4cd45bef96bc52d60333db8663d54d1bd6cf"),
     (['fig3', '--N', '1..12', '--xi', '0.05459252422466936', '--alpha', '0.4055282788782957',
       '--dim', '140'], 0,
-     "900b8014b5f72dfc9df4c15ac1c7a82643b8f94dbeb3c8b4c724fcbd1eee0429"),
+     "f14766ce0a750d9924904ceba8ce523f32be0b0e9451f11e7cf64a694a831b50"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'joint'], 0,
      "ffc47ad41c1a5667814d666ab0d7cadb942a76f0eb0d475d42890e5e395ef44e"),
     (['fig3', '--N', '1..12', '--xi', '0.09327499615237893', '--alpha', '0.20132729213847672',
       '--dim', '80'], 0,
-     "2b58bd307cebb74defc282dac5638374e250bb92caf7a5891bc5fea1abfae67f"),
+     "42de1815299bde6238e5a7f1a4396732fd826c5a3b2cbed99aa10d98cc04a47e"),
     (['fig3', '--N', '1..12', '--xi', '0.06670522480187428', '--alpha', '0.48735330546950933',
       '--dim', '140'], 0,
-     "47a95dad426080e0097b2bc7df7a5ed13a517faa2f4e7f68d413a710ff3d2a55"),
+     "dd8d4e211241794c24ea518088b10594facab280b37189149df3dfef742b7771"),
     (['fig3', '--N', '1..12', '--xi', '0.09763047957971971', '--alpha', '0.09860409460095854',
       '--dim', '140'], 0,
-     "5466849ada1dc29d7cbceaf34ea9c59fba5b008609b45cf274556371ae5a4246"),
+     "c37218064f9505ddf458367d6deba7b84b3d4185a4ca7353043d48308daa67f4"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '80', '--mode', 'control'], 0,
      "799e8a1d61d443d5827f7814e0fd2d52c08fcdbeaced7438a172362f20113622"),
     (['fig3', '--N', '1..12', '--xi', '0.09522088199206873', '--alpha', '0.05635785300768742',
       '--dim', '140'], 0,
-     "5e2529dfca45c93f673b86f5fb76cc724ecc8cac832ea2239bfbfe85e64ee986"),
+     "d763d292aa78c17a8bb26a20f286a38e47d1aec35c7ec48838729fa2a45026fa"),
     (['fig3', '--N', '1..12', '--xi', '0.05478421334590127', '--alpha', '0.058489196250636144',
       '--dim', '140'], 0,
-     "c64efd10865b083aa140f50618ee61b11a813497317948dffd8d035c5a22e103"),
+     "041bf5131baf9633a5a327a37512c973b59d08668e0fb55745dedb12e4756347"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '80', '--mode', 'definite'], 0,
      "ea7e53e09db8d2ffd761ec83815d7be98c9b76ddd6219a80cc604ded3b2d1114"),
@@ -770,10 +801,10 @@ ORACLE_POOL_2 = [
      "995bed9a0709ea0b01526468706ad02670a62fcb1e3f0a8f67de6762e9f3db8b"),
     (['fig3', '--N', '1..12', '--xi', '0.06287113704774813', '--alpha', '0.293187459999862',
       '--dim', '110'], 0,
-     "6e5d5deb1f53fb3a293bba8e0fc23bdf67bea9ef8c88ba20d84cb245aca762a4"),
+     "7aee0f8b477ec559aeb76d076a1002c55d109aa106777e5f4dac5e426c815878"),
     (['fig3', '--N', '1..12', '--xi', '0.05779300498158356', '--alpha', '0.19829790306031891',
       '--dim', '80'], 0,
-     "0bc5b50c0d889751b8d208935e87c04dfb297877bf48f18b15341ff98c95048a"),
+     "9470bbf5dd1760e05c038a2e6c3e54e220677063e6c64ffb60f8dc7bccf371ff"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '170', '--mode', 'joint'], 0,
      "31c54fe9d1ae36d629908b09c3eddcbf79f46d44117f07f2650019225bf975e4"),
@@ -782,13 +813,13 @@ ORACLE_POOL_2 = [
      "995bed9a0709ea0b01526468706ad02670a62fcb1e3f0a8f67de6762e9f3db8b"),
     (['fig3', '--N', '1..12', '--xi', '0.09897310452316525', '--alpha', '0.4975887965498427',
       '--dim', '140'], 0,
-     "fd2d9e2130c91dc6185e8b2694365829faa21a0ef461f5d39f710d1ebbd6d9cb"),
+     "fa06fde874e543a9434a56e3e6b111139975ae071b2cc8c16143ee076e9fb7f9"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '170', '--mode', 'definite'], 0,
      "d0be1a07823d7d6eeac8e3b74d5846c9a280623bf628681461308a8542d0233e"),
     (['fig3', '--N', '1..12', '--xi', '0.07230354029394825', '--alpha', '0.19893663594015332',
       '--dim', '140'], 0,
-     "b815af05285596a0bbb71caaa2953fcb27d9d0418a4dbc21d8bd0af29d2490e9"),
+     "891b71bbd880d86885ab7807621c6763cb15b8ac93f44f2e62cbdee140d780fb"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '110', '--mode', 'joint'], 0,
      "d624526df4dfe8dffbb03ff80031cb19e85eba5b2243f671778ad5f9a0bee6b4"),
@@ -804,7 +835,9 @@ ORACLE_POOL_2 = [
 #: re-checked its operators and every attempt rebuilt its keys.  The
 #: ``known`` cell (squeeze-inf, N = 10, aux 0.25, step 1e-5, dim 80) prints
 #: a Fock QFI marked trusted that is wrong (ROADMAP item 2); it is pinned as
-#: it is, and is re-recorded with the fix.
+#: it is, and is re-recorded with the fix.  The squeeze-inf ``generator``,
+#: Gaussian ``qfi`` and ``example1`` cells were re-recorded when
+#: closed-tower generators became e^x/e^-x splits (last bits moved).
 POINT_POOL = [
     (['qfi', '--preset', 'shear-k1', '--N', '11', '--aux', '0.2872671728892704', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 3,
@@ -813,7 +846,7 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.16623111063471216', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "1cec06d74bf18a21b7458395e50a41a5730e2389af1371d772fc7d04a89be774",
+     "4bdf63f8b75f2101263d3a778299c3247d3683caaec5cf593848974a2743083c",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '10', '--aux', '0.22809262330411978', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 0,
@@ -881,7 +914,7 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.06073841203833418', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "f9efe85d6dd1ffd60b2a9080f156a2f15b1747b76f2a4e4e9153bd7d52d4d026",
+     "57fbcb3bb0c7bda483ca9d046b88655be113b142a4307868f96265b6af71e193",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.2834885031101344', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 3,
@@ -894,7 +927,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '12', '--aux', '0.1090530354729455', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "ee0a22021e953439c69a28b1b72f3bb360b4e7df1d255b809de1f5ab85e8076b",
+     "64ee3ebdb8dc28fc7593938f51c3f801665b8e9855c9bb3a07eb12984107389b",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '12', '--aux', '0.26040260397232273', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 3,
@@ -921,7 +954,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '9', '--aux', '0.24580559648335557', '--lam',
       '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "f6698ecd9377343b936bbca8b3d3272157dcc351cf572bee06c0964a1886beca",
+     "f1c3d6e13335e5ee885fef502027775278530c50243c690bf2a48c71bc79da02",
      ""),
     (['example1', '--preset', 'xp-constant', '--N', '8..38', '--s', '0.25243101236714105'], 0,
      "c3f139ec0d3d3b03515639112912326c474a5faeb5f5ad7b8e38ded76debd32a",
@@ -943,7 +976,7 @@ POINT_POOL = [
      "0821751d2e3fd559799012b11c80c368bc41182a31a312513aff362f68f053e7",
      ""),
     (['generator', '--preset', 'squeeze-inf', '--N', '1', '--aux', '0.26013147868174713'], 0,
-     "93e09242699d99a141779ae76e6de4dbd572f5a6728a25fe226bdeec4255d7b7",
+     "2a5cf4669c132eedc9d8b5d4c31ca77fe8dc7e7289df43ae21a016e3c2bbc139",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '12', '--aux', '0.26598242263732014',
       '--lam', '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 3,
@@ -967,7 +1000,7 @@ POINT_POOL = [
      ""),
     (['example1', '--preset', 'squeeze-inf', '--N', '8..46', '--s', '0.0668227589665487',
       '--format', 'json'], 0,
-     "8587cdbd0940c720564360eac10594129dee848cfd0b260bd647745b651c24f6",
+     "8f438c8ac7b0a71ef35774ecace5aa3259604df3ec745da904841ebb38c6b1f2",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '7', '--aux', '0.19528976095946415', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
@@ -978,7 +1011,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.060349575077261866',
       '--lam', '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "9e575f36da1a96810383416fb5b2627fcffdd73b533f1145c8031cec0d8e2b0d",
+     "e7011a14a2f579af145cfcc4e66f42ee24bb7c69058007d5bb7c98bb0933e320",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '11', '--aux', '0.2868323347323185', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 3,
@@ -987,11 +1020,11 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '5', '--aux', '0.26509039882544266', '--lam',
       '0', '--step', '1e-4', '--engine', 'both'], 0,
-     "0065498523a673875e527dd1f09900c18cc287537d813417e301bf8009012988",
+     "a62ca5fdbc385e0e3e0eeba00e8db5db4caa06f217fe81143797e08752e7e76f",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '10', '--aux', '0.25', '--lam', '0',
       '--step', '1e-5', '--dim', '80', '--engine', 'both'], 0,
-     "7e96a992853294e32240460e7e4579273c3ee5aa6f55edd0478bd186d1e64b77",
+     "2bf98d11c32728ad361ff76c3eaab561ad16f1bdac3d74b76f98a36729dd1f49",
      ""),
     (['qfi', '--preset', 'xp-constant', '--N', '10', '--aux', '0.15164451761993963',
       '--lam', '0', '--step', '1e-5', '--engine', 'both'], 0,

@@ -1,10 +1,17 @@
 """Scans and scaling fits."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
-from ncmetro import ProbeDescriptor, ValidationError, generators
+from ncmetro import (
+    ProbeDescriptor,
+    ValidationError,
+    gaussian_probe,
+    generators,
+    qfi_linear_generator,
+)
 from ncmetro.experiments import (
     example1_scan,
     example1_scaling,
@@ -16,8 +23,6 @@ from ncmetro.experiments import (
     switch_scaling,
     switch_scan,
 )
-from ncmetro.gaussian import gaussian_probe, qfi_linear_generator
-from ncmetro.generators import local_generator
 from ncmetro.ladder import classify_pair
 from ncmetro.protocols import PRESETS, build_preset
 
@@ -264,28 +269,86 @@ def test_empty_n_list_is_rejected(scan):
         scan()
 
 
+def _exact_qfi(preset: str, n: int, aux: float) -> Decimal:
+    """The QFI of a preset's generator on a Gaussian probe of unit-vacuum
+    covariance, at 50 digits of the float inputs: 2 N^2 (1 + 4 N^2 s^2)
+    for the shear, 2 N^2 for the displacement pair and 2 N^2 cosh(2 N xi)
+    for the squeezer."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n, aux = Decimal(n), Decimal(aux)
+        if preset == "shear-k1":
+            return 2 * n * n * (1 + 4 * n * n * aux * aux)
+        if preset == "xp-constant":
+            return 2 * n * n
+        grow = (2 * n * aux).exp()
+        return n * n * (grow + 1 / grow)
+
+
+def _rel_error(value: float, exact: Decimal) -> float:
+    return float(abs(Decimal(value) - exact) / exact)
+
+
 class TestScansClassifyOnce:
-    """example1 and fig3 classify their pair once per scan and build only the
-    generator per N; each row keeps the floats of the per-row route through
-    ``local_generator``."""
+    """example1 and fig3 classify their pair once per scan and read its
+    parts once, then build each N's generator terms with a single query's
+    floats; each row is the exact QFI to 1e-13."""
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_example1_rows_match_per_row_generators(self, preset):
+        # the worst error is 1.8e-15, as for the per-N generators this scan
+        # once built (the finite towers' rows keep their floats): the
+        # rounding of N s_bar
         probe = ProbeDescriptor.coherent(0.2 - 0.1j)
         for s_bar in (0.0, 0.13, 0.3):
             scan = example1_scan(range(8, 40), s_bar, probe=probe, preset=preset, x_bar=0.1)
-            want = [qfi_linear_generator(gaussian_probe(probe), local_generator(
-                build_preset(preset, n, 0.1, s_bar, probe)).generator) for n in range(8, 40)]
-            assert repr([row["qfi"] for row in scan.rows]) == repr(want)
+            assert [row["N"] for row in scan.rows] == list(range(8, 40))
+            for row in scan.rows:
+                exact = _exact_qfi(preset, row["N"], s_bar)
+                assert _rel_error(row["qfi"], exact) <= 1e-13, (preset, s_bar, row["N"])
 
     def test_fig3_gaussian_column_matches_per_row_generators(self):
+        # the worst error is 8.4e-16, against 6.1e-16 for the per-N
+        # generators this scan once built: both are the rounding of N xi_bar
         for xi_bar, alpha in ((0.1, 0.3), (0.27, -0.4 + 0.2j)):
             scan = fig3_scan(range(1, 13), xi_bar=xi_bar, alpha=alpha, include_fock=False)
-            probe = ProbeDescriptor.coherent(alpha)
-            want = [qfi_linear_generator(gaussian_probe(probe), local_generator(
-                build_preset("squeeze-inf", n, 0.1, xi_bar, probe)).generator)
-                for n in range(1, 13)]
-            assert repr([row["qfi_gaussian"] for row in scan.rows]) == repr(want)
+            for row in scan.rows:
+                exact = _exact_qfi("squeeze-inf", row["N"], xi_bar)
+                assert _rel_error(row["qfi_gaussian"], exact) <= 1e-13, (xi_bar, row["N"])
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_scan_rows_equal_single_queries(self, preset):
+        # a scan row is the float of a single qfi query on the protocol at its N
+        probe = ProbeDescriptor.coherent(0.2 - 0.1j)
+        scan = example1_scan(range(8, 30), 0.13, probe=probe, preset=preset)
+        for row in scan.rows:
+            protocol = build_preset(preset, row["N"], 0.1, 0.13, probe)
+            gen = generators.local_generator(protocol).generator
+            assert row["qfi"] == qfi_linear_generator(gaussian_probe(probe), gen), row["N"]
+
+    def test_fig3_prints_every_cfi_below_its_qfi(self):
+        # at xi = 0.5 the CFI of N = 10..12 once exceeded the QFI by up to
+        # 1.4e-7, and at xi >= 1.5 most CFI cells were blank: the squeezed
+        # axis's variance was a difference of terms of size e^(4 N xi).
+        # Where e^(-4 N xi) is below the rounding, CFI and QFI agree to it.
+        for tenths in range(2, 31):
+            xi = tenths / 10
+            for row in fig3_scan(range(1, 13), xi_bar=xi, include_fock=False).rows:
+                n, cfi, qfi = row["N"], row["cfi"], row["qfi_gaussian"]
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    exact = n * n * (2 * n * Decimal(xi)).exp()
+                assert cfi is not None and _rel_error(cfi, exact) <= 1e-12, (xi, n)
+                assert cfi <= qfi and row["ratio_cfi_qfi"] <= 1.0, (xi, n)
+                if math.exp(-4.0 * n * xi) > 1e-14:
+                    assert cfi < qfi and row["ratio_cfi_qfi"] < 1.0, (xi, n)
+
+    @pytest.mark.parametrize("xi", [340.0, 350.0, 354.0])
+    def test_fig3_prints_the_cfi_where_its_variance_is_tiny(self, xi):
+        # the homodyne variance e^(-2 N xi) / 2 is below 1e-300 but positive,
+        # and the QFI is finite, so the CFI is printed (held at the QFI)
+        row, = fig3_scan([1], xi_bar=xi, include_fock=False).rows
+        assert row["cfi"] == row["qfi_gaussian"] and row["ratio_cfi_qfi"] == 1.0
 
     @pytest.mark.parametrize("scan", [
         lambda: example1_scan(range(8, 20), s_bar=0.2),

@@ -994,6 +994,44 @@ class TestDvBound:
         assert repr(got) == repr(per_row_dv_bound_check(SIGMA_X, SIGMA_Z, n_list, 0.0, probe))
 
 
+class TestStackedRows:
+    """A scan's rows take their overlaps, top amplitudes and Bloch vectors as
+    stacked dot products; every row keeps the per-row reference's value,
+    trust flag and error text."""
+
+    def _rows(self, protocol, ns, dim, step, retries):
+        got = [_exact(lambda: fock._results([outcome])[0])[0]
+               for outcome in fock._qfi_rows(protocol, ns, dim, step, retries)]
+        want = []
+        for n in ns:
+            row = EncodingProtocol(protocol.h_lambda, protocol.h_g, n, protocol.lambda_bar,
+                                   protocol.g_bar, protocol.probe)
+            want.append(_exact(lambda: per_row_qfi(row, dim, step, retries))[0])
+        return got, want
+
+    def test_parity_blind_rows(self):
+        # X^2 | P^2 on the vacuum at an even dim: every row is untrusted
+        x2, p2 = X * X, P * P
+        for dim in (40, 80):
+            protocol = EncodingProtocol(h_lambda=p2, h_g=x2, n_applications=1, lambda_bar=0.1,
+                                        g_bar=0.1)
+            got, want = self._rows(protocol, list(range(1, 13)), dim, 1e-4, 1)
+            assert got == want
+            assert all("trusted=False" in row for row in got if isinstance(row, str))
+            assert any(isinstance(row, str) for row in got)
+
+    def test_mixed_outcomes_keep_their_texts(self):
+        # one stack of trusted, untrusted, diverging, edge-leaking and
+        # auxiliary-leaking rows, without a retry
+        protocol = build_preset("squeeze-inf", 1, 0.1, 0.05, ProbeDescriptor.coherent(0.3))
+        got, want = self._rows(protocol, list(range(1, 13)), 24, 0.05, 0)
+        assert got == want
+        kinds = {outcome.trusted if isinstance(outcome, fock.QfiEstimate) else str(outcome)[:23]
+                 for outcome in fock._qfi_rows(protocol, list(range(1, 13)), 24, 0.05, 0)}
+        assert kinds == {True, False, "finite-difference passe", "qfi_numeric (scan edge)",
+                         "qfi_numeric (auxiliary "}
+
+
 class TestOverflowOutcomes:
     def test_nan_population_is_leakage(self):
         # a nan amplitude once passed the leakage check

@@ -15,6 +15,7 @@ from ncmetro import (
     ValidationError,
     certified_block,
     classify_pair,
+    gaussian_probe,
     generator_by_conjugation,
     identity_op,
     k_peak,
@@ -28,6 +29,7 @@ from ncmetro import (
     position_op,
     protocols,
     qcrb_rmse,
+    qfi_linear_generator,
     shear_protocol,
     squeeze_protocol,
 )
@@ -191,6 +193,60 @@ class TestLocalGenerator:
         with pytest.raises(ValidationError, match="generator overflows") as info:
             local_generator(protocol)
         assert named in str(info.value)
+
+
+class TestClosedFormSplit:
+    """A closed tower's generator is N [h0 + e^x h+ + e^-x h-]: under
+    ad^2 + a^2, [g, X + P] = 2i (X + P), so X + P only contracts and its
+    generator is N e^(-2 N g_bar) (X + P).  Once N [h + sinh(x)/sqrt(p) i t1
+    + (1 - cosh(x))/p t2] took it as a difference of terms of size e^x: at
+    aux 10 the coefficient of ad read -2.98e-8 for +e^(-20)/sqrt(2), and the
+    Gaussian QFI 7.1e-15 for 4 e^(-40)."""
+
+    PAIR = (parse_operator("ad^2 + a^2"), parse_operator("X + P"))
+
+    @pytest.mark.parametrize("n, aux", [(1, 10.0), (1, 5.0), (2, 2.5), (3, 0.5)])
+    def test_contracting_generator_is_exact(self, n, aux):
+        g, h = self.PAIR
+        protocol = EncodingProtocol(h_lambda=h, h_g=g, n_applications=n, lambda_bar=0.1, g_bar=aux)
+        result = local_generator(protocol)
+        scale = n * math.exp(-2.0 * n * aux)
+        assert result.closed_form and set(result.generator.terms) == set(h.terms)
+        for key, coeff in h.terms.items():
+            assert result.generator.coefficient(*key) == pytest.approx(
+                scale * coeff, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n, aux", [(1, 10.0), (1, 8.0), (2, 2.5)])
+    def test_contracting_gaussian_qfi_is_exact(self, n, aux):
+        g, h = self.PAIR
+        protocol = EncodingProtocol(h_lambda=h, h_g=g, n_applications=n, lambda_bar=0.1, g_bar=aux)
+        qfi = qfi_linear_generator(gaussian_probe(protocol.probe),
+                                   local_generator(protocol).generator)
+        # 4 Var[N e^(-2 N g) (X + P)] on the vacuum
+        assert qfi == pytest.approx(4.0 * n * n * math.exp(-4.0 * n * aux), rel=1e-12, abs=0.0)
+
+    def test_contracting_pair_never_overflows(self):
+        # e^x multiplies h+ = 0, so no N overflows the generator
+        g, h = self.PAIR
+        protocol = EncodingProtocol(h_lambda=h, h_g=g, n_applications=1000, lambda_bar=0.1,
+                                    g_bar=1.0)
+        assert local_generator(protocol).generator.is_zero()  # e^-2000 underflows
+
+    def test_small_expanding_part_is_kept(self):
+        # h = X + P + 5e-13 (X - P): h+ = 5e-13 (X - P) has coefficients below the
+        # absolute chop, yet e^20 makes it the generator's largest term; the input
+        # holds 5e-13 to about 3 digits
+        g = self.PAIR[0]
+        h = parse_operator("1.0000000000005*X + 0.9999999999995*P")
+        protocol = EncodingProtocol(h_lambda=h, h_g=g, n_applications=1, lambda_bar=0.1, g_bar=10.0)
+        gen = local_generator(protocol).generator
+        x, p = parse_operator("X"), parse_operator("P")
+        expected = 5e-13 * math.exp(20.0) * (x - p) + math.exp(-20.0) * (x + p)
+        assert set(gen.terms) == set(expected.terms)
+        for key, coeff in expected.terms.items():
+            assert gen.coefficient(*key) == pytest.approx(coeff, rel=1e-3, abs=0.0)
+        qfi = qfi_linear_generator(gaussian_probe(protocol.probe), gen)
+        assert qfi == pytest.approx(4.0 * (5e-13 * math.exp(20.0)) ** 2, rel=1e-3, abs=0.0)
 
 
 class TestConjugationOracle:

@@ -118,6 +118,29 @@ def test_second_oracle_pool_is_seed_7919_round_0_and_seed_1_round_1(monkeypatch)
     assert commands == [list(argv) for argv, *_ in ORACLE_POOL_2]
 
 
+def test_outputs_do_not_depend_on_run_order(capsys, monkeypatch):
+    # the failed share of a benchmark run is exact per seed only while no
+    # command's output depends on what ran before it in the process: every
+    # memo and cache (towers, decompositions, probes, quadratures) must
+    # return what a cold process computes
+    monkeypatch.setattr("sys.dont_write_bytecode", True)
+    _load_perfbench("checks", monkeypatch)
+    workloads = _load_perfbench("workloads", monkeypatch)
+    commands = [op.argv for name in ("oracle-scans", "point-queries")
+                for r in (0, 1) for op in workloads.WORKLOADS[name](1).round(r)]
+
+    def run(argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, _TIMING.sub(r'"\1": null', out), err
+
+    forward = [run(argv) for argv in commands]
+    backward = [run(argv) for argv in reversed(commands)][::-1]
+    assert len(commands) > 100
+    for argv, first, second in zip(commands, forward, backward):
+        assert first == second, argv
+
+
 def _digest_levels(digest, tower) -> None:
     for level in tower:
         keys, coefficients = ladder._exact_key(level)

@@ -509,26 +509,27 @@ class TestMain:
         step = argv[argv.index("--step") + 1]
         assert out == "" and f"finite-difference step {step} is too small" in err
 
-    def test_fig3_leaves_an_unresolved_cfi_empty(self, capsys):
+    def test_fig3_resolves_every_cfi(self, capsys):
         # --xi 1 was once refused as a whole, as "covariance violates the
         # uncertainty relation", which it does not; --xi 0.9 printed a CFI of
         # 5.8e25 at N = 11, where N^2 e^{2 N xi} is 4.8e10; --xi 0.6 printed
-        # N = 12's CFI 3% off.  A CFI the final covariance cannot resolve
-        # leaves its row's CFI and ratio cells empty, and the scan goes on.
-        for xi, resolved in (("1", ()), ("0.9", ()), ("0.6", range(10, 12))):
+        # N = 12's CFI 3% off; later all of these rows left their CFI and
+        # ratio cells empty, and --xi 0.5 printed N = 12's CFI 1.4e-7 above
+        # its QFI.  The squeezed axis's variance is now e^(-2 N xi) / 2
+        # itself, never a difference of terms of size e^(2 N xi).
+        for xi in ("1", "0.9", "0.6", "0.5"):
             assert main(["fig3", "--N", "10..12", "--xi", xi, "--dim", "40"]) == 0
             out, err = capsys.readouterr()
             rows = list(csv.DictReader(io.StringIO(out)))
             assert [int(row["N"]) for row in rows] == [10, 11, 12] and err == ""
             for row in rows:
-                n = int(row["N"])
+                n, x = int(row["N"]), float(xi)
                 assert float(row["qfi_closed_form"]) == pytest.approx(
-                    2 * n * n * math.cosh(2 * n * float(xi)), rel=1e-12)
-                if n in resolved:
-                    assert float(row["cfi"]) == pytest.approx(
-                        n * n * math.exp(2 * n * float(xi)), rel=5e-4)
-                else:
-                    assert row["cfi"] == row["ratio_cfi_qfi"] == ""
+                    2 * n * n * math.cosh(2 * n * x), rel=1e-12)
+                assert float(row["cfi"]) == pytest.approx(n * n * math.exp(2 * n * x), rel=1e-12)
+                assert float(row["ratio_cfi_qfi"]) == pytest.approx(
+                    1.0 / (1.0 + math.exp(-4 * n * x)), rel=1e-12)
+                assert float(row["cfi"]) <= float(row["qfi_gaussian"])
 
     def test_numerical_trust_exit_code(self, capsys):
         # N=14 squeezing cannot fit in dim 8 even after one doubling
