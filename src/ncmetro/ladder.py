@@ -20,7 +20,11 @@ R(n, m, k) = C(n, k) C(m, k) k! (Blasiak et al., Am. J. Phys. 75, 639,
 each (term, k) is one slice-add over the other operand's whole grid: the
 kernel (:func:`_contract`) is one loop that slices as it adds, and a
 stepper sizes g's contractions once, to the largest grid a level below the
-degree limit can have.  While a tower runs, its levels stay trimmed,
+degree limit can have.  When g's coefficients and a level's are each all
+real or all imaginary (its axis), the kernel runs on float64 grids of
+that part alone, the live part, and gives every bit the complex kernel
+gives: the new level lies on the XOR of the two axes, and its zero part
+is +0.0.  While a tower runs, its levels stay trimmed,
 chop-zeroed grids (:class:`_Level`); a level's terms are built when the
 kernel runs over them, and every level becomes a polynomial once, when the
 report is returned, so a tower that overflows builds none.  Every product
@@ -333,36 +337,59 @@ def commutator(a: LadderPolynomial, b: LadderPolynomial) -> LadderPolynomial:
 class _Level:
     """A level t of an adjoint tower, as the kernel keeps it: t's grid trimmed
     to its terms with every chopped entry zeroed, the rows and columns of
-    its terms in row-major order, their coefficients and their count.  t as
-    a polynomial is built only when asked for (:meth:`polynomial`).  A level
-    made from a polynomial (:meth:`of`) has its grid built only if a step
-    needs it."""
+    its terms in row-major order, their coefficients, their count and their
+    axis (:func:`_axis`).  On the real or the imaginary axis the grid and
+    the coefficients are float and hold that part alone, the live part.
+    t as a polynomial is built only when asked for (:meth:`polynomial`),
+    with +0.0 for the part off its axis.  A level made from a polynomial
+    (:meth:`of`) has its grid built only if a step needs it."""
 
-    __slots__ = ("grid", "ms", "ns", "values", "size", "poly")
+    __slots__ = ("grid", "ms", "ns", "values", "size", "poly", "axis")
 
     def __init__(self, grid: np.ndarray, ms: np.ndarray, ns: np.ndarray,
-                 values: np.ndarray):
+                 values: np.ndarray, axis: int):
         self.grid, self.ms, self.ns, self.values = grid, ms, ns, values
-        self.size, self.poly = len(ms), None
+        self.size, self.poly, self.axis = len(ms), None, axis
 
     @classmethod
     def of(cls, p: LadderPolynomial) -> "_Level":
         level = cls.__new__(cls)
         level.grid = level.ms = level.ns = level.values = None
-        level.size, level.poly = len(p._terms), p
+        level.size, level.poly, level.axis = len(p._terms), p, _axis(p)
         return level
 
     def polynomial(self) -> LadderPolynomial:
         """t, its terms in row-major order, built once."""
         if self.poly is None:
+            values = self.values
+            if self.axis == _REAL:
+                values = values.astype(complex)
+            elif self.axis == _IMAGINARY:
+                values = np.zeros(len(values), dtype=complex)
+                values.imag = self.values
             self.poly = LadderPolynomial._canonical(dict(zip(
-                zip(self.ms.tolist(), self.ns.tolist()), self.values.tolist())))
+                zip(self.ms.tolist(), self.ns.tolist()), values.tolist())))
         return self.poly
 
     def degree(self) -> int:
         if self.poly is not None:
             return self.poly.degree
         return int(np.add(self.ms, self.ns).max())
+
+
+#: The axis of a polynomial or level: every coefficient real, every one
+#: imaginary, or neither.
+_REAL, _IMAGINARY, _COMPLEX = 0, 1, 2
+
+
+def _axis(p: LadderPolynomial) -> int:
+    """The axis of p's coefficients; a zero part of either sign is off it."""
+    values = p._terms.values()
+    if not any([c.imag for c in values]):
+        return _REAL
+    if not any([c.real for c in values]):
+        return _IMAGINARY
+    return _COMPLEX
 
 
 #: The zero level, where a tower ends.
@@ -379,18 +406,31 @@ class _AdjointStep:
     derived at each step that runs over them.  A level's terms are built
     only when the kernel runs over them, or to break a tie in
     :func:`_runs_outer`.  Callers step under ``_kernel_errors``.
+
+    When g and t each lie on the real or the imaginary axis, the kernel runs
+    on float grids of their live parts, and [g, t] lies on the XOR of their
+    axes.  That keeps every bit: for such operands each complex product has
+    a live part +-(a * b) and a dead part +-0, a weight w + 0j keeps it
+    so, and the sums start at +0, so the dead part ends at +0.  The i * i =
+    -1 of two imaginary operands, and the negation when the kernel runs over
+    t's terms, fold into the outer coefficients, which negates exactly.
+    Complex arithmetic may leave a nan in the dead part of a coefficient
+    that is not finite, so such a level is stepped again on complex grids,
+    for the error to quote it as they do.  Other operands run on complex
+    grids.
     """
 
     def __init__(self, g: LadderPolynomial):
-        self.g, self.extent = g, _extent(g)
+        self.g, self.extent, self.axis = g, _extent(g), _axis(g)
         self.degree = sum(self.extent) - 2  # bounds g's degree; exact once needed
-        self.g_grid = self.g_terms = self.g_coefficients = None
+        # g's contractions and grid, keyed by whether the kernel runs on
+        # float grids, and its coefficients, by that and their sign
+        self.g_terms, self.g_grids, self.g_coefficients = {}, {}, {}
 
     def __call__(self, t: _Level) -> _Level:
         """[g, t] from a nonzero level t."""
         g = self.g
-        grid = t.grid
-        shape = _extent(t.poly) if grid is None else grid.shape
+        shape = _extent(t.poly) if t.grid is None else t.grid.shape
         # extents bound degrees (m + n <= rows - 1 + cols - 1); the exact
         # degrees are needed only near the limit
         if self.degree + sum(shape) - 2 > MAX_DEGREE:
@@ -400,20 +440,37 @@ class _AdjointStep:
         g_outer = size < t.size if size != t.size else _runs_outer(g, t.polynomial())
         if g_outer is None:
             return _ZERO_LEVEL
+        if _COMPLEX not in (self.axis, t.axis):
+            try:
+                return _level(self._kernel(t, shape, g_outer, True), self.axis ^ t.axis)
+            except ValidationError:
+                pass  # quoted as the complex kernel leaves it, below
+        return _level(self._kernel(t, shape, g_outer, False), _COMPLEX)
+
+    def _kernel(self, t: _Level, shape: tuple[int, int], g_outer: bool,
+                live: bool) -> np.ndarray:
+        """[g, t]'s grid, on float grids of the live parts or on complex ones."""
+        g = self.g
+        g_axis, t_axis = (self.axis, t.axis) if live else (_COMPLEX, _COMPLEX)
+        positive = not (live and self.axis == t.axis == _IMAGINARY)  # i * i = -1
         if g_outer:
-            if self.g_terms is None:
+            if live not in self.g_terms:
                 limit = MAX_DEGREE + 1 - g.degree
-                self.g_terms = [(m1, n1, _contractions(m1, n1, limit, limit))
-                                for m1, n1 in g._terms]
-                self.g_coefficients = _coefficients(g, True)
-            if grid is None:
-                grid = _grid(t.poly, shape)
-            return _level(_contract(self.g_terms, self.g_coefficients, self.extent, grid))
-        if self.g_grid is None:
-            self.g_grid = _grid(g, self.extent)
+                self.g_terms[live] = [(m1, n1, _contractions(m1, n1, limit, limit, live))
+                                      for m1, n1 in g._terms]
+            if (live, positive) not in self.g_coefficients:
+                self.g_coefficients[live, positive] = _coefficients(g, g_axis, positive)
+            grid = t.grid
+            if grid is None or not live and t.axis != _COMPLEX:  # float, stepped again
+                grid = _grid(t.polynomial(), shape, t_axis)
+            return _contract(self.g_terms[live], self.g_coefficients[live, positive],
+                             self.extent, grid)
+        if live not in self.g_grids:
+            self.g_grids[live] = _grid(g, self.extent, g_axis)
         p = t.polynomial()
-        terms = [(m1, n1, _contractions(m1, n1, *self.extent)) for m1, n1 in p._terms]
-        return _level(_contract(terms, _coefficients(p, False), shape, self.g_grid))
+        terms = [(m1, n1, _contractions(m1, n1, *self.extent, live)) for m1, n1 in p._terms]
+        return _contract(terms, _coefficients(p, t_axis, not positive), shape,
+                         self.g_grids[live])
 
 
 def _runs_outer(a: LadderPolynomial, b: LadderPolynomial) -> bool | None:
@@ -442,32 +499,34 @@ def _extent(p: LadderPolynomial) -> tuple[int, int]:
     return max(ms) + 1, max(ns) + 1
 
 
-def _grid(p: LadderPolynomial, extent: tuple[int, int]) -> np.ndarray:
-    """Dense coefficient grid of a nonzero polynomial, given its extent:
-    grid[m, n] multiplies ad^m a^n."""
+def _grid(p: LadderPolynomial, extent: tuple[int, int], axis: int) -> np.ndarray:
+    """Dense coefficient grid of a nonzero polynomial, given its extent, or
+    its part on ``axis``: grid[m, n] multiplies ad^m a^n."""
     grid = np.zeros(extent, dtype=complex)
     for key, c in p._terms.items():
         grid[key] = c
-    return grid
+    return grid if axis == _COMPLEX else (grid.imag if axis == _IMAGINARY else grid.real).copy()
 
 
 @lru_cache(maxsize=None)
-def _weight_row(j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _weight_row(j: int, k: int) -> tuple[np.ndarray, ...]:
     """R(j, x, k) for x = 0 .. MAX_DEGREE, each rounded to a float once, and
-    0 - R(j, x, k) (complex dtype, read-only)."""
+    0 - R(j, x, k), as complex rows and then as float rows (read-only)."""
     scale = math.comb(j, k) * math.factorial(k)
-    row = np.array([float(scale * math.comb(x, k)) for x in range(MAX_DEGREE + 1)],
-                   dtype=complex)
-    negated = np.subtract(0.0, row)
-    row.flags.writeable = negated.flags.writeable = False
-    return row, negated
+    row = np.array([float(scale * math.comb(x, k)) for x in range(MAX_DEGREE + 1)])
+    rows = (row.astype(complex), np.subtract(0.0, row).astype(complex),
+            row, np.subtract(0.0, row))
+    for array in rows:
+        array.flags.writeable = False
+    return rows
 
 
-def _contractions(m1: int, n1: int, rows: int, cols: int) -> list:
+def _contractions(m1: int, n1: int, rows: int, cols: int, live: bool) -> list:
     """The contractions of term (m1, n1) with a rows x cols grid: (k, i, j, W_k)
     for every k >= 1 that reaches the grid, where W_k[m2, n2] = R(n1, m2, k) -
     R(n2, m1, k) and (i, j) are the first row and column of the grid that the
-    block shifted by (m1 - k, n1 - k) can reach.
+    block shifted by (m1 - k, n1 - k) can reach; W_k is float for the float
+    kernel (``live``), complex otherwise.
 
     Past min(m1, n1) one of the two rows vanishes, and W_k is the other row
     alone, kept as a (1, cols) or (rows, 1) array that broadcasts.  Where
@@ -475,32 +534,36 @@ def _contractions(m1: int, n1: int, rows: int, cols: int) -> list:
     ``MAX_DEGREE`` is the exact difference rounded once (see
     :func:`commutator`).
     """
+    row = 2 if live else 0  # _weight_row's float rows follow its complex ones
     out = []
     for k in range(1, max(min(n1, rows - 1), min(m1, cols - 1)) + 1):
         if k > n1:
-            weight = _weight_row(m1, k)[1][None, :cols]
+            weight = _weight_row(m1, k)[row + 1][None, :cols]
         elif k > m1:
-            weight = _weight_row(n1, k)[0][:rows, None]
+            weight = _weight_row(n1, k)[row][:rows, None]
         else:
-            weight = np.subtract.outer(_weight_row(n1, k)[0][:rows],
-                                       _weight_row(m1, k)[0][:cols])
+            weight = np.subtract.outer(_weight_row(n1, k)[row][:rows],
+                                       _weight_row(m1, k)[row][:cols])
         out.append((k, k - m1 if k > m1 else 0, k - n1 if k > n1 else 0, weight))
     return out
 
 
-def _coefficients(p: LadderPolynomial, positive: bool) -> np.ndarray:
-    """p's coefficients in term order (negated when not ``positive``), shaped
-    (terms, 1, 1) to scale a grid once per term."""
-    values = p._terms.values()
-    return np.array(list(values) if positive else [-c for c in values],
-                    dtype=complex)[:, None, None]
+def _coefficients(p: LadderPolynomial, axis: int, positive: bool) -> np.ndarray:
+    """p's coefficients in term order, or their parts on ``axis`` (negated
+    when not ``positive``), shaped (terms, 1, 1) to scale a grid once per
+    term."""
+    values = list(p._terms.values())
+    if axis != _COMPLEX:
+        values = [c.imag for c in values] if axis == _IMAGINARY else [c.real for c in values]
+    return np.array(values if positive else [-c for c in values])[:, None, None]
 
 
 def _contract(terms: list, coefficients: np.ndarray, extent: tuple[int, int],
               grid: np.ndarray) -> np.ndarray:
     """The kernel: the dense grid of [outer, inner] from the outer operand's
     terms as (m1, n1, contractions) in term order, its coefficients
-    (:func:`_coefficients`) and extent, and the inner operand's grid.
+    (:func:`_coefficients`) and extent, and the inner operand's grid, all
+    complex or all float.
 
     Contraction k of term (m1, n1, c) moves grid entry (m2, n2, c2) to
     (m1 + m2 - k, n1 + n2 - k) with the value (c * c2) * W_k[m2, n2]: one
@@ -511,7 +574,7 @@ def _contract(terms: list, coefficients: np.ndarray, extent: tuple[int, int],
     and sum exactly.
     """
     rows, cols = grid.shape
-    out = np.zeros((extent[0] + rows - 2, extent[1] + cols - 2), dtype=complex)
+    out = np.zeros((extent[0] + rows - 2, extent[1] + cols - 2), dtype=grid.dtype)
     for (m1, n1, contractions), scaled in zip(terms, coefficients * grid):
         for k, i, j, weight in contractions:
             if not ((k < rows and k <= n1) or (k < cols and k <= m1)):
@@ -521,11 +584,14 @@ def _contract(terms: list, coefficients: np.ndarray, extent: tuple[int, int],
     return out
 
 
-def _level(out: np.ndarray) -> _Level:
-    """A result grid as a tower level: chopped, checked and trimmed.
+def _level(out: np.ndarray, axis: int) -> _Level:
+    """A result grid on ``axis`` as a tower level: chopped, checked and
+    trimmed.
 
-    The chop drops |c| <= ``CHOP_TOLERANCE`` and zeroes those entries in
-    place, so the trimmed grid holds exactly the level's terms.
+    The chop drops |c| <= ``CHOP_TOLERANCE`` (on a float grid |live|, which
+    is the complex |c| of the live part and a +0 dead part) and zeroes
+    those entries in place, so the trimmed grid holds exactly the level's
+    terms.
     """
     if not out.size:
         return _ZERO_LEVEL
@@ -542,7 +608,7 @@ def _level(out: np.ndarray) -> _Level:
         return _ZERO_LEVEL
     if len(ms) != np.count_nonzero(out):
         out *= keep
-    return _Level(out[: ms[-1] + 1, : ns[ns.argmax()] + 1], ms, ns, out[keep])
+    return _Level(out[: ms[-1] + 1, : ns[ns.argmax()] + 1], ms, ns, out[keep], axis)
 
 
 @_kernel_errors

@@ -8,7 +8,8 @@ is checked against the benchmark's own workload, so a benchmark revision
 cannot leave a pool out of date.  Digests of the exact tower levels (the
 pool's pairs, CSV cells included, and random pairs) and of lone
 commutators in both argument orders pin the kernel's bits where no output
-prints them."""
+prints them, for all-real and all-imaginary operands too, whose levels
+keep +0.0 in the part off their axis."""
 
 import hashlib
 import importlib.util
@@ -19,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncmetro import DegreeOverflowError, ValidationError, commutator, ladder, parse_operator
+from ncmetro import (DegreeOverflowError, LadderPolynomial, ValidationError, commutator, ladder,
+                     parse_operator)
 from ncmetro.cli import main
 from helpers import (ORACLE_POOL, ORACLE_POOL_2, POINT_POOL, TOWER_POOL, blank_columns,
                      random_hermitian_polynomial, random_polynomial, tower_pool_pairs)
@@ -198,3 +200,62 @@ def test_lone_commutators_keep_their_bits():
         _digest_levels(digest, (commutator(a, b), commutator(b, a)))
     assert digest.hexdigest() == (
         "f77bf98355c88d07620050023b97f8390b3ccb2e10553392dc1e703979950b46")
+
+
+def _on_axis(p, axis: int):
+    """p with its coefficients moved onto one axis: their real parts (axis 0)
+    or i times their imaginary parts (axis 1), each zero part +0.0."""
+    return LadderPolynomial({key: complex(c.real, 0.0) if axis == 0 else complex(0.0, c.imag)
+                             for key, c in p.terms.items()})
+
+
+def _axis_pairs(seed: int, count: int):
+    """For each of the four axis pairs (g real or imaginary, h real or
+    imaginary), ``count`` random generic-coefficient pairs (g, h, g's axis,
+    h's axis) with h's terms fewer than g's, as many, and more, so that the
+    kernel runs over h's terms, breaks a tie and runs over g's."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for g_axis in (0, 1):
+        for h_axis in (0, 1):
+            wanted = dict.fromkeys((-1, 0, 1), count)
+            while any(wanted.values()):
+                g = _on_axis(random_polynomial(rng, int(rng.integers(1, 4)), 0.5), g_axis)
+                h = _on_axis(random_polynomial(rng, int(rng.integers(1, 5)), 0.4), h_axis)
+                side = int(np.sign(len(h.terms) - len(g.terms)))
+                if wanted[side]:
+                    wanted[side] -= 1
+                    pairs.append((g, h, g_axis, h_axis))
+    return pairs
+
+
+def _assert_zero_parts_positive(level, axis: int) -> None:
+    # the part off the level's axis is +0.0 in every coefficient, never -0.0
+    for c in level.terms.values():
+        zero = c.imag if axis == 0 else c.real
+        assert zero == 0.0 and not np.signbit(zero), (level, axis)
+
+
+def test_axis_aligned_towers_keep_their_bits():
+    # all-real and all-imaginary operands: every level of a capped tower
+    pairs = _axis_pairs(2403, 3)
+    assert _tower_digest([(g, h) for g, h, *_ in pairs], 12) == (
+        "749f310dac4a0dc2c5252c226bbc5404c906bb708d4293908db058e38de71410")
+    for g, h, g_axis, h_axis in pairs:
+        try:
+            tower = ladder._classify(g, h, 12).tower
+        except DegreeOverflowError:
+            continue
+        for n, level in enumerate(tower[1:], 1):
+            _assert_zero_parts_positive(level, (h_axis + n * g_axis) % 2)
+
+
+def test_axis_aligned_commutators_keep_their_bits():
+    digest = hashlib.sha256()
+    for a, b, a_axis, b_axis in _axis_pairs(2404, 4):
+        forward, backward = commutator(a, b), commutator(b, a)
+        _digest_levels(digest, (forward, backward))
+        _assert_zero_parts_positive(forward, a_axis ^ b_axis)
+        _assert_zero_parts_positive(backward, a_axis ^ b_axis)
+    assert digest.hexdigest() == (
+        "bae121c1416b50406576c878a409a33fd1ffe31c44ae169f5aae19421f553bd2")

@@ -356,13 +356,19 @@ class TestDenseKernel:
             classify_pair(parse_operator(g), parse_operator(h))
 
     def test_overflow_is_a_validation_error_without_warnings(self):
-        a = LadderPolynomial({(2, 0): 1e300, (0, 2): 1e300})
+        # all-real against all-imaginary, and mixed against all-imaginary: the
+        # error quotes the coefficient as complex arithmetic leaves it, a nan
+        # in its zero part included
         b = LadderPolynomial({(1, 0): 1e300j, (0, 1): -1e300j})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for call in (lambda: commutator(a, b), lambda: classify_pair(a, b)):
-                with pytest.raises(ValidationError, match="is not finite"):
-                    call()
+        for a, value in ((LadderPolynomial({(2, 0): 1e300, (0, 2): 1e300}), "(nan+infj)"),
+                         (LadderPolynomial({(2, 0): 1e300 + 1e300j, (0, 2): 1e300 - 1e300j}),
+                          "(nan+nanj)")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for call in (lambda: commutator(a, b), lambda: classify_pair(a, b)):
+                    with pytest.raises(ValidationError) as caught:
+                        call()
+                    assert str(caught.value) == f"coefficient of (0, 1) is not finite: {value}"
 
     def test_weight_cache_holds_rows_not_levels(self):
         # the cache keeps one row per (exponent, k), never a weight per tower
@@ -374,6 +380,53 @@ class TestDenseKernel:
             classify_pair(g, P)
         contractions = sum(max(m, n) for m, n in g.terms)
         assert 0 < ladder._weight_row.cache_info().currsize <= contractions
+
+    @staticmethod
+    def _kernel_dtypes(monkeypatch, g, h):
+        """The (coefficient, grid) dtypes the kernel runs on for g's tower
+        from h, classified afresh, and for the lone commutator [h, g]."""
+        dtypes = set()
+        contract = ladder._contract
+
+        def recording(terms, coefficients, extent, grid):
+            dtypes.add((coefficients.dtype.name, grid.dtype.name))
+            return contract(terms, coefficients, extent, grid)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ladder, "_contract", recording)
+            try:
+                ladder._classify(g, h, ladder.DEFAULT_ADJOINT_CAP)
+            except DegreeOverflowError:
+                pass
+            commutator(h, g)
+        return dtypes
+
+    @pytest.mark.parametrize("g, h", [(f"X^{k}", "P") for k in range(1, 7)]
+                             + [("P", f"X^{k}") for k in range(1, 7)]
+                             + [("X^4", "P^3"), ("0.7*ad^2 + 0.7*a^2", "P")])
+    def test_axis_aligned_pairs_run_on_float_grids(self, monkeypatch, g, h):
+        # every coefficient of g real or every one imaginary, and h's too: the
+        # kernel runs on the nonzero parts alone
+        dtypes = self._kernel_dtypes(monkeypatch, parse_operator(g), parse_operator(h))
+        assert dtypes == {("float64", "float64")}
+
+    def test_mixed_pairs_run_on_complex_grids(self, monkeypatch):
+        complex_grids = {("complex128", "complex128")}
+        assert self._kernel_dtypes(monkeypatch, parse_operator("X^3+P^3"), X) == complex_grids
+
+        def aligned(p):
+            values = p.terms.values()
+            return all(c.imag == 0 for c in values) or all(c.real == 0 for c in values)
+
+        rng = np.random.default_rng(2405)
+        mixed = 0
+        for _ in range(20):
+            g = random_hermitian_polynomial(rng, int(rng.integers(1, 4)))
+            h = random_hermitian_polynomial(rng, int(rng.integers(1, 4)))
+            expected = {("float64", "float64")} if aligned(g) and aligned(h) else complex_grids
+            mixed += expected == complex_grids
+            assert self._kernel_dtypes(monkeypatch, g, h) == expected, (g, h)
+        assert mixed >= 10
 
 
 class TestAdjointPower:
