@@ -11,27 +11,33 @@ returns a fresh normalized amplitude array, and ``switch_protocol`` returns
 the two branches of the switch, each weighted 1/sqrt(2).
 
 A generator is decomposed once per dimension and process: the bounded
-least-recently-used cache of :mod:`ladder`, sized by eigenvector bytes,
-shares each decomposition between a scan's rows and between calls.
+least-recently-used cache of :mod:`ladder`, sized by the bytes each
+decomposition holds, shares it between a scan's rows and between calls.
 A real generator, or one that the diagonal gauge G = diag(i^k) makes real,
 gets a real symmetric decomposition and real mat-vecs; X and P = G X G^dag
-share one.  Finite differences run in the eigen-coordinates of H_lambda,
-where each point is a phase per coefficient.  A scan runs its N values as
-one stack: the probe is prepared (once per descriptor and dimension, kept
-read-only) and projected once, one exponential covers every row, point
-and eigenvalue, and each change of basis is one stacked product whose
-slices keep a lone row's floats.  The passes' overlaps (both passes of a
-``qfi_numeric`` stack in one product), the switch's Bloch vectors and the
-scan edges' top amplitudes are stacked BLAS dots (``np.vecdot``, slice by
-slice the dot of ``np.vdot``; stacked ``(..., 1, D) @ (..., D, 1)``
-products give the same bits at about twice the cost, a conjugated copy and
-a matrix product per slice); each row then takes
-the modulus of its overlaps, its Richardson step and its trust checks, in
-a lone row's order and with a lone row's error texts.  A single query is a
-one-row stack.  The definite-order switch evolves only its measured branch.
+share one.  The oracle keeps its vectors in parity order, the even Fock
+levels and then the odd ones, where a generator of definite photon-number
+parity (X, P and their odd powers are odd; ad^2 + a^2, X^2 and P^2 are
+even) is decomposed as two half-size blocks, by two ``eigh`` or one SVD,
+and each change of basis multiplies half-size blocks.  Finite differences
+run in the eigen-coordinates of H_lambda, where each point is a phase per
+coefficient.  A scan runs its N values as one stack: the probe is prepared
+(once per descriptor and dimension, kept read-only) and projected once,
+one exponential covers every row, point and eigenvalue, and each change
+of basis is one stacked product whose slices keep a lone row's floats.
+The passes' overlaps (both passes of a ``qfi_numeric`` stack in one
+product), the switch's Bloch vectors and the scan edges' top amplitudes
+are stacked BLAS dots (``np.vecdot``, slice by slice the dot of
+``np.vdot``; stacked ``(..., 1, D) @ (..., D, 1)`` products give the same
+bits at about twice the cost, a conjugated copy and a matrix product per
+slice); each row then takes the modulus of its overlaps, its Richardson
+step and its trust checks, in a lone row's order and with a lone row's
+error texts.  A single query is a one-row stack.  The definite-order
+switch evolves only its measured branch.
 
 Trust model: prepared and evolved vectors must keep the population of the
-top Fock level below ``LEAKAGE_THRESHOLD``; finite-difference QFI runs a
+top Fock level |D-1> below ``LEAKAGE_THRESHOLD``, and the check reads that
+level alone, wherever parity order puts it; finite-difference QFI runs a
 second pass at half step and Richardson-extrapolates, flagging the result
 untrusted above 0.5% pass disagreement and erroring above 5%.  A QFI is
 also flagged untrusted when parity keeps the top level empty, since the
@@ -111,15 +117,28 @@ def matrix_of(poly: LadderPolynomial, dim: int) -> MatrixOperator:
 class HermitianEvolver:
     """Cached eigendecomposition of a Hermitian matrix H.
 
-    ``apply(t, vec)`` returns exp(-i t H) vec; reusing the decomposition makes
+    ``apply(t, vec)`` returns exp(-i t H) vec of a Fock-basis vector, and
+    ``unitary(t)`` the matrix exp(-i t H); reusing the decomposition makes
     parameter scans cheap.  A real H, or one that the diagonal gauge
     G = diag(i^k) makes real (G^dag H G has an exactly zero imaginary part,
     as for P = G X G^dag), is decomposed as that real symmetric matrix
     V w V^T, so H = (G V) w (G V)^dag with V real and every mat-vec a real
     product on the complex vector viewed as float pairs; any other H keeps a
-    complex decomposition.  ``project``, ``phases`` and ``lift`` expose the
-    eigen-coordinates, in which evolution is a diagonal phase; they take
-    stacks along leading axes, each slice with the floats of a lone vector.
+    complex decomposition, applied through its real form on float pairs.
+
+    The decomposition runs in parity order, the even Fock levels and then
+    the odd ones, where a generator of definite photon-number parity splits
+    into two half-size blocks: an even H is block diagonal and takes one
+    ``eigh`` per block, and an odd H = [[0, B], [B^dag, 0]] has eigenpairs
+    +-sigma with vectors (u, +-w)/sqrt(2) from one SVD B = U sigma W^dag (at
+    odd dimension U's last column is a zero mode (u, 0)).  Any other H is
+    the one-block case.  The blocks are kept as one stack, the odd levels'
+    padded with a zero level at odd dimension, so that each change of basis
+    is one stacked product.  ``project``,
+    ``phases`` and ``lift`` expose the eigen-coordinates, in which evolution
+    is a diagonal phase; they read and write vectors in parity order and
+    take stacks along leading axes, each slice with the floats of a lone
+    vector.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -128,54 +147,110 @@ class HermitianEvolver:
             raise ValidationError(
                 f"evolution generator not Hermitian (max deviation {drift:.3e})"
             )
+        dim = self._dim = matrix.shape[0]
         self._gauge = None
         if matrix.imag.any():
-            gauge = _gauge(matrix.shape[0])
+            gauge = np.resize(np.array(_I_POWERS), dim)
             rotated = gauge.conj()[:, None] * matrix * gauge
             if not rotated.imag.any():
-                matrix, self._gauge = rotated, gauge
+                matrix, self._gauge = rotated, _gauge(dim)
         self._real = not matrix.imag.any()
-        self._eigvals, self._eigvecs = np.linalg.eigh(matrix.real if self._real else matrix)
-        self._eigvals.flags.writeable = self._eigvecs.flags.writeable = False  # _evolver shares instances
-        self._w_max = float(max(-self._eigvals[0], self._eigvals[-1]))  # max|w|
-        self._minus_iw = _read_only(-1j * self._eigvals)
+        order = np.r_[0:dim:2, 1:dim:2]  # parity order, one copy of the real part if real
+        matrix = (matrix.real if self._real else matrix)[np.ix_(order, order)]
+        even, self._pairs = (dim + 1) // 2, 0
+        if not matrix[:even, even:].any():  # even: the parity blocks are diagonal
+            (w_even, v_even), (w_odd, v_odd) = (np.linalg.eigh(matrix[:even, :even]),
+                                                np.linalg.eigh(matrix[even:, even:]))
+            w, blocks = np.concatenate((w_even, w_odd)), (v_even, v_odd)
+        elif not (matrix[:even, :even].any() or matrix[even:, even:].any()):  # odd
+            u, w, w_dag = np.linalg.svd(matrix[:even, even:])
+            self._pairs = dim - even  # coordinates (+sigma, zero mode, -sigma)
+            u[:, :self._pairs] /= math.sqrt(2.0)
+            blocks = (u, w_dag.conj().T / math.sqrt(2.0))
+        else:
+            w, v = np.linalg.eigh(matrix)
+            blocks = (v,)
+        levels = len(blocks[0])
+        stack = np.zeros((len(blocks), levels, levels), matrix.dtype)
+        for padded, block in zip(stack, blocks):
+            padded[:len(block), :len(block)] = block
+        self._halves = (2, 2 * levels)  # the parts' float pairs, for the fold
+        if self._real:  # each part's float pairs as (levels, 2)
+            self._blocks, self._operand = stack, (len(blocks), levels, 2)
+        else:  # a + ic on each part's float pairs, as one column: [[a, -c], [c, a]]
+            self._blocks = np.empty((len(blocks), 2 * levels, 2 * levels))
+            self._blocks[:, 0::2, 0::2] = self._blocks[:, 1::2, 1::2] = stack.real
+            self._blocks[:, 1::2, 0::2], self._blocks[:, 0::2, 1::2] = stack.imag, -stack.imag
+            self._operand = (len(blocks), 2 * levels, 1)
+        _read_only(self._blocks)  # _evolver shares instances
+        self._adjoint = self._blocks.swapaxes(1, 2)
+        self._padded = len(blocks) * levels > dim
+        if self._padded and self._pairs:
+            w = np.append(w, 0.0)  # the zero mode
+        self._w_max = float(np.abs(w).max())  # max|w|
+        self._minus_iw = _read_only(-1j * w)
+        top = np.zeros(dim, complex)
+        top[_top_slot(dim)] = 1.0
+        # conj of the top level's row of V: <D-1| G V c = vecdot(_top, c) gauge[top]
+        self._top = _read_only(self._change(top, True).copy())
+        self.nbytes = self._blocks.nbytes + self._minus_iw.nbytes + self._top.nbytes
 
     def in_gauge(self) -> "HermitianEvolver":
         """Evolver of G H G^dag that shares this real decomposition of H."""
         twin = copy.copy(self)
-        twin._gauge = _gauge(self._eigvals.size)
+        twin._gauge = _gauge(self._dim)
         return twin
 
+    def _change(self, vecs: np.ndarray, adjoint: bool) -> np.ndarray:
+        """V^dag vecs (``adjoint``) or V vecs, of vectors or coordinates in
+        parity order: one stacked product of the blocks with the parts' float
+        pairs, the odd part padded at odd dimension.  An odd generator's
+        coordinates are its block products folded, (x, y) -> (x + y, x - y):
+        the fold is exact, its own inverse and transpose up to the 1/sqrt(2)
+        that the blocks hold, and at odd dimension it takes the zero mode at
+        the end of x onto y's pad and back."""
+        vecs = np.ascontiguousarray(vecs, dtype=complex)
+        lead = vecs.shape[:-1]
+        if self._padded:
+            vecs = np.concatenate((vecs, np.zeros(lead + (1,), complex)), -1)
+        pairs = vecs.view(np.float64)
+        if self._pairs and not adjoint:
+            pairs = _FOLD @ pairs.reshape(lead + self._halves)
+        pairs = (self._adjoint if adjoint else self._blocks) @ pairs.reshape(lead + self._operand)
+        if self._pairs and adjoint:
+            pairs = _FOLD @ pairs.reshape(lead + self._halves)
+        out = pairs.reshape(vecs.shape[:-1] + (2 * vecs.shape[-1],)).view(complex)
+        return out[..., :self._dim] if self._padded else out
+
     def phases(self, t) -> np.ndarray:
-        return np.exp(np.multiply.outer(t, self._minus_iw))
+        half = np.exp(np.multiply.outer(t, self._minus_iw))
+        if not self._pairs:
+            return half
+        # +sigma, the zero mode's 1, and -sigma as the conjugate of +sigma
+        return np.concatenate((half, half[..., :self._pairs].conj()), -1)
 
     def project(self, vec: np.ndarray) -> np.ndarray:
-        """Eigen-coordinates (G V)^dag vec of a Fock-basis vector."""
-        if self._gauge is not None:
-            vec = self._gauge.conj() * vec
-        if self._real:
-            return _real_times(self._eigvecs.T, vec)
-        return (vec.conj()[..., None, :] @ self._eigvecs)[..., 0, :].conj()
+        """Eigen-coordinates (G V)^dag vec of a vector in parity order."""
+        return self._change(vec if self._gauge is None else self._gauge.conj() * vec, True)
 
     def lift(self, coeffs: np.ndarray) -> np.ndarray:
-        """Fock-basis vector G V coeffs of eigen-coordinates."""
-        out = (_real_times(self._eigvecs, coeffs) if self._real
-               else (self._eigvecs @ coeffs[..., None])[..., 0])
+        """Vector G V coeffs, in parity order, of eigen-coordinates."""
+        out = self._change(coeffs, False)
         return out if self._gauge is None else self._gauge * out
 
     def top_amplitudes(self, coeffs: np.ndarray) -> np.ndarray:
-        """Last Fock amplitude of ``lift`` of each vector of a stack, in O(dim)
-        each."""
-        row = self._eigvecs[-1]
-        top = np.vecdot(row if self._real else row.conj(), coeffs)
-        return top if self._gauge is None else top * self._gauge[-1]
+        """Amplitude of the top Fock level |D-1> in ``lift`` of each vector of
+        a stack, in O(dim) each."""
+        top = np.vecdot(self._top, coeffs)
+        return top if self._gauge is None else top * self._gauge[_top_slot(self._dim)]
 
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        return self.lift(self.phases(t) * self.project(vec))
+        """exp(-i t H) vec of a Fock-basis vector, or of each of a stack."""
+        return _to_fock(self.lift(self.phases(t) * self.project(_to_parity(vec))))
 
     def unitary(self, t: float) -> np.ndarray:
-        u = (self._eigvecs * self.phases(t)) @ self._eigvecs.conj().T
-        return u if self._gauge is None else self._gauge[:, None] * u * self._gauge.conj()
+        """exp(-i t H) in the Fock basis, column by column."""
+        return self.apply(t, np.eye(self._dim)).T
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -183,10 +258,26 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _real_times(matrix: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Real matrix times each complex vector of a stack, as real products on float pairs."""
-    pairs = np.ascontiguousarray(vecs, dtype=complex).view(np.float64)
-    return (matrix @ pairs.reshape(*vecs.shape, 2)).view(np.complex128).reshape(vecs.shape)
+#: The fold of an odd generator's two parts.
+_FOLD = _read_only(np.array([[1.0, 1.0], [1.0, -1.0]]))
+
+
+def _to_parity(vec: np.ndarray) -> np.ndarray:
+    """A Fock-basis vector, or each of a stack, in parity order (the even
+    levels, then the odd ones), as a fresh complex array."""
+    return np.concatenate((vec[..., 0::2], vec[..., 1::2]), axis=-1, dtype=complex)
+
+
+def _to_fock(vec: np.ndarray) -> np.ndarray:
+    """The Fock-basis vector, or stack, of one in parity order."""
+    out, even = np.empty_like(vec), (vec.shape[-1] + 1) // 2
+    out[..., 0::2], out[..., 1::2] = vec[..., :even], vec[..., even:]
+    return out
+
+
+def _top_slot(dim: int) -> int:
+    """Position of the top Fock level |dim - 1> in parity order."""
+    return dim - 1 if dim % 2 == 0 else dim // 2
 
 
 #: i^k for k = 0..3, exact.
@@ -194,11 +285,9 @@ _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 def _gauge(dim: int) -> np.ndarray:
-    """Diagonal of G = diag(i^k); G^dag (ad^m a^n) G = i^(n-m) ad^m a^n.
-    Read-only: evolvers share it."""
-    gauge = np.resize(np.array(_I_POWERS), dim)
-    gauge.flags.writeable = False
-    return gauge
+    """Diagonal of G = diag(i^k), in parity order; G^dag (ad^m a^n) G =
+    i^(n-m) ad^m a^n.  Read-only: evolvers share it."""
+    return _read_only(_to_parity(np.resize(np.array(_I_POWERS), dim)))
 
 
 def _evolver(poly: LadderPolynomial, dim: int) -> HermitianEvolver:
@@ -231,13 +320,15 @@ def _evolver_key(poly: LadderPolynomial) -> tuple[tuple, bool]:
     return tuple(sorted(terms.items())), gauge
 
 
-#: Decompositions as [evolver, gauge twin], bounded by their eigenvector
-#: bytes.  A real generator's take 8 dim^2 (1.3 MB at dim 400), so the few
-#: generators and dimensions a session mixes stay decomposed within 64 MiB,
-#: while large complex ones (16 dim^2, 64 MB at dim 2000) do not pile up.
-#: The floor keeps a scan's two decompositions (X and P share one) at its
-#: dimension and at the retry one, whatever their size.
-_cached_evolver = _BoundedLRU(lambda entry: entry[0]._eigvecs.nbytes, 64 * 2**20, floor=4)
+#: Decompositions as [evolver, gauge twin], bounded by the bytes the
+#: evolver holds.  A real generator of definite parity holds its two
+#: half-size blocks, about 4 dim^2 bytes (0.64 MB at dim 400), a real mixed
+#: one about 8 dim^2, so the few generators and dimensions a session mixes
+#: stay decomposed within 64 MiB, while large complex ones (16 dim^2 mixed,
+#: 64 MB at dim 2000) do not pile up.  The floor keeps a scan's two
+#: decompositions (X and P share one) at its dimension and at the retry
+#: one, whatever their size.
+_cached_evolver = _BoundedLRU(lambda entry: entry[0].nbytes, 64 * 2**20, floor=4)
 
 
 def _evolution_time(n: int, value: float, name: str, w_max: float) -> float:
@@ -268,15 +359,15 @@ def _check_leakage(top: complex, context: str) -> None:
 def prepare_probe(probe: ProbeDescriptor, dim: int) -> np.ndarray:
     """The normalized truncated amplitude vector of a probe descriptor, as a
     fresh array."""
-    return _probe(probe, dim).copy()
+    return _to_fock(_probe(probe, dim))
 
 
 def _probe(probe: ProbeDescriptor, dim: int) -> np.ndarray:
-    """The probe's vector, prepared once per key and kept read-only.  The
-    key holds the descriptor's repr, not the descriptor: descriptors that
-    compare equal can prepare different bits (a real alpha and the same
-    complex one), while the repr keeps every field's type and float bits
-    apart."""
+    """The probe's vector in parity order, prepared once per key and kept
+    read-only.  The key holds the descriptor's repr, not the descriptor:
+    descriptors that compare equal can prepare different bits (a real alpha
+    and the same complex one), while the repr keeps every field's type and
+    float bits apart."""
     return _cached_probe((repr(probe), dim), lambda: _read_only(_prepare(probe, dim)))
 
 
@@ -328,7 +419,7 @@ def _prepare(probe: ProbeDescriptor, dim: int) -> np.ndarray:
         )
     amps = amps / norm
     _check_leakage(amps[-1], "prepare_probe")
-    return amps
+    return _to_parity(amps)
 
 
 # -- finite-difference QFI ----------------------------------------------------
@@ -507,12 +598,13 @@ def _qfi_stack(protocol: EncodingProtocol, ns: list[int], dim: int, step: float)
             end = [exc]
             break
     after_aux = u_g.lift(u_g.phases(times) * u_g.project(probe))
+    top = _top_slot(dim)
     # Eigen-coordinates of h_lambda: evolution is a phase per coefficient,
     # and overlaps, hence the QFI, do not depend on the basis.
     lam_bar, evolver_l, outcomes, live = protocol.lambda_bar, None, [], []
     for i, n in enumerate(ns[:len(times)]):
         try:
-            _check_leakage(after_aux[i, -1], "qfi_numeric (auxiliary block)")
+            _check_leakage(after_aux[i, top], "qfi_numeric (auxiliary block)")
         except LeakageError as exc:
             outcomes.append(exc)
             continue
@@ -562,9 +654,9 @@ def _switch_rows(ns: Sequence[int], xs: Sequence[float], p: float, probe: np.nda
                  both: bool) -> tuple[list, list]:
     """The stack, rows by ``xs``, of exp(-iNxP) exp(-iNpX)|psi> over N of
     ``ns`` (ascending) and, if ``both``, of the opposite order, each weighted
-    1/sqrt(2); and per row None or its LeakageError, the branches checked x
-    by x.  N*x is checked at the largest |x|, and a refused time ends the
-    rows and the list."""
+    1/sqrt(2) and, like the probe, in parity order; and per row None or its
+    LeakageError, the branches checked x by x.  N*x is checked at the
+    largest |x|, and a refused time ends the rows and the list."""
     if ns[0] < 1:
         raise ValidationError("switch protocol requires n >= 1")
     u_p = _evolver(_P, probe.size)  # exp(-i t P), t = N x
@@ -589,7 +681,7 @@ def _switch_rows(ns: Sequence[int], xs: Sequence[float], p: float, probe: np.nda
         for top in tops.ravel():  # x by x
             _check_leakage(top, "switch_protocol")
 
-    tops = np.stack([stack[..., -1] for stack in stacks], -1)
+    tops = np.stack([stack[..., _top_slot(probe.size)] for stack in stacks], -1)
     return ([stack / math.sqrt(2.0) for stack in stacks],
             [_outcome(lambda: leaks(row)) for row in tops] + end)
 
@@ -603,9 +695,9 @@ def switch_protocol(n: int, x: float, p: float,
     relation they differ by the phase N^2 x p, so the control qubit picks up
     the product parameter.
     """
-    stacks, outcomes = _switch_rows([n], [x], p, probe, True)
+    stacks, outcomes = _switch_rows([n], [x], p, _to_parity(probe), True)
     _results(outcomes)
-    return tuple(stack[0, 0] for stack in stacks)
+    return tuple(_to_fock(stack[0, 0]) for stack in stacks)
 
 
 def branch_phase_overlap(n: int, x: float, p: float, probe: np.ndarray) -> complex:

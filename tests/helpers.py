@@ -51,6 +51,8 @@ from ncmetro.fock import (
     _evolver,
     _leakage_check_blind,
     _richardson_qfi,
+    _to_parity,
+    _top_slot,
 )
 from ncmetro.gaussian import _VAR_RESOLUTION, _quadratic, _variance_along
 
@@ -405,15 +407,18 @@ def full_vector_switch_qfi(n: int, x: float, p: float, probe, dim: int, step: fl
 # and the definite order's branch evolved from the probe at every x; the two
 # functions after them wrap them the way ``qfi_numeric`` and ``switch_qfi``
 # do.  Each exp(-i t H) v is written out as ``lift(phases(t) * project(v))``,
-# the floats of ``HermitianEvolver.apply``.  The overlaps, Bloch vectors and
+# the floats of ``HermitianEvolver.apply``, on vectors in the oracle's parity
+# order (even levels, then odd), and the leakage checks read the top level
+# at its place in that order.  The overlaps, Bloch vectors and
 # top amplitudes are the oracle's lone-state routines as they stood before
 # scans took them as stacked products: one ``np.vdot`` or ``@`` per state.
 
 
 def _top_amplitude(evolver, coeffs: np.ndarray) -> complex:
-    """Last Fock amplitude of ``evolver.lift(coeffs)``, in O(dim)."""
-    top = evolver._eigvecs[-1] @ coeffs
-    return top if evolver._gauge is None else top * evolver._gauge[-1]
+    """Top Fock amplitude of ``evolver.lift(coeffs)``, in O(dim): ``_top``
+    is the conjugated row of the top level in the evolver's eigenvectors."""
+    top = np.vdot(evolver._top, coeffs)
+    return top if evolver._gauge is None else top * evolver._gauge[_top_slot(coeffs.size)]
 
 
 def _overlap_qfi(center: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> float:
@@ -440,11 +445,11 @@ def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float)
 
 
 def _qfi_numeric_once(protocol, dim: int, step: float):
-    probe = prepare_probe(protocol.probe, dim)
+    probe = _to_parity(prepare_probe(protocol.probe, dim))
     n = protocol.n_applications
     evolver_g = _evolver(protocol.h_g, dim)
     after_aux = evolver_g.lift(evolver_g.phases(n * protocol.g_bar) * evolver_g.project(probe))
-    _check_leakage(after_aux[-1], "qfi_numeric (auxiliary block)")
+    _check_leakage(after_aux[_top_slot(dim)], "qfi_numeric (auxiliary block)")
     # Eigen-coordinates of h_lambda: evolution is a phase per coefficient,
     # and overlaps, hence the QFI, do not depend on the basis.
     evolver_l = _evolver(protocol.h_lambda, dim)
@@ -478,8 +483,8 @@ def _switch_states(n: int, p: float, probe: np.ndarray):
         phases = u_p.phases(n * x)
         branch_ab = u_p.lift(phases * after_x)
         branch_ba = u_x.lift(u_x.phases(n * p) * u_x.project(u_p.lift(phases * before_x)))
-        _check_leakage(branch_ab[-1], "switch_protocol")
-        _check_leakage(branch_ba[-1], "switch_protocol")
+        _check_leakage(branch_ab[_top_slot(probe.size)], "switch_protocol")
+        _check_leakage(branch_ba[_top_slot(probe.size)], "switch_protocol")
         return branch_ab / math.sqrt(2.0), branch_ba / math.sqrt(2.0)
 
     return state_at
@@ -498,7 +503,7 @@ def _definite_states(n: int, p: float, probe: np.ndarray):
     def state_at(x: float) -> np.ndarray:
         after_x = u_x.lift(u_x.phases(n * p) * u_x.project(probe))
         branch_ab = u_p.lift(u_p.phases(n * x) * u_p.project(after_x))
-        _check_leakage(branch_ab[-1], "switch_protocol")
+        _check_leakage(branch_ab[_top_slot(probe.size)], "switch_protocol")
         return branch_ab / math.sqrt(2.0) * math.sqrt(2.0)
 
     return state_at
@@ -520,7 +525,7 @@ def per_row_switch_qfi(n: int, x: float, p: float, probe=None, dim: int = 80,
     """``switch_qfi`` over the per-row ``_switch_states``, or in definite
     mode over the per-row ``_definite_states``."""
     assert mode in SWITCH_MODES
-    probe_vec = prepare_probe(probe or ProbeDescriptor.vacuum(), dim)
+    probe_vec = _to_parity(prepare_probe(probe or ProbeDescriptor.vacuum(), dim))
     if mode == "definite":
         return _richardson_qfi(_overlap_passes(_definite_states(n, p, probe_vec), x),
                                step, dim, "switch QFI")
@@ -718,111 +723,112 @@ def blank_columns(text: str, names=("cfi", "ratio_cfi_qfi")) -> str:
 #: engine's, not the oracle's).  Recorded while every row still prepared and
 #: projected its own probe and the Gaussian engine ran on numpy; the fig3
 #: digests re-recorded when closed-tower generators became e^x/e^-x splits
-#: (their qfi_gaussian cells moved in the last bits).
+#: (their qfi_gaussian cells moved in the last bits), and every digest when
+#: the oracle took parity blocks (its Fock cells moved in the last bits).
 ORACLE_POOL = [
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '80', '--mode', 'definite'], 0,
-     "a7871c5ed45a1e64f4e4d3ff7a72fd5578fd36fe03f24092c92fca9f295ae6f6"),
+     "73b922b730a5a926f1dca5174b9f8c72fe3dd83209d847d91d101794d885f247"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'joint'], 0,
-     "ffc47ad41c1a5667814d666ab0d7cadb942a76f0eb0d475d42890e5e395ef44e"),
+     "da8a2ab95c54a9677244afee85ecd6140db866286aab1f3866750c6d016c4f10"),
     (['fig3', '--N', '1..12', '--xi', '0.05478421329111705', '--alpha', '0.058489196250636144',
       '--dim', '140'], 0,
-     "1ec6308ac78eb6a770e7286548c18785a4c891757be0bbcf89c9688438310b3b"),
+     "c6267f70cb30c545e09aa5a9608e0aff740fa9811d6292bf7739c25128f0a281"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '110', '--mode', 'joint'], 0,
-     "3f9a212b67495c32295e1bf4dcfe4cd45bef96bc52d60333db8663d54d1bd6cf"),
+     "eb8349f8165587ae15bad6bc300271b99b12451ad9fb048b8953c687b1d2ac87"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'control'], 0,
-     "4e35e6054ca995e8c14eab588aef152ecaa50562323b342c865bbc00564a545b"),
+     "11e36ef0a9391969060ca820fc39c05becc097fa7aa53923b6e073944ee2a423"),
     (['fig3', '--N', '1..12', '--xi', '0.09522088189684784', '--alpha', '0.05635785300768742',
       '--dim', '140'], 0,
-     "95408998295b98406ae62de7c7fc00121c6ee099c9e7bf6ec07ec8ebdb4abcf9"),
+     "71a54a514bc7a13175731a048e0e8e5c8822754ed0a29bf35512c06eaa5ec8cd"),
     (['fig3', '--N', '1..12', '--xi', '0.05779300492379055', '--alpha', '0.19829790306031891',
       '--dim', '80'], 0,
-     "d02387f321dfd3d30297f5a758a9be4b4682704edeca09c4e18cdd386403b38f"),
+     "66716d8caf05bf1c488ab58915c755c7d7ab1f519cba54091d522deb623558de"),
     (['fig3', '--N', '1..12', '--xi', '0.09897310442419215', '--alpha', '0.4975887965498427',
       '--dim', '140'], 0,
-     "ea25001b6cb9b1f8a61e3899565ba1a9f833b5f71087b86974aa5c0281cfd564"),
+     "df01e1989c2d260e08a76399d513fc1530350e8351ff9ca79ed791523c75115a"),
     (['fig3', '--N', '1..12', '--xi', '0.0723035402216447', '--alpha', '0.19893663594015332',
       '--dim', '140'], 0,
-     "2f98a722545ef587ccc4eb677fce59c48c573b8c14d0ebe4120616f8a96596e5"),
+     "c4d6743b0bf061de8ec1332edc6d08ca51f70ecb0dcd2a26d92dc69ccabb4779"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'definite'], 0,
-     "3e3b44e1466c1545b0b5385d3d31c687dcf5cf96262d49d50aca118f4b3b203b"),
+     "11df18c93e98017cfc26ecc74b1c7a28b97c15b137855bb5918f3882da862796"),
     (['fig3', '--N', '1..12', '--xi', '0.062871136984877', '--alpha', '0.293187459999862',
       '--dim', '110'], 0,
-     "37a166dcef70a216ad1f38f6bb393a866af0676ca055b1cabaf08370fdd0274e"),
+     "94f75fc33bb1bab8da2f6ee5666f2baadf710f1c928793df02e1745d82c229a7"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'control'], 0,
-     "4e35e6054ca995e8c14eab588aef152ecaa50562323b342c865bbc00564a545b"),
+     "11e36ef0a9391969060ca820fc39c05becc097fa7aa53923b6e073944ee2a423"),
 ]
 
 #: The oracle-scans pool's other commands: seed 7919, round 0, and seed 1,
 #: round 1, whose x and xi carry the 1e-9 jitter.  Entries as in
 #: ``ORACLE_POOL``, recorded while each scan still ran its oracle one row at
-#: a time; the fig3 digests re-recorded as in ``ORACLE_POOL``.
+#: a time; the digests re-recorded as in ``ORACLE_POOL``.
 ORACLE_POOL_2 = [
     (['fig3', '--N', '1..12', '--xi', '0.05365472351548517', '--alpha', '0.07508514729672061',
       '--dim', '110'], 0,
-     "6eb21985bc9bf44dc7baafdd915bcc82fe096885388ed4e5cf62e7aaaaa90d85"),
+     "96d0530dfebae8028578f92b7ee1528528ad2c26f1433f042d81004a18573253"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'definite'], 0,
-     "9084103090a20326de82fca1318219a3a9cd583281a4f1b24c85c5e795684e05"),
+     "4aba57667b869f349610d034cce2c90583aec3ecef0dd61ade5d57825d6c4813"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'definite'], 0,
-     "3e3b44e1466c1545b0b5385d3d31c687dcf5cf96262d49d50aca118f4b3b203b"),
+     "11df18c93e98017cfc26ecc74b1c7a28b97c15b137855bb5918f3882da862796"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'control'], 0,
-     "4e35e6054ca995e8c14eab588aef152ecaa50562323b342c865bbc00564a545b"),
+     "11e36ef0a9391969060ca820fc39c05becc097fa7aa53923b6e073944ee2a423"),
     (['fig3', '--N', '1..12', '--xi', '0.057806997785026126', '--alpha', '0.40316864591585555',
       '--dim', '140'], 0,
-     "1919ddd2e2d13d061600c22578adae4d638d6dff048b5bdfe586dbe2fce4563a"),
+     "952b5a94b7586a8cd5e4863306f567316b94746ff5539ff81df9936186bc83a4"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '110', '--mode', 'joint'], 0,
-     "3f9a212b67495c32295e1bf4dcfe4cd45bef96bc52d60333db8663d54d1bd6cf"),
+     "eb8349f8165587ae15bad6bc300271b99b12451ad9fb048b8953c687b1d2ac87"),
     (['fig3', '--N', '1..12', '--xi', '0.05459252422466936', '--alpha', '0.4055282788782957',
       '--dim', '140'], 0,
-     "f14766ce0a750d9924904ceba8ce523f32be0b0e9451f11e7cf64a694a831b50"),
+     "05cc271799380fa072c8c5db8ddd5d0261de8c295db5ccf223ef49ed271c8cdb"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'joint'], 0,
-     "ffc47ad41c1a5667814d666ab0d7cadb942a76f0eb0d475d42890e5e395ef44e"),
+     "da8a2ab95c54a9677244afee85ecd6140db866286aab1f3866750c6d016c4f10"),
     (['fig3', '--N', '1..12', '--xi', '0.09327499615237893', '--alpha', '0.20132729213847672',
       '--dim', '80'], 0,
-     "42de1815299bde6238e5a7f1a4396732fd826c5a3b2cbed99aa10d98cc04a47e"),
+     "d769b61df69850c21dd599b28d942b53ebc94a1a4a38b4d3e4ec740eaadfc2d8"),
     (['fig3', '--N', '1..12', '--xi', '0.06670522480187428', '--alpha', '0.48735330546950933',
       '--dim', '140'], 0,
-     "dd8d4e211241794c24ea518088b10594facab280b37189149df3dfef742b7771"),
+     "6432680c3c7bf956cb0928b18efab470401c73b7d09aa8a8a2016d90e42f52f2"),
     (['fig3', '--N', '1..12', '--xi', '0.09763047957971971', '--alpha', '0.09860409460095854',
       '--dim', '140'], 0,
-     "c37218064f9505ddf458367d6deba7b84b3d4185a4ca7353043d48308daa67f4"),
+     "a7e4eb4c2717c13383681f0f3f48fb65b806fc55ef89e6b5b6b1090423036fea"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '80', '--mode', 'control'], 0,
-     "799e8a1d61d443d5827f7814e0fd2d52c08fcdbeaced7438a172362f20113622"),
+     "dbfe2d1ef5801f549cb4e3d299f411da372906fa15a4721093ebcdd526e8f4de"),
     (['fig3', '--N', '1..12', '--xi', '0.09522088199206873', '--alpha', '0.05635785300768742',
       '--dim', '140'], 0,
-     "d763d292aa78c17a8bb26a20f286a38e47d1aec35c7ec48838729fa2a45026fa"),
+     "943c10a5df732c361451baf375ede8c3031004551da7411004c979c4e94ba07c"),
     (['fig3', '--N', '1..12', '--xi', '0.05478421334590127', '--alpha', '0.058489196250636144',
       '--dim', '140'], 0,
-     "041bf5131baf9633a5a327a37512c973b59d08668e0fb55745dedb12e4756347"),
+     "8d4e2c5ae81bcaa4454193ec90707e08e5bf356acdf84b35c25685881866dde3"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '80', '--mode', 'definite'], 0,
-     "ea7e53e09db8d2ffd761ec83815d7be98c9b76ddd6219a80cc604ded3b2d1114"),
+     "891dce70c3e5a2f46f126ae977b72513496b0961bfa2696f44a9f676e97dc3dd"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '200', '--mode', 'control'], 0,
-     "995bed9a0709ea0b01526468706ad02670a62fcb1e3f0a8f67de6762e9f3db8b"),
+     "f48a114740f124a02e72e79634576b8fdbea9721a5efc58d4154860a92fa3564"),
     (['fig3', '--N', '1..12', '--xi', '0.06287113704774813', '--alpha', '0.293187459999862',
       '--dim', '110'], 0,
-     "7aee0f8b477ec559aeb76d076a1002c55d109aa106777e5f4dac5e426c815878"),
+     "d4b4ea9b983407f0cd0e4031b13f219eb7de99280c74a79024542b00a5e3db82"),
     (['fig3', '--N', '1..12', '--xi', '0.05779300498158356', '--alpha', '0.19829790306031891',
       '--dim', '80'], 0,
-     "9470bbf5dd1760e05c038a2e6c3e54e220677063e6c64ffb60f8dc7bccf371ff"),
+     "e075ed19efaafe3f9ddf639667533a4485072468b23412e320a6ddbd0aacac6a"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '170', '--mode', 'joint'], 0,
-     "31c54fe9d1ae36d629908b09c3eddcbf79f46d44117f07f2650019225bf975e4"),
+     "77d3ab55cb34c14a6b285c5e44bf0932b642daae9e3a0a6dba4286080db64157"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '200', '--mode', 'control'], 0,
-     "995bed9a0709ea0b01526468706ad02670a62fcb1e3f0a8f67de6762e9f3db8b"),
+     "f48a114740f124a02e72e79634576b8fdbea9721a5efc58d4154860a92fa3564"),
     (['fig3', '--N', '1..12', '--xi', '0.09897310452316525', '--alpha', '0.4975887965498427',
       '--dim', '140'], 0,
-     "fa06fde874e543a9434a56e3e6b111139975ae071b2cc8c16143ee076e9fb7f9"),
+     "7f18df2ba2c2cd7719240a828cb7f81239b53bca287ab19b802edc80ba2647eb"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '170', '--mode', 'definite'], 0,
-     "d0be1a07823d7d6eeac8e3b74d5846c9a280623bf628681461308a8542d0233e"),
+     "3f5f271c6295341ed9f8e925b0b550894fe2f687c6c468d01ad5126919651992"),
     (['fig3', '--N', '1..12', '--xi', '0.07230354029394825', '--alpha', '0.19893663594015332',
       '--dim', '140'], 0,
-     "891b71bbd880d86885ab7807621c6763cb15b8ac93f44f2e62cbdee140d780fb"),
+     "ee0fbf1fcd42faf54140c90303008c26084b5c9070e30f54b9fbbd78a5c9aa70"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '110', '--mode', 'joint'], 0,
-     "d624526df4dfe8dffbb03ff80031cb19e85eba5b2243f671778ad5f9a0bee6b4"),
+     "eb1413507ec478fa5d81fea6ed8a8391c27ef968028ba97f3873616409882631"),
 ]
 
 
@@ -837,7 +843,9 @@ ORACLE_POOL_2 = [
 #: a Fock QFI marked trusted that is wrong (ROADMAP item 2); it is pinned as
 #: it is, and is re-recorded with the fix.  The squeeze-inf ``generator``,
 #: Gaussian ``qfi`` and ``example1`` cells were re-recorded when
-#: closed-tower generators became e^x/e^-x splits (last bits moved).
+#: closed-tower generators became e^x/e^-x splits (last bits moved), and
+#: the Fock ``qfi`` cells when the oracle took parity blocks (last bits
+#: moved).
 POINT_POOL = [
     (['qfi', '--preset', 'shear-k1', '--N', '11', '--aux', '0.2872671728892704', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 3,
@@ -846,11 +854,11 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.16623111063471216', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "4bdf63f8b75f2101263d3a778299c3247d3683caaec5cf593848974a2743083c",
+     "4975e52810dab229ef4974bb200e3b13cb8861f0590cd82b97f7f24eed78e4de",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '10', '--aux', '0.22809262330411978', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 0,
-     "bd8953ddf8c4a003aaa3f93aa376d23d5ae9ba99d7f06d6d3d5c1ed8fff54510",
+     "e86da0f1241c49540ee9affc16a2c91187cc0babb738d9dc994a45ccac0a7d0f",
      ""),
     (['generator', '--preset', 'shear-k1', '--N', '3', '--aux', '0.05547456410175743'], 0,
      "54bef4cfec7362e92ec333f773361b3eac876f226a834b5372dd445492a2f529",
@@ -860,23 +868,23 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'xp-constant', '--N', '12', '--aux', '0.149866896968619', '--lam',
       '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "e7aed66e98671725a8b5909e3fe97a2017fd89132875c038256b2f94b4c0f15d",
+     "9f729d650dc2431ae8f0d7a78520e6610007cb3005f72e876f0f915855006a66",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '8', '--aux', '0.05694351632362723', '--lam',
       '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "1716ae98aac1744a0a48721ffcc11da87df163a891d4ae3d5534315892f3bb99",
+     "fa2e67dee4a1064b4fbd3544bb5535fe3f5b72c8bc69fcd6260724945e0a2ea9",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '12', '--aux', '0.26255369300804726', '--lam',
       '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "f8bcf85f0e3700c431f1170405c08954d5e89af3f87288c2aae4b99b91dcf665",
+     "eb7a260ebf59f561ed715636cb7b070929302d725c4792a14f17f4098a17cbba",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '7', '--aux', '0.06816389775850713', '--lam',
       '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "53b04e1534605079ce09d8bb1a4e0e1de61d98041527f225eb75b8f5656d364b",
+     "17298b62713e360d9d3c2aa3f692cdc680d02783b77b3f908f49d0fb577c064e",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '9', '--aux', '0.14770349612663988', '--lam',
       '0', '--step', '1e-4', '--engine', 'both'], 0,
-     "d7b53f4d9d4e71330fa3e6b701773db5f84221cf8a978b48947a17703860ff11",
+     "63867758e4612c9940e57dc6451cb6010f8fd283fc8758a45f18a121018d3323",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '12', '--aux', '0.26363418792863974',
       '--lam', '0', '--step', '1e-4', '--engine', 'both'], 3,
@@ -888,7 +896,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.19904548683883266', '--lam',
       '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "7d0d4fbed44c2d84952db281366d78f75c5ec555d19da2702795a1db6c86fc31",
+     "2a176260bd9f881db75a2339b7b553f5691fe1cbf7bb042da8f2be8801ef1804",
      ""),
     (['dvbound', '--pair', 'qutrit', '--N', '1..38', '--gbar', '0.26604118161710794',
       '--format', 'json'], 0,
@@ -905,7 +913,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'xp-constant', '--N', '11', '--aux', '0.2772172852453678', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 0,
-     "2ff1620f4d4dc326fe13be6d13a1afbb7825dfd786f34709daf759a126a6053d",
+     "2d6f8db63cdf28d3d36dd5da9e6215046ff4e3dfe5a0b11a10342c0a8cae9112",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '9', '--aux', '0.2525944683032009', '--lam',
       '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 3,
@@ -914,7 +922,7 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.06073841203833418', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "57fbcb3bb0c7bda483ca9d046b88655be113b142a4307868f96265b6af71e193",
+     "cc0fb3713b2ef9bc5e244481204e55ee953190d4c4072dcf4dba2b8bcc4ab849",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.2834885031101344', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 3,
@@ -923,11 +931,11 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'shear-k1', '--N', '9', '--aux', '0.2536946646354327', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "ba7736bb86f0f67b017e083b1e3b2fdb855e16551c08c0795b28cefb48172eef",
+     "78ed0adffea6333b4252cf49c542033e39b3dc9a3418e06aaaa2d69e9fccf7a3",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '12', '--aux', '0.1090530354729455', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "64ee3ebdb8dc28fc7593938f51c3f801665b8e9855c9bb3a07eb12984107389b",
+     "bd27ec6f0ca3287b45a961b52ca2ab4456dc26d5f222df6ba9bf38081e91af3d",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '12', '--aux', '0.26040260397232273', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 3,
@@ -936,7 +944,7 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.05818581289756403', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "0340a2d9021fbd5aabf56ff4144f6c9d3913f474443474f56e132d629abfc347",
+     "b3aa29c895460a64431201cc8e55b14858c5430683d839db301161aec50fc294",
      ""),
     (['fig2b', '--N', '18,24', '--kmax', '33', '--format', 'json'], 0,
      "b95675bbbb4f36805dbac078f231e56362d9ba2e9191b932267e4804b57d73f1",
@@ -950,18 +958,18 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '12', '--aux', '0.18750982686822806', '--lam',
       '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "2b0dd991a37c23a0fbd3eae035b587045a4ed473322580133345b3ded2e3541a",
+     "5584cf3ea9412679cd741efb95795ab1dbbd83782849cfa82ed87fd1472eadcb",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '9', '--aux', '0.24580559648335557', '--lam',
       '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "f1c3d6e13335e5ee885fef502027775278530c50243c690bf2a48c71bc79da02",
+     "7f6ea32f99fd49e9337561176b7e42aa55edb8a2825780face7fd5085a620b1d",
      ""),
     (['example1', '--preset', 'xp-constant', '--N', '8..38', '--s', '0.25243101236714105'], 0,
      "c3f139ec0d3d3b03515639112912326c474a5faeb5f5ad7b8e38ded76debd32a",
      ""),
     (['qfi', '--preset', 'xp-constant', '--N', '8', '--aux', '0.040911087162807544',
       '--lam', '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "c2a1050a7cbc7f1217b2cb6f4638832e7c59de44e30087fedf60220cc1e27074",
+     "283b8af922e8d0e7fa5709c08b1782608e98d9472b14cc2bca6f3d70f05b3750",
      ""),
     (['example1', '--preset', 'shear-k1', '--N', '8..23', '--s', '0.24495247586526248',
       '--format', 'json'], 0,
@@ -969,11 +977,11 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '7', '--aux', '0.19127957392259023', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "4f81df190604bbbe89b297d610bc4a6aa03696e08e28889348a09636cb9aa04d",
+     "70019ee26e53d3f630cebd889a6728e75e403c75a021eb3ddbf122cdcf61cbaa",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '10', '--aux', '0.13842255405494638', '--lam',
       '0', '--step', '1e-5', '--engine', 'both'], 0,
-     "0821751d2e3fd559799012b11c80c368bc41182a31a312513aff362f68f053e7",
+     "a5842d29a24bb5207550fa5216743c4b6f8c8263c947394aa6455a4815612856",
      ""),
     (['generator', '--preset', 'squeeze-inf', '--N', '1', '--aux', '0.26013147868174713'], 0,
      "2a5cf4669c132eedc9d8b5d4c31ca77fe8dc7e7289df43ae21a016e3c2bbc139",
@@ -985,18 +993,18 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '11', '--aux', '0.2982351017262083',
       '--lam', '0', '--step', '1e-4', '--engine', 'both'], 0,
-     "3d049c383b932e402c346021c330184f2ce2e2cd310ad08a5efe504ef029d9a0",
+     "1a3a7edc677dc6da719d3b70ad3b7ff1672ed5db1c9967643ba0a3e18b5048f2",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '9', '--aux', '0.2496027651485496', '--lam',
       '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "fb252a2067809d1a6ccf338a4803bc8368b4207d283618dc78462e91089e12ee",
+     "98ad5287d1d015ae5e082196a231d5f2baf5ce51df0780007833cf55d7f422ff",
      ""),
     (['fig2b', '--N', '1,19,22,23', '--kmax', '28'], 0,
      "0c74ece47241bc174e1ddf3d50c0e249e3c5d824665e8e6f03474ebec4a7cc22",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '4', '--aux', '0.12090203789971098', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "5031b927dc009a86376a309293398069cb93d63451dd3525e264405d442ec645",
+     "cba058c061667bba89b9fb9618bf521a0d666de3e5e3b15dfacd95d0d690bc7d",
      ""),
     (['example1', '--preset', 'squeeze-inf', '--N', '8..46', '--s', '0.0668227589665487',
       '--format', 'json'], 0,
@@ -1004,14 +1012,14 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '7', '--aux', '0.19528976095946415', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "ce88709552a9fe660f868a97b47f6f4b5c02b11123a7cef2bbf12ebc42a34038",
+     "217b4226e7a322bf9349d7e7a9b7b711abffad8d6fcb3484ce0a720853563883",
      ""),
     (['fig2b', '--N', '5,6,19', '--kmax', '27', '--format', 'json'], 0,
      "777750580e0e585ac0f39206a5e7ae6363690f0558fbb2f432cfdfa7cc9f9065",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.060349575077261866',
       '--lam', '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "e7011a14a2f579af145cfcc4e66f42ee24bb7c69058007d5bb7c98bb0933e320",
+     "eb5b3acf7aadfa6fde9d16b23a47ffaa807607fc25d65e4e54b847201c9b807c",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '11', '--aux', '0.2868323347323185', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 3,
@@ -1020,27 +1028,27 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '5', '--aux', '0.26509039882544266', '--lam',
       '0', '--step', '1e-4', '--engine', 'both'], 0,
-     "a62ca5fdbc385e0e3e0eeba00e8db5db4caa06f217fe81143797e08752e7e76f",
+     "1d1252583b10291bb9e944b1d9acd8d2163510e0243c6d938d09cec006a00d12",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '10', '--aux', '0.25', '--lam', '0',
       '--step', '1e-5', '--dim', '80', '--engine', 'both'], 0,
-     "2bf98d11c32728ad361ff76c3eaab561ad16f1bdac3d74b76f98a36729dd1f49",
+     "831597f2408adfa805c48d6e2624d4cfe5e3e5b441617fc0a46ddfc6bbbdb505",
      ""),
     (['qfi', '--preset', 'xp-constant', '--N', '10', '--aux', '0.15164451761993963',
       '--lam', '0', '--step', '1e-5', '--engine', 'both'], 0,
-     "512f6432190dff243b28a13c7d96ad6311536d4a88ff0765b75e3157e5bf8fff",
+     "6fd7bc5c95a92b3c3f458ce526b7d09b21cb49934cada331636e8a758e57309d",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '11', '--aux', '0.2893123801696813', '--lam',
       '0', '--step', '1e-5', '--engine', 'both'], 0,
-     "c8f1215446533d07a13f4825418da98cb3c1d4126fed9cb9d06d9e48f6bead7f",
+     "33805ee46d949bdad7aaa3b997630be26ec70d115cd31696aa1cc01c90caed75",
      ""),
     (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '6', '--aux', '0.13829571963275675',
       '--lam', '0.1', '--step', '1e-5', '--engine', 'both'], 0,
-     "25121b8ce29ddec608f6a602f283446b5050b35d978463a188a2b730aa72e0ac",
+     "5bf9fa8e25f2a85fd60cbf3674749c314a7783e311e588aab5fcc3dd975edf23",
      ""),
     (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '12', '--aux', '0.2786646742010518',
       '--lam', '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "73b484ea30616adc081367228d0edf4c9934ca56302b574f88758baab4d95763",
+     "1dd9be2173bfaeb3eff6a546672e2dde829ccac19a2624cf09354aac1ba657bf",
      ""),
     (['example1', '--preset', 'shear-k1', '--N', '8..60', '--s', '0.190200355195341',
       '--format', 'json'], 0,
@@ -1048,7 +1056,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '4', '--aux', '0.11245307624563024', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 0,
-     "1a0d9d763e35c9f347693ad7f0d3809b3b8ce596fa3c2a05f45adaf8c3f8610f",
+     "6c8b5931fb5c29401180878fde6a4a42c0287250d4beb4c3cbc364db3ea5eb81",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '10', '--aux', '0.22762015865434093',
       '--lam', '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 3,
@@ -1066,7 +1074,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '9', '--aux', '0.24320555754470125',
       '--lam', '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "1b571d4c2c153ca7387cbc6da84485473ca664c7cffd9eed820f890e8fdd1b83",
+     "316339f851caafad3ee9918bc0b1b746d6d452ad056612ef5e5131ed84f7b55e",
      ""),
     (['generator', '--preset', 'shear-k1', '--N', '8', '--aux', '0.1923952439985261'], 0,
      "ccd7febcc40dfaf26d7d85556121856dba0a5941b38ab3a580228b2675a95db1",

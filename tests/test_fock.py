@@ -350,6 +350,44 @@ class TestEigenCoordinatePaths:
                         assert np.abs(evolver.apply(t, vec) - reference(t) @ vec).max() <= 1e-12
                         assert np.abs(evolver.unitary(t) - reference(t)).max() <= 1e-12
 
+    @pytest.mark.parametrize("dim", [8, 9, 17, 80, 81, 160])
+    def test_parity_blocks_match_one_complex_eigh(self, dim):
+        # even generators take two eigh blocks, odd ones one SVD (a zero mode
+        # at odd dim), mixed and random complex ones one block; P and its
+        # cube are the gauge twins of X and X^3
+        rng = np.random.default_rng(dim)
+        squeeze = ladder_term(2, 0) + ladder_term(0, 2)
+        odd = LadderPolynomial({key: c for key, c in random_hermitian_polynomial(
+            rng, max_degree=3).terms.items() if sum(key) % 2} or {(1, 0): 1j, (0, 1): -1j})
+        even = LadderPolynomial({key: c for key, c in random_hermitian_polynomial(
+            rng, max_degree=4).terms.items() if sum(key) % 2 == 0})
+        families = [(squeeze, "even"), (X * X, "even"), (P * P, "even"), (even, "even"),
+                    (X, "odd"), (P, "odd"), (X * X * X, "odd"), (P * P * P, "odd"), (odd, "odd"),
+                    (X * X * X + P * P, "mixed"),
+                    (random_hermitian_polynomial(rng, 3) + X + X * X, "mixed")]
+        for poly, parity in families:
+            matrix = matrix_of(poly, dim).matrix
+            reference = eigh_evolution(matrix)
+            spectrum = np.abs(np.linalg.eigvalsh(matrix)).max()
+            for evolver in (HermitianEvolver(matrix), fock._evolver(poly, dim)):
+                assert (len(evolver._blocks), bool(evolver._pairs)) == {
+                    "even": (2, False), "odd": (2, True), "mixed": (1, False)}[parity], poly
+                assert evolver._w_max == np.abs(evolver._minus_iw).max()  # max|w|, any order
+                assert evolver._w_max == pytest.approx(spectrum, rel=1e-12)
+                for tau in (0.7, -3.1):
+                    t = tau / max(spectrum, 1.0)
+                    vecs = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+                    vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+                    want = vecs @ reference(t).T
+                    got = evolver.apply(t, vecs)
+                    assert np.abs(got - want).max() <= 1e-12, (poly, dim)
+                    assert all(np.array_equal(evolver.apply(t, vec), row)
+                               for vec, row in zip(vecs, got))  # a lone row's floats
+                    coeffs = evolver.phases(t) * evolver.project(fock._to_parity(vecs))
+                    assert np.array_equal(fock._to_fock(evolver.lift(coeffs)), got)
+                    assert np.abs(evolver.top_amplitudes(coeffs) - want[:, -1]).max() <= 1e-12
+                    assert np.abs(evolver.unitary(t) - reference(t)).max() <= 1e-12
+
     def test_qfi_numeric_matches_full_vector_reference(self):
         rng = np.random.default_rng(7)
         outcomes = set()
@@ -412,22 +450,36 @@ class TestEigenCoordinatePaths:
 
 
 @pytest.fixture
-def eigh_sizes(monkeypatch):
-    """Dimension of every ``np.linalg.eigh`` call made during the test."""
-    sizes = []
-    eigh = np.linalg.eigh
+def decomposition_sizes(monkeypatch):
+    """Dimension of every decomposition (``HermitianEvolver`` construction)
+    made during the test.  Each must make only the half-size ``eigh`` or
+    SVD calls of its parity blocks, or one full-size ``eigh`` for a
+    generator of mixed parity."""
+    sizes, calls = [], []
+    for name in ("eigh", "svd"):
+        def counting(matrix, *args, name=name, original=getattr(np.linalg, name), **kwargs):
+            calls.append((name, matrix.shape))
+            return original(matrix, *args, **kwargs)
 
-    def counting_eigh(matrix, *args, **kwargs):
-        sizes.append(matrix.shape[0])
-        return eigh(matrix, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    init = HermitianEvolver.__init__
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def counting_init(self, matrix):
+        calls.clear()
+        init(self, matrix)
+        dim, half = matrix.shape[0], (matrix.shape[0] + 1) // 2
+        assert calls in ([("eigh", (half, half)), ("eigh", (dim - half, dim - half))],
+                         [("svd", (half, dim - half))], [("eigh", (dim, dim))]), calls
+        sizes.append(dim)
+
+    monkeypatch.setattr(HermitianEvolver, "__init__", counting_init)
     return sizes
 
 
 class TestEvolverReuse:
-    def test_one_eigh_per_generator_and_dim(self, eigh_sizes):
-        sizes = eigh_sizes
+    def test_one_eigh_per_generator_and_dim(self, decomposition_sizes):
+        # one decomposition per (generator, dim), by parity blocks
+        sizes = decomposition_sizes
         for mode in SWITCH_MODES:
             fock._cached_evolver.cache_clear()
             sizes.clear()
@@ -442,9 +494,9 @@ class TestEvolverReuse:
         assert fock._evolver(position_op(), 110) is shared
         twin = fock._evolver(momentum_op(), 110)
         assert fock._evolver(momentum_op(), 110) is twin  # stored with its entry
-        assert twin._eigvecs is shared._eigvecs
+        assert twin._blocks is shared._blocks
         assert len(sizes) == 2
-        for array in (shared._eigvals, shared._eigvecs, twin._gauge):
+        for array in (shared._blocks, shared._minus_iw, shared._top, twin._gauge):
             assert not array.flags.writeable
 
 
@@ -473,7 +525,18 @@ def _run_case(case):
 
 
 def _held(cache):
-    return [(key[1], value[0]._eigvecs.nbytes) for key, (value, _) in cache._entries.items()]
+    """(dim, bytes of every array its evolver holds) of each entry, blocks
+    included, which is what the entry's size must count."""
+    held = []
+    for key, (value, size) in cache._entries.items():
+        arrays = []  # every array the evolver holds, a view of another once
+        for field in vars(value[0]).values():
+            if isinstance(field, np.ndarray) and not any(
+                    np.shares_memory(field, array) for array in arrays):
+                arrays.append(field)
+        assert size == value[0].nbytes == sum(array.nbytes for array in arrays)
+        held.append((key[1], size))
+    return held
 
 
 class TestDecompositionCache:
@@ -494,11 +557,11 @@ class TestDecompositionCache:
             assert _run_case(cases[i]) == cold[i], cases[i]
 
     def test_budget_bounds_held_bytes(self, monkeypatch):
-        budget = 200_000
+        budget = 110_000
         cache = fock._cached_evolver
         monkeypatch.setattr(cache, "budget", budget)
         cache.cache_clear()
-        dims = [40, 50, 60, 70, 80, 40, 90]  # 8 dim^2 bytes each: 12800 ... 64800
+        dims = [40, 50, 60, 70, 80, 40, 90]  # two half-size blocks each: 7360 ... 34560 bytes
         for i, dim in enumerate(dims):
             fock._evolver(X * X, dim)
             held = _held(cache)
@@ -514,6 +577,23 @@ class TestDecompositionCache:
         cache.cache_clear()
         assert cache.held == 0 and not cache._entries
 
+    def test_held_counts_every_block_an_entry_holds(self):
+        # half-size parity blocks, a padded odd block at odd dim, one mixed
+        # block, and a complex block's real form
+        cache = fock._cached_evolver
+        cache.cache_clear()
+        xp = normal_order_product(X, P) + normal_order_product(P, X)
+        for poly in (X * X, X, P, X * X * X + P * P, xp):
+            for dim in (40, 41):
+                fock._evolver(poly, dim)
+        held = _held(cache)
+        assert len(held) == 8 and cache.held == sum(size for _, size in held)
+        sizes = {key: value[0]._blocks.nbytes for key, (value, _) in cache._entries.items()}
+        assert sizes[fock._evolver_key(X * X)[0], 40] == 8 * 2 * 20**2
+        assert sizes[fock._evolver_key(X)[0], 41] == 8 * 2 * 21**2  # padded to 21
+        assert sizes[fock._evolver_key(X * X * X + P * P)[0], 40] == 8 * 40**2
+        assert sizes[fock._evolver_key(xp)[0], 40] == 8 * 2 * 40**2  # complex: real forms
+
     def test_threads_share_one_decomposition_per_key(self, monkeypatch):
         # a lost update would hand two threads different decompositions of
         # one key, or leave the bytes held off the entries' total
@@ -527,7 +607,7 @@ class TestDecompositionCache:
             def worker(seed):
                 rng = np.random.default_rng(seed)
                 for i in rng.integers(len(keys), size=200):
-                    calls.append((i, fock._evolver(*keys[i])._eigvecs))
+                    calls.append((i, fock._evolver(*keys[i])._blocks))
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -547,13 +627,13 @@ class TestDecompositionCache:
         for i, vecs in hammer():
             decompositions.setdefault(i, set()).add(id(vecs))
         assert all(len(ids) == 1 for ids in decompositions.values())
-        monkeypatch.setattr(cache, "budget", 8 * 30**2 * 6)  # evicts under contention
+        monkeypatch.setattr(cache, "budget", 4 * 30**2 * 3)  # evicts under contention
         hammer()
         assert cache.held == sum(size for _, size in _held(cache))
         assert cache.held <= cache.budget or len(cache._entries) == cache.floor
 
-    def test_scans_keep_their_reuse_under_a_tiny_budget(self, monkeypatch, eigh_sizes):
-        sizes = eigh_sizes
+    def test_scans_keep_their_reuse_under_a_tiny_budget(self, monkeypatch, decomposition_sizes):
+        sizes = decomposition_sizes
         monkeypatch.setattr(fock._cached_evolver, "budget", 1)
         for dim in (120, 80):
             fock._evolver(X * X * X, dim)  # unrelated entries fill the floor
@@ -647,7 +727,8 @@ class TestPerRowReferences:
                     want, _ = _exact(lambda: per_row_switch_qfi(
                         n, x, 0.2, dim=dim, mode="definite"))
                     both, _ = _exact(lambda: fock._richardson_qfi(fock._overlap_passes(
-                        lambda xv: switch_protocol(n, xv, 0.2, probe)[0] * math.sqrt(2.0), x),
+                        lambda xv: fock._to_parity(switch_protocol(n, xv, 0.2, probe)[0])
+                        * math.sqrt(2.0), x),
                         fock.DEFAULT_STEP, dim, "switch QFI"))
                     assert got == want == both, (dim, n, x)
                     assert result.trusted and result.value == pytest.approx(2 * n**2, rel=1e-7)
@@ -749,7 +830,7 @@ class TestPerRowReferences:
         vec[:] = 0.0
         again = prepare_probe(probe, 30)
         assert again is not vec and again.flags.writeable
-        assert np.array_equal(again, fock._prepare(probe, 30))
+        assert np.array_equal(fock._to_parity(again), fock._prepare(probe, 30))
         assert not fock._probe(probe, 30).flags.writeable
 
     @pytest.mark.parametrize("plus, minus", [
@@ -814,7 +895,7 @@ class TestHistoryIndependence:
         shared = fock._evolver(X, 60)
         in_x = shared.project(vec)  # before P's twin exists
         twin = fock._evolver(P, 60)
-        assert twin._eigvecs is shared._eigvecs
+        assert twin._blocks is shared._blocks
         assert not np.allclose(twin.project(vec), in_x)
         assert [_exact(lambda: switch_qfi(5, 0.1, 0.2, probe=probe, dim=60, mode=mode))[0]
                 for mode in SWITCH_MODES] == cold
