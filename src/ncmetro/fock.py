@@ -15,25 +15,28 @@ least-recently-used cache of :mod:`ladder`, sized by the bytes each
 decomposition holds, shares it between a scan's rows and between calls.
 A real generator, or one that the diagonal gauge G = diag(i^k) makes real,
 gets a real symmetric decomposition and real mat-vecs; X and P = G X G^dag
-share one.  The oracle keeps its vectors in parity order, the even Fock
-levels and then the odd ones, where a generator of definite photon-number
-parity (X, P and their odd powers are odd; ad^2 + a^2, X^2 and P^2 are
-even) is decomposed as two half-size blocks, by two ``eigh`` or one SVD,
-and each change of basis multiplies half-size blocks.  Finite differences
-run in the eigen-coordinates of H_lambda, where each point is a phase per
-coefficient.  A scan runs its N values as one stack: the probe is prepared
-(once per descriptor and dimension, kept read-only) and projected once,
-one exponential covers every row, point and eigenvalue, and each change
-of basis is one stacked product whose slices keep a lone row's floats.
-The passes' overlaps (both passes of a ``qfi_numeric`` stack in one
-product), the switch's Bloch vectors and the scan edges' top amplitudes
-are stacked BLAS dots (``np.vecdot``, slice by slice the dot of
-``np.vdot``; stacked ``(..., 1, D) @ (..., D, 1)`` products give the same
-bits at about twice the cost, a conjugated copy and a matrix product per
-slice); each row then takes the modulus of its overlaps, its Richardson
-step and its trust checks, in a lone row's order and with a lone row's
-error texts.  A single query is a one-row stack.  The definite-order
-switch evolves only its measured branch.
+share one, the gauge decided from the terms.  The oracle keeps its vectors
+in parity order, the even Fock levels and then the odd ones, where at even
+dimension a generator of definite photon-number parity (X, P and their
+odd powers are odd; ad^2 + a^2, X^2 and P^2 are even) is decomposed as two
+half-size blocks, by two ``eigh`` or one SVD, and each change of basis
+multiplies half-size blocks; any other generator, and every one at odd
+dimension, is one block.  Finite differences run in the eigen-coordinates
+of H_lambda, where each point is a phase per coefficient.  A scan runs its
+N values as one stack: the probe is prepared (once per descriptor and
+dimension, kept read-only) and projected once, one exponential covers
+every row, point and eigenvalue, and each change of basis is one stacked
+product whose slices keep a lone row's floats.  Both passes of a stack,
+over states or over the switch's Bloch vectors, are one call over its
+five points.  The overlaps, the Bloch vectors and the scan edges' top
+amplitudes are stacked BLAS dots (``np.vecdot``, slice by slice the dot
+of ``np.vdot``; stacked ``(..., 1, D) @ (..., D, 1)`` products give the
+same bits at about twice the cost, a conjugated copy and a matrix product
+per slice); each row then takes the modulus of its overlaps, its
+Richardson step on its two pass values and its trust checks, in a lone
+row's order and with a lone row's error texts.  A single query is a
+one-row stack.  The definite-order switch evolves only its measured
+branch.
 
 Trust model: prepared and evolved vectors must keep the population of the
 top Fock level |D-1> below ``LEAKAGE_THRESHOLD``, and the check reads that
@@ -52,7 +55,7 @@ import copy
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,26 +122,26 @@ class HermitianEvolver:
 
     ``apply(t, vec)`` returns exp(-i t H) vec of a Fock-basis vector, and
     ``unitary(t)`` the matrix exp(-i t H); reusing the decomposition makes
-    parameter scans cheap.  A real H, or one that the diagonal gauge
-    G = diag(i^k) makes real (G^dag H G has an exactly zero imaginary part,
-    as for P = G X G^dag), is decomposed as that real symmetric matrix
-    V w V^T, so H = (G V) w (G V)^dag with V real and every mat-vec a real
-    product on the complex vector viewed as float pairs; any other H keeps a
-    complex decomposition, applied through its real form on float pairs.
+    parameter scans cheap.  A real H is decomposed as a real symmetric
+    matrix V w V^T, every mat-vec a real product on the complex vector
+    viewed as float pairs; any other H keeps a complex decomposition,
+    applied through its real form on float pairs.  ``in_gauge`` gives the
+    evolver of G H G^dag, G = diag(i^k), on the same decomposition:
+    :func:`_evolver` decides from a generator's terms when it is such a
+    twin (P = G X G^dag), so P's real decomposition is X's.
 
     The decomposition runs in parity order, the even Fock levels and then
-    the odd ones, where a generator of definite photon-number parity splits
-    into two half-size blocks: an even H is block diagonal and takes one
-    ``eigh`` per block, and an odd H = [[0, B], [B^dag, 0]] has eigenpairs
-    +-sigma with vectors (u, +-w)/sqrt(2) from one SVD B = U sigma W^dag (at
-    odd dimension U's last column is a zero mode (u, 0)).  Any other H is
-    the one-block case.  The blocks are kept as one stack, the odd levels'
-    padded with a zero level at odd dimension, so that each change of basis
-    is one stacked product.  ``project``,
-    ``phases`` and ``lift`` expose the eigen-coordinates, in which evolution
-    is a diagonal phase; they read and write vectors in parity order and
-    take stacks along leading axes, each slice with the floats of a lone
-    vector.
+    the odd ones.  At even dimension, where the two halves are equal, a
+    generator of definite photon-number parity splits into two half-size
+    blocks: an even H is block diagonal and takes one ``eigh`` per block,
+    and an odd H = [[0, B], [B^dag, 0]] has eigenpairs +-sigma with vectors
+    (u, +-w)/sqrt(2) from one SVD B = U sigma W^dag of the square B.  Any
+    other H, and every H at odd dimension, is the one-block case.  The
+    blocks are kept as one stack, so that each change of basis is one
+    stacked product.  ``project``, ``phases`` and ``lift`` expose the
+    eigen-coordinates, in which evolution is a diagonal phase; they read
+    and write vectors in parity order and take stacks along leading axes,
+    each slice with the floats of a lone vector.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -148,45 +151,31 @@ class HermitianEvolver:
                 f"evolution generator not Hermitian (max deviation {drift:.3e})"
             )
         dim = self._dim = matrix.shape[0]
-        self._gauge = None
-        if matrix.imag.any():
-            gauge = np.resize(np.array(_I_POWERS), dim)
-            rotated = gauge.conj()[:, None] * matrix * gauge
-            if not rotated.imag.any():
-                matrix, self._gauge = rotated, _gauge(dim)
-        self._real = not matrix.imag.any()
+        self._gauge, self._real = None, not matrix.imag.any()
         order = np.r_[0:dim:2, 1:dim:2]  # parity order, one copy of the real part if real
         matrix = (matrix.real if self._real else matrix)[np.ix_(order, order)]
-        even, self._pairs = (dim + 1) // 2, 0
-        if not matrix[:even, even:].any():  # even: the parity blocks are diagonal
-            (w_even, v_even), (w_odd, v_odd) = (np.linalg.eigh(matrix[:even, :even]),
-                                                np.linalg.eigh(matrix[even:, even:]))
-            w, blocks = np.concatenate((w_even, w_odd)), (v_even, v_odd)
-        elif not (matrix[:even, :even].any() or matrix[even:, even:].any()):  # odd
-            u, w, w_dag = np.linalg.svd(matrix[:even, even:])
-            self._pairs = dim - even  # coordinates (+sigma, zero mode, -sigma)
-            u[:, :self._pairs] /= math.sqrt(2.0)
-            blocks = (u, w_dag.conj().T / math.sqrt(2.0))
+        half, equal, self._pairs = dim // 2, dim % 2 == 0, False  # blocks need equal halves
+        if equal and not matrix[:half, half:].any():  # even: the parity blocks are diagonal
+            (w_even, v_even), (w_odd, v_odd) = (np.linalg.eigh(matrix[:half, :half]),
+                                                np.linalg.eigh(matrix[half:, half:]))
+            w, blocks = np.concatenate((w_even, w_odd)), np.stack((v_even, v_odd))
+        elif equal and not (matrix[:half, :half].any() or matrix[half:, half:].any()):  # odd
+            u, w, w_dag = np.linalg.svd(matrix[:half, half:])
+            self._pairs = True  # coordinates (+sigma, -sigma)
+            blocks = np.stack((u, w_dag.conj().T)) / math.sqrt(2.0)
         else:
             w, v = np.linalg.eigh(matrix)
-            blocks = (v,)
-        levels = len(blocks[0])
-        stack = np.zeros((len(blocks), levels, levels), matrix.dtype)
-        for padded, block in zip(stack, blocks):
-            padded[:len(block), :len(block)] = block
-        self._halves = (2, 2 * levels)  # the parts' float pairs, for the fold
+            blocks = np.stack((v,))
+        count, levels = blocks.shape[:2]
         if self._real:  # each part's float pairs as (levels, 2)
-            self._blocks, self._operand = stack, (len(blocks), levels, 2)
+            self._blocks, self._operand = blocks, (count, levels, 2)
         else:  # a + ic on each part's float pairs, as one column: [[a, -c], [c, a]]
-            self._blocks = np.empty((len(blocks), 2 * levels, 2 * levels))
-            self._blocks[:, 0::2, 0::2] = self._blocks[:, 1::2, 1::2] = stack.real
-            self._blocks[:, 1::2, 0::2], self._blocks[:, 0::2, 1::2] = stack.imag, -stack.imag
-            self._operand = (len(blocks), 2 * levels, 1)
+            self._blocks = np.empty((count, 2 * levels, 2 * levels))
+            self._blocks[:, 0::2, 0::2] = self._blocks[:, 1::2, 1::2] = blocks.real
+            self._blocks[:, 1::2, 0::2], self._blocks[:, 0::2, 1::2] = blocks.imag, -blocks.imag
+            self._operand = (count, 2 * levels, 1)
         _read_only(self._blocks)  # _evolver shares instances
         self._adjoint = self._blocks.swapaxes(1, 2)
-        self._padded = len(blocks) * levels > dim
-        if self._padded and self._pairs:
-            w = np.append(w, 0.0)  # the zero mode
         self._w_max = float(np.abs(w).max())  # max|w|
         self._minus_iw = _read_only(-1j * w)
         top = np.zeros(dim, complex)
@@ -196,7 +185,7 @@ class HermitianEvolver:
         self.nbytes = self._blocks.nbytes + self._minus_iw.nbytes + self._top.nbytes
 
     def in_gauge(self) -> "HermitianEvolver":
-        """Evolver of G H G^dag that shares this real decomposition of H."""
+        """Evolver of G H G^dag that shares this decomposition of H."""
         twin = copy.copy(self)
         twin._gauge = _gauge(self._dim)
         return twin
@@ -204,30 +193,24 @@ class HermitianEvolver:
     def _change(self, vecs: np.ndarray, adjoint: bool) -> np.ndarray:
         """V^dag vecs (``adjoint``) or V vecs, of vectors or coordinates in
         parity order: one stacked product of the blocks with the parts' float
-        pairs, the odd part padded at odd dimension.  An odd generator's
-        coordinates are its block products folded, (x, y) -> (x + y, x - y):
-        the fold is exact, its own inverse and transpose up to the 1/sqrt(2)
-        that the blocks hold, and at odd dimension it takes the zero mode at
-        the end of x onto y's pad and back."""
+        pairs.  An odd generator's coordinates are its block products folded,
+        (x, y) -> (x + y, x - y) on the two parts' float pairs: the fold is
+        exact, and its own inverse and transpose up to the 1/sqrt(2) that the
+        blocks hold."""
         vecs = np.ascontiguousarray(vecs, dtype=complex)
         lead = vecs.shape[:-1]
-        if self._padded:
-            vecs = np.concatenate((vecs, np.zeros(lead + (1,), complex)), -1)
         pairs = vecs.view(np.float64)
         if self._pairs and not adjoint:
-            pairs = _FOLD @ pairs.reshape(lead + self._halves)
+            pairs = _FOLD @ pairs.reshape(lead + (2, self._dim))
         pairs = (self._adjoint if adjoint else self._blocks) @ pairs.reshape(lead + self._operand)
         if self._pairs and adjoint:
-            pairs = _FOLD @ pairs.reshape(lead + self._halves)
-        out = pairs.reshape(vecs.shape[:-1] + (2 * vecs.shape[-1],)).view(complex)
-        return out[..., :self._dim] if self._padded else out
+            pairs = _FOLD @ pairs.reshape(lead + (2, self._dim))
+        return pairs.reshape(lead + (2 * self._dim,)).view(complex)
 
     def phases(self, t) -> np.ndarray:
         half = np.exp(np.multiply.outer(t, self._minus_iw))
-        if not self._pairs:
-            return half
-        # +sigma, the zero mode's 1, and -sigma as the conjugate of +sigma
-        return np.concatenate((half, half[..., :self._pairs].conj()), -1)
+        # +sigma, then -sigma as the conjugate of +sigma
+        return np.concatenate((half, half.conj()), -1) if self._pairs else half
 
     def project(self, vec: np.ndarray) -> np.ndarray:
         """Eigen-coordinates (G V)^dag vec of a vector in parity order."""
@@ -295,18 +278,17 @@ def _evolver(poly: LadderPolynomial, dim: int) -> HermitianEvolver:
 
     A polynomial whose gauge-rotated terms c i^(n-m) are real is evolved
     through the decomposition of that real polynomial, so P reuses X's; the
-    gauge twin is kept with its entry, so a hit costs one lookup.  The
-    sorted key and the gauge flag are derived once per polynomial and kept
-    in its memo (:func:`_evolver_key`).
+    gauge twin is made with the decomposition and kept with its entry, so a
+    hit costs one lookup.  The sorted key and the gauge flag are derived
+    once per polynomial and kept in its memo (:func:`_evolver_key`).
     """
     key, gauge = poly._memoised(_evolver_key)
-    entry = _cached_evolver((key, dim), lambda: [
-        HermitianEvolver(matrix_of(LadderPolynomial(dict(key)), dim).matrix), None])
-    if not gauge:
-        return entry[0]
-    if entry[1] is None:
-        entry[1] = entry[0].in_gauge()
-    return entry[1]
+
+    def decompose():
+        evolver = HermitianEvolver(matrix_of(LadderPolynomial(dict(key)), dim).matrix)
+        return evolver, evolver.in_gauge()
+
+    return _cached_evolver((key, dim), decompose)[gauge]
 
 
 def _evolver_key(poly: LadderPolynomial) -> tuple[tuple, bool]:
@@ -320,7 +302,7 @@ def _evolver_key(poly: LadderPolynomial) -> tuple[tuple, bool]:
     return tuple(sorted(terms.items())), gauge
 
 
-#: Decompositions as [evolver, gauge twin], bounded by the bytes the
+#: Decompositions as (evolver, gauge twin), bounded by the bytes the
 #: evolver holds.  A real generator of definite parity holds its two
 #: half-size blocks, about 4 dim^2 bytes (0.64 MB at dim 400), a real mixed
 #: one about 8 dim^2, so the few generators and dimensions a session mixes
@@ -439,35 +421,21 @@ class QfiEstimate:
 
 
 def _overlap_qfi(center: np.ndarray, plus: np.ndarray, minus: np.ndarray,
-                 step: float | np.ndarray):
-    """4 (<dpsi|dpsi> - |<center|dpsi>|^2) of the central difference dpsi, for
-    one state, or as a flat list over a stack, ``center`` and ``step``
-    broadcast against ``plus`` and ``minus``.  Each value has a
-    lone state's bits: ``np.vecdot`` takes the BLAS dot of ``np.vdot`` slice
-    by slice, and the rest is taken one state at a time (numpy's vectorised
-    complex modulus rounds differently)."""
+                 step: np.ndarray) -> list:
+    """4 (<dpsi|dpsi> - |<center|dpsi>|^2) of the central difference dpsi, as
+    a flat list over a stack, ``center`` and ``step`` broadcast against
+    ``plus`` and ``minus``.  Each value has a lone state's bits:
+    ``np.vecdot`` takes the BLAS dot of ``np.vdot`` slice by slice, and the
+    rest is taken one state at a time (numpy's vectorised complex modulus
+    rounds differently)."""
     dpsi = (plus - minus) / (2.0 * step)
     norms, overlaps = np.vecdot(dpsi, dpsi).real, np.vecdot(center, dpsi)
-    values = [4.0 * (norm - abs(overlap) ** 2) for norm, overlap in zip(norms.flat, overlaps.flat)]
-    return values if overlaps.ndim else values[0]
+    return [4.0 * (norm - abs(overlap) ** 2) for norm, overlap in zip(norms.flat, overlaps.flat)]
 
 
-def _overlap_passes(
-    state_at: Callable[[float], np.ndarray], x0: float
-) -> Callable[[float], float]:
-    """Central-difference overlap QFI at x0 as a function of the step, of one
-    state or of each state of a stack."""
-    center = state_at(x0)
-    return lambda h: _overlap_qfi(center, state_at(x0 + h), state_at(x0 - h), h)
-
-
-def _richardson_qfi(
-    pass_qfi: Callable[[float], float], step: float, dim: int, what: str
-) -> QfiEstimate:
-    """Passes at ``step`` and ``step / 2``, Richardson extrapolated; raises
-    ConvergenceError when they disagree by more than 5%, or by nan."""
-    coarse = pass_qfi(step)
-    fine = pass_qfi(step / 2.0)
+def _richardson_qfi(coarse: float, fine: float, step: float, dim: int, what: str) -> QfiEstimate:
+    """The passes at ``step`` and ``step / 2``, Richardson extrapolated;
+    raises ConvergenceError when they disagree by more than 5%, or by nan."""
     value = (4.0 * fine - coarse) / 3.0
     rel = abs(fine - coarse) / max(abs(value), 1e-300)
     if not rel <= _ERROR_REL:
@@ -502,28 +470,32 @@ def _check_step(step: float, x0: float) -> None:
         )
 
 
-def _outcome(compute: Callable[[], object]) -> object:
-    """``compute()``, or the LeakageError or ConvergenceError it raised."""
+def _first_leak(tops, context: str) -> LeakageError | None:
+    """The LeakageError of the first top amplitude of ``tops`` that leaks, or
+    None."""
     try:
-        return compute()
-    except (LeakageError, ConvergenceError) as exc:
+        for top in tops:
+            _check_leakage(top, context)
+    except LeakageError as exc:
         return exc
+    return None
 
 
 #: The coarse and the fine pass's steps, in units of the step, as a column
-#: that broadcasts over a stack's two passes.
+#: that broadcasts over a stack's two passes.  A stack holds each row's
+#: points in the order x0, x0 + h, x0 - h, x0 + h/2, x0 - h/2, so that the
+#: slices 1::2 and 2::2 are the two passes' outer points.
 _PASS_STEPS = _read_only(np.array([[1.0], [0.5]]))
 
 
-def _row_estimates(pass_qfi: Callable[[float], Sequence[float]], step: float, dim: int,
+def _row_estimates(coarse: Sequence[float], fine: Sequence[float], step: float, dim: int,
                    what: str) -> list:
-    """``_richardson_qfi`` of each row of a stack, or its ConvergenceError,
-    from the values ``pass_qfi`` gives for the whole stack at each step."""
+    """``_richardson_qfi`` of each row's two pass values, or its
+    ConvergenceError."""
     estimates = []
-    for coarse, fine in zip(pass_qfi(step), pass_qfi(step / 2.0)):
+    for pair in zip(coarse, fine):
         try:
-            estimates.append(_richardson_qfi({step: coarse, step / 2.0: fine}.__getitem__,
-                                             step, dim, what))
+            estimates.append(_richardson_qfi(*pair, step, dim, what))
         except ConvergenceError as exc:
             estimates.append(exc)
     return estimates
@@ -603,40 +575,33 @@ def _qfi_stack(protocol: EncodingProtocol, ns: list[int], dim: int, step: float)
     # and overlaps, hence the QFI, do not depend on the basis.
     lam_bar, evolver_l, outcomes, live = protocol.lambda_bar, None, [], []
     for i, n in enumerate(ns[:len(times)]):
-        try:
-            _check_leakage(after_aux[i, top], "qfi_numeric (auxiliary block)")
-        except LeakageError as exc:
-            outcomes.append(exc)
-            continue
-        evolver_l = evolver_l or _evolver(protocol.h_lambda, dim)
-        try:  # the scan edges lam_bar +- step are the largest times
-            _evolution_time(n, max(abs(lam_bar + step), abs(lam_bar - step)), "lambda",
-                            evolver_l._w_max)
-        except ValidationError as exc:
-            end = [exc]
-            break
-        outcomes.append(None)
-        live.append(i)
+        leak = _first_leak([after_aux[i, top]], "qfi_numeric (auxiliary block)")
+        if leak is None:
+            evolver_l = evolver_l or _evolver(protocol.h_lambda, dim)
+            try:  # the scan edges lam_bar +- step are the largest times
+                _evolution_time(n, max(abs(lam_bar + step), abs(lam_bar - step)), "lambda",
+                                evolver_l._w_max)
+            except ValidationError as exc:
+                end = [exc]
+                break
+            live.append(i)
+        outcomes.append(leak)
     if not live:
         return outcomes + end
-    # ordered so that each pass's outer points are slices: +h, +h/2, centre, -h, -h/2
-    lams = (lam_bar + step, lam_bar + step / 2.0, lam_bar, lam_bar - step, lam_bar - step / 2.0)
+    lams = (lam_bar, lam_bar + step, lam_bar - step, lam_bar + step / 2.0, lam_bar - step / 2.0)
     coeffs = evolver_l.project(after_aux if len(live) == len(after_aux) else after_aux[live])
     states = evolver_l.phases([[ns[i] * lam for lam in lams] for i in live]) * coeffs[:, None]
-    for i, edges in zip(live, evolver_l.top_amplitudes(states[:, ::3])):
-        try:  # the scan edges are the coarse pass's outer points
-            for top in edges:
-                _check_leakage(top, "qfi_numeric (scan edge)")
-        except LeakageError as exc:
-            outcomes[i] = exc
+    # the scan edges are the coarse pass's outer points
+    for i, edges in zip(live, evolver_l.top_amplitudes(states[:, 1:3])):
+        outcomes[i] = _first_leak(edges, "qfi_numeric (scan edge)")
     kept = [j for j, i in enumerate(live) if outcomes[i] is None]
     if not kept:
         return outcomes + end
     states = states if len(kept) == len(live) else states[kept]
-    both = _overlap_qfi(states[:, 2:3], states[:, :2], states[:, 3:], _PASS_STEPS * step)
-    passes = {step: both[::2], step / 2.0: both[1::2]}.__getitem__
+    both = _overlap_qfi(states[:, :1], states[:, 1::2], states[:, 2::2], _PASS_STEPS * step)
     blind = _leakage_check_blind(protocol, dim)
-    for j, estimate in zip(kept, _row_estimates(passes, step, dim, "finite-difference")):
+    for j, estimate in zip(kept, _row_estimates(both[::2], both[1::2], step, dim,
+                                                "finite-difference")):
         outcomes[live[j]] = replace(estimate, trusted=False) if blind and isinstance(
             estimate, QfiEstimate) else estimate
     return outcomes + end
@@ -676,14 +641,9 @@ def _switch_rows(ns: Sequence[int], xs: Sequence[float], p: float, probe: np.nda
     if both:
         p_first = u_p.lift(phases * u_p.project(probe))  # exp(-iNxP)|psi>
         stacks.append(u_x.lift(phases_x[:, None] * u_x.project(p_first)))
-
-    def leaks(tops: np.ndarray) -> None:
-        for top in tops.ravel():  # x by x
-            _check_leakage(top, "switch_protocol")
-
     tops = np.stack([stack[..., _top_slot(probe.size)] for stack in stacks], -1)
     return ([stack / math.sqrt(2.0) for stack in stacks],
-            [_outcome(lambda: leaks(row)) for row in tops] + end)
+            [_first_leak(row.ravel(), "switch_protocol") for row in tops] + end)
 
 
 def switch_protocol(n: int, x: float, p: float,
@@ -706,12 +666,14 @@ def branch_phase_overlap(n: int, x: float, p: float, probe: np.ndarray) -> compl
     return 2.0 * complex(np.vdot(ab, ba))  # each branch carries weight 1/sqrt(2)
 
 
-def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> list:
-    """QFI of a qubit from its Bloch vectors at x0 and x0 +- step, for each
-    row of a stack, as floats with a lone row's bits."""
+def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: np.ndarray) -> list:
+    """QFI of a qubit from its Bloch vectors at x0 and x0 +- step, as a flat
+    list over a stack, ``r0`` and ``step`` broadcast against ``plus`` and
+    ``minus``; floats with a lone row's bits."""
     dr = (plus - minus) / (2.0 * step)
-    rows = zip(np.vecdot(dr, dr).tolist(), (1.0 - np.vecdot(r0, r0)).tolist(),
-               np.vecdot(r0, dr).tolist())
+    r0 = np.broadcast_to(r0, dr.shape)
+    rows = zip(np.vecdot(dr, dr).ravel().tolist(), (1.0 - np.vecdot(r0, r0)).ravel().tolist(),
+               np.vecdot(r0, dr).ravel().tolist())
     return [qfi + tilt ** 2 / denom if denom > 1e-9 else qfi for qfi, denom, tilt in rows]
 
 
@@ -759,21 +721,17 @@ def _switch_qfis(ns: Sequence[int], x: float, p: float, probe: ProbeDescriptor |
         return outcomes
     if len(kept) < len(stacks[0]):
         stacks = [stack[kept] for stack in stacks]
-    if mode == "control":
+    if mode == "control":  # Bloch vectors of the control qubit
         ab, ba = stacks
         rho_01 = np.vecdot(ba, ab)  # control coherence <0|rho|1>
-        bloch = np.stack([2.0 * rho_01.real, -2.0 * rho_01.imag,
-                          (np.vecdot(ab, ab) - np.vecdot(ba, ba)).real], -1)
-        r = dict(zip(xs, bloch.swapaxes(0, 1)))  # Bloch vectors of the control qubit
-        estimates = _row_estimates(lambda h: _qubit_qfi(r[x], r[x + h], r[x - h], h),
-                                   step, dim, "control-QFI")
-    else:
-        # the definite order's branch scaled back by sqrt(2), or both orders
-        states = stacks[0] * math.sqrt(2.0) if mode == "definite" else np.concatenate(stacks, -1)
-        estimates = _row_estimates(
-            _overlap_passes(dict(zip(xs, states.swapaxes(0, 1))).__getitem__, x),
-            step, dim, "switch QFI")
-    for j, estimate in zip(kept, estimates):
+        points = np.stack([2.0 * rho_01.real, -2.0 * rho_01.imag,
+                           (np.vecdot(ab, ab) - np.vecdot(ba, ba)).real], -1)
+        pass_qfi, what = _qubit_qfi, "control-QFI"
+    else:  # the definite order's branch scaled back by sqrt(2), or both orders
+        points = stacks[0] * math.sqrt(2.0) if mode == "definite" else np.concatenate(stacks, -1)
+        pass_qfi, what = _overlap_qfi, "switch QFI"
+    both = pass_qfi(points[:, :1], points[:, 1::2], points[:, 2::2], _PASS_STEPS * step)
+    for j, estimate in zip(kept, _row_estimates(both[::2], both[1::2], step, dim, what)):
         outcomes[j] = estimate
     return outcomes
 

@@ -30,7 +30,7 @@ from .errors import (
     UnclassifiedPairError,
     ValidationError,
 )
-from .fock import HermitianEvolver, MatrixOperator, matrix_of
+from .fock import MatrixOperator, _evolver, matrix_of
 from .ladder import (
     CHOP_TOLERANCE,
     KIND_CAP_REACHED,
@@ -220,10 +220,9 @@ def generator_by_conjugation(protocol: EncodingProtocol, dim: int) -> MatrixOper
         raise ValidationError("conjugation oracle requires dim >= 8")
 
     def conjugated(d: int) -> np.ndarray:
-        h_g = matrix_of(protocol.h_g, d)
         h_l = matrix_of(protocol.h_lambda, d)
         # exp(+i N g H_g) = evolution by -N g under exp(-i t H)
-        u = HermitianEvolver(h_g.matrix).unitary(-protocol.n_applications * protocol.g_bar)
+        u = _evolver(protocol.h_g, d).unitary(-protocol.n_applications * protocol.g_bar)
         return protocol.n_applications * (u @ h_l.matrix @ u.conj().T)
 
     base = conjugated(dim)

@@ -254,12 +254,6 @@ def momentum_op() -> LadderPolynomial:
 # -- products and commutators -----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _reorder_coefficient(n1: int, m2: int, k: int) -> int:
-    # a^n1 ad^m2 = sum_k C(n1,k) C(m2,k) k! ad^(m2-k) a^(n1-k)
-    return math.comb(n1, k) * math.comb(m2, k) * math.factorial(k)
-
-
 def _check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise DegreeOverflowError(f"product degree {degree} exceeds limit {MAX_DEGREE}")
@@ -284,7 +278,7 @@ def normal_order_product(a: LadderPolynomial, b: LadderPolynomial) -> LadderPoly
             c = c1 * c2
             for k in range(min(n1, m2) + 1):
                 key = (m1 + m2 - k, n1 + n2 - k)
-                out[key] = out.get(key, 0j) + c * _reorder_coefficient(n1, m2, k)
+                out[key] = out.get(key, 0j) + c * float(_weight_row(n1, k)[2][m2])
     return LadderPolynomial(out)
 
 

@@ -428,10 +428,18 @@ def _overlap_qfi(center: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: 
     )
 
 
-def _overlap_passes(state_at, x0: float):
+def overlap_passes(state_at, x0: float):
     """Central-difference overlap QFI at x0 as a function of the step."""
     center = state_at(x0)
     return lambda h: _overlap_qfi(center, state_at(x0 + h), state_at(x0 - h), h)
+
+
+def richardson_of_passes(pass_qfi, step: float, dim: int, what: str):
+    """``_richardson_qfi`` of the coarse pass at ``step`` and the fine pass
+    at ``step / 2``, computed in that order, as a lone row ran them."""
+    coarse = pass_qfi(step)
+    fine = pass_qfi(step / 2.0)
+    return _richardson_qfi(coarse, fine, step, dim, what)
 
 
 def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> float:
@@ -460,8 +468,8 @@ def _qfi_numeric_once(protocol, dim: int, step: float):
 
     for edge in (protocol.lambda_bar + step, protocol.lambda_bar - step):
         _check_leakage(_top_amplitude(evolver_l, state_at(edge)), "qfi_numeric (scan edge)")
-    estimate = _richardson_qfi(_overlap_passes(state_at, protocol.lambda_bar),
-                               step, dim, "finite-difference")
+    estimate = richardson_of_passes(overlap_passes(state_at, protocol.lambda_bar),
+                                    step, dim, "finite-difference")
     if _leakage_check_blind(protocol, dim):
         estimate = replace(estimate, trusted=False)
     return estimate
@@ -527,8 +535,8 @@ def per_row_switch_qfi(n: int, x: float, p: float, probe=None, dim: int = 80,
     assert mode in SWITCH_MODES
     probe_vec = _to_parity(prepare_probe(probe or ProbeDescriptor.vacuum(), dim))
     if mode == "definite":
-        return _richardson_qfi(_overlap_passes(_definite_states(n, p, probe_vec), x),
-                               step, dim, "switch QFI")
+        return richardson_of_passes(overlap_passes(_definite_states(n, p, probe_vec), x),
+                                    step, dim, "switch QFI")
     switch_at = _switch_states(n, p, probe_vec)
     if mode == "control":
         def bloch_at(xv: float) -> np.ndarray:
@@ -538,11 +546,11 @@ def per_row_switch_qfi(n: int, x: float, p: float, probe=None, dim: int = 80,
                              (np.vdot(ab, ab) - np.vdot(ba, ba)).real])
 
         r0 = bloch_at(x)
-        return _richardson_qfi(
+        return richardson_of_passes(
             lambda h: _qubit_qfi(r0, bloch_at(x + h), bloch_at(x - h), h),
             step, dim, "control-QFI")
-    return _richardson_qfi(_overlap_passes(lambda xv: np.concatenate(switch_at(xv)), x),
-                           step, dim, "switch QFI")
+    return richardson_of_passes(overlap_passes(lambda xv: np.concatenate(switch_at(xv)), x),
+                                step, dim, "switch QFI")
 
 
 def per_row_dv_bound_check(

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -46,12 +47,14 @@ from helpers import (
     eigh_evolution,
     full_vector_qfi,
     full_vector_switch_qfi,
+    overlap_passes,
     per_row_dv_bound_check,
     per_row_qfi,
     per_row_switch_qfi,
     power_chain_matrix,
     random_hermitian_polynomial,
     recurrence_probe,
+    richardson_of_passes,
 )
 
 X = position_op()
@@ -336,13 +339,18 @@ class TestEigenCoordinatePaths:
                 poly = random_hermitian_polynomial(rng, max_degree=3)
                 real = _real_part(poly) if _real_part(poly).terms else X
                 families += [(real, True), (_gauge_rotated(real), True), (poly, None)]
+            assert not HermitianEvolver(matrix_of(P, dim).matrix)._real
+            assert fock._evolver(P, dim)._real
             for poly, real_path in families:
                 matrix = matrix_of(poly, dim).matrix
                 reference = eigh_evolution(matrix)
                 scale = max(float(np.abs(np.linalg.eigvalsh(matrix)).max()), 1.0)
-                for evolver in (HermitianEvolver(matrix), fock._evolver(poly, dim)):
-                    if real_path is not None:
-                        assert evolver._real is real_path, (poly, dim)
+                # a matrix is decomposed as it is given; only _evolver, from
+                # the terms, takes P's or P^3's gauge-real twin of X's or X^3's
+                for evolver, real in ((HermitianEvolver(matrix), not matrix.imag.any()),
+                                      (fock._evolver(poly, dim), real_path)):
+                    if real is not None:
+                        assert evolver._real is real, (poly, dim)
                     for tau in (0.7, -3.1):
                         t = tau / scale
                         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -352,9 +360,10 @@ class TestEigenCoordinatePaths:
 
     @pytest.mark.parametrize("dim", [8, 9, 17, 80, 81, 160])
     def test_parity_blocks_match_one_complex_eigh(self, dim):
-        # even generators take two eigh blocks, odd ones one SVD (a zero mode
-        # at odd dim), mixed and random complex ones one block; P and its
-        # cube are the gauge twins of X and X^3
+        # at even dim, even generators take two eigh blocks and odd ones one
+        # SVD; mixed and random complex ones, and every generator at odd dim
+        # (its parity halves are unequal), one block; P and its cube are the
+        # gauge twins of X and X^3
         rng = np.random.default_rng(dim)
         squeeze = ladder_term(2, 0) + ladder_term(0, 2)
         odd = LadderPolynomial({key: c for key, c in random_hermitian_polynomial(
@@ -370,8 +379,9 @@ class TestEigenCoordinatePaths:
             reference = eigh_evolution(matrix)
             spectrum = np.abs(np.linalg.eigvalsh(matrix)).max()
             for evolver in (HermitianEvolver(matrix), fock._evolver(poly, dim)):
-                assert (len(evolver._blocks), bool(evolver._pairs)) == {
-                    "even": (2, False), "odd": (2, True), "mixed": (1, False)}[parity], poly
+                assert (len(evolver._blocks), evolver._pairs) == {
+                    "even": (2, False), "odd": (2, True), "mixed": (1, False)}[
+                    parity if dim % 2 == 0 else "mixed"], poly
                 assert evolver._w_max == np.abs(evolver._minus_iw).max()  # max|w|, any order
                 assert evolver._w_max == pytest.approx(spectrum, rel=1e-12)
                 for tau in (0.7, -3.1):
@@ -454,7 +464,7 @@ def decomposition_sizes(monkeypatch):
     """Dimension of every decomposition (``HermitianEvolver`` construction)
     made during the test.  Each must make only the half-size ``eigh`` or
     SVD calls of its parity blocks, or one full-size ``eigh`` for a
-    generator of mixed parity."""
+    generator of mixed parity or at odd dimension."""
     sizes, calls = [], []
     for name in ("eigh", "svd"):
         def counting(matrix, *args, name=name, original=getattr(np.linalg, name), **kwargs):
@@ -467,9 +477,9 @@ def decomposition_sizes(monkeypatch):
     def counting_init(self, matrix):
         calls.clear()
         init(self, matrix)
-        dim, half = matrix.shape[0], (matrix.shape[0] + 1) // 2
-        assert calls in ([("eigh", (half, half)), ("eigh", (dim - half, dim - half))],
-                         [("svd", (half, dim - half))], [("eigh", (dim, dim))]), calls
+        dim, half = matrix.shape[0], matrix.shape[0] // 2
+        assert calls in ([("eigh", (half, half))] * 2, [("svd", (half, half))],
+                         [("eigh", (dim, dim))]), calls
         sizes.append(dim)
 
     monkeypatch.setattr(HermitianEvolver, "__init__", counting_init)
@@ -578,8 +588,8 @@ class TestDecompositionCache:
         assert cache.held == 0 and not cache._entries
 
     def test_held_counts_every_block_an_entry_holds(self):
-        # half-size parity blocks, a padded odd block at odd dim, one mixed
-        # block, and a complex block's real form
+        # half-size parity blocks at even dim, one block at odd dim or of
+        # mixed parity, and a complex block's real form
         cache = fock._cached_evolver
         cache.cache_clear()
         xp = normal_order_product(X, P) + normal_order_product(P, X)
@@ -590,7 +600,9 @@ class TestDecompositionCache:
         assert len(held) == 8 and cache.held == sum(size for _, size in held)
         sizes = {key: value[0]._blocks.nbytes for key, (value, _) in cache._entries.items()}
         assert sizes[fock._evolver_key(X * X)[0], 40] == 8 * 2 * 20**2
-        assert sizes[fock._evolver_key(X)[0], 41] == 8 * 2 * 21**2  # padded to 21
+        assert sizes[fock._evolver_key(X)[0], 40] == 8 * 2 * 20**2
+        assert sizes[fock._evolver_key(X)[0], 41] == 8 * 41**2  # one real block
+        assert fock._evolver(P, 41)._blocks is fock._evolver(X, 41)._blocks  # the twin shares it
         assert sizes[fock._evolver_key(X * X * X + P * P)[0], 40] == 8 * 40**2
         assert sizes[fock._evolver_key(xp)[0], 40] == 8 * 2 * 40**2  # complex: real forms
 
@@ -726,7 +738,7 @@ class TestPerRowReferences:
                     got, result = _exact(lambda: switch_qfi(n, x, 0.2, dim=dim, mode="definite"))
                     want, _ = _exact(lambda: per_row_switch_qfi(
                         n, x, 0.2, dim=dim, mode="definite"))
-                    both, _ = _exact(lambda: fock._richardson_qfi(fock._overlap_passes(
+                    both, _ = _exact(lambda: richardson_of_passes(overlap_passes(
                         lambda xv: fock._to_parity(switch_protocol(n, xv, 0.2, probe)[0])
                         * math.sqrt(2.0), x),
                         fock.DEFAULT_STEP, dim, "switch QFI"))
@@ -846,6 +858,18 @@ class TestPerRowReferences:
             assert fock._probe(probe, 12).tobytes() == fock._prepare(probe, 12).tobytes()
 
 
+class _CountingEntries(OrderedDict):
+    """A cache's entries, counting its evictions (``popitem`` calls)."""
+
+    def __init__(self):
+        super().__init__()
+        self.evictions = 0
+
+    def popitem(self, last=True):
+        self.evictions += 1
+        return super().popitem(last)
+
+
 def _clear_caches():
     fock._cached_evolver.cache_clear()
     fock._cached_probe.cache_clear()
@@ -901,8 +925,9 @@ class TestHistoryIndependence:
                 for mode in SWITCH_MODES] == cold
 
     def test_threads_never_get_another_probes_vector(self, monkeypatch):
-        # budgets that keep only a few probe vectors and decompositions, so
-        # both caches fill and evict under contention
+        # budgets that keep only a few probe vectors and one of the two
+        # decompositions (about 3 KB each) above a floor of one, so both
+        # caches fill and evict under contention
         probes = [ProbeDescriptor.coherent(complex(0.05 * k, 0.1)) for k in range(10)]
         probes += [ProbeDescriptor.vacuum(), ProbeDescriptor.squeezed_vacuum(0.2, 0.3)]
         dims = (20, 24)
@@ -910,7 +935,11 @@ class TestHistoryIndependence:
         cold = [_exact(lambda: qfi_numeric(protocol, dim=24))[0] for protocol in protocols]
         prepared = {(i, dim): fock._prepare(probe, dim).tobytes()
                     for i, probe in enumerate(probes) for dim in dims}
-        monkeypatch.setattr(fock._cached_evolver, "budget", 8 * 24**2 * 3)
+        caches = (fock._cached_evolver, fock._cached_probe)
+        for cache in caches:
+            monkeypatch.setattr(cache, "_entries", _CountingEntries())
+        monkeypatch.setattr(fock._cached_evolver, "budget", 4096)
+        monkeypatch.setattr(fock._cached_evolver, "floor", 1)
         monkeypatch.setattr(fock._cached_probe, "budget", 16 * 24 * 5)
         _clear_caches()
         mismatches, results = [], []
@@ -940,6 +969,7 @@ class TestHistoryIndependence:
         assert mismatches == []
         assert len(results) > 50
         assert all(outcome == cold[i] for i, outcome in results)
+        assert all(cache._entries.evictions >= 1 for cache in caches)
 
 
 class TestDvBound:
@@ -1122,7 +1152,7 @@ class TestOverflowOutcomes:
     def test_nan_disagreement_is_a_convergence_error(self):
         # a nan pass disagreement once passed the 5% check, untrusted
         with pytest.raises(ConvergenceError, match="disagree by nan%"):
-            fock._richardson_qfi(lambda h: math.nan, 1e-4, 80, "test")
+            fock._richardson_qfi(math.nan, math.nan, 1e-4, 80, "test")
 
     @pytest.mark.parametrize("alpha", [1e200, 1e154, complex(1e308, 1e308), 40.0])
     def test_overflowing_amplitude_is_all_zero(self, alpha):
