@@ -13,11 +13,11 @@ from typing import Sequence
 
 from .errors import NcmetroError, NumericalTrustError, ValidationError
 from .fock import DEFAULT_DIM, DEFAULT_STEP, QfiEstimate, _qfi_rows, _results, _switch_qfis
-from .gaussian import (GaussianState, HomodyneSpec, _quadratic, _quadratures, gaussian_probe,
+from .gaussian import (GaussianState, HomodyneSpec, _homodyne_cfis, gaussian_probe,
                        qfi_linear_generator)
 from .generators import _generator_terms, _parts, classified_pair, k_peak
 from .ladder import LadderPolynomial
-from .protocols import ProbeDescriptor, build_preset
+from .protocols import EncodingProtocol, ProbeDescriptor, build_preset
 
 _LOG10 = math.log(10.0)
 
@@ -86,7 +86,7 @@ def _checked_ns(n_values: Sequence[int]) -> list[int]:
     return sorted(n_values)
 
 
-def _gaussian_columns(report, h_g: LadderPolynomial, ns: Sequence[int], g_bar: float,
+def _gaussian_columns(report, protocol: EncodingProtocol, ns: Sequence[int],
                       probe: GaussianState, theta: float | None = None):
     """Yields (QFI, CFI) of each N of a scan of one classified pair, from
     quantities read once per scan; the CFI is None without ``theta``.
@@ -96,51 +96,14 @@ def _gaussian_columns(report, h_g: LadderPolynomial, ns: Sequence[int], g_bar: f
     the floats of a single query's :func:`generators.generator_at`), and
     its QFI on the probe is :func:`gaussian.qfi_linear_generator`.  A row
     raises the generator's overflow errors, then the Gaussian engine's.
-
-    CFI along theta (hyperbolic h_g, linear h_lambda = tower[0]): h_g's flow
-    is S = e^k P+ + e^-k P- with P+- = (I +- M) / 2 fixed, and the variance
-    is w^T cov0 w with w = S^T u (Weedbrook et al., Rev. Mod. Phys. 84,
-    621, 2012).  u is split along M^T's eigen-axes by angle differences
-    sin(theta - psi), so a detector on an axis has an exactly zero
-    component along the other, and no term of size e^(2k) cancels.  Where
-    e^(-4k) is below the rounding, CFI and QFI agree to it, and a CFI
-    rounded above its QFI is held at the QFI."""
+    CFI: :func:`gaussian.cfi_quadrature`'s evaluator, with h_g's eigen-split
+    read once per scan; a CFI rounded above its QFI is held at the QFI."""
     parts = _parts(report)
-    legs = []
-    if theta is not None:
-        (var_x, cov_xp), (_, var_p) = probe.cov.tolist()
-        _, _, _, lam_x, lam_p = _quadratures(report.tower[0])
-        g_xx, g_pp, g_xp, _, _ = _quadratic(h_g)
-        flow = math.sqrt(g_xp * g_xp - g_pp * g_xx)  # k / t, for m / t = [[a, b], [c, -a]]
-        a, b, c = g_xp / flow, g_pp / flow, -g_xx / flow
-        psi = {sign: _axis(a, b, c, sign) for sign in (1.0, -1.0)}
-        for sign in (1.0, -1.0):  # sin(theta - psi) P^T e(psi + pi/2), psi the other axis
-            along, x, y = math.sin(theta - psi[-sign]), -math.sin(psi[-sign]), math.cos(psi[-sign])
-            if along:
-                legs.append((sign * flow, along * 0.5 * (x + sign * (a * x + c * y)),
-                             along * 0.5 * (y + sign * (b * x - a * y))))
-        d_mean = math.cos(theta) * lam_p - math.sin(theta) * lam_x
+    cfis = None if theta is None else _homodyne_cfis(protocol, theta, ns)
     for n in ns:
         qfi = qfi_linear_generator(probe, LadderPolynomial._canonical(
-            _generator_terms(report, parts, n, g_bar)))
-        cfi = None
-        if legs:
-            w_x = w_p = 0.0
-            for exponent, leg_x, leg_p in legs:
-                scale = math.exp(exponent * n * g_bar)
-                w_x, w_p = w_x + scale * leg_x, w_p + scale * leg_p
-            var = w_x * w_x * var_x + w_p * w_p * var_p + 2.0 * w_x * w_p * cov_xp
-            if var > 0.0:  # CFI <= QFI, which rounding could cross where they agree
-                cfi = min((n * d_mean) ** 2 / var, qfi)
-        yield qfi, cfi
-
-
-def _axis(a: float, b: float, c: float, sign: float) -> float:
-    """Angle in (-pi/2, pi/2] of the eigenvector of M^T = [[a, c], [b, -a]]
-    (a^2 + b c = 1) for the eigenvalue ``sign``; for two equal entries it
-    is the double nearest pi/4."""
-    x, y = max(((c, sign - a), (sign + a, b)), key=lambda v: abs(v[0]) + abs(v[1]))
-    return math.atan2(y, x) if x > 0.0 or (x == 0.0 and y > 0.0) else math.atan2(-y, -x)
+            _generator_terms(report, parts, n, protocol.g_bar)))
+        yield qfi, None if cfis is None else min(next(cfis), qfi)
 
 
 def fig2a_scan(k_list: Sequence[int], n_range: Sequence[int]) -> ScanResult:
@@ -184,13 +147,12 @@ def fig3_scan(
 
     Columns: closed-form QFI 2 N^2 cosh(2 N xi), the Gaussian QFI of the
     local generator, the Fock-oracle QFI where it converged (with a
-    per-row trust marker), the homodyne CFI at theta from the squeezer's
-    flow split along its eigen-axes, and the CFI/QFI ratio; the Gaussian
-    columns come from the pair's parts and the squeezer's flow, read once
-    per scan (:func:`_gaussian_columns`).  An unconverged oracle row keeps
-    None in its Fock columns.  The oracle runs every row as one stack after
-    the Gaussian columns; the first row that fails either decides the
-    error.
+    per-row trust marker), the homodyne CFI at theta of
+    :func:`gaussian.cfi_quadrature`, and the CFI/QFI ratio, the Gaussian
+    columns read once per scan (:func:`_gaussian_columns`).  An unconverged
+    oracle row keeps None in its Fock columns.  The oracle runs every row as
+    one stack after the Gaussian columns; the first row that fails either
+    decides the error.
     """
     if not xi_bar > 0:
         raise ValidationError("xi_bar must be positive")
@@ -208,8 +170,7 @@ def fig3_scan(
     ]
     protocol = build_preset("squeeze-inf", n_range[0], x_bar, xi_bar, probe)
     report = classified_pair(protocol.h_g, protocol.h_lambda)
-    gaussian = _gaussian_columns(report, protocol.h_g, n_range, protocol.g_bar,
-                                 gaussian_probe(probe), spec.theta)
+    gaussian = _gaussian_columns(report, protocol, n_range, gaussian_probe(probe), spec.theta)
     rows, failure = [], None
     for n in n_range:
         try:
@@ -260,7 +221,7 @@ def example1_scan(
     probe_state = gaussian_probe(probe)
     protocol = build_preset(preset, n_range[0], x_bar, s_bar, probe)
     report = classified_pair(protocol.h_g, protocol.h_lambda)
-    columns = _gaussian_columns(report, protocol.h_g, n_range, protocol.g_bar, probe_state)
+    columns = _gaussian_columns(report, protocol, n_range, probe_state)
     rows = [{"N": n, "qfi": qfi} for n, (qfi, _) in zip(n_range, columns)]
     return ScanResult(columns=["N", "qfi"], rows=rows)
 

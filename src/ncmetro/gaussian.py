@@ -17,12 +17,11 @@ det(cov) = 1/4 is preserved.
 Every generator is a ladder polynomial, the one generator type of both
 engines.  The engine runs on plain floats: a state is the tuple
 (<X>, <P>, sigma_XX, sigma_XP, sigma_PP), a generator is read as the tuple
-that ``_quadratures`` returns, and ``_flow`` is the one evolution step under
-``evolve``, ``run_protocol`` and ``cfi_quadrature``.  A ``GaussianState``,
-with its frozen numpy arrays, is built only where a public function
-returns one: ``cfi_quadrature`` reads the final moments that
-``run_protocol`` wraps.  A generator's quadratures are derived once per
-polynomial and kept in its memo.
+that ``_quadratures`` returns, and ``_flow`` pushes a state forward under
+``evolve`` and ``run_protocol``.  The homodyne CFI of ``cfi_quadrature``
+and fig3 pulls the measured axis back to the probe instead, so no variance
+along a squeezed axis cancels.  A generator's quadratures are derived once
+per polynomial and kept in its memo.
 """
 
 from __future__ import annotations
@@ -45,12 +44,6 @@ from .protocols import EncodingProtocol, ProbeDescriptor
 
 _SQRT2 = math.sqrt(2.0)
 _IMAG_TOL = 1e-10
-
-#: Smallest variance along the homodyne axis, relative to the size of the
-#: covariance terms it sums, that ``cfi_quadrature`` resolves: rounding in
-#: the covariance moves it by up to about 2 eps times that size, so at this
-#: floor the CFI is still within 5e-4.
-_VAR_RESOLUTION = 1e-12
 
 #: (<X>, <P>, sigma_XX, sigma_XP, sigma_PP) of a state.
 Moments = tuple[float, float, float, float, float]
@@ -276,20 +269,13 @@ def run_protocol(protocol: EncodingProtocol) -> GaussianState:
     left order of the written product), i.e. the state is
     exp(-i N lam H_lam) exp(-i N g H_g) |probe>.
     """
-    return _state(_final_moments(protocol))
-
-
-def _final_moments(protocol: EncodingProtocol) -> Moments:
-    """The moments that ``run_protocol`` wraps, with the state between the
-    blocks checked; the final ones are left to the caller's check."""
     state = _probe_moments(protocol.probe)
     n = protocol.n_applications
     if n:
-        quad_g, quad_l = _quadratic(protocol.h_g), _quadratic(protocol.h_lambda)
-        state = _flow(state, quad_g, n * protocol.g_bar)
-        _check_uncertainty(*state[2:])  # the state between the blocks is one too
-        state = _flow(state, quad_l, n * protocol.lambda_bar)
-    return state
+        state = _flow(state, _quadratic(protocol.h_g), n * protocol.g_bar)
+        _check_uncertainty(*state[2:])
+        state = _flow(state, _quadratic(protocol.h_lambda), n * protocol.lambda_bar)
+    return _state(state)
 
 
 def qfi_linear_generator(probe: GaussianState, gen: LadderPolynomial) -> float:
@@ -308,46 +294,99 @@ def qfi_linear_generator(probe: GaussianState, gen: LadderPolynomial) -> float:
     return qfi
 
 
-def _variance_along(cos: float, sin: float, var_x: float, cov_xp: float,
-                    var_p: float) -> float:
-    """u^T cov u for u = (cos, sin)."""
+def homodyne_variance(state: GaussianState, spec: HomodyneSpec) -> float:
+    """Variance of Q = X cos(theta) + P sin(theta) in the state."""
+    cos, sin = math.cos(spec.theta), math.sin(spec.theta)
+    _, _, var_x, cov_xp, var_p = _moments(state)
     return _dot2(_dot2(cos, var_x, sin, cov_xp), cos, _dot2(cos, cov_xp, sin, var_p), sin)
 
 
-def homodyne_variance(state: GaussianState, spec: HomodyneSpec) -> float:
-    """Variance of Q = X cos(theta) + P sin(theta) in the state."""
-    return _variance_along(math.cos(spec.theta), math.sin(spec.theta), *_moments(state)[2:])
+def _axis(a: float, b: float, c: float, sign: float) -> float:
+    """Angle in (-pi/2, pi/2] of the eigenvector of M^T = [[a, c], [b, -a]]
+    (a^2 + b c = 1) for the eigenvalue ``sign``; for two equal entries it
+    is the double nearest pi/4."""
+    x, y = max(((c, sign - a), (sign + a, b)), key=lambda v: abs(v[0]) + abs(v[1]))
+    return math.atan2(y, x) if x > 0.0 or (x == 0.0 and y > 0.0) else math.atan2(-y, -x)
+
+
+def _pull_back(quad: Quadratures, theta: float, length: float = 1.0):
+    """(n, tau) -> S^T v for the flow S = exp(n tau Omega G), v = length e(theta).
+    A squeeze S = e^k P+ + e^-k P-, P+- = (I +- M) / 2, splits v once along
+    M^T's eigen-axes by angle differences sin(theta - psi), so no e^(2k) term
+    cancels.  The split rounds by about eps |M|, :func:`_flow`'s closed form
+    by eps |S|^2: rotations, shears and short times near a shear take the latter."""
+    g_xx, g_pp, g_xp, _, _ = quad
+    start = (length * math.cos(theta), length * math.sin(theta), 0.0, 0.0, 0.0)
+    transposed = (-g_pp, -g_xx, g_xp, 0.0, 0.0)  # S^T is the flow of Omega G Omega
+
+    def closed(n: int, tau: float) -> tuple[float, float]:
+        return _flow(start, transposed, n * tau)[:2]
+
+    rate = g_xp * g_xp - g_pp * g_xx
+    if not rate > 0.0:
+        return closed
+    flow = math.sqrt(rate)  # k / t, for m / t = [[a, b], [c, -a]]
+    a, b, c = g_xp / flow, g_pp / flow, -g_xx / flow
+    size = max(abs(a), abs(b), abs(c))  # |M|
+    reach = 0.5 * math.log(size)  # k beyond which the split is the better one
+    legs = []
+    for sign in (1.0, -1.0):  # sin(theta - psi) P^T e(psi + pi/2), psi the other axis
+        psi = _axis(a, b, c, -sign)
+        along, x, y = length * math.sin(theta - psi), -math.sin(psi), math.cos(psi)
+        if along:
+            legs.append((sign * flow, along * 0.5 * (x + sign * (a * x + c * y)),
+                         along * 0.5 * (y + sign * (b * x - a * y))))
+
+    def split(n: int, tau: float) -> tuple[float, float]:
+        k = abs(flow * n * tau)  # |S| is about e^k (1 + |M| k)
+        if k < reach and k + math.log1p(size * k) < reach:
+            return closed(n, tau)
+        w_x = w_p = 0.0
+        for exponent, leg_x, leg_p in legs:
+            scale = math.exp(exponent * n * tau)
+            w_x, w_p = w_x + scale * leg_x, w_p + scale * leg_p
+        return w_x, w_p
+    return split
+
+
+def _homodyne_cfis(protocol: EncodingProtocol, theta: float, ns):
+    """Yields the homodyne CFI w.r.t. lambda_bar along u = e(theta) at each N
+    of ``ns``.  u is pulled back through both flows to w = S^T u (Weedbrook et
+    al., Rev. Mod. Phys. 84, 621, 2012): var = w^T cov0 w, d(var) = 2 N z^T
+    cov0 w with z = S^T A^T u, A = Omega G_lam, and d(mean) = N u^T (A mean +
+    b), b = Omega d_lam, on the final mean.  A linear h_lambda keeps u: one pull-back per scan."""
+    _, _, var_x, cov_xp, var_p = probe = _probe_moments(protocol.probe)
+    quad_g, quad_l = _quadratic(protocol.h_g), _quadratic(protocol.h_lambda)
+    g_xx, g_pp, g_xp, d_x, d_p = quad_l
+    cos, sin = math.cos(theta), math.sin(theta)
+    g_bar, d_shift = protocol.g_bar, cos * d_p - sin * d_x  # u^T b
+    pulled = None if g_xx or g_pp or g_xp else _pull_back(quad_g, theta)
+    for n in ns:
+        try:
+            d_mean, d_var = d_shift, 0.0
+            if pulled:
+                w_x, w_p = pulled(n, g_bar)
+            else:
+                u_x, u_p = _pull_back(quad_l, theta)(n, protocol.lambda_bar)
+                (w_x, w_p), (z_x, z_p) = (  # S^T u, S^T A^T u
+                    _pull_back(quad_g, math.atan2(y, x), math.hypot(x, y))(n, g_bar)
+                    for x, y in ((u_x, u_p), (g_xp * u_x - g_xx * u_p, g_pp * u_x - g_xp * u_p)))
+                mean_x, mean_p, _, _, _ = _flow(_flow(probe, quad_g, n * g_bar),
+                                                quad_l, n * protocol.lambda_bar)
+                d_mean += (cos * g_xp - sin * g_xx) * mean_x + (cos * g_pp - sin * g_xp) * mean_p
+                d_var = 2.0 * n * (z_x * (w_x * var_x + w_p * cov_xp)
+                                   + z_p * (w_x * cov_xp + w_p * var_p))
+            var = w_x * w_x * var_x + w_p * w_p * var_p + 2.0 * w_x * w_p * cov_xp
+            if var <= 0.0:
+                raise DegenerateMeasurementError("homodyne variance vanished; CFI undefined")
+            cfi = (n * d_mean) ** 2 / var + 0.5 * (d_var / var) ** 2
+        except OverflowError:
+            cfi = math.inf
+        if not math.isfinite(cfi):
+            raise ValidationError(f"homodyne CFI is {cfi!r} at N = {n}: the protocol overflows")
+        yield cfi
 
 
 def cfi_quadrature(protocol: EncodingProtocol, spec: HomodyneSpec) -> float:
-    """Classical Fisher information of the homodyne outcome w.r.t. lambda_bar.
-
-    The lambda derivative acts as extra evolution under H_lam appended after
-    the protocol, so both moment derivatives are exact:
-    d(mean) = N (A mean + b) and d(cov) = N (A cov + cov A^T) with
-    A = Omega G_lam, b = Omega d_lam.  The variance term vanishes whenever
-    the measured variance is lambda-independent.
-    """
-    mean_x, mean_p, var_x, cov_xp, var_p = _final_moments(protocol)
-    _check_uncertainty(var_x, cov_xp, var_p)  # as building run_protocol's state does
-    g_xx, g_pp, g_xp, d_x, d_p = _quadratic(protocol.h_lambda)
-    n = protocol.n_applications
-    cos, sin = math.cos(spec.theta), math.sin(spec.theta)
-    var = _variance_along(cos, sin, var_x, cov_xp, var_p)
-    if var < 1e-300:
-        raise DegenerateMeasurementError(
-            "measured quadrature variance vanished; Fisher information undefined"
-        )
-    # a squeezed state's variance along its squeezed axis cancels e^{4 N xi}
-    size = cos * cos * abs(var_x) + 2.0 * abs(cos * sin * cov_xp) + sin * sin * abs(var_p)
-    if var < _VAR_RESOLUTION * size:
-        raise DegenerateMeasurementError(
-            f"measured quadrature variance {var:.3e} is lost in the rounding of "
-            f"covariance terms of size {size:.3e}; Fisher information not resolved"
-        )
-    # u^T A, for A = Omega G_lam = [[G_xp, G_pp], [-G_xx, -G_xp]]
-    ua_x, ua_p = cos * g_xp - sin * g_xx, cos * g_pp - sin * g_xp
-    d_mean = n * ((ua_x * mean_x + ua_p * mean_p) + (cos * d_p - sin * d_x))
-    # u^T (A cov + cov A^T) u = 2 u^T A cov u
-    d_var = 2.0 * n * ((ua_x * var_x + ua_p * cov_xp) * cos + (ua_x * cov_xp + ua_p * var_p) * sin)
-    return d_mean ** 2 / var + 0.5 * d_var ** 2 / var**2
+    """Homodyne CFI w.r.t. lambda_bar, from :func:`_homodyne_cfis` as fig3's."""
+    return next(_homodyne_cfis(protocol, spec.theta, (protocol.n_applications,)))

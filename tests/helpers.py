@@ -30,7 +30,6 @@ import numpy as np
 
 from ncmetro import (
     ConvergenceError,
-    DegenerateMeasurementError,
     LadderPolynomial,
     LeakageError,
     ProbeDescriptor,
@@ -39,7 +38,6 @@ from ncmetro import (
     momentum_op,
     position_op,
     prepare_probe,
-    run_protocol,
 )
 from ncmetro.errors import BoundViolationError, require_finite
 from ncmetro.fock import (
@@ -54,7 +52,7 @@ from ncmetro.fock import (
     _to_parity,
     _top_slot,
 )
-from ncmetro.gaussian import _VAR_RESOLUTION, _quadratic, _variance_along
+from ncmetro.gaussian import _quadratic
 
 
 @lru_cache(maxsize=None)
@@ -675,36 +673,6 @@ def numpy_cfi(protocol, theta: float) -> float:
     u = np.array([math.cos(theta), math.sin(theta)])
     var = float(u @ cov @ u)
     return float(u @ d_mean) ** 2 / var + 0.5 * float(u @ d_cov @ u) ** 2 / var**2
-
-
-# -- the homodyne CFI over run_protocol -------------------------------------------
-#
-# ``cfi_quadrature`` as it stood when it read the final moments from the
-# ``GaussianState`` that ``run_protocol`` returns, and the generator's
-# quadratures afresh at every call.
-
-
-def run_protocol_cfi(protocol, spec) -> float:
-    state = run_protocol(protocol)
-    (mean_x, mean_p), ((var_x, cov_xp), (_, var_p)) = state.mean.tolist(), state.cov.tolist()
-    g_xx, g_pp, g_xp, d_x, d_p = _quadratic(LadderPolynomial(dict(protocol.h_lambda.terms)))
-    n = protocol.n_applications
-    cos, sin = math.cos(spec.theta), math.sin(spec.theta)
-    var = _variance_along(cos, sin, var_x, cov_xp, var_p)
-    if var < 1e-300:
-        raise DegenerateMeasurementError(
-            "measured quadrature variance vanished; Fisher information undefined"
-        )
-    size = cos * cos * abs(var_x) + 2.0 * abs(cos * sin * cov_xp) + sin * sin * abs(var_p)
-    if var < _VAR_RESOLUTION * size:
-        raise DegenerateMeasurementError(
-            f"measured quadrature variance {var:.3e} is lost in the rounding of "
-            f"covariance terms of size {size:.3e}; Fisher information not resolved"
-        )
-    ua_x, ua_p = cos * g_xp - sin * g_xx, cos * g_pp - sin * g_xp
-    d_mean = n * ((ua_x * mean_x + ua_p * mean_p) + (cos * d_p - sin * d_x))
-    d_var = 2.0 * n * ((ua_x * var_x + ua_p * cov_xp) * cos + (ua_x * cov_xp + ua_p * var_p) * sin)
-    return d_mean ** 2 / var + 0.5 * d_var ** 2 / var**2
 
 
 # -- the oracle-scans pool ---------------------------------------------------------

@@ -4,10 +4,11 @@ import math
 import random
 import re
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncmetro import (
@@ -38,7 +39,7 @@ from ncmetro import (
 )
 from ncmetro import gaussian
 from ncmetro.experiments import fig3_scan
-from ncmetro.gaussian import _dot2, _moments
+from ncmetro.gaussian import _dot2
 from ncmetro.protocols import build_preset
 
 from helpers import (
@@ -48,7 +49,6 @@ from helpers import (
     numpy_probe,
     numpy_run_protocol,
     numpy_symplectic_and_integral,
-    run_protocol_cfi,
 )
 
 X = position_op()
@@ -278,6 +278,23 @@ class TestRunProtocol:
                     assert np.allclose(state.mean, mean, atol=1e-6)
                     assert np.allclose(state.cov, cov, atol=1e-6)
 
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_run_protocol_checks_the_states_it_builds(self, monkeypatch, block):
+        # moments with det(cov) = 0.2 < 1/4 after either block are refused;
+        # the homodyne CFI builds no state to check (it pulls the axis back)
+        protocol = squeeze_protocol(1, 0.1, 0.1)
+        flow, blocks = gaussian._flow, []
+
+        def corrupting(state, quad, t):
+            blocks.append(t)
+            moments = flow(state, quad, t)
+            return moments[:2] + (0.5, 0.0, 0.4) if len(blocks) == block + 1 else moments
+
+        monkeypatch.setattr(gaussian, "_flow", corrupting)
+        with pytest.raises(ValidationError, match="^covariance violates the uncertainty"):
+            run_protocol(protocol)
+        assert len(blocks) == block + 1
+
     def test_non_quadratic_generator_rejected(self):
         from ncmetro import EncodingProtocol
 
@@ -387,74 +404,79 @@ class TestCfi:
         assert cfi > 0.0
 
     def test_degenerate_measurement_error(self):
-        protocol = squeeze_protocol(1, 0.1, 0.1)
-        state = run_protocol(protocol)
-        spec = HomodyneSpec(math.pi / 4.0)
-        assert homodyne_variance(state, spec) > 0  # sanity: not actually degenerate
-        with pytest.raises(DegenerateMeasurementError):
-            # force the degenerate branch through a fake whose variance along
-            # theta = 0 is below 1e-300; det(cov) = 0.5 keeps it a valid state
-            from unittest import mock
-
-            with mock.patch("ncmetro.gaussian._final_moments") as fake:
-                fake.return_value = _moments(GaussianState(
-                    mean=np.zeros(2), cov=np.diag([5e-301, 1e300])
-                ))
-                cfi_quadrature(protocol, HomodyneSpec(0.0))
-
-    def test_final_state_checked_as_run_protocol_checks_it(self, monkeypatch):
-        # final moments with det(cov) = 0.2 < 1/4 are refused by both readers
-        protocol = squeeze_protocol(1, 0.1, 0.1)
-        final = gaussian._final_moments
-        monkeypatch.setattr(gaussian, "_final_moments",
-                            lambda protocol: final(protocol)[:2] + (0.5, 0.0, 0.4))
-        for compute in (lambda: run_protocol(protocol),
-                        lambda: cfi_quadrature(protocol, HomodyneSpec(0.3))):
-            with pytest.raises(ValidationError, match="^covariance violates the uncertainty"):
-                compute()
+        # a probe squeezed along pi/4, squeezed further along that axis: the
+        # pulled-back variance, e^(-2 N xi) e^(-2 r) / 2 = e^(-762) / 2,
+        # underflows to zero
+        probe = ProbeDescriptor.squeezed_vacuum(1.0, math.pi / 4)
+        protocol = squeeze_protocol(200, 0.1, 1.9, probe)
+        with pytest.raises(DegenerateMeasurementError, match="variance vanished"):
+            cfi_quadrature(protocol, HomodyneSpec(math.pi / 4.0))
 
 
-def test_cfi_refuses_a_variance_lost_to_rounding():
-    # N^2 e^{2 N xi} once came out wrong by more than 1% at exit 0 in 146 of
-    # these 348 cells, up to 1e16 times too large, and 24 others were refused
-    # only because rounding broke the uncertainty relation
-    resolved = refused = 0
-    for xi in np.linspace(0.2, 3.0, 29):
-        for n in range(1, 13):
-            protocol = build_preset("squeeze-inf", n, 0.1, float(xi), ProbeDescriptor.coherent(0.3))
-            try:
-                cfi = cfi_quadrature(protocol, HomodyneSpec(math.pi / 4.0))
-            except DegenerateMeasurementError as exc:
-                assert "not resolved" in str(exc)
-                refused += 1
-                continue
-            assert cfi == pytest.approx(n**2 * math.exp(2 * n * xi), rel=5e-4), (xi, n)
-            resolved += 1
-    assert resolved > 100 and refused > 100
+EPS = sys.float_info.epsilon
 
 
-def test_cfi_reads_the_moments_run_protocol_wraps():
-    # the fig3 grid, refusals with their text, equals the CFI read from the
-    # GaussianState of run_protocol with the quadratures derived afresh
-    outcomes = set()
+@pytest.mark.parametrize("c, s", [(0.3, 2.0), (0.3, 1 / 3), (0.7, 1.0), (0.7, 0.5), (1.3, 1.0)])
+def test_cfi_of_a_shear_written_as_a_square(c, s):
+    # h_g = (c X + s P)^2 is a shear, but its quadratures round to a squeeze
+    # of rate -det G = 7e-18..2e-15, whose eigen-axes lie 1e-9..1e-7 apart:
+    # split along them the CFI was up to 8e-9 off; the closed form is not
+    quad = c * X + s * P
+    protocol = EncodingProtocol(h_lambda=P + 0.3 * X, h_g=normal_order_product(quad, quad),
+                                n_applications=3, lambda_bar=0.1, g_bar=0.4,
+                                probe=ProbeDescriptor.coherent(0.3))
+    g_xx, g_pp, g_xp, _, _ = gaussian._quadratic(protocol.h_g)
+    assert g_xp * g_xp - g_pp * g_xx > 0.0
+    want = numpy_cfi(protocol, 0.7)
+    assert cfi_quadrature(protocol, HomodyneSpec(0.7)) == pytest.approx(want, rel=1e-14)
+
+
+def _exact_cfi(n: int, xi: float) -> Decimal:
+    """N^2 e^(2 N xi) to 50 digits, for the float xi as it is."""
+    with localcontext() as context:
+        context.prec = 50
+        return Decimal(n) ** 2 * (2 * n * Decimal(xi)).exp()
+
+
+def test_cfi_on_the_fig3_grid_is_the_exact_law_fig3_prints():
+    # xi = 0.2..3.0 by N = 1..12 for the vacuum and alpha = 0.3, where a
+    # pushed-forward variance cancels e^(4 N xi) (390 of these 696 cells were
+    # once refused): every cell is N^2 e^(2 N xi) to 1e-14, at most 8 eps
+    # above the QFI, and fig3's printed CFI bit for bit where fig3 did not
+    # hold it at the QFI
+    spec = HomodyneSpec(math.pi / 4.0)
     for alpha in (0.0, 0.3):
-        for xi in np.linspace(0.2, 3.0, 29):
-            for n in range(1, 13):
-                protocol = build_preset("squeeze-inf", n, 0.1, float(xi),
-                                        ProbeDescriptor.coherent(alpha))
-                got, want = (_outcome(lambda: cfi(protocol, HomodyneSpec(math.pi / 4.0)))
-                             for cfi in (cfi_quadrature, run_protocol_cfi))
-                assert got == want, (alpha, xi, n)
-                outcomes.add(got[0])
-    assert outcomes == {"value", DegenerateMeasurementError}
+        probe = ProbeDescriptor.coherent(alpha)
+        for xi in map(float, np.linspace(0.2, 3.0, 29)):
+            for row in fig3_scan(range(1, 13), xi_bar=xi, alpha=alpha, include_fock=False).rows:
+                n, qfi = row["N"], row["qfi_gaussian"]
+                cfi = cfi_quadrature(build_preset("squeeze-inf", n, 0.1, xi, probe), spec)
+                exact = _exact_cfi(n, xi)
+                assert abs(Decimal(cfi) - exact) <= Decimal(1e-14) * exact, (alpha, xi, n)
+                assert cfi <= qfi * (1.0 + 8.0 * EPS), (alpha, xi, n)
+                assert cfi == row["cfi"] or row["cfi"] == qfi, (alpha, xi, n)
 
 
-def _outcome(compute):
-    """("value", repr of the float) or (the error type, its text)."""
-    try:
-        return "value", repr(compute())
-    except DegenerateMeasurementError as exc:
-        return type(exc), str(exc)
+def test_cfi_is_a_value_or_a_named_overflow_at_large_n():
+    # 2 N xi <= 709 for N in {20, 50, 100, 150, 200} and xi = 0.1..3.9 once
+    # gave 148 refusals, 4 values and, at N = 100, xi = 3.5, a silent nan;
+    # each cell is now N^2 e^(2 N xi), to the rounding of the exponent N xi
+    # (which e^(2 N xi) turns into up to 2 N xi eps) and a few eps
+    spec = HomodyneSpec(math.pi / 4.0)
+    for n in (20, 50, 100, 150, 200):
+        for xi in (round(0.1 * j, 10) for j in range(1, 40)):
+            if 2 * n * xi <= 709:
+                protocol = squeeze_protocol(n, 0.1, xi, ProbeDescriptor.coherent(0.3))
+                cfi = cfi_quadrature(protocol, spec)
+                exact = _exact_cfi(n, xi)
+                assert abs(Decimal(cfi) - exact) <= Decimal((2 * n * xi + 8) * EPS) * exact, (n, xi)
+    assert cfi_quadrature(squeeze_protocol(100, 0.1, 3.5), spec) == pytest.approx(1.0142320547e308)
+    # N^2 e^(2 N xi) beyond the largest double: an error naming N, not inf;
+    # off the axis, e^(N xi) itself overflows (once a bare OverflowError)
+    for n, xi, theta in ((200, 1.75, spec.theta), (100, 3.54, spec.theta),
+                         (150, 2.35, spec.theta), (100, 15.0, 0.0)):
+        with pytest.raises(ValidationError, match=f"homodyne CFI is inf at N = {n}:"):
+            cfi_quadrature(squeeze_protocol(n, 0.1, xi), HomodyneSpec(theta))
 
 
 @settings(max_examples=60, deadline=None)
@@ -651,9 +673,36 @@ def _cfi_scale(protocol, theta: float, mean: np.ndarray, cov: np.ndarray) -> flo
     return d_mean**2 / var + d_var**2 / var**2
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cfi_never_exceeds_the_qfi(data):
+    # homodyne CFI <= QFI (the Cramer-Rao chain) for squeezes and shears that
+    # the classifier accepts (rotations reach its cap), a linear h_lambda,
+    # and flows up to N |t| = 15, where along the squeezed axis the two agree
+    # to e^(-4 k).  Each side rounds its own exponent k = N |t| sqrt(-det G)
+    # (the rate, its root, N t), and e^(2 k) turns that into about 2 k eps
+    # per rounding: at k = 12, X^2 - P^2 with its coefficients a rounding off
+    # gives a CFI 10 eps above and a QFI 9 eps below their 60-digit values
+    h_g = data.draw(generators(data.draw(st.sampled_from(["hyperbolic", "degenerate"]))))
+    assume(h_g.degree == 2)
+    sign = st.sampled_from([1.0, -1.0])
+    h_lambda = _generator(0.0, 0.0, 0.0, data.draw(st.floats(0.1, 1.0)) * data.draw(sign),
+                          data.draw(st.floats(0.1, 1.0)) * data.draw(sign))
+    n = data.draw(st.integers(1, 12))
+    aux = data.draw(st.floats(0.0, 15.0)) * data.draw(sign) / n
+    protocol = EncodingProtocol(h_lambda=h_lambda, h_g=h_g, n_applications=n, lambda_bar=0.1,
+                                g_bar=aux, probe=data.draw(PROBE_DESCRIPTORS))
+    qfi = qfi_linear_generator(gaussian_probe(protocol.probe), local_generator(protocol).generator)
+    cfi = cfi_quadrature(protocol, HomodyneSpec(data.draw(st.floats(0.0, math.pi))))
+    g_xx, g_pp, g_xp, _, _ = gaussian._quadratic(h_g)
+    k = n * abs(aux) * math.sqrt(max(0.0, g_xp * g_xp - g_pp * g_xx))
+    assert cfi <= qfi * (1.0 + (8.0 + 16.0 * k) * EPS)
+
+
 def test_squeeze_protocol_closed_forms():
     # QFI 2 N^2 cosh(2 N xi) and homodyne CFI N^2 e^{2 N xi} over fig3's
-    # range; the variance the CFI divides by is a sum that cancels e^{4 N xi}
+    # range; numpy_cfi's pushed-forward variance is a sum that cancels
+    # e^{4 N xi}, which N xi <= 1.2 keeps within the compared digits
     for xi in (0.05, 0.08, 0.1):
         for row in fig3_scan(range(1, 13), xi_bar=xi, include_fock=False).rows:
             n = row["N"]
