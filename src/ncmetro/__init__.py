@@ -8,7 +8,6 @@ experiments and a CLI.
 
 from .errors import (
     BoundViolationError,
-    ConvergenceError,
     DegenerateMeasurementError,
     DegreeOverflowError,
     ExpressionError,

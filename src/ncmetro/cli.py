@@ -177,7 +177,8 @@ _PROTOCOL = _PAIR + (
 )
 _DIM_STEP = (
     _flag("--dim", type=_DIM, default=DEFAULT_DIM),
-    _flag("--step", type=_STEP, default=DEFAULT_STEP),
+    _flag("--step", type=_STEP, default=DEFAULT_STEP, help="half-width of the leakage window "
+          "x +- step; the QFI derivative is exact, and trusted=0 means parity-blind"),
 )
 _COMMON = (
     # consumed by parse_config before parsing; listed here for --help
@@ -263,7 +264,7 @@ def _run_qfi(ns):
         estimate = qfi_numeric(protocol, dim=ns.dim, step=ns.step)
         rows.append(["fock", estimate.value, qcrb_rmse(estimate.value, ns.nu),
                      1 if estimate.trusted else 0])
-        trust = {"rel_disagreement": estimate.rel_disagreement, "dim_used": estimate.dim}
+        trust = {"dim_used": estimate.dim}
     columns = ["engine", "qfi", "rmse_qcrb", "trusted"]
     return columns, rows, {row[0]: row[1] for row in rows}, trust
 

@@ -1,8 +1,12 @@
 """Exception hierarchy shared across the package.
 
 ``NumericalTrustError`` subclasses signal that a result cannot be trusted at
-the requested truncation/step settings; the CLI maps them to exit code 3,
-while ``ValidationError`` (bad user input) maps to exit code 2.
+the requested truncation; the CLI maps them to exit code 3, while
+``ValidationError`` (bad user input) maps to exit code 2.  The Fock oracle
+has one exact derivative, so its trust error is ``LeakageError``: the top
+Fock level populated in the probe, after the auxiliary block or at the
+leakage window's edges x +- step.  Where parity keeps that level empty, the
+check sees nothing and the result is returned untrusted.
 """
 
 import cmath
@@ -50,10 +54,6 @@ class NumericalTrustError(NcmetroError):
 
 class LeakageError(NumericalTrustError):
     """Truncated state accumulated population at the top Fock level."""
-
-
-class ConvergenceError(NumericalTrustError):
-    """Step-halving or truncation-doubling passes disagree beyond tolerance."""
 
 
 class TruncationInstabilityError(NumericalTrustError):

@@ -146,10 +146,10 @@ def fig3_scan(
     """QFI and homodyne CFI of the squeeze protocol against N.
 
     Columns: closed-form QFI 2 N^2 cosh(2 N xi), the Gaussian QFI of the
-    local generator, the Fock-oracle QFI where it converged (with a
+    local generator, the Fock-oracle QFI where it does not leak (with a
     per-row trust marker), the homodyne CFI at theta of
     :func:`gaussian.cfi_quadrature`, and the CFI/QFI ratio, the Gaussian
-    columns read once per scan (:func:`_gaussian_columns`).  An unconverged
+    columns read once per scan (:func:`_gaussian_columns`).  A leaking
     oracle row keeps None in its Fock columns.  The oracle runs every row as
     one stack after the Gaussian columns; the first row that fails either
     decides the error.
@@ -198,7 +198,7 @@ def fig3_scan(
         for row, outcome in zip(rows, _qfi_rows(protocol, [row["N"] for row in rows], dim, step)):
             if isinstance(outcome, QfiEstimate):
                 row.update(qfi_fock=outcome.value, fock_trusted=int(outcome.trusted))
-            elif not isinstance(outcome, NumericalTrustError):  # else the oracle did not converge
+            elif not isinstance(outcome, NumericalTrustError):  # else the row leaks
                 raise outcome
     if failure is not None:
         raise failure

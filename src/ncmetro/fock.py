@@ -1,52 +1,39 @@
-"""Truncated Fock-space oracle: dense matrices, exact unitary evolution,
-finite-difference quantum Fisher information, and the coherently controlled
-two-order (quantum SWITCH) construction.
+"""Truncated Fock-space oracle: dense matrices, exact unitary evolution, the
+exact quantum Fisher information, and the coherently controlled two-order
+(quantum SWITCH) construction.
 
 Everything here is deliberately independent of the symbolic generator route:
 matrix elements come from the Fock basis in closed form, states are evolved
 through eigendecompositions of the Hermitian generators, and the QFI comes
-from state overlaps, so this module can certify the closed-form results
+from the evolved state, so this module can certify the closed-form results
 computed elsewhere.  States are plain numpy vectors: ``prepare_probe``
 returns a fresh normalized amplitude array, and ``switch_protocol`` returns
 the two branches of the switch, each weighted 1/sqrt(2).
 
-A generator is decomposed once per dimension and process: the bounded
-least-recently-used cache of :mod:`ladder`, sized by the bytes each
-decomposition holds, shares it between a scan's rows and between calls.
-A real generator, or one that the diagonal gauge G = diag(i^k) makes real,
-gets a real symmetric decomposition and real mat-vecs; X and P = G X G^dag
-share one, the gauge decided from the terms.  The oracle keeps its vectors
-in parity order, the even Fock levels and then the odd ones, where at even
-dimension a generator of definite photon-number parity (X, P and their
-odd powers are odd; ad^2 + a^2, X^2 and P^2 are even) is decomposed as two
-half-size blocks, by two ``eigh`` or one SVD, and each change of basis
-multiplies half-size blocks; any other generator, and every one at odd
-dimension, is one block.  Finite differences run in the eigen-coordinates
-of H_lambda, where each point is a phase per coefficient.  A scan runs its
-N values as one stack: the probe is prepared (once per descriptor and
-dimension, kept read-only) and projected once, one exponential covers
-every row, point and eigenvalue, and each change of basis is one stacked
-product whose slices keep a lone row's floats.  Both passes of a stack,
-over states or over the switch's Bloch vectors, are one call over its
-five points.  The overlaps, the Bloch vectors and the scan edges' top
-amplitudes are stacked BLAS dots (``np.vecdot``, slice by slice the dot
-of ``np.vdot``; stacked ``(..., 1, D) @ (..., D, 1)`` products give the
-same bits at about twice the cost, a conjugated copy and a matrix product
-per slice); each row then takes the modulus of its overlaps, its
-Richardson step on its two pass values and its trust checks, in a lone
-row's order and with a lone row's error texts.  A single query is a
-one-row stack.  The definite-order switch evolves only its measured
-branch.
+A generator is decomposed once per dimension and process, in a bounded
+least-recently-used cache (:func:`_evolver`): as a real symmetric matrix
+where it, or its twin under the gauge G = diag(i^k), is real (P = G X G^dag
+shares X's), and, in parity order (the even Fock levels, then the odd
+ones), as two half-size blocks where it has definite photon-number parity
+at even dimension (:class:`HermitianEvolver`).
+
+There is one derivative, and it is exact: every family the oracle
+differentiates ends in exp(-i N x H), so d|psi>/dx = -i N H|psi> and the QFI
+is 4 N^2 Var[H] (Braunstein and Caves, PRL 72, 3439, 1994); the switch's
+control qubit takes its branches' x-derivatives.  A scan runs its N values
+as one stack, its probe prepared (once per descriptor and dimension, kept
+read-only) and projected once; its changes of basis are stacked products and
+its dots ``np.vecdot`` (slice by slice the dot of ``np.vdot``), so each row,
+finished as Python scalars, keeps a lone row's floats, checks and texts.
 
 Trust model: prepared and evolved vectors must keep the population of the
 top Fock level |D-1> below ``LEAKAGE_THRESHOLD``, and the check reads that
-level alone, wherever parity order puts it; finite-difference QFI runs a
-second pass at half step and Richardson-extrapolates, flagging the result
-untrusted above 0.5% pass disagreement and erroring above 5%.  A QFI is
-also flagged untrusted when parity keeps the top level empty, since the
-leakage check then sees nothing.  A step whose half moves the parameter
-by less than sqrt(eps) max(1, |x0|) is refused: its passes read rounding
-noise, or zero, and can agree.
+level alone, wherever parity order puts it: in the probe, after the
+auxiliary block, and at the leakage window's edges x +- step (each evolved
+switch branch at x and x +- step).  ``step`` is the window's half-width; one
+whose half moves x by less than sqrt(eps) max(1, |x|) is refused, since its
+edges would not leave x.  A QFI is flagged untrusted only where parity keeps
+the top level empty, since the leakage check then sees nothing.
 """
 
 from __future__ import annotations
@@ -54,14 +41,13 @@ from __future__ import annotations
 import copy
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     BoundViolationError,
-    ConvergenceError,
     LeakageError,
     NumericalTrustError,
     ValidationError,
@@ -76,12 +62,10 @@ LEAKAGE_THRESHOLD = 1e-8
 #: Default truncation dimension for desk-scale workloads.
 DEFAULT_DIM = 80
 
-#: Default finite-difference step for the QFI derivative.
+#: Default half-width of the leakage window around the parameter.
 DEFAULT_STEP = 1e-4
 
 _HERMITIAN_TOL = 1e-10
-_UNTRUSTED_REL = 0.005
-_ERROR_REL = 0.05
 
 
 @dataclass(frozen=True)
@@ -138,8 +122,8 @@ class HermitianEvolver:
     (u, +-w)/sqrt(2) from one SVD B = U sigma W^dag of the square B.  Any
     other H, and every H at odd dimension, is the one-block case.  The
     blocks are kept as one stack, so that each change of basis is one
-    stacked product.  ``project``, ``phases`` and ``lift`` expose the
-    eigen-coordinates, in which evolution is a diagonal phase; they read
+    stacked product.  ``project``, ``phases``, ``spectrum`` and ``lift`` expose
+    the eigen-coordinates, in which evolution is a diagonal phase; they read
     and write vectors in parity order and take stacks along leading axes,
     each slice with the floats of a lone vector.
     """
@@ -211,6 +195,11 @@ class HermitianEvolver:
         half = np.exp(np.multiply.outer(t, self._minus_iw))
         # +sigma, then -sigma as the conjugate of +sigma
         return np.concatenate((half, half.conj()), -1) if self._pairs else half
+
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalue of each eigen-coordinate, in the order of ``phases``."""
+        w = -self._minus_iw.imag
+        return np.concatenate((w, -w)) if self._pairs else w
 
     def project(self, vec: np.ndarray) -> np.ndarray:
         """Eigen-coordinates (G V)^dag vec of a vector in parity order."""
@@ -327,12 +316,19 @@ def _evolution_time(n: int, value: float, name: str, w_max: float) -> float:
 
 def _check_leakage(top: complex, context: str) -> None:
     """Reject a state whose top Fock amplitude ``top`` is too populated, or nan."""
-    pop = float(abs(top) ** 2)
-    if not pop <= LEAKAGE_THRESHOLD:
-        raise LeakageError(
-            f"{context}: top-level population {pop:.3e} exceeds "
-            f"{LEAKAGE_THRESHOLD:g}; increase the truncation dimension"
-        )
+    leak = _first_leak([top], context)
+    if leak:
+        raise leak
+
+
+def _first_leak(tops, context: str) -> LeakageError | None:
+    """The LeakageError of the first top amplitude of ``tops`` that is too
+    populated, or nan."""
+    for top in tops:
+        pop = float(abs(top) ** 2)
+        if not pop <= LEAKAGE_THRESHOLD:
+            return LeakageError(f"{context}: top-level population {pop:.3e} exceeds "
+                                f"{LEAKAGE_THRESHOLD:g}; increase the truncation dimension")
 
 
 # -- probe preparation --------------------------------------------------------
@@ -404,101 +400,50 @@ def _prepare(probe: ProbeDescriptor, dim: int) -> np.ndarray:
     return _to_parity(amps)
 
 
-# -- finite-difference QFI ----------------------------------------------------
+# -- exact QFI ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class QfiEstimate:
-    """Richardson-extrapolated QFI with its two finite-difference passes."""
+    """Exact-derivative QFI, its truncation and leakage-window half-width."""
 
     value: float
-    coarse: float
-    fine: float
-    rel_disagreement: float
     trusted: bool
     dim: int
     step: float
 
 
-def _overlap_qfi(center: np.ndarray, plus: np.ndarray, minus: np.ndarray,
-                 step: np.ndarray) -> list:
-    """4 (<dpsi|dpsi> - |<center|dpsi>|^2) of the central difference dpsi, as
-    a flat list over a stack, ``center`` and ``step`` broadcast against
-    ``plus`` and ``minus``.  Each value has a lone state's bits:
-    ``np.vecdot`` takes the BLAS dot of ``np.vdot`` slice by slice, and the
-    rest is taken one state at a time (numpy's vectorised complex modulus
-    rounds differently)."""
-    dpsi = (plus - minus) / (2.0 * step)
-    norms, overlaps = np.vecdot(dpsi, dpsi).real, np.vecdot(center, dpsi)
-    return [4.0 * (norm - abs(overlap) ** 2) for norm, overlap in zip(norms.flat, overlaps.flat)]
+def _variance_qfis(ns: Sequence[int], coords: Sequence[np.ndarray], w: np.ndarray) -> list:
+    """4 N^2 Var[H], the QFI of exp(-i N x H)|psi> in x, of each row: H's
+    eigenvalues ``w`` under the weights |c|^2 of its eigen-coordinates, the
+    mean over ``coords``; a Python float with a lone row's bits."""
+    weights = sum(c.real * c.real + c.imag * c.imag for c in coords) / len(coords)
+    means = np.vecdot(weights, w)
+    spreads = np.vecdot(weights, np.square(w - means[..., None]))
+    return [4.0 * n * n * spread for n, spread in zip(ns, spreads.tolist())]
 
 
-def _richardson_qfi(coarse: float, fine: float, step: float, dim: int, what: str) -> QfiEstimate:
-    """The passes at ``step`` and ``step / 2``, Richardson extrapolated;
-    raises ConvergenceError when they disagree by more than 5%, or by nan."""
-    value = (4.0 * fine - coarse) / 3.0
-    rel = abs(fine - coarse) / max(abs(value), 1e-300)
-    if not rel <= _ERROR_REL:
-        raise ConvergenceError(f"{what} passes disagree by {rel:.2%} at dim {dim}")
-    return QfiEstimate(
-        value=value,
-        coarse=coarse,
-        fine=fine,
-        rel_disagreement=rel,
-        trusted=rel <= _UNTRUSTED_REL,
-        dim=dim,
-        step=step,
-    )
+def _estimates(ns: Sequence[int], qfis: list, trusted: bool, dim: int, step: float) -> list:
+    """Each row's QfiEstimate, or the ValidationError naming N of a QFI that
+    is not finite."""
+    return [QfiEstimate(qfi, trusted, dim, step) if math.isfinite(qfi) else
+            ValidationError(f"QFI overflows: it is not finite (N = {n})")
+            for n, qfi in zip(ns, qfis)]
 
 
-#: sqrt(machine epsilon): a smaller relative step leaves a central difference
-#: nothing but rounding.
+#: sqrt(machine epsilon): the least relative move of the parameter that a
+#: leakage window's half-width must make.
 _STEP_FLOOR = math.sqrt(sys.float_info.epsilon)
 
 
 def _check_step(step: float, x0: float) -> None:
-    """A finite-difference step must be finite, and its half, the fine
-    pass's step, must move x0 by at least sqrt(eps) max(1, |x0|) (about
-    1.5e-8 near zero); below that the passes read rounding noise, or zero,
-    and could still agree."""
+    """The leakage window's half-width must be finite, and its half must move
+    x0 by at least sqrt(eps) max(1, |x0|), so that the edges leave x0."""
     require_finite(step=step)
     floor = _STEP_FLOOR * max(1.0, abs(x0))
     if not step / 2.0 >= floor:
-        raise ValidationError(
-            f"finite-difference step {step!r} is too small: its half must be at "
-            f"least {floor:.3g} (sqrt(eps) * max(1, |x0|) at x0 = {x0!r})"
-        )
-
-
-def _first_leak(tops, context: str) -> LeakageError | None:
-    """The LeakageError of the first top amplitude of ``tops`` that leaks, or
-    None."""
-    try:
-        for top in tops:
-            _check_leakage(top, context)
-    except LeakageError as exc:
-        return exc
-    return None
-
-
-#: The coarse and the fine pass's steps, in units of the step, as a column
-#: that broadcasts over a stack's two passes.  A stack holds each row's
-#: points in the order x0, x0 + h, x0 - h, x0 + h/2, x0 - h/2, so that the
-#: slices 1::2 and 2::2 are the two passes' outer points.
-_PASS_STEPS = _read_only(np.array([[1.0], [0.5]]))
-
-
-def _row_estimates(coarse: Sequence[float], fine: Sequence[float], step: float, dim: int,
-                   what: str) -> list:
-    """``_richardson_qfi`` of each row's two pass values, or its
-    ConvergenceError."""
-    estimates = []
-    for pair in zip(coarse, fine):
-        try:
-            estimates.append(_richardson_qfi(*pair, step, dim, what))
-        except ConvergenceError as exc:
-            estimates.append(exc)
-    return estimates
+        raise ValidationError(f"step {step!r} is too small: its half must be at least "
+                              f"{floor:.3g} (sqrt(eps) * max(1, |x0|) at x0 = {x0!r})")
 
 
 def _results(outcomes: list) -> list:
@@ -515,20 +460,21 @@ def qfi_numeric(
     step: float = DEFAULT_STEP,
     retries: int = 1,
 ) -> QfiEstimate:
-    """Brute-force QFI of the protocol's output state w.r.t. lambda_bar.
+    """Brute-force QFI of the protocol's output state w.r.t. lambda_bar:
+    4 N^2 Var[H_lambda] in the state that exp(-i N lambda H_lambda) acts on.
 
-    Central difference of the evolved state at +-step plus a half-step pass,
-    Richardson extrapolated.  On leakage or >5% pass disagreement the
-    truncation dimension is doubled up to ``retries`` times before raising.
+    On leakage, after the auxiliary block or at the window edges
+    lambda_bar +- step, the truncation dimension is doubled up to
+    ``retries`` times before raising.
     """
     return _results(_qfi_rows(protocol, [protocol.n_applications], dim, step, retries))[0]
 
 
 def _qfi_rows(protocol: EncodingProtocol, ns: Sequence[int], dim: int, step: float,
               retries: int = 1) -> list:
-    """``qfi_numeric`` at each N of a scan: a row's estimate, or the trust
-    error of its last attempt, the rows that leak or whose passes disagree
-    retried together at twice the dimension; a refused time ends the list."""
+    """``qfi_numeric`` at each N of a scan: a row's estimate, or the error of
+    its last attempt, the rows that leak retried together at twice the
+    dimension; a refused time ends the list."""
     _check_step(step, protocol.lambda_bar)
     if retries < 0:
         raise ValidationError("retries must be >= 0")
@@ -558,8 +504,8 @@ def _leakage_check_blind(protocol: EncodingProtocol, dim: int) -> bool:
 
 def _qfi_stack(protocol: EncodingProtocol, ns: list[int], dim: int, step: float) -> list:
     """One attempt of each row, its checks in a lone row's order (the g_bar
-    time, the auxiliary block's leakage, the lambda time, the scan edges'
-    leakage, the passes); no row past a refused time is evolved further."""
+    time, the auxiliary block's leakage, the lambda time, the window edges'
+    leakage, the QFI); no row past a refused time is evolved further."""
     probe = _probe(protocol.probe, dim)
     u_g = _evolver(protocol.h_g, dim)
     times, end = [], []
@@ -571,14 +517,13 @@ def _qfi_stack(protocol: EncodingProtocol, ns: list[int], dim: int, step: float)
             break
     after_aux = u_g.lift(u_g.phases(times) * u_g.project(probe))
     top = _top_slot(dim)
-    # Eigen-coordinates of h_lambda: evolution is a phase per coefficient,
-    # and overlaps, hence the QFI, do not depend on the basis.
+    # in h_lambda's eigen-coordinates, evolution is a phase: |c|^2 keeps lambda out of the QFI
     lam_bar, evolver_l, outcomes, live = protocol.lambda_bar, None, [], []
     for i, n in enumerate(ns[:len(times)]):
         leak = _first_leak([after_aux[i, top]], "qfi_numeric (auxiliary block)")
         if leak is None:
             evolver_l = evolver_l or _evolver(protocol.h_lambda, dim)
-            try:  # the scan edges lam_bar +- step are the largest times
+            try:  # the window edges lam_bar +- step are the largest times
                 _evolution_time(n, max(abs(lam_bar + step), abs(lam_bar - step)), "lambda",
                                 evolver_l._w_max)
             except ValidationError as exc:
@@ -588,22 +533,17 @@ def _qfi_stack(protocol: EncodingProtocol, ns: list[int], dim: int, step: float)
         outcomes.append(leak)
     if not live:
         return outcomes + end
-    lams = (lam_bar, lam_bar + step, lam_bar - step, lam_bar + step / 2.0, lam_bar - step / 2.0)
     coeffs = evolver_l.project(after_aux if len(live) == len(after_aux) else after_aux[live])
-    states = evolver_l.phases([[ns[i] * lam for lam in lams] for i in live]) * coeffs[:, None]
-    # the scan edges are the coarse pass's outer points
-    for i, edges in zip(live, evolver_l.top_amplitudes(states[:, 1:3])):
-        outcomes[i] = _first_leak(edges, "qfi_numeric (scan edge)")
+    edges = evolver_l.phases([[ns[i] * (lam_bar + step), ns[i] * (lam_bar - step)]
+                              for i in live]) * coeffs[:, None]
+    for i, tops in zip(live, evolver_l.top_amplitudes(edges)):
+        outcomes[i] = _first_leak(tops, "qfi_numeric (scan edge)")
     kept = [j for j, i in enumerate(live) if outcomes[i] is None]
-    if not kept:
-        return outcomes + end
-    states = states if len(kept) == len(live) else states[kept]
-    both = _overlap_qfi(states[:, :1], states[:, 1::2], states[:, 2::2], _PASS_STEPS * step)
-    blind = _leakage_check_blind(protocol, dim)
-    for j, estimate in zip(kept, _row_estimates(both[::2], both[1::2], step, dim,
-                                                "finite-difference")):
-        outcomes[live[j]] = replace(estimate, trusted=False) if blind and isinstance(
-            estimate, QfiEstimate) else estimate
+    rows = [ns[live[j]] for j in kept]
+    qfis = _variance_qfis(rows, [coeffs[kept]], evolver_l.spectrum())
+    trusted = not _leakage_check_blind(protocol, dim)
+    for j, outcome in zip(kept, _estimates(rows, qfis, trusted, dim, step)):
+        outcomes[live[j]] = outcome
     return outcomes + end
 
 
@@ -616,12 +556,13 @@ _X, _P = position_op(), momentum_op()
 
 
 def _switch_rows(ns: Sequence[int], xs: Sequence[float], p: float, probe: np.ndarray,
-                 both: bool) -> tuple[list, list]:
-    """The stack, rows by ``xs``, of exp(-iNxP) exp(-iNpX)|psi> over N of
-    ``ns`` (ascending) and, if ``both``, of the opposite order, each weighted
-    1/sqrt(2) and, like the probe, in parity order; and per row None or its
-    LeakageError, the branches checked x by x.  N*x is checked at the
-    largest |x|, and a refused time ends the rows and the list."""
+                 both: bool, tangent: bool = False) -> tuple:
+    """The switch over N of ``ns`` (ascending), unweighted: exp(-iNxP)
+    exp(-iNpX)|psi> in P's eigen-coordinates and, if ``both``, the opposite
+    order in X's, as stacks (rows, points, dim) over ``xs`` and, if
+    ``tangent``, the x-derivative at xs[0] (-iN w_P in P's coordinates);
+    their evolvers; their starts exp(-iNpX)|psi> and |psi> in P's; and per
+    row None or its LeakageError.  A refused time ends rows and list."""
     if ns[0] < 1:
         raise ValidationError("switch protocol requires n >= 1")
     u_p = _evolver(_P, probe.size)  # exp(-i t P), t = N x
@@ -634,15 +575,19 @@ def _switch_rows(ns: Sequence[int], xs: Sequence[float], p: float, probe: np.nda
         except ValidationError as exc:
             end = [exc]
             break
+    rows = ns[:len(times)]
     phases_x = u_x.phases(times)
-    after_x = u_p.project(u_x.lift(phases_x * u_x.project(probe)))
-    phases = u_p.phases([[n * x for x in xs] for n in ns[:len(times)]])
-    stacks = [u_p.lift(phases * after_x[:, None])]
+    starts = [u_p.project(u_x.lift(phases_x * u_x.project(probe)))]
+    phases = u_p.phases(np.reshape([n * x for n in rows for x in xs], (len(rows), len(xs))))
+    if tangent:
+        slopes = np.multiply.outer([float(n) for n in rows], -1j * u_p.spectrum())
+        phases = np.concatenate((phases, slopes[:, None] * phases[:, :1]), 1)
+    coords, evolvers = [phases * starts[0][:, None]], [u_p, u_x]
     if both:
-        p_first = u_p.lift(phases * u_p.project(probe))  # exp(-iNxP)|psi>
-        stacks.append(u_x.lift(phases_x[:, None] * u_x.project(p_first)))
-    tops = np.stack([stack[..., _top_slot(probe.size)] for stack in stacks], -1)
-    return ([stack / math.sqrt(2.0) for stack in stacks],
+        starts.append(u_p.project(probe))
+        coords.append(phases_x[:, None] * u_x.project(u_p.lift(phases * starts[1])))
+    tops = np.stack([u.top_amplitudes(c[:, :len(xs)]) for u, c in zip(evolvers, coords)], -1)
+    return (coords, evolvers, starts,
             [_first_leak(row.ravel(), "switch_protocol") for row in tops] + end)
 
 
@@ -655,9 +600,9 @@ def switch_protocol(n: int, x: float, p: float,
     relation they differ by the phase N^2 x p, so the control qubit picks up
     the product parameter.
     """
-    stacks, outcomes = _switch_rows([n], [x], p, _to_parity(probe), True)
+    coords, evolvers, _, outcomes = _switch_rows([n], [x], p, _to_parity(probe), True)
     _results(outcomes)
-    return tuple(_to_fock(stack[0, 0]) for stack in stacks)
+    return tuple(_to_fock(u.lift(c[0, 0]) / math.sqrt(2.0)) for u, c in zip(evolvers, coords))
 
 
 def branch_phase_overlap(n: int, x: float, p: float, probe: np.ndarray) -> complex:
@@ -666,15 +611,19 @@ def branch_phase_overlap(n: int, x: float, p: float, probe: np.ndarray) -> compl
     return 2.0 * complex(np.vdot(ab, ba))  # each branch carries weight 1/sqrt(2)
 
 
-def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: np.ndarray) -> list:
-    """QFI of a qubit from its Bloch vectors at x0 and x0 +- step, as a flat
-    list over a stack, ``r0`` and ``step`` broadcast against ``plus`` and
-    ``minus``; floats with a lone row's bits."""
-    dr = (plus - minus) / (2.0 * step)
-    r0 = np.broadcast_to(r0, dr.shape)
-    rows = zip(np.vecdot(dr, dr).ravel().tolist(), (1.0 - np.vecdot(r0, r0)).ravel().tolist(),
-               np.vecdot(r0, dr).ravel().tolist())
-    return [qfi + tilt ** 2 / denom if denom > 1e-9 else qfi for qfi, denom, tilt in rows]
+def _control_qfis(ab: np.ndarray, ba: np.ndarray) -> list:
+    """Control-qubit QFI |dr|^2 + (r . dr)^2 / (1 - |r|^2) of each row, the
+    second term dropped for a pure qubit, from the unweighted branches and
+    their x-derivatives as (rows, 2, dim): r = (Re rho, -Im rho, 0) with
+    rho = <ba|ab>, as both branches keep the probe's norm."""
+    rho = np.vecdot(ba[:, 0], ab[:, 0])
+    d_rho = np.vecdot(ba[:, 1], ab[:, 0]) + np.vecdot(ba[:, 0], ab[:, 1])
+    out = []
+    for r, d in zip(rho.tolist(), d_rho.tolist()):
+        qfi, tilt = d.real * d.real + d.imag * d.imag, r.real * d.real + r.imag * d.imag
+        denom = 1.0 - (r.real * r.real + r.imag * r.imag)
+        out.append(qfi + tilt * tilt / denom if denom > 1e-9 else qfi)
+    return out
 
 
 SWITCH_MODES = ("control", "joint", "definite")
@@ -689,14 +638,16 @@ def switch_qfi(
     step: float = DEFAULT_STEP,
     mode: str = "control",
 ) -> QfiEstimate:
-    """Finite-difference QFI of the switch construction w.r.t. x.
+    """QFI of the switch construction w.r.t. x, its branches checked for
+    leakage at x and x +- step.
 
     Modes:
 
     - ``control``: QFI of the reduced control qubit, which carries the
       relative branch phase N^2 x p; scales as N^4 p^2.
-    - ``joint``: QFI of the full control+mode vector; for a vacuum probe it
-      equals 2 N^2 + N^4 p^2 (the mode displacement term plus the phase).
+    - ``joint``: QFI of the full control+mode vector, 4 N^2 Var[P] under
+      both branches' weights; for a vacuum probe it equals 2 N^2 + N^4 p^2
+      (the mode displacement term plus the phase).
     - ``definite``: QFI of the single fixed-order branch exp(-iNxP)
       exp(-iNpX)|psi>; the phase channel is absent, leaving 2 N^2.  Only
       that branch is evolved and checked for leakage, so leakage of the
@@ -708,31 +659,22 @@ def switch_qfi(
 def _switch_qfis(ns: Sequence[int], x: float, p: float, probe: ProbeDescriptor | None,
                  dim: int, step: float, mode: str) -> list:
     """``switch_qfi`` at each N of ``ns`` (ascending): a row's estimate or its
-    trust error, the list ended by a refused time."""
+    error, the list ended by a refused time."""
     if mode not in SWITCH_MODES:
         raise ValidationError(f"mode must be one of {SWITCH_MODES}")
     require_finite(x=x, p=p)
     _check_step(step, x)
     probe_vec = _probe(probe or ProbeDescriptor.vacuum(), dim)
-    xs = (x, x + step, x - step, x + step / 2.0, x - step / 2.0)
-    stacks, outcomes = _switch_rows(ns, xs, p, probe_vec, both=mode != "definite")
-    kept = [j for j, outcome in enumerate(outcomes[:len(stacks[0])]) if outcome is None]
-    if not kept:  # every row leaks, or the first row's time is refused
-        return outcomes
-    if len(kept) < len(stacks[0]):
-        stacks = [stack[kept] for stack in stacks]
-    if mode == "control":  # Bloch vectors of the control qubit
-        ab, ba = stacks
-        rho_01 = np.vecdot(ba, ab)  # control coherence <0|rho|1>
-        points = np.stack([2.0 * rho_01.real, -2.0 * rho_01.imag,
-                           (np.vecdot(ab, ab) - np.vecdot(ba, ba)).real], -1)
-        pass_qfi, what = _qubit_qfi, "control-QFI"
-    else:  # the definite order's branch scaled back by sqrt(2), or both orders
-        points = stacks[0] * math.sqrt(2.0) if mode == "definite" else np.concatenate(stacks, -1)
-        pass_qfi, what = _overlap_qfi, "switch QFI"
-    both = pass_qfi(points[:, :1], points[:, 1::2], points[:, 2::2], _PASS_STEPS * step)
-    for j, estimate in zip(kept, _row_estimates(both[::2], both[1::2], step, dim, what)):
-        outcomes[j] = estimate
+    coords, evolvers, starts, outcomes = _switch_rows(
+        ns, (x, x + step, x - step), p, probe_vec, mode != "definite", mode == "control")
+    kept = [j for j, outcome in enumerate(outcomes[:len(coords[0])]) if outcome is None]
+    rows = [ns[j] for j in kept]
+    if mode == "control":  # each order at x and its derivative
+        qfis = _control_qfis(*(u.lift(c[np.ix_(kept, (0, -1))]) for u, c in zip(evolvers, coords)))
+    else:  # the measured order's weights, or both orders' averaged
+        qfis = _variance_qfis(rows, [starts[0][kept], *starts[1:]], evolvers[0].spectrum())
+    for j, outcome in zip(kept, _estimates(rows, qfis, True, dim, step)):
+        outcomes[j] = outcome
     return outcomes
 
 

@@ -99,8 +99,8 @@ def _check_uncertainty(var_x: float, cov_xp: float, var_p: float) -> None:
     determinant is one compensated Dot2, so a violation far below the
     trace, such as diag(1e10, 1e-12), still shows.  The slack is 1e-9, or
     the rounding of the determinant where it is larger: a strongly squeezed
-    pure state sits on the boundary, not beyond it.  Moments that are not
-    finite are left to the callers' finite checks."""
+    pure state sits on the boundary, not beyond it.  The moments are
+    finite: ``GaussianState`` and :func:`_finite_flow` check them first."""
     det = _dot2(var_x, var_p, -cov_xp, cov_xp)
     slack = max(1e-9, _UNCERTAINTY_ROUNDING * (abs(var_x * var_p) + cov_xp * cov_xp))
     if var_x + var_p <= 0.0 or det < 0.25 - slack:
@@ -117,6 +117,10 @@ class GaussianState:
     def __post_init__(self):
         object.__setattr__(self, "mean", _frozen_array(self.mean, (2,)))
         object.__setattr__(self, "cov", _frozen_array(self.cov, (2, 2)))
+        for name, values in (("mean", self.mean), ("cov", self.cov)):
+            for index, value in np.ndenumerate(values):
+                if not math.isfinite(value):
+                    raise ValidationError(f"{name}{list(index)} = {float(value)!r} is not finite")
         (a, b), (b_t, c) = self.cov.tolist()
         if abs(b - b_t) > 1e-12:
             raise ValidationError("covariance matrix must be symmetric")
@@ -240,10 +244,23 @@ def _flow(state: Moments, quad: Quadratures, t: float) -> Moments:
     )
 
 
+def _finite_flow(state: Moments, quad: Quadratures, n: int, value: float, where: str) -> Moments:
+    """``_flow`` for the time n * value, or the ValidationError naming ``where``
+    when the time or a moment overflows (``math.cosh`` does past 710)."""
+    try:
+        out = _flow(state, quad, n * value)
+        if all(map(math.isfinite, out)):
+            return out
+    except OverflowError:
+        pass
+    raise ValidationError(f"Gaussian evolution overflows at {where}: the moments are not finite")
+
+
 def evolve(state: GaussianState, generator: LadderPolynomial, t: float) -> GaussianState:
     """Evolve the state under exp(-i t H) for a Hermitian ladder polynomial
     H of degree <= 2; exact symplectic propagation."""
-    return _state(_flow(_moments(state), _quadratic(generator), t))
+    require_finite(t=t)
+    return _state(_finite_flow(_moments(state), _quadratic(generator), 1, t, f"t = {t!r}"))
 
 
 def _probe_moments(probe: ProbeDescriptor) -> Moments:
@@ -272,9 +289,10 @@ def run_protocol(protocol: EncodingProtocol) -> GaussianState:
     state = _probe_moments(protocol.probe)
     n = protocol.n_applications
     if n:
-        state = _flow(state, _quadratic(protocol.h_g), n * protocol.g_bar)
+        state = _finite_flow(state, _quadratic(protocol.h_g), n, protocol.g_bar, f"N = {n}")
         _check_uncertainty(*state[2:])
-        state = _flow(state, _quadratic(protocol.h_lambda), n * protocol.lambda_bar)
+        state = _finite_flow(state, _quadratic(protocol.h_lambda), n, protocol.lambda_bar,
+                             f"N = {n}")
     return _state(state)
 
 

@@ -7,13 +7,14 @@ degrees used in tests.  The exact commutator knows nothing about it either:
 it multiplies by one ladder operator at a time, in ``fractions.Fraction``
 arithmetic, so it gives deep adjoint towers without rounding.  The
 power-chain embedding knows nothing about the package's closed-form matrix
-elements: it multiplies truncated ladder matrices.  The Fock references know
-nothing about the package's real and eigen-coordinate paths: they evolve the
-full vector through complex eigendecompositions at every finite-difference
-point, and build probes one level at a time.  The per-row Fock references
-are the oracle's own routines as they stood before scans reused their
-probe work, and ``dv_bound_check`` as it stood before it stacked its N
-values, kept verbatim, so the package must match them bit for bit.  The
+elements: it multiplies truncated ladder matrices.  The finite-difference
+Fock references know nothing about the package's exact derivative or its
+real and eigen-coordinate paths: they evolve the full vector through complex
+eigendecompositions at every point of a central difference, Richardson-
+extrapolated, and build probes one level at a time.  The per-row Fock
+references are the oracle's exact QFI computed one row at a time, and
+``dv_bound_check`` as it stood before it stacked its N values, kept
+verbatim, so the package must match them bit for bit.  The
 Gaussian reference is the engine's former numpy path: 2x2 matrix products
 and ``np.linalg.det``.  The coefficient peak is found by comparing every
 exact ``Fraction`` value.  The reference formatter renders one term at a
@@ -21,7 +22,6 @@ time with f-strings, as the package once did.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from ncmetro import (
-    ConvergenceError,
     LadderPolynomial,
     LeakageError,
     ProbeDescriptor,
@@ -44,11 +43,11 @@ from ncmetro.fock import (
     SWITCH_MODES,
     DvBoundReport,
     DvBoundRow,
+    QfiEstimate,
     _HERMITIAN_TOL,
     _check_leakage,
     _evolver,
     _leakage_check_blind,
-    _richardson_qfi,
     _to_parity,
     _top_slot,
 )
@@ -276,11 +275,13 @@ def tower_pool_pairs() -> list[tuple[str, str]]:
     return [(argv[2], argv[4]) for argv, *_ in TOWER_POOL]
 
 
-# -- full-vector Fock references ------------------------------------------------
+# -- finite-difference Fock references -------------------------------------------
 #
-# Plain complex eigendecompositions, a recurrence probe and finite differences
-# that evolve the whole Fock vector at every point: what the package's
-# eigen-coordinate paths must reproduce.
+# Plain complex eigendecompositions, a recurrence probe and central
+# differences that evolve the whole Fock vector at every point: a pass at
+# the step and one at half the step, Richardson-extrapolated.  The
+# package differentiates exactly and shares none of this; its value must
+# lie within the passes' disagreement of the extrapolated one.
 
 LEAKAGE_THRESHOLD = 1e-8
 
@@ -312,13 +313,12 @@ def _check_top(vec: np.ndarray) -> None:
         raise LeakageError("top level populated")
 
 
-def _richardson(pass_qfi, step: float) -> tuple[float, bool]:
+def richardson(pass_qfi, step: float) -> tuple[float, float]:
+    """(Richardson value, relative disagreement) of the passes at ``step``
+    and ``step / 2``."""
     coarse, fine = pass_qfi(step), pass_qfi(step / 2.0)
     value = (4.0 * fine - coarse) / 3.0
-    rel = abs(fine - coarse) / max(abs(value), 1e-300)
-    if rel > 0.05:
-        raise ConvergenceError("passes disagree")
-    return value, rel <= 0.005
+    return value, abs(fine - coarse) / max(abs(value), 1e-300)
 
 
 def _overlap_pass(state_at, x0: float):
@@ -331,8 +331,10 @@ def _overlap_pass(state_at, x0: float):
 
 
 def full_vector_qfi(protocol, dim: int, step: float, retries: int):
-    """(value, trusted, dim used) of the finite-difference QFI, evolving the
-    full Fock vector at every point; raises like ``qfi_numeric``."""
+    """(value, pass disagreement, trusted, dim used) of the finite-difference
+    QFI, evolving the full Fock vector at every point, with the leakage
+    checks of ``qfi_numeric``: after the auxiliary block and at the window
+    edges lambda_bar +- step; raises LeakageError like it."""
     last = None
     for attempt in range(retries + 1):
         d = dim * 2**attempt
@@ -348,33 +350,34 @@ def full_vector_qfi(protocol, dim: int, step: float, retries: int):
 
             _check_top(state_at(protocol.lambda_bar + step))
             _check_top(state_at(protocol.lambda_bar - step))
-            value, trusted = _richardson(_overlap_pass(state_at, protocol.lambda_bar), step)
+            value, rel = richardson(_overlap_pass(state_at, protocol.lambda_bar), step)
             # parity keeps the odd top level of an even state empty
             blind = (d % 2 == 0 and protocol.probe.kind in ("vacuum", "squeezed_vacuum")
                      and all((m - k) % 2 == 0 for poly in (protocol.h_g, protocol.h_lambda)
                              for m, k in poly.terms))
-            return value, trusted and not blind, d
-        except (LeakageError, ConvergenceError) as exc:
+            return value, rel, not blind, d
+        except LeakageError as exc:
             last = exc
     raise last
 
 
 def full_vector_switch_qfi(n: int, x: float, p: float, probe, dim: int, step: float,
-                           mode: str) -> tuple[float, bool]:
-    """(value, trusted) of the switch QFI, evolving both full branches at
-    every x with separate decompositions of X and P; raises like
-    ``switch_qfi``."""
+                           mode: str) -> tuple[float, float]:
+    """(value, pass disagreement) of the finite-difference switch QFI,
+    evolving both full branches at every x with separate decompositions of
+    X and P; raises LeakageError where a branch that the mode reads leaks
+    at x or x +- step, as ``switch_qfi`` does."""
     psi = prepare_probe(probe, dim)
     u_x = eigh_evolution(matrix_of(position_op(), dim).matrix)(n * p)
     evolve_p = eigh_evolution(matrix_of(momentum_op(), dim).matrix)
 
     def branches(xv):
         u_p = evolve_p(n * xv)
-        ab, ba = u_p @ (u_x @ psi), u_x @ (u_p @ psi)
-        _check_top(ab)
-        _check_top(ba)
-        return ab, ba
+        return u_p @ (u_x @ psi), u_x @ (u_p @ psi)
 
+    for xv in (x, x + step, x - step):
+        for branch in branches(xv)[:1 if mode == "definite" else 2]:
+            _check_top(branch)
     if mode == "control":
         def bloch(xv):
             ab, ba = branches(xv)
@@ -388,28 +391,24 @@ def full_vector_switch_qfi(n: int, x: float, p: float, probe, dim: int, step: fl
             denom = 1.0 - r0 @ r0
             return dr @ dr + ((r0 @ dr) ** 2 / denom if denom > 1e-9 else 0.0)
 
-        return _richardson(pass_qfi, step)
+        return richardson(pass_qfi, step)
     if mode == "joint":
         def state_at(xv):
             return np.concatenate(branches(xv)) / np.sqrt(2.0)
     else:
         def state_at(xv):
             return branches(xv)[0]
-    return _richardson(_overlap_pass(state_at, x), step)
+    return richardson(_overlap_pass(state_at, x), step)
 
 
 # -- per-row Fock references ----------------------------------------------------
 #
-# ``_qfi_numeric_once`` and ``_switch_states`` as they stood when every row
-# prepared and projected its own probe, and rebuilt every state it needed,
-# and the definite order's branch evolved from the probe at every x; the two
-# functions after them wrap them the way ``qfi_numeric`` and ``switch_qfi``
-# do.  Each exp(-i t H) v is written out as ``lift(phases(t) * project(v))``,
-# the floats of ``HermitianEvolver.apply``, on vectors in the oracle's parity
-# order (even levels, then odd), and the leakage checks read the top level
-# at its place in that order.  The overlaps, Bloch vectors and
-# top amplitudes are the oracle's lone-state routines as they stood before
-# scans took them as stacked products: one ``np.vdot`` or ``@`` per state.
+# The exact QFI as a lone row computes it: one probe prepared and projected
+# per row, each exp(-i t H) v written out as ``lift(phases(t) * project(v))``
+# on vectors in the oracle's parity order (even levels, then odd), the
+# leakage checks reading the top level at its place in that order, and one
+# ``np.dot`` or ``np.vdot`` per state.  A scan's stacked rows must match them
+# bit for bit, errors with their text.
 
 
 def _top_amplitude(evolver, coeffs: np.ndarray) -> complex:
@@ -419,35 +418,10 @@ def _top_amplitude(evolver, coeffs: np.ndarray) -> complex:
     return top if evolver._gauge is None else top * evolver._gauge[_top_slot(coeffs.size)]
 
 
-def _overlap_qfi(center: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> float:
-    dpsi = (plus - minus) / (2.0 * step)
-    return 4.0 * (
-        float(np.vdot(dpsi, dpsi).real) - abs(np.vdot(center, dpsi)) ** 2
-    )
-
-
-def overlap_passes(state_at, x0: float):
-    """Central-difference overlap QFI at x0 as a function of the step."""
-    center = state_at(x0)
-    return lambda h: _overlap_qfi(center, state_at(x0 + h), state_at(x0 - h), h)
-
-
-def richardson_of_passes(pass_qfi, step: float, dim: int, what: str):
-    """``_richardson_qfi`` of the coarse pass at ``step`` and the fine pass
-    at ``step / 2``, computed in that order, as a lone row ran them."""
-    coarse = pass_qfi(step)
-    fine = pass_qfi(step / 2.0)
-    return _richardson_qfi(coarse, fine, step, dim, what)
-
-
-def _qubit_qfi(r0: np.ndarray, plus: np.ndarray, minus: np.ndarray, step: float) -> float:
-    """QFI of a qubit from its Bloch vectors at x0 and x0 +- step."""
-    dr = (plus - minus) / (2.0 * step)
-    qfi = float(dr @ dr)
-    denom = 1.0 - float(r0 @ r0)
-    if denom > 1e-9:
-        qfi += float(r0 @ dr) ** 2 / denom
-    return qfi
+def _weighted_variance_qfi(n: int, weights: np.ndarray, w: np.ndarray) -> float:
+    """4 N^2 Var[H] under ``weights`` |c|^2 of H's eigen-coordinates."""
+    mean = float(np.dot(weights, w))
+    return 4.0 * n * n * float(np.dot(weights, np.square(w - mean)))
 
 
 def _qfi_numeric_once(protocol, dim: int, step: float):
@@ -456,63 +430,14 @@ def _qfi_numeric_once(protocol, dim: int, step: float):
     evolver_g = _evolver(protocol.h_g, dim)
     after_aux = evolver_g.lift(evolver_g.phases(n * protocol.g_bar) * evolver_g.project(probe))
     _check_leakage(after_aux[_top_slot(dim)], "qfi_numeric (auxiliary block)")
-    # Eigen-coordinates of h_lambda: evolution is a phase per coefficient,
-    # and overlaps, hence the QFI, do not depend on the basis.
     evolver_l = _evolver(protocol.h_lambda, dim)
     coeffs = evolver_l.project(after_aux)
-
-    def state_at(lam: float) -> np.ndarray:
-        return evolver_l.phases(n * lam) * coeffs
-
     for edge in (protocol.lambda_bar + step, protocol.lambda_bar - step):
-        _check_leakage(_top_amplitude(evolver_l, state_at(edge)), "qfi_numeric (scan edge)")
-    estimate = richardson_of_passes(overlap_passes(state_at, protocol.lambda_bar),
-                                    step, dim, "finite-difference")
-    if _leakage_check_blind(protocol, dim):
-        estimate = replace(estimate, trusted=False)
-    return estimate
-
-
-def _switch_states(n: int, p: float, probe: np.ndarray):
-    """The switch branches as a function of x.  The x-independent work is
-    done once: exp(-iNpX)|psi> and |psi> are projected onto P's eigenbasis,
-    so each x costs two lifts and one X evolution, and both branches are
-    still checked for leakage in the Fock basis."""
-    if n < 1:
-        raise ValidationError("switch protocol requires n >= 1")
-    u_p = _evolver(momentum_op(), probe.size)  # exp(-i t P), t = N x
-    u_x = _evolver(position_op(), probe.size)  # exp(-i t X), t = N p
-    after_x = u_p.project(u_x.lift(u_x.phases(n * p) * u_x.project(probe)))
-    before_x = u_p.project(probe)
-
-    def state_at(x: float) -> tuple[np.ndarray, np.ndarray]:
-        phases = u_p.phases(n * x)
-        branch_ab = u_p.lift(phases * after_x)
-        branch_ba = u_x.lift(u_x.phases(n * p) * u_x.project(u_p.lift(phases * before_x)))
-        _check_leakage(branch_ab[_top_slot(probe.size)], "switch_protocol")
-        _check_leakage(branch_ba[_top_slot(probe.size)], "switch_protocol")
-        return branch_ab / math.sqrt(2.0), branch_ba / math.sqrt(2.0)
-
-    return state_at
-
-
-def _definite_states(n: int, p: float, probe: np.ndarray):
-    """The definite order's measured branch exp(-iNxP) exp(-iNpX)|psi>,
-    evolved from the probe at every x and leakage-checked alone; weighted
-    1/sqrt(2) as a switch branch and scaled back, as ``switch_qfi`` reads
-    it."""
-    if n < 1:
-        raise ValidationError("switch protocol requires n >= 1")
-    u_p = _evolver(momentum_op(), probe.size)
-    u_x = _evolver(position_op(), probe.size)
-
-    def state_at(x: float) -> np.ndarray:
-        after_x = u_x.lift(u_x.phases(n * p) * u_x.project(probe))
-        branch_ab = u_p.lift(u_p.phases(n * x) * u_p.project(after_x))
-        _check_leakage(branch_ab[_top_slot(probe.size)], "switch_protocol")
-        return branch_ab / math.sqrt(2.0) * math.sqrt(2.0)
-
-    return state_at
+        _check_leakage(_top_amplitude(evolver_l, evolver_l.phases(n * edge) * coeffs),
+                       "qfi_numeric (scan edge)")
+    weights = coeffs.real * coeffs.real + coeffs.imag * coeffs.imag
+    value = _weighted_variance_qfi(n, weights, evolver_l.spectrum())
+    return QfiEstimate(value, not _leakage_check_blind(protocol, dim), dim, step)
 
 
 def per_row_qfi(protocol, dim: int, step: float, retries: int = 1):
@@ -521,34 +446,54 @@ def per_row_qfi(protocol, dim: int, step: float, retries: int = 1):
     for attempt in range(retries + 1):
         try:
             return _qfi_numeric_once(protocol, dim * 2**attempt, step)
-        except (LeakageError, ConvergenceError) as exc:
+        except LeakageError as exc:
             last_error = exc
     raise last_error
 
 
 def per_row_switch_qfi(n: int, x: float, p: float, probe=None, dim: int = 80,
                        step: float = 1e-4, mode: str = "control"):
-    """``switch_qfi`` over the per-row ``_switch_states``, or in definite
-    mode over the per-row ``_definite_states``."""
+    """``switch_qfi`` one row at a time: the branches in P's eigenbasis (the
+    opposite order carried through X's) at x and x +- step, leakage-checked
+    in that order, and the QFI from the branches' weights or, for the
+    control qubit, from the branches at x and their x-derivatives."""
     assert mode in SWITCH_MODES
-    probe_vec = _to_parity(prepare_probe(probe or ProbeDescriptor.vacuum(), dim))
-    if mode == "definite":
-        return richardson_of_passes(overlap_passes(_definite_states(n, p, probe_vec), x),
-                                    step, dim, "switch QFI")
-    switch_at = _switch_states(n, p, probe_vec)
-    if mode == "control":
-        def bloch_at(xv: float) -> np.ndarray:
-            ab, ba = switch_at(xv)
-            rho_01 = np.vdot(ba, ab)  # control coherence <0|rho|1>
-            return np.array([2.0 * rho_01.real, -2.0 * rho_01.imag,
-                             (np.vdot(ab, ab) - np.vdot(ba, ba)).real])
+    if n < 1:
+        raise ValidationError("switch protocol requires n >= 1")
+    psi = _to_parity(prepare_probe(probe or ProbeDescriptor.vacuum(), dim))
+    u_p = _evolver(momentum_op(), dim)
+    u_x = _evolver(position_op(), dim)
+    phases_x = u_x.phases(n * p)
+    start_ab = u_p.project(u_x.lift(phases_x * u_x.project(psi)))
+    start_ba = u_p.project(psi)
 
-        r0 = bloch_at(x)
-        return richardson_of_passes(
-            lambda h: _qubit_qfi(r0, bloch_at(x + h), bloch_at(x - h), h),
-            step, dim, "control-QFI")
-    return richardson_of_passes(overlap_passes(lambda xv: np.concatenate(switch_at(xv)), x),
-                                step, dim, "switch QFI")
+    def through_x(coords):
+        """X's coordinates of exp(-iNpX) applied to P's coordinates."""
+        return phases_x * u_x.project(u_p.lift(coords))
+
+    for xv in (x, x + step, x - step):
+        phases = u_p.phases(n * xv)
+        _check_leakage(_top_amplitude(u_p, phases * start_ab), "switch_protocol")
+        if mode != "definite":
+            _check_leakage(_top_amplitude(u_x, through_x(phases * start_ba)), "switch_protocol")
+    w = u_p.spectrum()
+    weights_ab = start_ab.real * start_ab.real + start_ab.imag * start_ab.imag
+    if mode == "definite":
+        return QfiEstimate(_weighted_variance_qfi(n, weights_ab, w), True, dim, step)
+    if mode == "joint":
+        weights_ba = start_ba.real * start_ba.real + start_ba.imag * start_ba.imag
+        return QfiEstimate(_weighted_variance_qfi(n, 0.5 * (weights_ab + weights_ba), w),
+                           True, dim, step)
+    phases, slope = u_p.phases(n * x), float(n) * (-1j * w)
+    ab, d_ab = u_p.lift(phases * start_ab), u_p.lift(slope * phases * start_ab)
+    ba, d_ba = (u_x.lift(through_x(phases * start_ba)),
+                u_x.lift(through_x(slope * phases * start_ba)))
+    rho = complex(np.vdot(ba, ab))
+    d_rho = complex(np.vdot(d_ba, ab)) + complex(np.vdot(ba, d_ab))
+    qfi = d_rho.real * d_rho.real + d_rho.imag * d_rho.imag
+    tilt = rho.real * d_rho.real + rho.imag * d_rho.imag
+    denom = 1.0 - (rho.real * rho.real + rho.imag * rho.imag)
+    return QfiEstimate(qfi + tilt * tilt / denom if denom > 1e-9 else qfi, True, dim, step)
 
 
 def per_row_dv_bound_check(
@@ -700,38 +645,41 @@ def blank_columns(text: str, names=("cfi", "ratio_cfi_qfi")) -> str:
 #: projected its own probe and the Gaussian engine ran on numpy; the fig3
 #: digests re-recorded when closed-tower generators became e^x/e^-x splits
 #: (their qfi_gaussian cells moved in the last bits), and every digest when
-#: the oracle took parity blocks (its Fock cells moved in the last bits).
+#: the oracle took parity blocks (its Fock cells moved in the last bits) and
+#: when it took the exact derivative (its Fock cells moved by at most
+#: 5.3e-12, each now at most as far from its closed form: 8.2e-15 for the
+#: switch cells, 6.8e-9 for fig3's truncation at dim 80).
 ORACLE_POOL = [
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '80', '--mode', 'definite'], 0,
-     "73b922b730a5a926f1dca5174b9f8c72fe3dd83209d847d91d101794d885f247"),
+     "151c5d51b31c53935c9806203ca90908dd95ab82131dc8ef3564b24c3ad417c0"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'joint'], 0,
-     "da8a2ab95c54a9677244afee85ecd6140db866286aab1f3866750c6d016c4f10"),
+     "059aa2273077ca1de517ef65b95fc00f8293546ac13acc9880dfa65cca35ec8c"),
     (['fig3', '--N', '1..12', '--xi', '0.05478421329111705', '--alpha', '0.058489196250636144',
       '--dim', '140'], 0,
-     "c6267f70cb30c545e09aa5a9608e0aff740fa9811d6292bf7739c25128f0a281"),
+     "9cbc7e9e5072b62f7e193335ecc82a6a5460ab75052355551e723cbd1a403b11"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '110', '--mode', 'joint'], 0,
-     "eb8349f8165587ae15bad6bc300271b99b12451ad9fb048b8953c687b1d2ac87"),
+     "f2a1ee2e99a97ce9088d91e3831818ca594321e7a432824b2887c3932fe7093d"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'control'], 0,
-     "11e36ef0a9391969060ca820fc39c05becc097fa7aa53923b6e073944ee2a423"),
+     "f3dbd9738abb654141e2ec0e1ed7c444bc38ef10145e0996b7af594cf80996e9"),
     (['fig3', '--N', '1..12', '--xi', '0.09522088189684784', '--alpha', '0.05635785300768742',
       '--dim', '140'], 0,
-     "71a54a514bc7a13175731a048e0e8e5c8822754ed0a29bf35512c06eaa5ec8cd"),
+     "6064ae141574b22c3aabe5621e09f68d7227c71ea732923aa436ef3dd5358379"),
     (['fig3', '--N', '1..12', '--xi', '0.05779300492379055', '--alpha', '0.19829790306031891',
       '--dim', '80'], 0,
-     "66716d8caf05bf1c488ab58915c755c7d7ab1f519cba54091d522deb623558de"),
+     "3c9c74d18d6e3e52c48715fc0b802aa606e75acd6a7cbef93120b2ee62113e30"),
     (['fig3', '--N', '1..12', '--xi', '0.09897310442419215', '--alpha', '0.4975887965498427',
       '--dim', '140'], 0,
-     "df01e1989c2d260e08a76399d513fc1530350e8351ff9ca79ed791523c75115a"),
+     "c7956f71d42ae952db1743a0b4e97a26ec3811b6af1125d6c9d2073d37019861"),
     (['fig3', '--N', '1..12', '--xi', '0.0723035402216447', '--alpha', '0.19893663594015332',
       '--dim', '140'], 0,
-     "c4d6743b0bf061de8ec1332edc6d08ca51f70ecb0dcd2a26d92dc69ccabb4779"),
+     "7179a298faf17b3d106ced12afe06a20fab4cb38f9a50c4a9b30877502d28cdf"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'definite'], 0,
-     "11df18c93e98017cfc26ecc74b1c7a28b97c15b137855bb5918f3882da862796"),
+     "10db3526333a6c473a97e5b18d33f4ca639380e02925c2b822f0917baab5ee80"),
     (['fig3', '--N', '1..12', '--xi', '0.062871136984877', '--alpha', '0.293187459999862',
       '--dim', '110'], 0,
-     "94f75fc33bb1bab8da2f6ee5666f2baadf710f1c928793df02e1745d82c229a7"),
+     "b52a1c68f975b007046b179136f3827112d8e48d16c3cdc77095a4dd8f1e0443"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'control'], 0,
-     "11e36ef0a9391969060ca820fc39c05becc097fa7aa53923b6e073944ee2a423"),
+     "f3dbd9738abb654141e2ec0e1ed7c444bc38ef10145e0996b7af594cf80996e9"),
 ]
 
 #: The oracle-scans pool's other commands: seed 7919, round 0, and seed 1,
@@ -741,70 +689,70 @@ ORACLE_POOL = [
 ORACLE_POOL_2 = [
     (['fig3', '--N', '1..12', '--xi', '0.05365472351548517', '--alpha', '0.07508514729672061',
       '--dim', '110'], 0,
-     "96d0530dfebae8028578f92b7ee1528528ad2c26f1433f042d81004a18573253"),
+     "8bcd98c08f1147379f4aa94ef87b4b5d62e5c1c695719f8fd6eaa439af12ee2b"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'definite'], 0,
-     "4aba57667b869f349610d034cce2c90583aec3ecef0dd61ade5d57825d6c4813"),
+     "423bc2b0fe12702c191c74ac3dfe4ec20e4514dd8e18e0dff553e928ec2f3598"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'definite'], 0,
-     "11df18c93e98017cfc26ecc74b1c7a28b97c15b137855bb5918f3882da862796"),
+     "10db3526333a6c473a97e5b18d33f4ca639380e02925c2b822f0917baab5ee80"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '200', '--mode', 'control'], 0,
-     "11e36ef0a9391969060ca820fc39c05becc097fa7aa53923b6e073944ee2a423"),
+     "f3dbd9738abb654141e2ec0e1ed7c444bc38ef10145e0996b7af594cf80996e9"),
     (['fig3', '--N', '1..12', '--xi', '0.057806997785026126', '--alpha', '0.40316864591585555',
       '--dim', '140'], 0,
-     "952b5a94b7586a8cd5e4863306f567316b94746ff5539ff81df9936186bc83a4"),
+     "f5e1709d41a99f71a7a5adf938dfa86a1cfc40dfc594462d49e1269333347eaa"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '110', '--mode', 'joint'], 0,
-     "eb8349f8165587ae15bad6bc300271b99b12451ad9fb048b8953c687b1d2ac87"),
+     "f2a1ee2e99a97ce9088d91e3831818ca594321e7a432824b2887c3932fe7093d"),
     (['fig3', '--N', '1..12', '--xi', '0.05459252422466936', '--alpha', '0.4055282788782957',
       '--dim', '140'], 0,
-     "05cc271799380fa072c8c5db8ddd5d0261de8c295db5ccf223ef49ed271c8cdb"),
+     "0e83bb87a76df46f9d673cbb8dd995bd444193420996b4f8bc5123a96522833a"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '170', '--mode', 'joint'], 0,
-     "da8a2ab95c54a9677244afee85ecd6140db866286aab1f3866750c6d016c4f10"),
+     "059aa2273077ca1de517ef65b95fc00f8293546ac13acc9880dfa65cca35ec8c"),
     (['fig3', '--N', '1..12', '--xi', '0.09327499615237893', '--alpha', '0.20132729213847672',
       '--dim', '80'], 0,
-     "d769b61df69850c21dd599b28d942b53ebc94a1a4a38b4d3e4ec740eaadfc2d8"),
+     "c53abe1fcf60f67e4e1841aaf09eee4d02c205f8bf0d425a4d9918d2de85ea2b"),
     (['fig3', '--N', '1..12', '--xi', '0.06670522480187428', '--alpha', '0.48735330546950933',
       '--dim', '140'], 0,
-     "6432680c3c7bf956cb0928b18efab470401c73b7d09aa8a8a2016d90e42f52f2"),
+     "9251e6053f618ddf766a1fad37aa5ae28d536af8be72d20a51a455103f925901"),
     (['fig3', '--N', '1..12', '--xi', '0.09763047957971971', '--alpha', '0.09860409460095854',
       '--dim', '140'], 0,
-     "a7e4eb4c2717c13383681f0f3f48fb65b806fc55ef89e6b5b6b1090423036fea"),
+     "acbc7c4bdee8cdd8a15aabd217540bd1b668ba818e9eece4c24c1a2a869c58f8"),
     (['switch', '--N', '1..6', '--x', '0.1', '--p', '0.2', '--dim', '80', '--mode', 'control'], 0,
-     "dbfe2d1ef5801f549cb4e3d299f411da372906fa15a4721093ebcdd526e8f4de"),
+     "5696b3cbab77509abd785a4742d37989633ce02c8730f8d40ecdc5bdeb51669c"),
     (['fig3', '--N', '1..12', '--xi', '0.09522088199206873', '--alpha', '0.05635785300768742',
       '--dim', '140'], 0,
-     "943c10a5df732c361451baf375ede8c3031004551da7411004c979c4e94ba07c"),
+     "8ca9d64238f1aa76a04c8522f2a6680739930b777e11e1400620f358c6d1504b"),
     (['fig3', '--N', '1..12', '--xi', '0.05478421334590127', '--alpha', '0.058489196250636144',
       '--dim', '140'], 0,
-     "8d4e2c5ae81bcaa4454193ec90707e08e5bf356acdf84b35c25685881866dde3"),
+     "4d6423b2d0e621359b9b93d86cfc7bce251f194e8b2e1d4ef006440c920ec69a"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '80', '--mode', 'definite'], 0,
-     "891dce70c3e5a2f46f126ae977b72513496b0961bfa2696f44a9f676e97dc3dd"),
+     "151c5d51b31c53935c9806203ca90908dd95ab82131dc8ef3564b24c3ad417c0"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '200', '--mode', 'control'], 0,
-     "f48a114740f124a02e72e79634576b8fdbea9721a5efc58d4154860a92fa3564"),
+     "d2b02a5b15127b3ba4949dd27f017f122c180b63f9f104008580f7a3bfeda467"),
     (['fig3', '--N', '1..12', '--xi', '0.06287113704774813', '--alpha', '0.293187459999862',
       '--dim', '110'], 0,
-     "d4b4ea9b983407f0cd0e4031b13f219eb7de99280c74a79024542b00a5e3db82"),
+     "c4e6ce5b01a670aa660e0efffddcc51ff156ba7e3275cfac5201aa312c670b9a"),
     (['fig3', '--N', '1..12', '--xi', '0.05779300498158356', '--alpha', '0.19829790306031891',
       '--dim', '80'], 0,
-     "e075ed19efaafe3f9ddf639667533a4485072468b23412e320a6ddbd0aacac6a"),
+     "169199943470c67cb68ab4186ded9a4a1b2f48ae646e9219971f5caa40fc0bb7"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '170', '--mode', 'joint'], 0,
-     "77d3ab55cb34c14a6b285c5e44bf0932b642daae9e3a0a6dba4286080db64157"),
+     "059aa2273077ca1de517ef65b95fc00f8293546ac13acc9880dfa65cca35ec8c"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '200', '--mode', 'control'], 0,
-     "f48a114740f124a02e72e79634576b8fdbea9721a5efc58d4154860a92fa3564"),
+     "d2b02a5b15127b3ba4949dd27f017f122c180b63f9f104008580f7a3bfeda467"),
     (['fig3', '--N', '1..12', '--xi', '0.09897310452316525', '--alpha', '0.4975887965498427',
       '--dim', '140'], 0,
-     "7f18df2ba2c2cd7719240a828cb7f81239b53bca287ab19b802edc80ba2647eb"),
+     "9475317e34b53c84e322eece7da059314f9a8fd5678164067a7fc8f8d9ced1a1"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '170', '--mode', 'definite'], 0,
-     "3f5f271c6295341ed9f8e925b0b550894fe2f687c6c468d01ad5126919651992"),
+     "10db3526333a6c473a97e5b18d33f4ca639380e02925c2b822f0917baab5ee80"),
     (['fig3', '--N', '1..12', '--xi', '0.07230354029394825', '--alpha', '0.19893663594015332',
       '--dim', '140'], 0,
-     "ee0fbf1fcd42faf54140c90303008c26084b5c9070e30f54b9fbbd78a5c9aa70"),
+     "f8becc7bf3428e4ff8be657a9cc274d69c943f4c339cbd06742eb8e2e52be2c6"),
     (['switch', '--N', '1..6', '--x', '0.10000000010000001', '--p', '0.2',
       '--dim', '110', '--mode', 'joint'], 0,
-     "eb1413507ec478fa5d81fea6ed8a8391c27ef968028ba97f3873616409882631"),
+     "f2a1ee2e99a97ce9088d91e3831818ca594321e7a432824b2887c3932fe7093d"),
 ]
 
 
@@ -821,7 +769,9 @@ ORACLE_POOL_2 = [
 #: Gaussian ``qfi`` and ``example1`` cells were re-recorded when
 #: closed-tower generators became e^x/e^-x splits (last bits moved), and
 #: the Fock ``qfi`` cells when the oracle took parity blocks (last bits
-#: moved).
+#: moved) and again when it took the exact derivative (those off X^2 | P^2
+#: moved by at most 1.4e-10; the parity-blind X^2 | P^2 cells, untrusted,
+#: by up to 2.9e-6).
 POINT_POOL = [
     (['qfi', '--preset', 'shear-k1', '--N', '11', '--aux', '0.2872671728892704', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 3,
@@ -830,11 +780,11 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.16623111063471216', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "4975e52810dab229ef4974bb200e3b13cb8861f0590cd82b97f7f24eed78e4de",
+     "08ed9f4943459d6e509474990825e7086625b1e86ff610e4bf593d4c7761b25c",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '10', '--aux', '0.22809262330411978', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 0,
-     "e86da0f1241c49540ee9affc16a2c91187cc0babb738d9dc994a45ccac0a7d0f",
+     "b6d368daa965483d292b61008cddde9ae6b2ad4eb3fa6c735780c42d080b7443",
      ""),
     (['generator', '--preset', 'shear-k1', '--N', '3', '--aux', '0.05547456410175743'], 0,
      "54bef4cfec7362e92ec333f773361b3eac876f226a834b5372dd445492a2f529",
@@ -844,23 +794,23 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'xp-constant', '--N', '12', '--aux', '0.149866896968619', '--lam',
       '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "9f729d650dc2431ae8f0d7a78520e6610007cb3005f72e876f0f915855006a66",
+     "7079dc393b807264c454bb5401567e1dbc977b9072c21a725226097b33d694d9",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '8', '--aux', '0.05694351632362723', '--lam',
       '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "fa2e67dee4a1064b4fbd3544bb5535fe3f5b72c8bc69fcd6260724945e0a2ea9",
+     "43bfeadd088ce10d67f1d5132f47c7e11f052c8c84a36ba82ba3c8b51cf42bc2",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '12', '--aux', '0.26255369300804726', '--lam',
       '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "eb7a260ebf59f561ed715636cb7b070929302d725c4792a14f17f4098a17cbba",
+     "5c5d4ef20c8a947c111e90286ceaa48c54a34624ad826e0357a6f9aa242786ae",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '7', '--aux', '0.06816389775850713', '--lam',
       '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "17298b62713e360d9d3c2aa3f692cdc680d02783b77b3f908f49d0fb577c064e",
+     "cab4236865c30f284e6fcd85aa2aa0cc5fecb34321eb403e62238607555db3c7",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '9', '--aux', '0.14770349612663988', '--lam',
       '0', '--step', '1e-4', '--engine', 'both'], 0,
-     "63867758e4612c9940e57dc6451cb6010f8fd283fc8758a45f18a121018d3323",
+     "1841ca618783b11cfca2fb2241f3108ec3a00c8f0693d9f347ee71b195aaa3f5",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '12', '--aux', '0.26363418792863974',
       '--lam', '0', '--step', '1e-4', '--engine', 'both'], 3,
@@ -872,7 +822,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.19904548683883266', '--lam',
       '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "2a176260bd9f881db75a2339b7b553f5691fe1cbf7bb042da8f2be8801ef1804",
+     "d3576718607e881b6e5c0d9520571acbae94d043c2dba86604efc388af09911e",
      ""),
     (['dvbound', '--pair', 'qutrit', '--N', '1..38', '--gbar', '0.26604118161710794',
       '--format', 'json'], 0,
@@ -889,7 +839,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'xp-constant', '--N', '11', '--aux', '0.2772172852453678', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 0,
-     "2d6f8db63cdf28d3d36dd5da9e6215046ff4e3dfe5a0b11a10342c0a8cae9112",
+     "0037f3cb0f22aca18c4a656c9168247e7f2739b6920f8b138f27a843663707cc",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '9', '--aux', '0.2525944683032009', '--lam',
       '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 3,
@@ -898,7 +848,7 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.06073841203833418', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "cc0fb3713b2ef9bc5e244481204e55ee953190d4c4072dcf4dba2b8bcc4ab849",
+     "2a3e6fc5e9cfa916f69c17073761c5d5ad5d81d2aede956fcce1bc2b088c84ae",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.2834885031101344', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 3,
@@ -907,11 +857,11 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'shear-k1', '--N', '9', '--aux', '0.2536946646354327', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "78ed0adffea6333b4252cf49c542033e39b3dc9a3418e06aaaa2d69e9fccf7a3",
+     "fc8269cf0695317421732f9e0a47fea634afbf3a4b5b68f0a06de73d478cce92",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '12', '--aux', '0.1090530354729455', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "bd27ec6f0ca3287b45a961b52ca2ab4456dc26d5f222df6ba9bf38081e91af3d",
+     "c49b6cb3638c22589f9f1e103a9b0c37d08f713a1f549a92c389abca2b878516",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '12', '--aux', '0.26040260397232273', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 3,
@@ -920,32 +870,32 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '8', '--aux', '0.05818581289756403', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "b3aa29c895460a64431201cc8e55b14858c5430683d839db301161aec50fc294",
+     "4e8bb17cb76c60e4de1c57262ff5f288032eb0d1a05e50447dc355fd0d4d1ec0",
      ""),
     (['fig2b', '--N', '18,24', '--kmax', '33', '--format', 'json'], 0,
      "b95675bbbb4f36805dbac078f231e56362d9ba2e9191b932267e4804b57d73f1",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '10', '--aux', '0.04113167909437091',
       '--lam', '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "5d4eec7e3e13a2467a16baa0aa4f714b4a6c4907676b2632e5d5c837b2faa66f",
+     "bf7f520311f440291dc042ea277731fd4b5ccf0c138ddd4bb1dfa0329359fafd",
      ""),
     (['dvbound', '--pair', 'qubit', '--N', '1..15', '--gbar', '0.8125953363333489'], 0,
      "9b6bc7ed442bc09085a4f04bb07285cb2351af354c144e5a03f1021c68a82fe5",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '12', '--aux', '0.18750982686822806', '--lam',
       '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "5584cf3ea9412679cd741efb95795ab1dbbd83782849cfa82ed87fd1472eadcb",
+     "e1d7a1d44c75eb8ef934cfa561be745feffe14ca0d467b4e2afa843196a6eaf6",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '9', '--aux', '0.24580559648335557', '--lam',
       '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "7f6ea32f99fd49e9337561176b7e42aa55edb8a2825780face7fd5085a620b1d",
+     "ab7648c024f3ecccdfc66f533b186b082d780d97a61c23bc647e1028c2b7844b",
      ""),
     (['example1', '--preset', 'xp-constant', '--N', '8..38', '--s', '0.25243101236714105'], 0,
      "c3f139ec0d3d3b03515639112912326c474a5faeb5f5ad7b8e38ded76debd32a",
      ""),
     (['qfi', '--preset', 'xp-constant', '--N', '8', '--aux', '0.040911087162807544',
       '--lam', '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "283b8af922e8d0e7fa5709c08b1782608e98d9472b14cc2bca6f3d70f05b3750",
+     "d3d71df89cf210309bd3cc0378431e4ec8a704704dbef569be7b6d6128d397aa",
      ""),
     (['example1', '--preset', 'shear-k1', '--N', '8..23', '--s', '0.24495247586526248',
       '--format', 'json'], 0,
@@ -953,11 +903,11 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '7', '--aux', '0.19127957392259023', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "70019ee26e53d3f630cebd889a6728e75e403c75a021eb3ddbf122cdcf61cbaa",
+     "b6a9e1a7a258ee4005704ce06341d8f159b3e736ee7a5068a1b85bafbc6c4230",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '10', '--aux', '0.13842255405494638', '--lam',
       '0', '--step', '1e-5', '--engine', 'both'], 0,
-     "a5842d29a24bb5207550fa5216743c4b6f8c8263c947394aa6455a4815612856",
+     "5453319a305f0292e9847f6915d31d0712a011f48fe68a096b4c87d7eb26309a",
      ""),
     (['generator', '--preset', 'squeeze-inf', '--N', '1', '--aux', '0.26013147868174713'], 0,
      "2a5cf4669c132eedc9d8b5d4c31ca77fe8dc7e7289df43ae21a016e3c2bbc139",
@@ -969,18 +919,18 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '11', '--aux', '0.2982351017262083',
       '--lam', '0', '--step', '1e-4', '--engine', 'both'], 0,
-     "1a3a7edc677dc6da719d3b70ad3b7ff1672ed5db1c9967643ba0a3e18b5048f2",
+     "00f0c90755450629b6319e6cd2e1c0dfb2da49e7aff5c02fc498bbe05300da95",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '9', '--aux', '0.2496027651485496', '--lam',
       '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "98ad5287d1d015ae5e082196a231d5f2baf5ce51df0780007833cf55d7f422ff",
+     "7ef20e15b2e58c39409687e29aeb16e835ea532c66210068739298cf4a9f4227",
      ""),
     (['fig2b', '--N', '1,19,22,23', '--kmax', '28'], 0,
      "0c74ece47241bc174e1ddf3d50c0e249e3c5d824665e8e6f03474ebec4a7cc22",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '4', '--aux', '0.12090203789971098', '--lam',
       '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "cba058c061667bba89b9fb9618bf521a0d666de3e5e3b15dfacd95d0d690bc7d",
+     "eddfc36a90d993d291959c9e3b61ff9759ff0ccbcb46fd716d1a96c3c713a124",
      ""),
     (['example1', '--preset', 'squeeze-inf', '--N', '8..46', '--s', '0.0668227589665487',
       '--format', 'json'], 0,
@@ -988,14 +938,14 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '7', '--aux', '0.19528976095946415', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "217b4226e7a322bf9349d7e7a9b7b711abffad8d6fcb3484ce0a720853563883",
+     "700f4cd9b4b392f32a1475e8d6e18a8bdb542f7bf27417717679a9df69bd9675",
      ""),
     (['fig2b', '--N', '5,6,19', '--kmax', '27', '--format', 'json'], 0,
      "777750580e0e585ac0f39206a5e7ae6363690f0558fbb2f432cfdfa7cc9f9065",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '7', '--aux', '0.060349575077261866',
       '--lam', '0', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 0,
-     "eb5b3acf7aadfa6fde9d16b23a47ffaa807607fc25d65e4e54b847201c9b807c",
+     "ef11979a16ae73ef7d077d5bfc2f850812ac0fd5e6d34fba363697ad07a67edc",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '11', '--aux', '0.2868323347323185', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 3,
@@ -1004,27 +954,27 @@ POINT_POOL = [
      ' exceeds 1e-08; increase the truncation dimension\n'),
     (['qfi', '--preset', 'squeeze-inf', '--N', '5', '--aux', '0.26509039882544266', '--lam',
       '0', '--step', '1e-4', '--engine', 'both'], 0,
-     "1d1252583b10291bb9e944b1d9acd8d2163510e0243c6d938d09cec006a00d12",
+     "d2f8f0b88788ab66495a25a271f69c7335dd2550621c2589ef4a8868bb8c5ea0",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '10', '--aux', '0.25', '--lam', '0',
       '--step', '1e-5', '--dim', '80', '--engine', 'both'], 0,
-     "831597f2408adfa805c48d6e2624d4cfe5e3e5b441617fc0a46ddfc6bbbdb505",
+     "c981dfd73e080cdfa9e7f6b0bd08f786682a28cb2c62c9ddae69091e58e2cae8",
      ""),
     (['qfi', '--preset', 'xp-constant', '--N', '10', '--aux', '0.15164451761993963',
       '--lam', '0', '--step', '1e-5', '--engine', 'both'], 0,
-     "6fd7bc5c95a92b3c3f458ce526b7d09b21cb49934cada331636e8a758e57309d",
+     "744e593bc5f1b880f74baeee207fca5a542a2953a1ff17984e4c135ab102f0be",
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '11', '--aux', '0.2893123801696813', '--lam',
       '0', '--step', '1e-5', '--engine', 'both'], 0,
-     "33805ee46d949bdad7aaa3b997630be26ec70d115cd31696aa1cc01c90caed75",
+     "23852f2831e3af6c176bd49439071d81f231ca3d0c8bb23f53205af85281a9ec",
      ""),
     (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '6', '--aux', '0.13829571963275675',
       '--lam', '0.1', '--step', '1e-5', '--engine', 'both'], 0,
-     "5bf9fa8e25f2a85fd60cbf3674749c314a7783e311e588aab5fcc3dd975edf23",
+     "001fd1a41a156515ad927053c8839cfbdbdd94bf78c1c9f98a4db92e06742681",
      ""),
     (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '12', '--aux', '0.2786646742010518',
       '--lam', '0', '--step', '1e-5', '--engine', 'both', '--format', 'json'], 0,
-     "1dd9be2173bfaeb3eff6a546672e2dde829ccac19a2624cf09354aac1ba657bf",
+     "863fdd3b4aaf73365feb53f7b2cc1b031e6cc96ac618af4e096a65b4d8e6c11a",
      ""),
     (['example1', '--preset', 'shear-k1', '--N', '8..60', '--s', '0.190200355195341',
       '--format', 'json'], 0,
@@ -1032,7 +982,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--preset', 'shear-k1', '--N', '4', '--aux', '0.11245307624563024', '--lam',
       '0.1', '--step', '1e-5', '--engine', 'both'], 0,
-     "6c8b5931fb5c29401180878fde6a4a42c0287250d4beb4c3cbc364db3ea5eb81",
+     "f9ca88a624cd199b9a8a41ace6fab507bfb2511dac2481d235e7ce80f5cf480e",
      ""),
     (['qfi', '--preset', 'squeeze-inf', '--N', '10', '--aux', '0.22762015865434093',
       '--lam', '0.1', '--step', '1e-4', '--engine', 'both', '--format', 'json'], 3,
@@ -1050,7 +1000,7 @@ POINT_POOL = [
      ""),
     (['qfi', '--g', 'X^2', '--h', 'P^2', '--N', '9', '--aux', '0.24320555754470125',
       '--lam', '0.1', '--step', '1e-4', '--engine', 'both'], 0,
-     "316339f851caafad3ee9918bc0b1b746d6d452ad056612ef5e5131ed84f7b55e",
+     "b1ea8dace06379db91384fc6b1cfb02998ef3a0a2c89db551c2531b7adf949ea",
      ""),
     (['generator', '--preset', 'shear-k1', '--N', '8', '--aux', '0.1923952439985261'], 0,
      "ccd7febcc40dfaf26d7d85556121856dba0a5941b38ab3a580228b2675a95db1",

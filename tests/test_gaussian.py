@@ -204,6 +204,18 @@ class TestStateValidation:
         with pytest.raises(ValidationError):
             GaussianState(mean=np.zeros(2), cov=np.array([[0.5, 0.1], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("mean, cov, named", [
+        ((math.nan, 0.0), ((math.nan, 0.0), (0.0, math.nan)), "mean[0] = nan is not finite"),
+        ((0.0, 0.0), ((math.inf, 0.0), (0.0, 1.0)), "cov[0, 0] = inf is not finite"),
+        ((0.0, -math.inf), ((0.5, 0.0), (0.0, 0.5)), "mean[1] = -inf is not finite"),
+        ((0.0, 0.0), ((0.5, math.nan), (math.nan, 0.5)), "cov[0, 1] = nan is not finite"),
+    ], ids=["nan", "inf-variance", "inf-mean", "nan-covariance"])
+    def test_non_finite_moments_rejected(self, mean, cov, named):
+        # both once built a state: nan and inf moments passed the
+        # symmetry and uncertainty checks
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            GaussianState(mean=mean, cov=cov)
+
     def test_probe_conventions_match_fock(self):
         for probe in (
             ProbeDescriptor.coherent(0.3),
@@ -294,6 +306,27 @@ class TestRunProtocol:
         with pytest.raises(ValidationError, match="^covariance violates the uncertainty"):
             run_protocol(protocol)
         assert len(blocks) == block + 1
+
+    @pytest.mark.parametrize("n, xi", [(100, 15.0), (3, 1e306), (10**400, 0.1)],
+                             ids=["cosh", "moments", "time"])
+    def test_overflowing_evolution_rejected(self, n, xi):
+        # cosh(2 N xi / 2) past about e^710 once raised a bare OverflowError
+        # ("math range error"), and a time N * g_bar too large for a float
+        # another
+        with pytest.raises(ValidationError, match=re.escape(
+                f"Gaussian evolution overflows at N = {n}: the moments are not finite")):
+            run_protocol(squeeze_protocol(n, 0.1, xi))
+
+    @pytest.mark.parametrize("t", [400.0, -1e300, 350.0])
+    def test_overflowing_evolve_rejected(self, t):
+        # evolve under X^2 - P^2 once raised a bare OverflowError at t = 400
+        vacuum = gaussian_probe(ProbeDescriptor.vacuum())
+        squeezer = normal_order_product(X, X) - normal_order_product(P, P)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"Gaussian evolution overflows at t = {t!r}: the moments are not finite")):
+            evolve(vacuum, squeezer, t)
+        with pytest.raises(ValidationError, match="^t must be finite, got nan$"):
+            evolve(vacuum, squeezer, math.nan)
 
     def test_non_quadratic_generator_rejected(self):
         from ncmetro import EncodingProtocol

@@ -249,7 +249,7 @@ class TestEnvelopes:
             columns=["kind", "closure_p"],
             rows=[["finite", None], ["closed_infinite", 4.000000000000001]],
             value={"tower": ["P", "(1.4142135623730951*i)*ad"], "constant_value": [0.0, 1.0]},
-            trust={"3": 1, "rel_disagreement": 3.4457e-9},
+            trust={"3": 1, "dim_used": 160},
             duration_s=0.25,
             timestamp="2026-01-01T00:00:00+00:00",
         )
@@ -501,13 +501,14 @@ class TestMain:
          "--engine", "fock", "--step", "1e-14"],
     ], ids=["fig3", "switch", "qfi"])
     def test_step_too_small_to_move_the_parameter_exits_2(self, argv, capsys):
-        # once printed trusted QFIs at exit 0: 0 (exact 2.04 and 8.65) for
-        # fig3, 18.377 (exact 18) at N = 3 for switch, 21.2703 (exact
-        # 21.3384) for qfi
+        # once printed trusted finite-difference QFIs at exit 0: 0 (exact
+        # 2.04 and 8.65) for fig3, 18.377 (exact 18) at N = 3 for switch,
+        # 21.2703 (exact 21.3384) for qfi; the derivative is now exact, and
+        # such a step would leave the leakage window's edges at x0
         assert main(argv) == 2
         out, err = capsys.readouterr()
         step = argv[argv.index("--step") + 1]
-        assert out == "" and f"finite-difference step {step} is too small" in err
+        assert out == "" and err.startswith(f"error: step {step} is too small")
 
     def test_fig3_resolves_every_cfi(self, capsys):
         # --xi 1 was once refused as a whole, as "covariance violates the
@@ -653,7 +654,7 @@ class TestMain:
         (["fig3", "--N", "1,30,10000000000", "--xi", "0.1", "--dim", "80"],
          "error: closed-form QFI overflows: cosh(2*N*xi_bar) with N = 10000000000, xi_bar = 0.1"),
         (["fig3", "--N", "1,30", "--xi", "0.1", "--dim", "80", "--step", "1e-12"],
-         "error: finite-difference step 1e-12 is too small: its half must be at least 1.49e-08 "
+         "error: step 1e-12 is too small: its half must be at least 1.49e-08 "
          "(sqrt(eps) * max(1, |x0|) at x0 = 0.1)"),
     ], ids=[f"switch-{mode}" for mode in fock.SWITCH_MODES] + ["fig3-closed-form", "fig3-step"])
     def test_first_failing_row_decides_the_scan_error(self, argv, message, capsys):
